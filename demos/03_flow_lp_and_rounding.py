@@ -29,12 +29,18 @@ for arc in ext.arcs[:5]:
     print(f"  {ext.node_name(arc.tail)} -> {ext.node_name(arc.head)}   ({kind})")
 print("  ...")
 
+# Each pair gets flow columns only for the arcs on its own source-to-sink
+# paths, not one per extension arc.
 model = build_mcf(ext)
 print(
     f"LP: {model.num_vars} variables "
     f"({model.num_flow_vars} flow + {model.num_edge_vars} edge), "
-    f"{model.a_ub.shape[0]} coupling rows, {model.a_eq.shape[0]} conservation rows"
+    f"{model.a_ub.shape[0]} coupling rows, {model.a_eq.shape[0]} conservation rows, "
+    f"{model.a_ub.nnz + model.a_eq.nnz} nonzeros"
 )
+for d, arcs in zip(model.demands, model.flow_arcs):
+    print(f"  pair ({inst.label(d.u)},{inst.label(d.v)}) delta {d.delta}: "
+          f"{len(arcs)} of {len(ext.arcs)} arcs on a source-to-sink path")
 
 solution = solve_lp(model)
 print("LP optimum:", solution.objective)

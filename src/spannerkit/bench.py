@@ -109,7 +109,6 @@ def run_algorithm(
     max_attempts: int = 10,
     seed: int = 0,
     exact_cap: int = 22,
-    backend: str = "bundled",
 ):
     """Dispatch one solver; returns (Subgraph, info dict)."""
     info: dict = {}
@@ -125,7 +124,6 @@ def run_algorithm(
             mode=gamma_mode,
             seed=seed,
             max_attempts=max_attempts,
-            backend=backend,
             confidence=confidence if gamma_mode == "custom" else None,
         )
         info["gamma"] = f"{report.gamma.value:.6f}"

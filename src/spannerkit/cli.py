@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: gen, solve, verify, bench, oracle (exact | cuts | demo |
-potential), export-lp.  Exit codes: 0 success, 2 validation failure,
-3 infeasible after retries, 4 internal assertion (lemma violation).
+potential), export-lp.  Exit codes: 0 success, 2 validation failure or
+malformed input file, 3 infeasible after retries (or another library error),
+4 internal error (lemma violation or any unexpected exception), reported on
+one line without a traceback.
 
 Solution files are deterministic given identical inputs and seeds; timing
 lives only in the metrics CSV.
@@ -20,6 +22,7 @@ from .errors import (
     InvalidInstance,
     LemmaViolation,
     MonotonicityViolation,
+    ParseError,
     SpannerError,
 )
 from .extension import build_extension
@@ -32,7 +35,7 @@ from .generators import (
 )
 from .graph import minimum_spanning_tree, verify_feasible
 from .greedy import augmented_greedy
-from .instance import Subgraph, load, require_integer_lengths, save, validate
+from .instance import Subgraph, load, read_json_object, require_integer_lengths, save, validate
 from .mcf import build_mcf, export_lp
 from .oracles import (
     check_cut_lemma,
@@ -77,6 +80,17 @@ def _load_validated(path: str):
         print(report.describe(), file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
     return instance
+
+
+def _load_edge_ids(path: str, m: int) -> frozenset[int]:
+    """The ``edge_indices`` of a solution file, each an integer in [0, m)."""
+    ids = read_json_object(path).get("edge_indices")
+    if not isinstance(ids, list):
+        raise ParseError("solution needs an 'edge_indices' list", path=path)
+    # bool is a subclass of int, but `true` is not an edge index
+    if any(isinstance(e, bool) or not isinstance(e, int) or not 0 <= e < m for e in ids):
+        raise ParseError(f"edge indices must be integers in [0,{m})", path=path)
+    return frozenset(ids)
 
 
 def cmd_gen(args) -> int:
@@ -159,13 +173,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     instance = _load_validated(args.instance)
-    with open(args.solution, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    edge_ids = frozenset(doc.get("edge_indices", ()))
-    if any(not isinstance(e, int) or not 0 <= e < instance.m for e in edge_ids):
-        print(f"solution references edges outside [0,{instance.m})", file=sys.stderr)
-        return EXIT_VALIDATION
-    sub = Subgraph(instance, edge_ids)
+    sub = Subgraph(instance, _load_edge_ids(args.solution, instance.m))
     verdict = verify_feasible(sub)
     result = {
         "feasible": verdict.feasible,
@@ -225,8 +233,7 @@ def cmd_oracle(args) -> int:
         return EXIT_OK
     if args.oracle == "cuts":
         if args.solution:
-            with open(args.solution, encoding="utf-8") as fh:
-                edge_ids = frozenset(json.load(fh)["edge_indices"])
+            edge_ids = _load_edge_ids(args.solution, instance.m)
         else:
             edge_ids = frozenset(range(instance.m))
         report = check_cut_lemma(
@@ -357,15 +364,18 @@ def main(argv=None) -> int:
     }
     try:
         code = handlers[args.command](args)
-    except InvalidInstance as exc:
+    except (InvalidInstance, ParseError) as exc:
         print(str(exc), file=sys.stderr)
         code = EXIT_VALIDATION
-    except (LemmaViolation, MonotonicityViolation, AssertionError) as exc:
+    except (LemmaViolation, MonotonicityViolation) as exc:
         print(f"internal assertion failed: {exc}", file=sys.stderr)
         code = EXIT_ASSERTION
     except SpannerError as exc:
         print(str(exc), file=sys.stderr)
         code = EXIT_INFEASIBLE
+    except Exception as exc:  # a bug, not a user error: one line, no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}".splitlines()[0], file=sys.stderr)
+        code = EXIT_ASSERTION
     if code:
         sys.exit(code)
     return 0

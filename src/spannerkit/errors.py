@@ -59,7 +59,7 @@ class InfeasibleInstance(SpannerError):
 
 
 class SolverFailure(SpannerError):
-    """LP backend did not return an optimal solution."""
+    """The LP solver did not return an optimal solution."""
 
     def __init__(self, status: str, message: str = "", report=None):
         self.status = status
@@ -76,7 +76,7 @@ class TooManyCuts(SpannerError):
 
 
 class LemmaViolation(SpannerError):
-    """The cut/feasibility biconditional failed -- an implementation bug."""
+    """A proven invariant failed (e.g. the cut/feasibility biconditional) -- an implementation bug."""
 
 
 class MonotonicityViolation(SpannerError):

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DirectedInstance, InfeasibleInstance, UnsatisfiableDemand
+from .errors import DirectedInstance, InfeasibleInstance, LemmaViolation, UnsatisfiableDemand
 from .graph import dijkstra, graph_view, minimum_spanning_tree, verify_feasible
 from .instance import SpannerInstance, Subgraph
 
@@ -67,7 +67,8 @@ def greedy(
     chosen: set[int] = set()
     prev = None
     for dist, _, _, d in order:
-        assert prev is None or dist >= prev, "pairs must be visited in non-decreasing distance"
+        if prev is not None and dist < prev:
+            raise LemmaViolation("pairs must be visited in non-decreasing distance")
         prev = dist
         sub_view = graph_view(instance, edge_subset=chosen)
         cur = dijkstra(sub_view, d.u).dist[d.v] if chosen else None
@@ -157,7 +158,7 @@ def augmented_greedy(
     """Two-phase greedy: weight-threshold search, then greedy on E[W*].
 
     The demand pairs, lengths, and bounds are passed through unaltered; only
-    the available edge set shrinks.  Asserts the per-run weight bound
+    the available edge set shrinks.  Checks the per-run weight bound
     ``w(H) <= |E[W*]| * W*``.
     """
     t0 = time.perf_counter()
@@ -168,8 +169,10 @@ def augmented_greedy(
 
     bound = len(threshold.restricted_edges) * threshold.w_star
     weight = spanner.weight
-    assert weight <= bound, f"weight {weight} exceeds |E[W*]|*W* = {bound}"
-    assert spanner.edge_set <= threshold.restricted_edges, "phase-2 output escaped E[W*]"
+    if weight > bound:
+        raise LemmaViolation(f"weight {weight} exceeds |E[W*]|*W* = {bound}")
+    if not spanner.edge_set <= threshold.restricted_edges:
+        raise LemmaViolation("phase-2 output escaped E[W*]")
 
     report = AugmentedGreedyReport(
         w_star=threshold.w_star,

@@ -330,6 +330,13 @@ def to_json_dict(instance: SpannerInstance) -> dict:
     return doc
 
 
+def _node_id(value, field: str, path: str | None) -> int:
+    # bool is a subclass of int, but `true` is not a node id; floats are not truncated
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"node id must be an integer, got {value!r}", path=path, field=field)
+    return value
+
+
 def from_json_dict(doc: dict, *, path: str | None = None) -> SpannerInstance:
     try:
         directed = bool(doc["directed"])
@@ -343,8 +350,8 @@ def from_json_dict(doc: dict, *, path: str | None = None) -> SpannerInstance:
         try:
             edges.append(
                 Edge(
-                    int(e["u"]),
-                    int(e["v"]),
+                    _node_id(e["u"], f"edges[{i}].u", path),
+                    _node_id(e["v"], f"edges[{i}].v", path),
                     parse_rational(e["w"], field=f"edges[{i}].w"),
                     parse_rational(e["len"], field=f"edges[{i}].len"),
                 )
@@ -355,7 +362,11 @@ def from_json_dict(doc: dict, *, path: str | None = None) -> SpannerInstance:
     for i, d in enumerate(raw_demands):
         try:
             demands.append(
-                Demand(int(d["u"]), int(d["v"]), parse_rational(d["delta"], field=f"demands[{i}].delta"))
+                Demand(
+                    _node_id(d["u"], f"demands[{i}].u", path),
+                    _node_id(d["v"], f"demands[{i}].v", path),
+                    parse_rational(d["delta"], field=f"demands[{i}].delta"),
+                )
             )
         except (KeyError, TypeError, ValueError):
             raise ParseError(f"malformed demand record {i}", path=path) from None
@@ -370,7 +381,8 @@ def save(instance: SpannerInstance, path: str) -> None:
         fh.write("\n")
 
 
-def load(path: str) -> SpannerInstance:
+def read_json_object(path: str) -> dict:
+    """Parse a JSON file whose top-level value must be an object."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -378,4 +390,8 @@ def load(path: str) -> SpannerInstance:
         raise ParseError(f"not valid JSON: {exc}", path=path) from None
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object", path=path)
-    return from_json_dict(doc, path=path)
+    return doc
+
+
+def load(path: str) -> SpannerInstance:
+    return from_json_dict(read_json_object(path), path=path)

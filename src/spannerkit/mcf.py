@@ -1,22 +1,26 @@
 """Multicommodity-flow LP over the layered extension, solving, and export.
 
 One commodity per demand pair is shipped from ``u_0`` to ``v_delta(u,v)``.
-Variables: a flow variable per (pair, arc) plus one edge variable per original
-edge (a single shared variable per undirected edge).  Coupling rows force an
-edge variable active whenever any of its arcs carries that pair's flow;
-conservation rows are written for every extension node.  All variables live
-in [0,1]; edge variables of edges too long to ever help are fixed to 0.
+A pair gets a flow variable only for the arcs on some ``u_0 -> v_delta``
+path: the extension is acyclic, so every feasible flow decomposes into such
+paths and any other arc carries zero flow, which leaves the optimum unchanged.
+One edge variable per original edge follows (a single shared variable per
+undirected edge).  Coupling rows force an edge variable active whenever any of
+its arcs carries that pair's flow; conservation rows are written for every
+extension node a pair's columns touch.  A pair with no route keeps its empty
+source and sink rows, so its model stays infeasible.  All variables live in
+[0,1]; edge variables of edges too long to ever help are fixed to 0.
 
-``solve_lp`` dispatches to a backend: the bundled simplex by default, or
-scipy's HiGHS through the external-backend adapter.  ``export_lp`` writes the
-model in CPLEX LP text format; ``read_lp`` parses that subset back, so
-exported models can be re-solved and cross-checked.
+``solve_lp`` hands the sparse matrices to scipy's HiGHS.  ``export_lp`` writes
+the model in CPLEX LP text format; ``read_lp`` parses that subset back, so
+exported models can be re-solved with ``solve_standard`` and cross-checked.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,59 +28,66 @@ import scipy.sparse as sp
 from .errors import ParseError, SolverFailure
 from .extension import DeltaExtension
 from .instance import IntDemand
-from .simplex import StandardLp, solve_standard_lp
 
 
 @dataclass
-class McfModel:
-    extension: DeltaExtension
-    demands: tuple[IntDemand, ...]
-    num_arcs: int
-    num_edge_vars: int
+class StandardLp:
+    """min c'x  s.t.  a_ub x <= b_ub,  a_eq x = b_eq,  lower <= x <= upper.
+
+    The row matrices are sparse; bounds may be infinite.
+    """
+
     c: np.ndarray
-    a_ub: sp.csr_matrix  # coupling rows:  sum_i f_(pair,arc_i) - x_e <= 0
+    a_ub: sp.csr_matrix
     b_ub: np.ndarray
-    a_eq: sp.csr_matrix  # conservation rows, one per (pair, extension node)
+    a_eq: sp.csr_matrix
     b_eq: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-
-    @property
-    def num_pairs(self) -> int:
-        return len(self.demands)
-
-    @property
-    def num_flow_vars(self) -> int:
-        return self.num_pairs * self.num_arcs
+    names: list[str] | None = None
 
     @property
     def num_vars(self) -> int:
-        return self.num_flow_vars + self.num_edge_vars
-
-    def flow_var(self, pair: int, arc: int) -> int:
-        return pair * self.num_arcs + arc
-
-    def edge_var(self, edge: int) -> int:
-        return self.num_flow_vars + edge
+        return self.c.shape[0]
 
     def var_names(self) -> list[str]:
-        names = [
-            f"f_k{k}_a{a}" for k in range(self.num_pairs) for a in range(self.num_arcs)
-        ]
+        return self.names or [f"v{j}" for j in range(self.num_vars)]
+
+
+@dataclass(kw_only=True)
+class McfModel(StandardLp):
+    """The flow LP; columns are each pair's flow columns, then the edge variables.
+
+    ``a_ub`` holds the coupling rows ``sum_i f_(pair,arc_i) - x_e <= 0`` and
+    ``a_eq`` the conservation rows, one per (pair, touched extension node).
+    """
+
+    extension: DeltaExtension
+    demands: tuple[IntDemand, ...]
+    flow_arcs: tuple[tuple[int, ...], ...]  # per pair: the arc id of each flow column
+    num_edge_vars: int
+
+    @property
+    def num_flow_vars(self) -> int:
+        return sum(map(len, self.flow_arcs))
+
+    def var_names(self) -> list[str]:
+        names = [f"f_k{k}_a{a}" for k, arcs in enumerate(self.flow_arcs) for a in arcs]
         names += [f"x_e{e}" for e in range(self.num_edge_vars)]
         return names
 
-    def to_standard(self) -> StandardLp:
-        return StandardLp(
-            c=self.c.copy(),
-            a_ub=self.a_ub.toarray() if self.a_ub.shape[0] else np.zeros((0, self.num_vars)),
-            b_ub=self.b_ub.copy(),
-            a_eq=self.a_eq.toarray() if self.a_eq.shape[0] else np.zeros((0, self.num_vars)),
-            b_eq=self.b_eq.copy(),
-            lower=self.lower.copy(),
-            upper=self.upper.copy(),
-            names=self.var_names(),
-        )
+
+def _closure(start: int, adjacency: list[list[int]], endpoint: list[int]) -> set[int]:
+    """Extension nodes reachable from ``start`` through the arcs in ``adjacency``."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for arc_id in adjacency[stack.pop()]:
+            nxt = endpoint[arc_id]
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
 
 
 def build_mcf(extension: DeltaExtension, demands=None) -> McfModel:
@@ -90,63 +101,115 @@ def build_mcf(extension: DeltaExtension, demands=None) -> McfModel:
             raise ValueError(
                 f"demand ({d.u},{d.v}) bound {d.delta} exceeds the extension's {extension.delta_bar}"
             )
-    num_arcs = len(extension.arcs)
-    num_pairs = len(demands)
-    m_edges = inst.m
-    num_flow = num_pairs * num_arcs
-    num_vars = num_flow + m_edges
-    layer = extension.delta_bar + 1
+    arcs = extension.arcs
+    tails = [arc.tail for arc in arcs]
+    heads = [arc.head for arc in arcs]
+    out: list[list[int]] = [[] for _ in range(extension.node_count)]
+    into: list[list[int]] = [[] for _ in range(extension.node_count)]
+    for arc_id, (tail, head) in enumerate(zip(tails, heads)):
+        out[tail].append(arc_id)
+        into[head].append(arc_id)
 
-    c = np.zeros(num_vars)
-    for e in range(m_edges):
-        c[num_flow + e] = float(inst.edges[e].weight)
+    flow_arcs = []
+    for d in demands:
+        forward = _closure(extension.node_id(d.u, 0), out, heads)
+        backward = _closure(extension.node_id(d.v, d.delta), into, tails)
+        flow_arcs.append(tuple(sorted(a for q in forward for a in out[q] if heads[a] in backward)))
+    num_flow = sum(map(len, flow_arcs))
+    num_vars = num_flow + inst.m
 
-    lower = np.zeros(num_vars)
-    upper = np.ones(num_vars)
-    for e in range(m_edges):
-        if inst.lengths[e] > extension.delta_bar:
-            upper[num_flow + e] = 0.0  # cannot appear in any within-budget path
-
-    directions = (True,) if inst.directed else (True, False)
     rows_ub: list[int] = []
     cols_ub: list[int] = []
     vals_ub: list[float] = []
-    row = 0
-    for k in range(num_pairs):
-        for e in range(m_edges):
-            for forward in directions:
-                for arc_id in extension.arcs_by_edge.get((e, forward), ()):
-                    rows_ub.append(row)
-                    cols_ub.append(k * num_arcs + arc_id)
-                    vals_ub.append(1.0)
-                rows_ub.append(row)
-                cols_ub.append(num_flow + e)
-                vals_ub.append(-1.0)
-                row += 1
-    num_ub = row
-    a_ub = sp.csr_matrix((vals_ub, (rows_ub, cols_ub)), shape=(num_ub, num_vars))
-    b_ub = np.zeros(num_ub)
-
     rows_eq: list[int] = []
     cols_eq: list[int] = []
     vals_eq: list[float] = []
-    b_eq = np.zeros(num_pairs * extension.node_count)
-    for k, d in enumerate(demands):
-        base_row = k * extension.node_count
-        for arc_id, arc in enumerate(extension.arcs):
-            col = k * num_arcs + arc_id
-            rows_eq.append(base_row + arc.tail)
-            cols_eq.append(col)
-            vals_eq.append(1.0)
-            rows_eq.append(base_row + arc.head)
-            cols_eq.append(col)
-            vals_eq.append(-1.0)
-        b_eq[base_row + d.u * layer + 0] = 1.0
-        b_eq[base_row + d.v * layer + d.delta] = -1.0
-    a_eq = sp.csr_matrix(
-        (vals_eq, (rows_eq, cols_eq)), shape=(num_pairs * extension.node_count, num_vars)
+    b_eq: list[float] = []
+    num_ub = 0
+    col = 0
+    for d, kept in zip(demands, flow_arcs):
+        cols = range(col, col + len(kept))
+        col += len(kept)
+        # The arcs of one (edge, direction) have consecutive ids, so each group
+        # is one coupling row; self-arcs (edge None) couple to nothing.
+        for (edge, _), group in groupby(
+            zip(kept, cols), key=lambda pair: (arcs[pair[0]].edge, arcs[pair[0]].forward)
+        ):
+            if edge is None:
+                continue
+            for _, j in group:
+                rows_ub.append(num_ub)
+                cols_ub.append(j)
+                vals_ub.append(1.0)
+            rows_ub.append(num_ub)
+            cols_ub.append(num_flow + edge)
+            vals_ub.append(-1.0)
+            num_ub += 1
+
+        source = extension.node_id(d.u, 0)
+        sink = extension.node_id(d.v, d.delta)
+        rhs = {source: 1.0}
+        rhs[sink] = rhs.get(sink, 0.0) - 1.0
+        nodes = {tails[a] for a in kept} | {heads[a] for a in kept}
+        nodes |= {q for q, value in rhs.items() if value}
+        row_of = {}
+        for q in sorted(nodes):
+            row_of[q] = len(b_eq)
+            b_eq.append(rhs.get(q, 0.0))
+        for a, j in zip(kept, cols):
+            rows_eq += (row_of[tails[a]], row_of[heads[a]])
+            cols_eq += (j, j)
+            vals_eq += (1.0, -1.0)
+
+    c = np.zeros(num_vars)
+    upper = np.ones(num_vars)
+    for e, edge in enumerate(inst.edges):
+        c[num_flow + e] = float(edge.weight)
+        if inst.lengths[e] > extension.delta_bar:
+            upper[num_flow + e] = 0.0  # cannot appear in any within-budget path
+    return McfModel(
+        c=c,
+        a_ub=sp.csr_matrix((vals_ub, (rows_ub, cols_ub)), shape=(num_ub, num_vars)),
+        b_ub=np.zeros(num_ub),
+        a_eq=sp.csr_matrix((vals_eq, (rows_eq, cols_eq)), shape=(len(b_eq), num_vars)),
+        b_eq=np.array(b_eq),
+        lower=np.zeros(num_vars),
+        upper=upper,
+        extension=extension,
+        demands=demands,
+        flow_arcs=tuple(flow_arcs),
+        num_edge_vars=inst.m,
     )
-    return McfModel(extension, demands, num_arcs, m_edges, c, a_ub, b_ub, a_eq, b_eq, lower, upper)
+
+
+_HIGHS_STATUS = {1: "iteration_limit", 2: "infeasible", 3: "unbounded"}
+
+
+def solve_standard(lp: StandardLp) -> tuple[np.ndarray, float]:
+    """Solve ``lp`` with scipy's HiGHS; returns (x, objective).
+
+    Raises :class:`SolverFailure` carrying the solver's status on anything but
+    an optimum, and wraps any exception the solver raises.  scipy.optimize is
+    imported here rather than at module level: it costs about 25 MB and 0.4 s,
+    which callers that never solve an LP should not pay.
+    """
+    from scipy.optimize import linprog
+
+    try:
+        res = linprog(
+            lp.c,
+            A_ub=lp.a_ub,
+            b_ub=lp.b_ub,
+            A_eq=lp.a_eq,
+            b_eq=lp.b_eq,
+            bounds=np.column_stack((lp.lower, lp.upper)),
+            method="highs",
+        )
+    except Exception as exc:
+        raise SolverFailure("failed", f"{type(exc).__name__}: {exc}") from exc
+    if res.status != 0 or res.x is None:
+        raise SolverFailure(_HIGHS_STATUS.get(res.status, "failed"), res.message)
+    return res.x, float(res.fun)
 
 
 @dataclass
@@ -155,203 +218,23 @@ class FractionalSolution:
     status: str
     objective: float
     x: np.ndarray  # per edge variable, clamped into [0,1]
-    f: np.ndarray  # (pairs, arcs)
+    f: np.ndarray  # per flow column, in the model's column order
     primal_residual: float
-    backend: str
 
     def edge_value(self, edge: int) -> float:
         return float(self.x[edge])
 
 
-# ---------------------------------------------------------------------------
-# Backends
-
-
-class BundledBackend:
-    """In-process revised simplex."""
-
-    name = "bundled"
-
-    def submit(self, lp: StandardLp):
-        result = solve_standard_lp(lp)
-        return result.status, result.x, result.objective
-
-
-class ScipyBackend:
-    """External-solver adapter backed by scipy's HiGHS interface."""
-
-    name = "scipy"
-
-    def submit(self, lp: StandardLp):
-        from scipy.optimize import linprog
-
-        bounds = [
-            (lo, None if not np.isfinite(up) else up) for lo, up in zip(lp.lower, lp.upper)
-        ]
-        res = linprog(
-            lp.c,
-            A_ub=lp.a_ub if lp.a_ub.size else None,
-            b_ub=lp.b_ub if lp.a_ub.size else None,
-            A_eq=lp.a_eq if lp.a_eq.size else None,
-            b_eq=lp.b_eq if lp.a_eq.size else None,
-            bounds=bounds,
-            method="highs",
-        )
-        status = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbounded"}.get(
-            res.status, "failed"
-        )
-        return status, res.x if res.x is not None else None, res.fun
-
-
-BACKENDS = {"bundled": BundledBackend(), "scipy": ScipyBackend()}
-
-
-def _usable_arc_ids(model: McfModel, pair_index: int) -> list[int]:
-    """Arcs that can carry this commodity: on some source-to-sink arc path.
-
-    The extension is acyclic, so feasible flow decomposes into source-to-sink
-    paths; every arc off all such paths is zero in every feasible solution
-    and can be dropped before solving without changing the optimum.
-    """
-    ext = model.extension
-    d = model.demands[pair_index]
-    source = ext.node_id(d.u, 0)
-    sink = ext.node_id(d.v, d.delta)
-    out: list[list[int]] = [[] for _ in range(ext.node_count)]
-    into: list[list[int]] = [[] for _ in range(ext.node_count)]
-    for arc_id, arc in enumerate(ext.arcs):
-        out[arc.tail].append(arc_id)
-        into[arc.head].append(arc_id)
-
-    def closure(start: int, adjacency, endpoint) -> set[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            q = stack.pop()
-            for arc_id in adjacency[q]:
-                nxt = endpoint(model.extension.arcs[arc_id])
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
-
-    forward = closure(source, out, lambda a: a.head)
-    backward = closure(sink, into, lambda a: a.tail)
-    return [
-        arc_id
-        for arc_id, arc in enumerate(ext.arcs)
-        if arc.tail in forward and arc.head in backward
-    ]
-
-
-def _reduced_standard_lp(model: McfModel):
-    """Commodity-reachability presolve; returns (StandardLp, kept column ids).
-
-    Returns None when some commodity has no source-to-sink route at all (the
-    model is trivially infeasible).
-    """
-    ext = model.extension
-    num_arcs = model.num_arcs
-    kept_cols: list[int] = []
-    kept_by_pair: list[list[int]] = []
-    for k in range(model.num_pairs):
-        usable = _usable_arc_ids(model, k)
-        if not usable:
-            return None
-        kept_by_pair.append(usable)
-        kept_cols.extend(k * num_arcs + a for a in usable)
-    edge_offset = len(kept_cols)
-    kept_cols.extend(model.num_flow_vars + e for e in range(model.num_edge_vars))
-    col_index = {full: j for j, full in enumerate(kept_cols)}
-    n_red = len(kept_cols)
-
-    rows_ub, cols_ub, vals_ub = [], [], []
-    row = 0
-    directions = (True,) if ext.base.directed else (True, False)
-    for k in range(model.num_pairs):
-        usable = set(kept_by_pair[k])
-        for e in range(model.num_edge_vars):
-            for forward in directions:
-                arc_ids = [a for a in ext.arcs_by_edge.get((e, forward), ()) if a in usable]
-                if not arc_ids:
-                    continue  # row degenerates to 0 <= x_e, implied by bounds
-                for a in arc_ids:
-                    rows_ub.append(row)
-                    cols_ub.append(col_index[k * num_arcs + a])
-                    vals_ub.append(1.0)
-                rows_ub.append(row)
-                cols_ub.append(edge_offset + e)
-                vals_ub.append(-1.0)
-                row += 1
-    a_ub = np.zeros((row, n_red))
-    for r, cidx, val in zip(rows_ub, cols_ub, vals_ub):
-        a_ub[r, cidx] += val
-    b_ub = np.zeros(row)
-
-    eq_rows: list[np.ndarray] = []
-    eq_rhs: list[float] = []
-    for k, d in enumerate(model.demands):
-        usable = kept_by_pair[k]
-        touched: dict[int, list[tuple[int, float]]] = {}
-        for a in usable:
-            arc = ext.arcs[a]
-            cidx = col_index[k * num_arcs + a]
-            touched.setdefault(arc.tail, []).append((cidx, 1.0))
-            touched.setdefault(arc.head, []).append((cidx, -1.0))
-        source = ext.node_id(d.u, 0)
-        sink = ext.node_id(d.v, d.delta)
-        for node in sorted(set(touched) | {source, sink}):
-            rhs = 1.0 if node == source else (-1.0 if node == sink else 0.0)
-            terms = touched.get(node, [])
-            if not terms:
-                if rhs != 0.0:
-                    return None
-                continue
-            vec = np.zeros(n_red)
-            for cidx, val in terms:
-                vec[cidx] += val
-            eq_rows.append(vec)
-            eq_rhs.append(rhs)
-    lp = StandardLp(
-        c=model.c[kept_cols],
-        a_ub=a_ub,
-        b_ub=b_ub,
-        a_eq=np.array(eq_rows) if eq_rows else np.zeros((0, n_red)),
-        b_eq=np.array(eq_rhs),
-        lower=model.lower[kept_cols],
-        upper=model.upper[kept_cols],
-    )
-    return lp, kept_cols
-
-
-def solve_lp(model: McfModel, backend: str = "bundled") -> FractionalSolution:
+def solve_lp(model: McfModel) -> FractionalSolution:
     """Solve the model; raise :class:`SolverFailure` on any non-optimal status."""
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; have {sorted(BACKENDS)}")
-    adapter = BACKENDS[backend]
-    reduced = _reduced_standard_lp(model)
-    if reduced is None:
-        raise SolverFailure("infeasible", "a commodity has no route to its sink",
-                            report={"backend": adapter.name, "presolve": True})
-    lp, kept_cols = reduced
-    status, x_reduced, _ = adapter.submit(lp)
-    if status != "optimal" or x_reduced is None:
-        raise SolverFailure(status, report={"backend": adapter.name})
-    xfull = np.zeros(model.num_vars)
-    xfull[kept_cols] = x_reduced
-    x_edges = np.clip(xfull[model.num_flow_vars :], 0.0, 1.0)
-    flows = xfull[: model.num_flow_vars].reshape(model.num_pairs or 0, model.num_arcs or 0)
-    resid_eq = (
-        float(np.max(np.abs(model.a_eq @ xfull - model.b_eq))) if model.a_eq.shape[0] else 0.0
-    )
-    resid_ub = (
-        float(np.max(np.maximum(model.a_ub @ xfull - model.b_ub, 0.0)))
-        if model.a_ub.shape[0]
-        else 0.0
-    )
-    objective = float(model.c[model.num_flow_vars :] @ x_edges)
+    values, _ = solve_standard(model)
+    num_flow = model.num_flow_vars
+    x_edges = np.clip(values[num_flow:], 0.0, 1.0) + 0.0  # + 0.0 turns HiGHS's -0.0 into 0.0
+    resid_eq = float(np.max(np.abs(model.a_eq @ values - model.b_eq), initial=0.0))
+    resid_ub = float(np.max(model.a_ub @ values - model.b_ub, initial=0.0))
+    objective = float(model.c[num_flow:] @ x_edges)
     return FractionalSolution(
-        model, "optimal", objective, x_edges, flows, max(resid_eq, resid_ub), adapter.name
+        model, "optimal", objective, x_edges, values[:num_flow], max(resid_eq, resid_ub)
     )
 
 
@@ -367,10 +250,9 @@ def _fmt_coef(value: float, name: str, first: bool) -> str:
     return f"{sign}{sep}{coef}{name}".strip()
 
 
-def export_lp(model_or_lp, path: str) -> None:
+def export_lp(lp: StandardLp, path: str) -> None:
     """Write the LP in CPLEX LP text format (Minimize/Subject To/Bounds/End)."""
-    lp = model_or_lp.to_standard() if isinstance(model_or_lp, McfModel) else model_or_lp
-    names = lp.names or [f"v{j}" for j in range(lp.num_vars)]
+    names = lp.var_names()
     lines = ["\\ spannerkit flow model", "Minimize"]
     terms = [
         _fmt_coef(lp.c[j], names[j], first=(i == 0))
@@ -382,11 +264,12 @@ def export_lp(model_or_lp, path: str) -> None:
     lines.append("Subject To")
     row_id = 0
     for a_mat, rhs, op in ((lp.a_ub, lp.b_ub, "<="), (lp.a_eq, lp.b_eq, "=")):
-        if not a_mat.size:
-            continue
         for r in range(a_mat.shape[0]):
-            cols = np.flatnonzero(a_mat[r])
-            terms = [_fmt_coef(a_mat[r, j], names[j], first=(i == 0)) for i, j in enumerate(cols)]
+            row = slice(a_mat.indptr[r], a_mat.indptr[r + 1])
+            terms = [
+                _fmt_coef(value, names[j], first=(i == 0))
+                for i, (j, value) in enumerate(zip(a_mat.indices[row], a_mat.data[row]))
+            ]
             if not terms:
                 terms = [f"0 {names[0]}"]
             lines.append(f" c{row_id}: " + " ".join(terms) + f" {op} {rhs[r]:.12g}")
@@ -459,7 +342,7 @@ def read_lp(path: str) -> StandardLp:
             rows.append((terms, op, rhs))
         elif section == "bounds":
             match = re.match(
-                r"([+-]?[\d.eE+-]+|-inf)\s*<=\s*([A-Za-z_][\w.]*)\s*<=\s*([+-]?[\d.eE+-]+|\+?inf)",
+                r"(-inf|[+-]?[\d.eE+-]+)\s*<=\s*([A-Za-z_][\w.]*)\s*<=\s*(\+?inf|[+-]?[\d.eE+-]+)\s*$",
                 ln,
             )
             if not match:
@@ -473,34 +356,28 @@ def read_lp(path: str) -> StandardLp:
     c = np.zeros(n)
     for name, value in objective:
         c[index[name]] += value
-    ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
+    # (row ids, column ids, values, right-hand sides) of the <= and = blocks
+    ub: tuple[list, list, list, list] = ([], [], [], [])
+    eq: tuple[list, list, list, list] = ([], [], [], [])
     for terms, op, rhs in rows:
-        vec = np.zeros(n)
+        block = eq if op == "=" else ub
+        sign = -1.0 if op == ">=" else 1.0
         for name, value in terms:
-            vec[index[name]] += value
-        if op == "<=":
-            ub_rows.append(vec)
-            ub_rhs.append(rhs)
-        elif op == ">=":
-            ub_rows.append(-vec)
-            ub_rhs.append(-rhs)
-        else:
-            eq_rows.append(vec)
-            eq_rhs.append(rhs)
+            block[0].append(len(block[3]))
+            block[1].append(index[name])
+            block[2].append(sign * value)
+        block[3].append(sign * rhs)
+
+    def matrix(block) -> sp.csr_matrix:
+        return sp.csr_matrix((block[2], (block[0], block[1])), shape=(len(block[3]), n))
+
     return StandardLp(
         c=c,
-        a_ub=np.array(ub_rows) if ub_rows else np.zeros((0, n)),
-        b_ub=np.array(ub_rhs),
-        a_eq=np.array(eq_rows) if eq_rows else np.zeros((0, n)),
-        b_eq=np.array(eq_rhs),
+        a_ub=matrix(ub),
+        b_ub=np.array(ub[3]),
+        a_eq=matrix(eq),
+        b_eq=np.array(eq[3]),
         lower=np.array([bounds[name][0] for name in order]),
         upper=np.array([bounds[name][1] for name in order]),
         names=order,
     )
-
-
-def solve_standard(lp: StandardLp, backend: str = "bundled"):
-    """Solve a bare StandardLp through a named backend; returns (status, x, obj)."""
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}")
-    return BACKENDS[backend].submit(lp)

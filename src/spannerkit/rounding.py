@@ -150,7 +150,6 @@ def solve_randomized(
     mode: str = "global",
     seed: int = 0,
     max_attempts: int = 10,
-    backend: str = "bundled",
     confidence: float | None = None,
 ) -> tuple[Subgraph, RandomizedRoundingReport]:
     """Full pipeline: one LP solve, then up to ``max_attempts`` roundings.
@@ -173,7 +172,7 @@ def solve_randomized(
 
     extension = build_extension(int_inst)
     model = build_mcf(extension)
-    solution = solve_lp(model, backend=backend)
+    solution = solve_lp(model)
     report = RandomizedRoundingReport(spec, solution.objective)
     last: RoundingRun | None = None
     for attempt in range(max_attempts):

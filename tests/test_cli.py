@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from spannerkit import cli
 from spannerkit.cli import main
 
 
@@ -102,6 +103,22 @@ def test_verify_roundtrip(ex5, tmp_path, capsys):
     doc["edge_indices"] = []
     sol.write_text(json.dumps(doc))
     assert run_cli(["verify", str(ex5), "--solution", str(sol)]) == 3
+    # malformed solution files are rejected with exit 2 and a one-line message
+    capsys.readouterr()
+    for text in ('{"edge_indices": [true]}', "[[1]]", "not json {"):
+        sol.write_text(text)
+        assert run_cli(["verify", str(ex5), "--solution", str(sol)]) == 2, text
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
+def test_unexpected_error_exits_4_on_one_line(ex5, monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_verify", broken)
+    assert run_cli(["verify", str(ex5), "--solution", "unused.json"]) == 4
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
 
 def test_export_lp(ex5, tmp_path):

@@ -11,6 +11,7 @@ from spannerkit.instance import (
     Edge,
     SpannerInstance,
     Subgraph,
+    from_json_dict,
     load,
     require_integer_lengths,
     save,
@@ -144,6 +145,20 @@ def test_malformed_file_errors(tmp_path):
     p.write_text(json.dumps({"directed": False, "n": 2}))
     with pytest.raises(ParseError):
         load(str(p))
+
+
+@pytest.mark.parametrize("bad", [0.9, True, "1"])
+@pytest.mark.parametrize("record, key", [("edges", "u"), ("edges", "v"), ("demands", "u"), ("demands", "v")])
+def test_node_ids_must_be_integers(record, key, bad):
+    doc = {
+        "directed": False, "n": 2,
+        "edges": [{"u": 0, "v": 1, "w": "1", "len": "1"}],
+        "demands": [{"u": 0, "v": 1, "delta": "1"}],
+    }
+    doc[record][0][key] = bad
+    with pytest.raises(ParseError) as info:
+        from_json_dict(doc)
+    assert info.value.field == f"{record}[0].{key}"
 
 
 def test_labels_round_trip(tmp_path):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import brute_force_optimum
 from spannerkit.errors import SolverFailure
@@ -15,6 +16,7 @@ from spannerkit.instance import (
     require_integer_lengths,
 )
 from spannerkit.mcf import (
+    StandardLp,
     build_mcf,
     export_lp,
     read_lp,
@@ -28,12 +30,21 @@ def _example5_model():
 
 
 def test_example5_model_counts():
+    # Arcs of the 3-extension (edges a->b len 1, a->c len 2, c->b len 1):
+    #   0-2 a_i->b_i+1, 3-4 a_i->c_i+2, 5-7 c_i->b_i+1, 8-16 self-arcs of a, b, c.
+    # A pair keeps the arcs on some source-to-sink path:
+    #   (a,b,3): a_0 -> b_3 keeps 0,1,2 (a->b), 3 (a_0->c_2), 7 (c_2->b_3),
+    #            8,9 (a_0->a_2), 12,13 (b_1->b_3): 9 columns, 3 coupling rows
+    #            (one per edge), 7 touched nodes a_0,a_1,a_2,b_1,b_2,b_3,c_2.
+    #   (a,c,2): a_0 -> c_2 keeps 3 only: 1 column, 1 coupling row, 2 nodes.
+    #   (c,b,2): c_0 -> b_2 keeps 5,6 (c->b), 12 (b_1->b_2), 14 (c_0->c_1):
+    #            4 columns, 1 coupling row, 4 nodes c_0,c_1,b_1,b_2.
     model = _example5_model()
-    assert model.num_flow_vars == 3 * 17
+    assert model.num_flow_vars == 9 + 1 + 4
     assert model.num_edge_vars == 3
-    assert model.num_vars == 54
-    assert model.a_ub.shape[0] == 9  # |K| * m, directed
-    assert model.a_eq.shape[0] == 36  # |K| * n * (delta_bar + 1)
+    assert model.num_vars == 17
+    assert model.a_ub.shape[0] == 3 + 1 + 1
+    assert model.a_eq.shape[0] == 7 + 2 + 4
     assert np.all(model.lower == 0.0) and np.all(model.upper == 1.0)
 
 
@@ -45,7 +56,11 @@ def test_undirected_coupling_rows_double_up():
         (Demand(0, 2, Fraction(2)),),
     )
     model = build_mcf(build_extension(require_integer_lengths(inst)))
-    assert model.a_ub.shape[0] == 2 * 1 * 2  # two directions per edge, one pair
+    # 0_0 -> 2_2 within budget 2 is only 0_0 -> 1_1 -> 2_2, so the pair keeps
+    # one arc per edge, forward: 2 coupling rows (the full model would have
+    # 2 * 1 * 2, two directions per edge) and 3 conservation rows.
+    assert model.a_ub.shape[0] == 2
+    assert model.a_eq.shape[0] == 3
     assert model.num_edge_vars == 2  # one shared variable per undirected edge
 
 
@@ -68,13 +83,12 @@ def test_forced_edge_reaches_one():
 
 
 def test_example5_lp_optimum_is_two():
-    for backend in ("bundled", "scipy"):
-        sol = solve_lp(_example5_model(), backend=backend)
-        assert sol.objective == pytest.approx(2.0, abs=1e-7)
-        assert sol.x[1] == pytest.approx(1.0, abs=1e-7)
-        assert sol.x[2] == pytest.approx(1.0, abs=1e-7)
-        assert sol.x[0] == pytest.approx(0.0, abs=1e-7)
-        assert sol.primal_residual < 1e-7
+    sol = solve_lp(_example5_model())
+    assert sol.objective == pytest.approx(2.0, abs=1e-7)
+    assert sol.x[1] == pytest.approx(1.0, abs=1e-7)
+    assert sol.x[2] == pytest.approx(1.0, abs=1e-7)
+    assert sol.x[0] == pytest.approx(0.0, abs=1e-7)
+    assert sol.primal_residual < 1e-7
 
 
 def test_solution_invariants_on_random_models():
@@ -146,19 +160,18 @@ def test_export_example5_column_count(tmp_path):
     path = tmp_path / "ex5.lp"
     export_lp(model, str(path))
     parsed = read_lp(str(path))
-    assert parsed.num_vars == 54
-    assert parsed.a_ub.shape[0] == 9
-    assert parsed.a_eq.shape[0] == 36
+    assert parsed.num_vars == 17  # counts derived in test_example5_model_counts
+    assert parsed.a_ub.shape[0] == 5
+    assert parsed.a_eq.shape[0] == 13
 
 
 def test_export_reimport_external_solve_matches(tmp_path):
     model = _example5_model()
-    bundled = solve_lp(model)
+    direct = solve_lp(model)
     path = tmp_path / "ex5.lp"
     export_lp(model, str(path))
-    status, _, objective = solve_standard(read_lp(str(path)), backend="scipy")
-    assert status == "optimal"
-    assert objective == pytest.approx(bundled.objective, abs=1e-6)
+    _, objective = solve_standard(read_lp(str(path)))
+    assert objective == pytest.approx(direct.objective, abs=1e-6)
     assert objective == pytest.approx(2.0, abs=1e-6)
 
 
@@ -179,9 +192,83 @@ def test_export_random_model_round_trip(tmp_path):
         num_demands=2, integer_lengths=True,
     )
     model = build_mcf(build_extension(require_integer_lengths(inst)))
-    bundled = solve_lp(model)
+    direct = solve_lp(model)
     path = tmp_path / "model.lp"
     export_lp(model, str(path))
-    status, _, objective = solve_standard(read_lp(str(path)), backend="scipy")
-    assert status == "optimal"
-    assert objective == pytest.approx(bundled.objective, abs=1e-6)
+    _, objective = solve_standard(read_lp(str(path)))
+    assert objective == pytest.approx(direct.objective, abs=1e-6)
+
+
+
+_TEXTBOOK_LP = """Minimize
+ obj: - 3 x - 5 y
+Subject To
+ c0: x <= 4
+ c1: 2 y <= 12
+ c2: 3 x + 2 y <= 18
+Bounds
+ 0 <= x <= +inf
+ 0 <= y <= +inf
+End
+"""
+# Every point of x1 + x2 + x3 = 1 with x1 + x2 >= 0.5 is optimal, so two
+# solves agree only if the solver breaks the tie the same way each time.
+_TIED_LP = """Minimize
+ obj: x1 + x2 + x3
+Subject To
+ c0: x1 + x2 + x3 >= 1
+ c1: x1 + x2 >= 0.5
+Bounds
+ 0 <= x1 <= 1
+ 0 <= x2 <= 1
+ 0 <= x3 <= 1
+End
+"""
+_INFEASIBLE_LP = """Minimize
+ obj: x + y
+Subject To
+ c0: x + y = 3
+Bounds
+ 0 <= x <= 1
+ 0 <= y <= 1
+End
+"""
+_UNBOUNDED_LP = """Minimize
+ obj: - x
+Subject To
+Bounds
+ 0 <= x <= +inf
+End
+"""
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [(_TEXTBOOK_LP, (-36.0, [2.0, 6.0])), (_TIED_LP, (1.0, None)),
+     (_INFEASIBLE_LP, "infeasible"), (_UNBOUNDED_LP, "unbounded")],
+    ids=["textbook", "reruns", "infeasible", "unbounded"],
+)
+def test_solve_standard(tmp_path, text, expected):
+    path = tmp_path / "model.lp"
+    path.write_text(text)
+    if isinstance(expected, str):
+        with pytest.raises(SolverFailure) as info:
+            solve_standard(read_lp(str(path)))
+        assert info.value.status == expected
+        return
+    x, objective = solve_standard(read_lp(str(path)))
+    assert objective == pytest.approx(expected[0], abs=1e-9)
+    if expected[1] is not None:
+        assert x == pytest.approx(expected[1], abs=1e-9)
+    rerun_x, rerun_objective = solve_standard(read_lp(str(path)))
+    assert np.array_equal(x, rerun_x) and objective == rerun_objective
+
+
+def test_solver_exception_becomes_solver_failure():
+    empty = sp.csr_matrix((0, 1))
+    lp = StandardLp(np.array([np.nan]), empty, np.zeros(0), empty, np.zeros(0),
+                    np.zeros(1), np.ones(1))
+    with pytest.raises(SolverFailure) as info:
+        solve_standard(lp)
+    assert info.value.status == "failed"
+    assert "ValueError" in str(info.value)
