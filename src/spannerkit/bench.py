@@ -18,7 +18,7 @@ from .errors import SpannerError, TooLarge
 from .generators import random_instance
 from .graph import minimum_spanning_tree, verify_feasible
 from .greedy import augmented_greedy, greedy
-from .instance import SpannerInstance, Subgraph, validate
+from .instance import SpannerInstance, Subgraph, read_json_object, validate
 from .oracles import exact_optimum
 from .rational import format_rational
 from .rounding import solve_randomized
@@ -90,8 +90,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_json_object(path)
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(doc) - known
         if unknown:
@@ -137,9 +136,8 @@ def run_algorithm(
     return sub, info
 
 
-def _run_cell(args) -> MetricsRow:
-    config, index, algorithm, trial = args
-    instance = random_instance(
+def _instance(config: ExperimentConfig, index: int) -> SpannerInstance:
+    return random_instance(
         config.family,
         config.n,
         config.m,
@@ -153,7 +151,10 @@ def _run_cell(args) -> MetricsRow:
         integer_lengths=config.integer_lengths,
         directed=config.directed,
     )
-    name = f"{config.family}-{config.n}x{config.m}-s{config.seed}-{index}"
+
+
+def _run_cell(config, instance, name, index, algorithm, trial):
+    """One (algorithm, trial) cell: ``(row, subgraph)``, the subgraph None on failure."""
     t0 = time.perf_counter()
     try:
         sub, info = run_algorithm(
@@ -167,7 +168,7 @@ def _run_cell(args) -> MetricsRow:
             exact_cap=config.exact_cap,
         )
     except SpannerError as exc:
-        return MetricsRow(
+        failed = MetricsRow(
             instance=name,
             algorithm=algorithm,
             trial=trial,
@@ -177,6 +178,7 @@ def _run_cell(args) -> MetricsRow:
             wall_time_s=f"{time.perf_counter() - t0:.4f}",
             attempts=type(exc).__name__,
         )
+        return failed, None
     elapsed = time.perf_counter() - t0
     feasible = verify_feasible(sub).feasible  # independent re-check, never trusted
     row = MetricsRow(
@@ -192,53 +194,65 @@ def _run_cell(args) -> MetricsRow:
         gamma=info.get("gamma", ""),
         attempts=info.get("attempts", ""),
     )
-    if not instance.directed:
-        mst_weight, _ = minimum_spanning_tree(instance)
-        if mst_weight > 0:
+    return row, sub
+
+
+def _optimum_weight(instance: SpannerInstance, cap: int):
+    """The exact optimum's weight, or None when the instance is over the cap."""
+    try:
+        return exact_optimum(instance, max_edges=cap).weight
+    except TooLarge:
+        return None
+
+
+def _run_instance(args) -> list[MetricsRow]:
+    """Every (algorithm, trial) cell of one instance, in config order.
+
+    The MST and the exact optimum are computed once per instance: exact
+    cells run first, so the optimum they find gives the other cells' ratios.
+    """
+    config, index = args
+    instance = _instance(config, index)
+    name = f"{config.family}-{config.n}x{config.m}-s{config.seed}-{index}"
+    mst_weight = None if instance.directed else minimum_spanning_tree(instance)[0]
+    cells = [(a, t) for a in config.algorithms for t in range(max(1, config.trials))]
+    rows: list = [None] * len(cells)
+    unknown = object()
+    optimum = unknown
+    for k in sorted(range(len(cells)), key=lambda k: cells[k][0] != "exact"):
+        algorithm, trial = cells[k]
+        row, sub = _run_cell(config, instance, name, index, algorithm, trial)
+        rows[k] = row
+        if sub is None:
+            continue
+        if mst_weight is not None and mst_weight > 0:
             row.lightness = f"{float(sub.weight / mst_weight):.6f}"
-    if config.exact and algorithm != "exact":
-        try:
-            opt = exact_optimum(instance, max_edges=config.exact_cap)
-            if opt.weight > 0:
-                row.ratio = f"{float(sub.weight / opt.weight):.6f}"
+        if algorithm == "exact":
+            optimum = sub.weight
+        elif config.exact:
+            if optimum is unknown:
+                optimum = _optimum_weight(instance, config.exact_cap)
+            if optimum is None:
+                continue
+            if optimum > 0:
+                row.ratio = f"{float(sub.weight / optimum):.6f}"
             else:
                 row.ratio = "inf" if sub.weight > 0 else "1.0"
-        except TooLarge:
-            pass
-    return row
+    return rows
 
 
 def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
-    cells = [
-        (config, index, algorithm, trial)
-        for index in range(config.instances)
-        for algorithm in config.algorithms
-        for trial in range(max(1, config.trials))
-    ]
     if config.trials == 0:
         return []
     # Validate the generator once up front so bad configs fail loudly.
-    probe = random_instance(
-        config.family,
-        config.n,
-        config.m,
-        config.seed * 10_000,
-        demand_family=config.demand_family,
-        demand_pairs=config.demand_pairs,
-        num_demands=config.num_demands,
-        alpha=config.alpha,
-        beta=config.beta,
-        freeform_factor=config.freeform_factor,
-        integer_lengths=config.integer_lengths,
-        directed=config.directed,
-    )
-    validate(probe).raise_if_invalid()
+    validate(_instance(config, 0)).raise_if_invalid()
+    tasks = [(config, index) for index in range(config.instances)]
     if config.threads > 1:
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            rows = list(pool.map(_run_cell, cells))
+            per_instance = list(pool.map(_run_instance, tasks))
     else:
-        rows = [_run_cell(cell) for cell in cells]
-    return rows
+        per_instance = [_run_instance(task) for task in tasks]
+    return [row for rows in per_instance for row in rows]
 
 
 def rows_to_csv(rows: list[MetricsRow]) -> str:

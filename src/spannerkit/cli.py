@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: gen, solve, verify, bench, oracle (exact | cuts | demo |
-potential), export-lp.  Exit codes: 0 success, 2 validation failure or
-malformed input file, 3 infeasible after retries (or another library error),
-4 internal error (lemma violation or any unexpected exception), reported on
+potential), export-lp.  Exit codes: 0 success, 2 validation failure,
+malformed input file, or a file that cannot be opened (missing, unreadable,
+a directory), 3 infeasible after retries (or another library error), 4
+internal error (lemma violation or any unexpected exception), reported on
 one line without a traceback.
 
 Solution files are deterministic given identical inputs and seeds; timing
@@ -351,6 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _internal_error(exc: BaseException) -> int:
+    """A bug, not a user error: one line, no traceback."""
+    print(f"internal error: {type(exc).__name__}: {exc}".splitlines()[0], file=sys.stderr)
+    return EXIT_ASSERTION
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -373,9 +380,14 @@ def main(argv=None) -> int:
     except SpannerError as exc:
         print(str(exc), file=sys.stderr)
         code = EXIT_INFEASIBLE
-    except Exception as exc:  # a bug, not a user error: one line, no traceback
-        print(f"internal error: {type(exc).__name__}: {exc}".splitlines()[0], file=sys.stderr)
-        code = EXIT_ASSERTION
+    except OSError as exc:
+        if exc.filename is None:
+            code = _internal_error(exc)
+        else:  # a path from the command line that cannot be opened
+            print(f"cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
+            code = EXIT_VALIDATION
+    except Exception as exc:
+        code = _internal_error(exc)
     if code:
         sys.exit(code)
     return 0

@@ -1,12 +1,18 @@
 """Deterministic shortest paths, spanning trees, and feasibility checks.
 
-All arithmetic is exact (ints or fractions).  Unreachable is represented by
-``None``, never by a large number.
+All arithmetic is exact.  The public routines work in whatever units the
+view carries: a view of a :class:`SpannerInstance` has its fractional
+lengths, a view of its scaled integer view (``instance.scaled``) has
+integer lengths, ``L`` times larger.  Feasibility checks run on the scaled
+view against floored integer bounds and report distances back in instance
+units, ``Fraction(d, L)``.  Unreachable is represented by ``None``, never by
+a large number.
 
 Tie-break contract: among all shortest paths from the source to a node, the
 one whose node sequence is lexicographically smallest wins.  This makes every
 shortest-path tree (and therefore every greedy run) reproducible without
-perturbing lengths.
+perturbing lengths.  Scaling every length by the same ``L`` keeps every
+comparison, so the trees are the same in either unit.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DirectedInstance, SpannerError
-from .instance import Demand, SpannerInstance, Subgraph
+from .instance import Demand, SpannerInstance, Subgraph, group_by_source, scale_demands
 
 
 class GraphView:
@@ -131,9 +137,15 @@ def dijkstra(view: GraphView, source: int) -> ShortestPathResult:
     return ShortestPathResult(source, dist, parent_edge, parent_node, seq)
 
 
-def shortest_distances(view: GraphView, source: int) -> list:
-    """Distances only; same algorithm, skips sequence bookkeeping."""
+def shortest_distances(view: GraphView, source: int, *, limit=None) -> list:
+    """Distances only; same algorithm, skips sequence bookkeeping.
+
+    With ``limit`` the search never goes past that distance: nodes farther
+    than ``limit`` read None, like unreachable ones.  Exact, because lengths
+    are positive: every node on a path within the limit is within it too.
+    """
     n = view.n
+    out = view.out
     dist: list = [None] * n
     done = [False] * n
     dist[source] = 0
@@ -143,9 +155,12 @@ def shortest_distances(view: GraphView, source: int) -> list:
         if done[q]:
             continue
         done[q] = True
-        for head, length, _ in view.out[q]:
+        for head, length, _ in out[q]:
             nd = d + length
-            if not done[head] and (dist[head] is None or nd < dist[head]):
+            if done[head] or (limit is not None and nd > limit):
+                continue
+            cur = dist[head]
+            if cur is None or nd < cur:
                 dist[head] = nd
                 heapq.heappush(heap, (nd, head))
     return dist
@@ -257,24 +272,68 @@ class Verdict:
         return "infeasible:\n" + "\n".join(lines)
 
 
+def demand_bounds(instance: SpannerInstance, demands=None):
+    """``(demands, bounds)``: the demands (default: the instance's) and their scaled bounds.
+
+    The instance's own are scaled once, on its scaled view; others here.
+    """
+    scaled = instance.scaled
+    if demands is None or demands is instance.demands:
+        return instance.demands, scaled.demands
+    demands = tuple(demands)
+    return demands, scale_demands(demands, scaled.scale)
+
+
+def meets_bounds(view: GraphView, checks: list) -> bool:
+    """Whether every check holds in the view (scaled units); stops at the first miss.
+
+    A failing source moves to the front of ``checks``: successive probes of
+    one search tend to fail on the same source, so the next probe tries it
+    first.
+    """
+    for k, (source, limit, targets) in enumerate(checks):
+        dist = shortest_distances(view, source, limit=limit)
+        for v, bound, _ in targets:
+            got = dist[v]
+            if got is None or got > bound:
+                checks.insert(0, checks.pop(k))
+                return False
+    return True
+
+
+def violated_pairs(view: GraphView, checks, scale: int) -> list[tuple[int, Fraction | None]]:
+    """``(demand index, exact distance in instance units)`` of every failed check, by index.
+
+    The bounded search decides each pair; a failing source is searched again
+    without the bound, so the reported distance is the true one.
+    """
+    found = []
+    for source, limit, targets in checks:
+        dist = shortest_distances(view, source, limit=limit)
+        failed = [(v, i) for v, bound, i in targets if dist[v] is None or dist[v] > bound]
+        if failed:
+            exact = shortest_distances(view, source)
+            for v, i in failed:
+                found.append((i, None if exact[v] is None else Fraction(exact[v], scale)))
+    found.sort(key=lambda pair: pair[0])
+    return found
+
+
 def verify_feasible(subgraph: Subgraph, demands=None) -> Verdict:
     """Exact check that every demand pair meets its bound in the subgraph.
 
     ``demands`` defaults to the instance's own list; pass a subset (e.g. the
-    metric pairs) to check against that instead.
+    metric pairs) to check against that instead.  Runs on the scaled integer
+    view; every violation is reported, in demand order, with its exact
+    distance in instance units.
     """
     instance = subgraph.instance
-    if demands is None:
-        demands = instance.demands
-    view = graph_view(instance, edge_subset=subgraph.edge_set)
-    by_source: dict[int, list] = {}
-    violations = []
-    for d in demands:
-        if d.u == d.v:
-            continue
-        if d.u not in by_source:
-            by_source[d.u] = shortest_distances(view, d.u)
-        achieved = by_source[d.u][d.v]
-        if achieved is None or achieved > d.delta:
-            violations.append(PairViolation(d.u, d.v, d.delta, achieved))
+    scaled = instance.scaled
+    demands, bounds = demand_bounds(instance, demands)
+    checks = scaled.by_source if bounds is scaled.demands else group_by_source(bounds)
+    view = graph_view(scaled, edge_subset=subgraph.edge_set)
+    violations = [
+        PairViolation(demands[i].u, demands[i].v, demands[i].delta, achieved)
+        for i, achieved in violated_pairs(view, checks, scaled.scale)
+    ]
     return Verdict(not violations, violations)

@@ -6,16 +6,35 @@ the smallest edge-weight threshold W* whose weight-restricted subgraph is
 feasible (a lower bound on the optimum), then runs ``greedy`` inside that
 restricted graph; the result weighs at most ``|E[W*]| * W*``, hence at most
 ``m * OPT``.
+
+Both run on the instance's scaled integer view (``instance.scaled``): lengths
+times the lcm ``L`` of their denominators, bounds floored to
+``floor(delta * L)``.  Every threshold probe searches each source only up to
+its largest bound and stops at the first violated pair; the greedy phase
+keeps the spanner's adjacency as it grows and asks a bounded distance-only
+search whether a pair already holds.  Distances go back to instance units,
+``Fraction(d, L)``, only in :class:`GreedyStep` and
+:class:`~spannerkit.errors.UnsatisfiableDemand`; the threshold search
+compares the view's integer weights and reports W* as a fraction.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DirectedInstance, InfeasibleInstance, LemmaViolation, UnsatisfiableDemand
-from .graph import dijkstra, graph_view, minimum_spanning_tree, verify_feasible
+from .graph import (
+    GraphView,
+    dijkstra,
+    graph_view,
+    meets_bounds,
+    minimum_spanning_tree,
+    demand_bounds,
+    shortest_distances,
+)
 from .instance import SpannerInstance, Subgraph
 
 
@@ -47,32 +66,31 @@ def greedy(
     Raises :class:`UnsatisfiableDemand` if some pair cannot meet its bound
     even there.
     """
-    if demands is None:
-        demands = instance.demands
-    view = graph_view(instance, edge_subset=edge_subset)
+    scaled = instance.scaled
+    demands, bounds = demand_bounds(instance, demands)
+    view = graph_view(scaled, edge_subset=edge_subset)
 
     trees: dict[int, object] = {}
     order = []
-    for d in demands:
+    for d, b in zip(demands, bounds):
         if d.u == d.v:
             continue
         if d.u not in trees:
             trees[d.u] = dijkstra(view, d.u)
         dist = trees[d.u].dist[d.v]
-        if dist is None or dist > d.delta:
-            raise UnsatisfiableDemand(d.u, d.v, d.delta, dist)
-        order.append((dist, d.u, d.v, d))
+        if dist is None or dist > b.delta:
+            raise UnsatisfiableDemand(d.u, d.v, d.delta, scaled.unscale(dist))
+        order.append((dist, d.u, d.v, b.delta, d))
     order.sort(key=lambda t: (t[0], t[1], t[2]))
 
     chosen: set[int] = set()
+    spanner = GraphView(instance.n, ())  # grows with ``chosen``
     prev = None
-    for dist, _, _, d in order:
+    for dist, _, _, bound, d in order:
         if prev is not None and dist < prev:
             raise LemmaViolation("pairs must be visited in non-decreasing distance")
         prev = dist
-        sub_view = graph_view(instance, edge_subset=chosen)
-        cur = dijkstra(sub_view, d.u).dist[d.v] if chosen else None
-        executed = cur is None or cur > d.delta
+        executed = shortest_distances(spanner, d.u, limit=bound)[d.v] is None
         path_nodes: tuple[int, ...] = ()
         path_edges: tuple[int, ...] = ()
         new_edges: tuple[int, ...] = ()
@@ -82,8 +100,17 @@ def greedy(
             path_edges = tree.path_edges(d.v)
             new_edges = tuple(e for e in path_edges if e not in chosen)
             chosen.update(new_edges)
+            for e in new_edges:
+                edge, length = instance.edges[e], scaled.lengths[e]
+                spanner.out[edge.u].append((edge.v, length, e))
+                if not instance.directed:
+                    spanner.out[edge.v].append((edge.u, length, e))
         if trace is not None:
-            trace.append(GreedyStep(d.u, d.v, d.delta, dist, executed, path_nodes, path_edges, new_edges))
+            trace.append(
+                GreedyStep(
+                    d.u, d.v, d.delta, scaled.unscale(dist), executed, path_nodes, path_edges, new_edges
+                )
+            )
     return Subgraph(instance, frozenset(chosen))
 
 
@@ -104,13 +131,17 @@ def weight_threshold_search(instance: SpannerInstance, *, mst_lift: bool = False
     the threshold is raised to the MST weight when larger, and the restricted
     edge set is recomputed at the lifted value.
     """
-    weights = sorted({e.weight for e in instance.edges})
+    scaled = instance.scaled
+    weights = sorted(set(scaled.weights))  # in units of 1 / scaled.weight_scale
     if not weights:
         return WeightThresholdResult(Fraction(0), frozenset(), False, Fraction(0))
+    checks = list(scaled.by_source)
 
-    def feasible_at(w) -> bool:
-        subset = frozenset(i for i, e in enumerate(instance.edges) if e.weight <= w)
-        return verify_feasible(Subgraph(instance, subset)).feasible
+    def edges_upto(w: int) -> frozenset[int]:
+        return frozenset(i for i, x in enumerate(scaled.weights) if x <= w)
+
+    def feasible_at(w: int) -> bool:
+        return meets_bounds(graph_view(scaled, edge_subset=edges_upto(w)), checks)
 
     if not feasible_at(weights[-1]):
         raise InfeasibleInstance("even the full graph violates some demand")
@@ -121,7 +152,7 @@ def weight_threshold_search(instance: SpannerInstance, *, mst_lift: bool = False
             hi = mid
         else:
             lo = mid + 1
-    w_search = weights[lo]
+    w_search = Fraction(weights[lo], scaled.weight_scale)
     w_star = w_search
     lifted = False
     if mst_lift:
@@ -131,7 +162,8 @@ def weight_threshold_search(instance: SpannerInstance, *, mst_lift: bool = False
         if mst_weight > w_star:
             w_star = mst_weight
             lifted = True
-    restricted = frozenset(i for i, e in enumerate(instance.edges) if e.weight <= w_star)
+    # scaled weights are integers, so x <= w_star * unit iff x <= floor(w_star * unit)
+    restricted = edges_upto(math.floor(w_star * scaled.weight_scale))
     return WeightThresholdResult(w_star, restricted, lifted, w_search)
 
 

@@ -19,6 +19,17 @@ Rationals are serialized as ``"p/q"`` strings (``"p"`` alone means
 denominator 1).  Canonical form sorts edges and demands by ``(u, v)`` with
 undirected endpoints normalized to ``u < v``; two equal instances therefore
 produce byte-identical files.
+
+Every instance also has one exact integer view, :attr:`SpannerInstance.scaled`
+(an :class:`IntegerInstance`), built on first use and kept: each length times
+``scale``, the lcm ``L`` of the length denominators, and each bound floored to
+``floor(delta * L)``.  Scaled distances are integers, so a scaled distance
+meets its floored bound exactly when the true distance meets the true bound.
+Weights are scaled the same way by the lcm of their own denominators.
+Validation, verification, greedy, the threshold search and the exact search
+run on this view; fractions come back only in reports.  With ``L = 1`` it is
+the integer-length view that the layered extension requires
+(:func:`require_integer_lengths`).
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InvalidInstance, NonIntegerLength, ParseError
 from .rational import format_rational, is_integer, parse_rational
@@ -85,6 +97,17 @@ class SpannerInstance:
             raise KeyError(label)
         return self.labels.index(label)
 
+    @cached_property
+    def scaled(self) -> "IntegerInstance":
+        """The exact integer view, built once per instance (see the module docstring)."""
+        scale = math.lcm(*(e.length.denominator for e in self.edges))
+        lengths = tuple(e.length.numerator * (scale // e.length.denominator) for e in self.edges)
+        demands = scale_demands(self.demands, scale)
+        delta_bar = max((d.delta for d in demands), default=0)
+        weight_scale = math.lcm(*(e.weight.denominator for e in self.edges))
+        weights = tuple(e.weight.numerator * (weight_scale // e.weight.denominator) for e in self.edges)
+        return IntegerInstance(self, lengths, demands, delta_bar, scale, weights, weight_scale)
+
     def canonical(self) -> "SpannerInstance":
         """Sorted edges/demands with undirected endpoints normalized u < v."""
         edges = []
@@ -111,7 +134,8 @@ class Subgraph:
 
     @property
     def weight(self) -> Fraction:
-        return sum((self.instance.edges[i].weight for i in self.edge_set), Fraction(0))
+        scaled = self.instance.scaled
+        return Fraction(sum(scaled.weights[i] for i in self.edge_set), scaled.weight_scale)
 
     @property
     def size(self) -> int:
@@ -208,73 +232,94 @@ def validate(instance: SpannerInstance) -> ValidationReport:
     if not ids_ok or report.codes() & {"nonpositive-length", "self-loop"}:
         return report  # distance checks below would be meaningless
 
-    # Structural connectivity, then per-demand satisfiability (delta >= d_G).
-    from .graph import graph_view, shortest_distances
+    # Structural connectivity, then per-demand satisfiability (delta >= d_G),
+    # both on the scaled integer view.
+    from .graph import graph_view, shortest_distances, violated_pairs
 
-    view = graph_view(instance)
+    scaled = instance.scaled
+    view = graph_view(scaled)
     if not instance.directed:
         dist0 = shortest_distances(view, 0)
         unreachable = [q for q in range(instance.n) if dist0[q] is None]
         if unreachable:
             report.add("not-connected", f"nodes {unreachable} unreachable from node 0")
 
-    max_len = max((e.length for e in instance.edges), default=Fraction(0))
-    budget_cap = instance.n * max_len
-    by_source: dict[int, list] = {}
-    for d in instance.demands:
+    budget_cap = instance.n * max(scaled.lengths, default=0)  # n * max_length, scaled
+    achieved = dict(violated_pairs(view, scaled.by_source, scaled.scale))
+    for i, d in enumerate(instance.demands):
         if d.u == d.v:
             continue
-        by_source.setdefault(d.u, [])
-    for u in by_source:
-        by_source[u] = shortest_distances(view, u)
-    for d in instance.demands:
-        if d.u == d.v:
-            continue
-        dist = by_source[d.u][d.v]
-        if dist is None or dist > d.delta:
+        if i in achieved:
+            dist = achieved[i]
             got = "unreachable" if dist is None else format_rational(dist)
             report.add(
                 "unsatisfiable-demand",
                 f"demand ({d.u},{d.v}) asks for {format_rational(d.delta)} "
                 f"but the graph only achieves {got}",
             )
-        if d.delta > budget_cap:
+        if d.delta.numerator * scaled.scale > budget_cap * d.delta.denominator:
             report.add(
                 "oversized-demand",
                 f"demand ({d.u},{d.v}) bound {format_rational(d.delta)} exceeds "
-                f"n*max_length = {format_rational(budget_cap)}; cap it there (same feasible set)",
+                f"n*max_length = {format_rational(scaled.unscale(budget_cap))}; "
+                "cap it there (same feasible set)",
             )
     return report
 
 
 # ---------------------------------------------------------------------------
-# Integer-length view
+# The scaled integer view
 
 
 @dataclass(frozen=True)
-class IntDemand:
-    u: int
-    v: int
+class IntDemand(Demand):
+    """A demand whose bound is in scaled integer units, floored."""
+
     delta: int
 
-    def pair(self, directed: bool) -> tuple[int, int]:
-        if directed or self.u <= self.v:
-            return (self.u, self.v)
-        return (self.v, self.u)
+
+def scale_demands(demands, scale: int) -> tuple[IntDemand, ...]:
+    """Each bound times ``scale``, floored: ``floor(delta * scale)``."""
+    return tuple(
+        IntDemand(d.u, d.v, d.delta.numerator * scale // d.delta.denominator) for d in demands
+    )
+
+
+def group_by_source(demands) -> tuple:
+    """Checks per source: ``(source, largest bound, ((target, bound, demand index), ...))``.
+
+    Sources keep their first-appearance order; self-pairs are left out.  One
+    search from each source, bounded at its largest bound, settles all of
+    that source's pairs.
+    """
+    targets: dict[int, list[tuple[int, int, int]]] = {}
+    for i, d in enumerate(demands):
+        if d.u != d.v:
+            targets.setdefault(d.u, []).append((d.v, d.delta, i))
+    return tuple((u, max(b for _, b, _ in ts), tuple(ts)) for u, ts in targets.items())
 
 
 @dataclass(frozen=True)
 class IntegerInstance:
-    """View of an instance with integer lengths and floored integer demands.
+    """An instance in exact integer units: lengths times ``scale``, bounds floored.
 
-    With integer lengths every achievable distance is an integer, so flooring
-    fractional demands loses nothing.  Required by the layered-extension LP.
+    ``scale`` is the lcm of the length denominators, so every scaled length,
+    and therefore every scaled distance, is an integer; flooring a scaled
+    bound then loses nothing.  A scaled distance ``d`` is ``Fraction(d,
+    scale)`` in instance units (:meth:`unscale`).  Weights are scaled on
+    their own, by the lcm ``weight_scale`` of their denominators, so weight
+    sums and comparisons are integer too.  Built once per instance as
+    :attr:`SpannerInstance.scaled`; with ``scale == 1`` it is the
+    integer-length view the layered-extension LP requires.
     """
 
     base: SpannerInstance
     lengths: tuple[int, ...]
     demands: tuple[IntDemand, ...]
     delta_bar: int
+    scale: int
+    weights: tuple[int, ...]
+    weight_scale: int
 
     @property
     def n(self) -> int:
@@ -292,20 +337,25 @@ class IntegerInstance:
     def edges(self) -> tuple[Edge, ...]:
         return self.base.edges
 
+    @cached_property
+    def by_source(self):
+        """:func:`group_by_source` of the scaled demands."""
+        return group_by_source(self.demands)
+
+    def unscale(self, dist: int | None) -> Fraction | None:
+        """A scaled distance in instance units; None (unreachable) stays None."""
+        return None if dist is None else Fraction(dist, self.scale)
+
 
 def require_integer_lengths(instance: SpannerInstance) -> IntegerInstance:
-    """Check all lengths are integers; floor demands; compute max demand.
+    """The scaled view of an instance whose lengths are all integers (scale 1).
 
     Raises :class:`NonIntegerLength` naming the first offending edge.
     """
-    lengths = []
     for i, e in enumerate(instance.edges):
         if not is_integer(e.length):
             raise NonIntegerLength(i, format_rational(e.length))
-        lengths.append(int(e.length))
-    demands = tuple(IntDemand(d.u, d.v, math.floor(d.delta)) for d in instance.demands)
-    delta_bar = max((d.delta for d in demands), default=0)
-    return IntegerInstance(instance, tuple(lengths), demands, delta_bar)
+    return instance.scaled
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +389,16 @@ def _node_id(value, field: str, path: str | None) -> int:
 
 def from_json_dict(doc: dict, *, path: str | None = None) -> SpannerInstance:
     try:
-        directed = bool(doc["directed"])
-        n = int(doc["n"])
+        directed = doc["directed"]
+        n = doc["n"]
         raw_edges = doc["edges"]
         raw_demands = doc["demands"]
     except KeyError as exc:
         raise ParseError(f"missing required key {exc.args[0]!r}", path=path) from None
+    if not isinstance(directed, bool):
+        raise ParseError(f"must be true or false, got {directed!r}", path=path, field="directed")
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ParseError(f"node count must be an integer, got {n!r}", path=path, field="n")
     edges = []
     for i, e in enumerate(raw_edges):
         try:

@@ -27,7 +27,7 @@ from .errors import (
     TooManyCuts,
 )
 from .extension import build_extension, reachable_path
-from .graph import graph_view, shortest_distances, unit_all_pairs, verify_feasible
+from .graph import graph_view, meets_bounds, shortest_distances, unit_all_pairs
 from .greedy import GreedyStep
 from .instance import (
     Demand,
@@ -61,33 +61,36 @@ def exact_optimum(instance: SpannerInstance, *, max_edges: int = 22) -> ExactRes
     branch when its weight already exceeds the incumbent or when even keeping
     all undecided edges cannot satisfy the demands.  Among equal-weight
     optima the lexicographically smallest sorted edge-index tuple wins, which
-    makes the result deterministic.  Exact arithmetic throughout.
+    makes the result deterministic.  Exact integer arithmetic throughout:
+    feasibility runs on the scaled view against floored bounds, and the
+    search adds the view's scaled weights.
     """
     m = instance.m
     if m > max_edges:
         raise TooLarge(f"{m} edges exceeds the exact-search cap of {max_edges}")
-    demands = instance.demands
-    weights = [e.weight for e in instance.edges]
+    scaled = instance.scaled
+    checks = list(scaled.by_source)
+    weights = scaled.weights
 
     def feasible(edge_ids) -> bool:
-        return verify_feasible(Subgraph(instance, frozenset(edge_ids)), demands).feasible
+        return meets_bounds(graph_view(scaled, edge_subset=edge_ids), checks)
 
     if not feasible(range(m)):
         raise InfeasibleInstance("the full edge set violates some demand")
 
     order = sorted(range(m), key=lambda i: (-weights[i], i))
-    best_weight = sum(weights, Fraction(0))
+    best_weight = sum(weights)
     best_tuple = tuple(range(m))
     explored = 0
 
-    def consider(included: list[int], weight: Fraction) -> None:
+    def consider(included: list[int], weight: int) -> None:
         nonlocal best_weight, best_tuple
         candidate = tuple(sorted(included))
         if weight < best_weight or (weight == best_weight and candidate < best_tuple):
             best_weight = weight
             best_tuple = candidate
 
-    def dfs(idx: int, included: list[int], envelope: set[int], weight: Fraction) -> None:
+    def dfs(idx: int, included: list[int], envelope: set[int], weight: int) -> None:
         nonlocal explored
         explored += 1
         if weight > best_weight:
@@ -106,8 +109,8 @@ def exact_optimum(instance: SpannerInstance, *, max_edges: int = 22) -> ExactRes
         dfs(idx + 1, included, envelope, weight + weights[e])
         included.pop()
 
-    dfs(0, [], set(range(m)), Fraction(0))
-    return ExactResult(best_weight, frozenset(best_tuple), explored)
+    dfs(0, [], set(range(m)), 0)
+    return ExactResult(Fraction(best_weight, scaled.weight_scale), frozenset(best_tuple), explored)
 
 
 # ---------------------------------------------------------------------------

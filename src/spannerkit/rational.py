@@ -1,10 +1,15 @@
 """Exact rational values and their text form.
 
-Weights, lengths and distance demands are `fractions.Fraction` throughout the
-core, so every comparison (feasibility, thresholds, optima) is exact.  Python
-fractions already keep lowest terms with a positive denominator and use
-arbitrary-precision integers, so arithmetic can never overflow or wrap.
-Floating point only appears inside the LP layer.
+Weights, lengths and distance demands are `fractions.Fraction` on every
+instance, in every file and in every report.  The shortest-path core does not
+add fractions: it runs on the instance's scaled view
+(:attr:`SpannerInstance.scaled`), where every length is multiplied by the
+lcm ``L`` of the length denominators and every bound is floored to
+``floor(delta * L)``.  Scaled distances are integers, so the floored
+comparisons are exact, and distances go back to ``Fraction(d, L)`` only where
+a report shows them.  Python fractions and ints are arbitrary-precision, so
+arithmetic can never overflow or wrap.  Floating point only appears inside
+the LP layer.
 
 Text form used by instance files: ``"p/q"``, or ``"p"`` alone for denominator 1.
 """
@@ -22,8 +27,11 @@ def parse_rational(text: str, *, field: str | None = None) -> Fraction:
     """Parse ``"p/q"`` or ``"p"`` into an exact fraction.
 
     A zero denominator, a non-integer part, or a fractional denominator are
-    parse errors, never silent coercions.
+    parse errors, never silent coercions.  JSON ``true``/``false`` are not
+    numbers here, although Python's bool is an int.
     """
+    if isinstance(text, bool):
+        raise ParseError(f"expected rational string, got {text!r}", field=field)
     if isinstance(text, int):
         return Fraction(text)
     if not isinstance(text, str):

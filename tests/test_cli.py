@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from spannerkit import cli
+from spannerkit import bench, cli
 from spannerkit.cli import main
 
 
@@ -121,6 +121,22 @@ def test_unexpected_error_exits_4_on_one_line(ex5, monkeypatch, capsys):
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
 
+def test_missing_or_unreadable_input_exits_2_naming_the_path(ex5, tmp_path, capsys):
+    missing = tmp_path / "nonexistent.json"
+    cases = [
+        ["verify", str(missing), "--solution", "x.json"],
+        ["verify", str(ex5), "--solution", str(missing)],
+        ["solve", str(tmp_path)],  # a directory, not a file
+        ["bench", str(missing)],
+    ]
+    capsys.readouterr()
+    for args in cases:
+        assert run_cli(args) == 2, args
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "internal error" not in err, err
+        assert (str(missing) if str(missing) in args else str(tmp_path)) in err
+
+
 def test_export_lp(ex5, tmp_path):
     out = tmp_path / "model.lp"
     assert run_cli(["export-lp", str(ex5), "--out", str(out)]) == 0
@@ -225,6 +241,32 @@ def test_bench_ratio_never_exceeds_edge_count(tmp_path):
     rows = [r.split(",") for r in out.read_text().strip().split("\n")]
     ratio_col = rows[0].index("ratio")
     assert all(float(row[ratio_col]) <= m for row in rows[1:] if row[ratio_col])
+
+
+@pytest.mark.parametrize("algorithms", [["greedy", "augmented-greedy", "exact"],
+                                        ["greedy", "augmented-greedy"]])
+def test_bench_exact_and_mst_once_per_instance(monkeypatch, algorithms):
+    calls = {"exact": 0, "mst": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(bench, "exact_optimum", counted("exact", bench.exact_optimum))
+    monkeypatch.setattr(bench, "minimum_spanning_tree", counted("mst", bench.minimum_spanning_tree))
+    config = bench.ExperimentConfig(
+        family="decoupled", n=6, m=9, instances=3, seed=2, demand_family="freeform",
+        demand_pairs="random", num_demands=3, algorithms=algorithms, trials=2, exact=True,
+    )
+    rows = bench.run_experiment(config)
+    assert [(r.algorithm, r.trial) for r in rows[:len(algorithms) * 2]] == [
+        (a, t) for a in algorithms for t in range(2)
+    ]
+    exact_cells = 3 * 2 * algorithms.count("exact")
+    assert calls == {"exact": exact_cells or 3, "mst": 3}
+    assert all(r.ratio for r in rows if r.algorithm != "exact")
 
 
 def test_bench_worker_pool(tmp_path):

@@ -202,6 +202,31 @@ def test_metric_reduction_preserves_feasibility():
             assert verify_feasible(sub).feasible == verify_feasible(sub, metric).feasible
 
 
+def test_shortest_distances_limit_cuts_off_farther_nodes():
+    # path 0 -1- 1 -2- 2 -1- 3: distances 0, 1, 3, 4
+    inst = SpannerInstance(
+        True,
+        4,
+        tuple(Edge(u, u + 1, Fraction(1), Fraction(ln)) for u, ln in ((0, 1), (1, 2), (2, 1))),
+        (),
+    )
+    view = graph_view(inst)
+    assert shortest_distances(view, 0) == [0, 1, 3, 4]
+    assert shortest_distances(view, 0, limit=3) == [0, 1, 3, None]
+    assert shortest_distances(view, 0, limit=Fraction(5, 2)) == [0, 1, None, None]
+    assert shortest_distances(view, 0, limit=0) == [0, None, None, None]
+
+
+def test_dijkstra_matches_bellman_ford_on_scaled_views():
+    rng = random.Random(11)
+    for seed in range(20):
+        inst = random_instance("decoupled", 8, 14, seed, demand_family="freeform")
+        scaled = inst.scaled
+        src = rng.randrange(inst.n)
+        got = [scaled.unscale(d) for d in dijkstra(graph_view(scaled), src).dist]
+        assert got == bellman_ford(graph_view(inst), src)
+
+
 # ---------------------------------------------------------------------------
 # verify_feasible
 
@@ -217,6 +242,22 @@ def test_verify_empty_subgraph_violates_everything():
     assert not verdict.feasible
     assert len(verdict.violations) == 3
     assert all(v.achieved is None for v in verdict.violations)
+
+
+def test_verify_reports_exact_distance_past_the_bound():
+    # the bounded search stops at the bound; the report still has the true distance
+    inst = SpannerInstance(
+        False,
+        3,
+        (Edge(0, 1, Fraction(1), Fraction(1, 2)), Edge(1, 2, Fraction(1), Fraction(7, 3))),
+        (Demand(0, 2, Fraction(1)), Demand(0, 1, Fraction(1, 3))),
+    )
+    verdict = verify_feasible(Subgraph(inst, frozenset({0, 1})))
+    assert [(v.u, v.v, v.achieved) for v in verdict.violations] == [
+        (0, 2, Fraction(17, 6)),
+        (0, 1, Fraction(1, 2)),
+    ]
+    assert "achieved 17/6" in verdict.describe()
 
 
 def test_verify_triangle_keeps_nonmetric_edge():

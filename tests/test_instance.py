@@ -161,6 +161,35 @@ def test_node_ids_must_be_integers(record, key, bad):
     assert info.value.field == f"{record}[0].{key}"
 
 
+@pytest.mark.parametrize("record,key", [("edges", "w"), ("edges", "len"), ("demands", "delta")])
+def test_rational_fields_reject_json_booleans(record, key):
+    doc = {
+        "directed": False, "n": 2,
+        "edges": [{"u": 0, "v": 1, "w": "1", "len": "1"}],
+        "demands": [{"u": 0, "v": 1, "delta": "1"}],
+    }
+    doc[record][0][key] = True
+    with pytest.raises(ParseError) as info:
+        from_json_dict(doc)
+    assert info.value.field == f"{record}[0].{key}"
+
+
+@pytest.mark.parametrize(
+    "key,bad", [("directed", "false"), ("directed", 0), ("directed", None),
+                ("n", 2.9), ("n", True), ("n", "2"), ("n", 2.0)]
+)
+def test_header_is_not_coerced(key, bad):
+    doc = {
+        "directed": False, "n": 2,
+        "edges": [{"u": 0, "v": 1, "w": "1", "len": "1"}],
+        "demands": [{"u": 0, "v": 1, "delta": "1"}],
+    }
+    doc[key] = bad
+    with pytest.raises(ParseError) as info:
+        from_json_dict(doc)
+    assert info.value.field == key
+
+
 def test_labels_round_trip(tmp_path):
     inst = example5()
     p = tmp_path / "ex5.json"
@@ -185,6 +214,36 @@ def test_require_integer_lengths_floors_demands():
     )
     ii = require_integer_lengths(inst)
     assert ii.demands[0].delta == 2
+
+
+def test_scaled_view_scales_lengths_and_floors_bounds():
+    # lengths 1/2, 2/3, 3 -> scale 6; bound 7/4 -> floor(42/4) = 10
+    inst = SpannerInstance(
+        False,
+        3,
+        (
+            Edge(0, 1, Fraction(1), Fraction(1, 2)),
+            Edge(1, 2, Fraction(1), Fraction(2, 3)),
+            Edge(0, 2, Fraction(1), Fraction(3)),
+        ),
+        (Demand(0, 2, Fraction(7, 4)), Demand(1, 2, Fraction(2, 3))),
+    )
+    scaled = inst.scaled
+    assert scaled is inst.scaled  # built once per instance
+    assert scaled.scale == 6
+    assert scaled.lengths == (3, 4, 18)
+    assert [d.delta for d in scaled.demands] == [10, 4]
+    assert scaled.delta_bar == 10
+    assert scaled.unscale(7) == Fraction(7, 6) and scaled.unscale(None) is None
+    # (0,2): 7 <= 10 via node 1, i.e. 7/6 <= 7/4 in instance units
+    assert shortest_distances(graph_view(scaled), 0)[2] == 7
+    assert shortest_distances(graph_view(inst), 0)[2] == Fraction(7, 6)
+
+
+def test_require_integer_lengths_is_the_scale_one_view():
+    inst = example5()
+    assert require_integer_lengths(inst) is inst.scaled
+    assert inst.scaled.scale == 1
 
 
 def test_require_integer_lengths_rejects_fractional_edge():

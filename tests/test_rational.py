@@ -26,6 +26,14 @@ def test_parse_rejects_malformed(bad):
         parse_rational(bad)
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_parse_rejects_json_booleans(flag):
+    # bool is an int in Python, but JSON true/false are not numbers
+    with pytest.raises(ParseError) as info:
+        parse_rational(flag, field="w")
+    assert info.value.field == "w"
+
+
 def test_format_round_trip():
     for text in ["0", "17", "-3", "1/3", "-22/7", "41/6"]:
         assert format_rational(parse_rational(text)) == text
