@@ -30,7 +30,9 @@ for arc in ext.arcs[:5]:
 print("  ...")
 
 # Each pair gets flow columns only for the arcs on its own source-to-sink
-# paths, not one per extension arc.
+# paths, not one per extension arc.  They are read off two bounded searches
+# in the base graph: s_i -> t_{i+L} is kept when d(u,s) <= i and
+# i + L + d(t,v) <= delta.
 model = build_mcf(ext)
 print(
     f"LP: {model.num_vars} variables "

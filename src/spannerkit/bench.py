@@ -11,10 +11,12 @@ import csv
 import io
 import json
 import time
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
-from .errors import SpannerError, TooLarge
+from .errors import ParseError, SpannerError, TooLarge
 from .generators import random_instance
 from .graph import minimum_spanning_tree, verify_feasible
 from .greedy import augmented_greedy, greedy
@@ -95,7 +97,24 @@ class ExperimentConfig:
         unknown = set(doc) - known
         if unknown:
             raise SpannerError(f"unknown config keys: {sorted(unknown)}")
+        hints = typing.get_type_hints(cls)
+        for name, value in doc.items():
+            if not _has_type(value, hints[name]):
+                expected = cls.__dataclass_fields__[name].type
+                raise ParseError(f"must be {expected}, got {value!r}", path=path, field=name)
         return cls(**doc)
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value fits a config field's type; JSON booleans are not numbers."""
+    if typing.get_origin(hint) is types.UnionType:
+        return any(_has_type(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_has_type(x, item) for x in value)
+    if isinstance(value, bool) or hint is bool:
+        return hint is bool and isinstance(value, bool)
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def run_algorithm(

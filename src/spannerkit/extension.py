@@ -35,6 +35,8 @@ class DeltaExtension:
     arcs: tuple[ExtArc, ...]
     # (edge index, forward) -> tuple of arc indices, one per start layer
     arcs_by_edge: dict
+    # per node q: the arc index of its waiting arc q_i -> q_{i+1}, one per start layer i
+    waiting_arcs: tuple[tuple[int, ...], ...]
 
     @property
     def layer_count(self) -> int:
@@ -84,7 +86,9 @@ def build_extension(instance: IntegerInstance, delta_bar: int | None = None) -> 
                 )
                 ids.append(arc_id)
             arcs_by_edge[(idx, forward)] = tuple(ids)
+    waiting_arcs = []
     for q in range(instance.n):
+        waiting_arcs.append(tuple(range(len(arcs), len(arcs) + delta_bar)))
         for i in range(delta_bar):
             arcs.append(
                 ExtArc(
@@ -94,7 +98,7 @@ def build_extension(instance: IntegerInstance, delta_bar: int | None = None) -> 
                     forward=True,
                 )
             )
-    return DeltaExtension(instance, delta_bar, tuple(arcs), arcs_by_edge)
+    return DeltaExtension(instance, delta_bar, tuple(arcs), arcs_by_edge, tuple(waiting_arcs))
 
 
 def reachable_path(

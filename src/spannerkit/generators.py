@@ -222,6 +222,9 @@ def random_instance(
 
     max_len = max(e.length for e in instance.edges)
     budget_cap = instance.n * max_len
+    # Flooring keeps integer-length instances in the LP's domain; with any
+    # fractional length (the geometric family) it would zero most bounds.
+    floor_bounds = integer_lengths and all(e.length.denominator == 1 for e in instance.edges)
     demands = []
     for u, v in pair_list:
         d = dist(u, v)
@@ -237,7 +240,7 @@ def random_instance(
             )
             delta = stretch * d
         delta = min(delta, budget_cap)  # same feasible set; keeps extensions small
-        if integer_lengths:
+        if floor_bounds:
             delta = Fraction(math.floor(delta))
         demands.append(Demand(u, v, delta))
     return SpannerInstance(

@@ -166,24 +166,16 @@ def shortest_distances(view: GraphView, source: int, *, limit=None) -> list:
     return dist
 
 
-def unit_all_pairs(view: GraphView) -> list[list]:
-    """All-pairs distances by BFS; valid only when every arc has length 1."""
-    from collections import deque
+def budget_window(forward: GraphView, reverse: GraphView, demand) -> tuple[list, list]:
+    """``(d(u, .), d(., v))`` for a demand ``(u, v, delta)``: forward from u, reverse to v.
 
-    n = view.n
-    table = []
-    for s in range(n):
-        dist: list = [None] * n
-        dist[s] = 0
-        dq = deque([s])
-        while dq:
-            q = dq.popleft()
-            for head, _, _ in view.out[q]:
-                if dist[head] is None:
-                    dist[head] = dist[q] + 1
-                    dq.append(head)
-        table.append(dist)
-    return table
+    Both searches stop at delta.  Every term of a within-budget sum
+    ``d(u,s) + ... + d(t,v) <= delta`` is at most delta, so no such test changes.
+    """
+    return (
+        shortest_distances(forward, demand.u, limit=demand.delta),
+        shortest_distances(reverse, demand.v, limit=demand.delta),
+    )
 
 
 # ---------------------------------------------------------------------------

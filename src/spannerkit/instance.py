@@ -56,7 +56,7 @@ class Edge:
 class Demand:
     u: int
     v: int
-    delta: Fraction
+    delta: Fraction  # an int in a scaled view's demands (scale_demands)
 
     def pair(self, directed: bool) -> tuple[int, int]:
         """The pair key; undirected demands are unordered."""
@@ -271,17 +271,10 @@ def validate(instance: SpannerInstance) -> ValidationReport:
 # The scaled integer view
 
 
-@dataclass(frozen=True)
-class IntDemand(Demand):
-    """A demand whose bound is in scaled integer units, floored."""
-
-    delta: int
-
-
-def scale_demands(demands, scale: int) -> tuple[IntDemand, ...]:
-    """Each bound times ``scale``, floored: ``floor(delta * scale)``."""
+def scale_demands(demands, scale: int) -> tuple[Demand, ...]:
+    """Each bound times ``scale``, floored to an int: ``floor(delta * scale)``."""
     return tuple(
-        IntDemand(d.u, d.v, d.delta.numerator * scale // d.delta.denominator) for d in demands
+        Demand(d.u, d.v, d.delta.numerator * scale // d.delta.denominator) for d in demands
     )
 
 
@@ -315,7 +308,7 @@ class IntegerInstance:
 
     base: SpannerInstance
     lengths: tuple[int, ...]
-    demands: tuple[IntDemand, ...]
+    demands: tuple[Demand, ...]  # int bounds
     delta_bar: int
     scale: int
     weights: tuple[int, ...]
@@ -424,7 +417,10 @@ def from_json_dict(doc: dict, *, path: str | None = None) -> SpannerInstance:
             )
         except (KeyError, TypeError, ValueError):
             raise ParseError(f"malformed demand record {i}", path=path) from None
-    labels = tuple(doc["labels"]) if "labels" in doc and doc["labels"] is not None else None
+    labels = doc.get("labels")
+    if not (labels is None or isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+        raise ParseError(f"must be null or a list of strings, got {labels!r}", path=path, field="labels")
+    labels = None if labels is None else tuple(labels)
     return SpannerInstance(directed, n, tuple(edges), tuple(demands), labels).canonical()
 
 

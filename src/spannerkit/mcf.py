@@ -4,6 +4,10 @@ One commodity per demand pair is shipped from ``u_0`` to ``v_delta(u,v)``.
 A pair gets a flow variable only for the arcs on some ``u_0 -> v_delta``
 path: the extension is acyclic, so every feasible flow decomposes into such
 paths and any other arc carries zero flow, which leaves the optimum unchanged.
+Those arcs are read off the pair's budget window in the base graph (one
+forward search from u and one reverse search to v, each bounded at delta):
+``s_i -> t_{i+L}`` is kept iff ``d(u,s) <= i <= delta - L - d(t,v)``, and the
+waiting arc ``q_i -> q_{i+1}`` iff ``d(u,q) <= i <= delta - 1 - d(q,v)``.
 One edge variable per original edge follows (a single shared variable per
 undirected edge).  Coupling rows force an edge variable active whenever any of
 its arcs carries that pair's flow; conservation rows are written for every
@@ -27,7 +31,8 @@ import scipy.sparse as sp
 
 from .errors import ParseError, SolverFailure
 from .extension import DeltaExtension
-from .instance import IntDemand
+from .graph import budget_window, graph_view
+from .instance import Demand
 
 
 @dataclass
@@ -63,7 +68,7 @@ class McfModel(StandardLp):
     """
 
     extension: DeltaExtension
-    demands: tuple[IntDemand, ...]
+    demands: tuple[Demand, ...]
     flow_arcs: tuple[tuple[int, ...], ...]  # per pair: the arc id of each flow column
     num_edge_vars: int
 
@@ -75,19 +80,6 @@ class McfModel(StandardLp):
         names = [f"f_k{k}_a{a}" for k, arcs in enumerate(self.flow_arcs) for a in arcs]
         names += [f"x_e{e}" for e in range(self.num_edge_vars)]
         return names
-
-
-def _closure(start: int, adjacency: list[list[int]], endpoint: list[int]) -> set[int]:
-    """Extension nodes reachable from ``start`` through the arcs in ``adjacency``."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        for arc_id in adjacency[stack.pop()]:
-            nxt = endpoint[arc_id]
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
 
 
 def build_mcf(extension: DeltaExtension, demands=None) -> McfModel:
@@ -104,17 +96,27 @@ def build_mcf(extension: DeltaExtension, demands=None) -> McfModel:
     arcs = extension.arcs
     tails = [arc.tail for arc in arcs]
     heads = [arc.head for arc in arcs]
-    out: list[list[int]] = [[] for _ in range(extension.node_count)]
-    into: list[list[int]] = [[] for _ in range(extension.node_count)]
-    for arc_id, (tail, head) in enumerate(zip(tails, heads)):
-        out[tail].append(arc_id)
-        into[head].append(arc_id)
+    edge_groups = []  # (tail node, head node, length, arc ids by start layer)
+    for (e, forward), ids in extension.arcs_by_edge.items():
+        edge = inst.edges[e]
+        s, t = (edge.u, edge.v) if forward else (edge.v, edge.u)
+        edge_groups.append((s, t, inst.lengths[e], ids))
 
+    forward_view, reverse_view = graph_view(inst), graph_view(inst, reverse=True)
     flow_arcs = []
     for d in demands:
-        forward = _closure(extension.node_id(d.u, 0), out, heads)
-        backward = _closure(extension.node_id(d.v, d.delta), into, tails)
-        flow_arcs.append(tuple(sorted(a for q in forward for a in out[q] if heads[a] in backward)))
+        from_u, to_v = budget_window(forward_view, reverse_view, d)
+        kept = []
+        # s_i -> t_{i+L} lies on a u_0 -> v_delta path iff d(u,s) <= i <= delta - L - d(t,v);
+        # the end is clamped at 0, as a negative slice end would wrap around.
+        for s, t, length, ids in edge_groups:
+            if from_u[s] is not None and to_v[t] is not None:
+                kept += ids[from_u[s] : max(0, d.delta - length - to_v[t] + 1)]
+        # q_i -> q_{i+1} iff d(u,q) <= i <= delta - 1 - d(q,v); that end is never negative.
+        for q, ids in enumerate(extension.waiting_arcs):
+            if from_u[q] is not None and to_v[q] is not None:
+                kept += ids[from_u[q] : d.delta - to_v[q]]
+        flow_arcs.append(tuple(sorted(kept)))
     num_flow = sum(map(len, flow_arcs))
     num_vars = num_flow + inst.m
 
@@ -220,9 +222,6 @@ class FractionalSolution:
     x: np.ndarray  # per edge variable, clamped into [0,1]
     f: np.ndarray  # per flow column, in the model's column order
     primal_residual: float
-
-    def edge_value(self, edge: int) -> float:
-        return float(self.x[edge])
 
 
 def solve_lp(model: McfModel) -> FractionalSolution:

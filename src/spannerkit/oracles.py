@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,16 +26,16 @@ from .errors import (
     TooManyCuts,
 )
 from .extension import build_extension, reachable_path
-from .graph import graph_view, meets_bounds, shortest_distances, unit_all_pairs
+from .graph import budget_window, graph_view, meets_bounds, shortest_distances
 from .greedy import GreedyStep
 from .instance import (
     Demand,
     Edge,
-    IntDemand,
     IntegerInstance,
     SpannerInstance,
     Subgraph,
     require_integer_lengths,
+    scale_demands,
 )
 
 
@@ -132,43 +131,31 @@ class CutLabeling:
     labels: tuple[int, ...]
 
 
-def _as_int_demand(instance: IntegerInstance, pair) -> IntDemand:
-    if isinstance(pair, IntDemand):
+def _as_int_demand(instance: IntegerInstance, pair) -> Demand:
+    """The pair in the view's units: an int bound or a tuple is taken as scaled already."""
+    if not isinstance(pair, Demand):
+        u, v, delta = pair
+        return Demand(int(u), int(v), int(delta))
+    if isinstance(pair.delta, int):
         return pair
-    if isinstance(pair, Demand):
-        return IntDemand(pair.u, pair.v, math.floor(pair.delta))
-    u, v, delta = pair
-    return IntDemand(int(u), int(v), int(delta))
-
-
-def _directed_arc_views(instance: IntegerInstance, edge_ids):
-    """(s, t, length) triples for each usable arc direction of included edges."""
-    views = []
-    for e in sorted(edge_ids):
-        edge = instance.edges[e]
-        length = instance.lengths[e]
-        views.append((edge.u, edge.v, length, e))
-        if not instance.directed:
-            views.append((edge.v, edge.u, length, e))
-    return views
+    return scale_demands((pair,), instance.scale)[0]
 
 
 def ascending_cut_count(n: int, delta: int) -> int:
     return (delta + 2) ** (n - 2)
 
 
-def crossing_arc(labels, arc_views, delta: int):
-    """First extension arc of the subgraph crossing the cut A -> B, if any.
+def crossing_arc(labels, view, delta: int):
+    """An extension arc of the subgraph's view crossing the cut A -> B, if any.
 
     An arc copy (s_i, t_{i+L}) crosses iff i >= labels[s] and i+L < labels[t];
     such an i exists iff labels[s] <= min(delta - L, labels[t] - L - 1).
     """
-    for s, t, length, e in arc_views:
-        if length > delta:
-            continue
+    for s, out in enumerate(view.out):
         i = labels[s]
-        if i <= delta - length and i <= labels[t] - length - 1:
-            return (s, i, t, i + length, e)
+        for t, length, e in out:
+            if i <= delta - length and i <= labels[t] - length - 1:
+                return (s, i, t, i + length, e)
     return None
 
 
@@ -185,14 +172,14 @@ def enumerate_ascending_cuts(subgraph: Subgraph, pair, *, cap: int = 10**6):
     total = ascending_cut_count(n, d.delta)
     if total > cap:
         raise TooManyCuts(f"{total} ascending cuts exceeds the cap of {cap}")
-    arc_views = _directed_arc_views(instance, subgraph.edge_set)
+    view = graph_view(instance, edge_subset=subgraph.edge_set)
     free_nodes = [q for q in range(n) if q not in (d.u, d.v)]
     labels = [0] * n
     labels[d.v] = d.delta + 1
     for assignment in itertools.product(range(d.delta + 2), repeat=len(free_nodes)):
         for q, val in zip(free_nodes, assignment):
             labels[q] = val
-        satisfied = crossing_arc(labels, arc_views, d.delta) is not None
+        satisfied = crossing_arc(labels, view, d.delta) is not None
         yield CutLabeling(d.u, d.v, d.delta, tuple(labels)), satisfied
 
 
@@ -296,33 +283,24 @@ def restricted_subgraph(instance: IntegerInstance | SpannerInstance, pair):
     """Nodes and edges that can lie on some within-budget path for the pair.
 
     ``V_uv = {z : d(u,z) + d(z,v) <= delta}`` and
-    ``E_uv = {(s,t) : d(u,s) + len(s,t) + d(t,v) <= delta}``, from one
-    forward and one reverse shortest-path pass.
+    ``E_uv = {(s,t) : d(u,s) + len(s,t) + d(t,v) <= delta}``, from the
+    pair's bounded forward and reverse searches (:func:`graph.budget_window`).
     """
     if isinstance(instance, SpannerInstance):
         instance = require_integer_lengths(instance)
     d = _as_int_demand(instance, pair)
-    from_u = shortest_distances(graph_view(instance), d.u)
-    to_v = shortest_distances(graph_view(instance, reverse=True), d.v)
-    nodes = frozenset(
-        z
-        for z in range(instance.n)
-        if from_u[z] is not None and to_v[z] is not None and from_u[z] + to_v[z] <= d.delta
+    forward = graph_view(instance)
+    from_u, to_v = budget_window(forward, graph_view(instance, reverse=True), d)
+
+    def fits(s: int, length: int, t: int) -> bool:
+        ds, dt = from_u[s], to_v[t]
+        return ds is not None and dt is not None and ds + length + dt <= d.delta
+
+    nodes = frozenset(z for z in range(instance.n) if fits(z, 0, z))
+    edges = frozenset(
+        e for s, out in enumerate(forward.out) for t, length, e in out if fits(s, length, t)
     )
-    edges = []
-    for e in range(instance.m):
-        edge = instance.edges[e]
-        length = instance.lengths[e]
-        ends = [(edge.u, edge.v)] if instance.directed else [(edge.u, edge.v), (edge.v, edge.u)]
-        for s, t in ends:
-            if (
-                from_u[s] is not None
-                and to_v[t] is not None
-                and from_u[s] + length + to_v[t] <= d.delta
-            ):
-                edges.append(e)
-                break
-    return nodes, frozenset(edges)
+    return nodes, edges
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +500,13 @@ def potential_monitor(
         raise SpannerError("potential monitor requires integer beta >= 2")
     if any(e.length != 1 for e in instance.edges):
         raise SpannerError("potential monitor requires unit lengths")
-    base_view = graph_view(instance)
-    d_base = unit_all_pairs(base_view)
+    scaled = instance.scaled  # unit lengths: scale 1, integer distances
+
+    def all_pairs(edge_subset=None) -> list[list]:
+        view = graph_view(scaled, edge_subset=edge_subset)
+        return [shortest_distances(view, s) for s in range(instance.n)]
+
+    d_base = all_pairs()
     if any(d is None for row in d_base for d in row):
         raise SpannerError("potential monitor requires a connected instance")
     pairs = {d.pair(False) for d in instance.demands}
@@ -557,7 +540,7 @@ def potential_monitor(
                 new_cost += 2 * degree[q] + 1
                 degree[q] += 1
             chosen.add(e)
-        d_new = unit_all_pairs(graph_view(instance, edge_subset=chosen))
+        d_new = all_pairs(chosen)
         new_slack = _slack_potential(instance, d_base, d_new, beta)
         delta_pot = (new_cost - 12 * new_slack) - (degree_cost - 12 * slack)
         if delta_pot > 0:

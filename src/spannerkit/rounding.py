@@ -174,17 +174,14 @@ def solve_randomized(
     model = build_mcf(extension)
     solution = solve_lp(model)
     report = RandomizedRoundingReport(spec, solution.objective)
-    last: RoundingRun | None = None
     for attempt in range(max_attempts):
         run = round_solution(solution, spec, derive_seed(seed, b"attempt", attempt))
         run.attempt = attempt
         report.attempts.append(run)
-        last = run
         if run.feasible:
             report.accepted_attempt = attempt
             return Subgraph(instance, frozenset(run.chosen_edges)), report
-    assert last is not None
-    return Subgraph(instance, frozenset(last.chosen_edges)), report
+    return Subgraph(instance, frozenset(report.attempts[-1].chosen_edges)), report
 
 
 class RoundingInfeasible(SpannerError):

@@ -137,6 +137,18 @@ def test_missing_or_unreadable_input_exits_2_naming_the_path(ex5, tmp_path, caps
         assert (str(missing) if str(missing) in args else str(tmp_path)) in err
 
 
+@pytest.mark.parametrize("labels", [5, [1, 2, 3]], ids=["not-a-list", "not-strings"])
+def test_labels_that_are_not_a_list_of_strings_exit_2(ex5, tmp_path, capsys, labels):
+    doc = json.loads(ex5.read_text())
+    doc["labels"] = labels
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli(["solve", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "field 'labels'" in err, err
+
+
 def test_export_lp(ex5, tmp_path):
     out = tmp_path / "model.lp"
     assert run_cli(["export-lp", str(ex5), "--out", str(out)]) == 0
@@ -301,3 +313,23 @@ def test_bench_rejects_unknown_config_key(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"no_such_key": 1}))
     assert run_cli(["bench", str(cfg)]) == 3
+
+
+@pytest.mark.parametrize(
+    "key, bad", [("n", "x"), ("n", True), ("confidence", "2"), ("algorithms", "greedy"),
+                 ("algorithms", [1]), ("num_demands", 2.5), ("exact", 1)]
+)
+def test_bench_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, key, bad):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: bad}))
+    capsys.readouterr()
+    assert run_cli(["bench", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"field {key!r}" in err, err
+
+
+def test_bench_geometric_family_runs():
+    # Geometric lengths are fractions, so the default integer_lengths=True
+    # must not floor the bounds (flooring made them 0 and failed validation).
+    rows = bench.run_experiment(bench.ExperimentConfig(family="geometric", n=6, m=10))
+    assert len(rows) == 5 and all(row.feasible for row in rows)

@@ -48,6 +48,42 @@ def test_example5_model_counts():
     assert np.all(model.lower == 0.0) and np.all(model.upper == 1.0)
 
 
+def _closure(start, adjacency, endpoint):
+    """Extension nodes reachable from ``start`` over the arc ids in ``adjacency``."""
+    seen, stack = {start}, [start]
+    while stack:
+        for arc_id in adjacency[stack.pop()]:
+            if endpoint[arc_id] not in seen:
+                seen.add(endpoint[arc_id])
+                stack.append(endpoint[arc_id])
+    return seen
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_flow_columns_are_the_arcs_on_some_source_to_sink_path(directed):
+    # Reference by brute force: an arc carries pair k's commodity exactly when
+    # u_0 reaches its tail and its head reaches v_delta in the extension.
+    for seed in range(10):
+        inst = random_instance(
+            "decoupled", 7, 12, 600 + seed, demand_family="freeform", demand_pairs="random",
+            num_demands=4, integer_lengths=True, directed=directed,
+        )
+        ext = build_extension(require_integer_lengths(inst))
+        tails = [arc.tail for arc in ext.arcs]
+        heads = [arc.head for arc in ext.arcs]
+        out = [[] for _ in range(ext.node_count)]
+        into = [[] for _ in range(ext.node_count)]
+        for arc_id, (tail, head) in enumerate(zip(tails, heads)):
+            out[tail].append(arc_id)
+            into[head].append(arc_id)
+        model = build_mcf(ext)
+        for d, kept in zip(model.demands, model.flow_arcs):
+            forward = _closure(ext.node_id(d.u, 0), out, heads)
+            backward = _closure(ext.node_id(d.v, d.delta), into, tails)
+            expected = [a for a in range(len(ext.arcs)) if tails[a] in forward and heads[a] in backward]
+            assert list(kept) == expected, (seed, d)
+
+
 def test_undirected_coupling_rows_double_up():
     inst = SpannerInstance(
         False,
