@@ -17,13 +17,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from .errors import ParseError, SpannerError, TooLarge
-from .generators import random_instance
+from .generators import DEMAND_FAMILIES, DEMAND_PAIRS, WEIGHT_FAMILIES, random_instance
 from .graph import minimum_spanning_tree, verify_feasible
 from .greedy import augmented_greedy, greedy
 from .instance import SpannerInstance, Subgraph, read_json_object, validate
 from .oracles import exact_optimum
 from .rational import format_rational
-from .rounding import solve_randomized
+from .rounding import GAMMA_MODES, solve_randomized
 
 CSV_COLUMNS = [
     "instance",
@@ -42,6 +42,17 @@ CSV_COLUMNS = [
 ]
 
 ALGORITHMS = ("greedy", "augmented-greedy", "randomized-rounding", "exact")
+
+# The config fields that name a choice (each item of a list field), and the
+# counts with a least value.
+CONFIG_CHOICES = {
+    "family": WEIGHT_FAMILIES,
+    "demand_family": DEMAND_FAMILIES,
+    "demand_pairs": DEMAND_PAIRS,
+    "gamma_mode": GAMMA_MODES,
+    "algorithms": ALGORITHMS,
+}
+CONFIG_MINIMUM = {"n": 1, "m": 0, "instances": 0, "trials": 0, "max_attempts": 1, "num_demands": 0}
 
 
 @dataclass
@@ -102,7 +113,20 @@ class ExperimentConfig:
             if not _has_type(value, hints[name]):
                 expected = cls.__dataclass_fields__[name].type
                 raise ParseError(f"must be {expected}, got {value!r}", path=path, field=name)
-        return cls(**doc)
+            least = CONFIG_MINIMUM.get(name)
+            if least is not None and value is not None and value < least:
+                raise ParseError(f"must be at least {least}, got {value!r}", path=path, field=name)
+            choices = CONFIG_CHOICES.get(name)
+            items = value if isinstance(value, list) else [value]
+            if choices is not None and any(x not in choices for x in items):
+                raise ParseError(f"must be one of {choices}, got {value!r}", path=path, field=name)
+        config = cls(**doc)
+        if config.gamma_mode == "custom" and config.confidence <= 1:
+            raise ParseError(
+                f"must exceed 1 in custom gamma mode, got {config.confidence!r}",
+                path=path, field="confidence",
+            )
+        return config
 
 
 def _has_type(value, hint) -> bool:
@@ -227,11 +251,15 @@ def _optimum_weight(instance: SpannerInstance, cap: int):
 def _run_instance(args) -> list[MetricsRow]:
     """Every (algorithm, trial) cell of one instance, in config order.
 
+    ``args`` is ``(config, index, instance)``; the instance is generated
+    here when it is None.
+
     The MST and the exact optimum are computed once per instance: exact
     cells run first, so the optimum they find gives the other cells' ratios.
     """
-    config, index = args
-    instance = _instance(config, index)
+    config, index, instance = args
+    if instance is None:
+        instance = _instance(config, index)
     name = f"{config.family}-{config.n}x{config.m}-s{config.seed}-{index}"
     mst_weight = None if instance.directed else minimum_spanning_tree(instance)[0]
     cells = [(a, t) for a in config.algorithms for t in range(max(1, config.trials))]
@@ -263,9 +291,11 @@ def _run_instance(args) -> list[MetricsRow]:
 def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
     if config.trials == 0:
         return []
-    # Validate the generator once up front so bad configs fail loudly.
-    validate(_instance(config, 0)).raise_if_invalid()
-    tasks = [(config, index) for index in range(config.instances)]
+    # Validate the generator once up front so bad configs fail loudly; that
+    # instance is then solved as index 0 instead of being generated again.
+    first = _instance(config, 0)
+    validate(first).raise_if_invalid()
+    tasks = [(config, index, first if index == 0 else None) for index in range(config.instances)]
     if config.threads > 1:
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
             per_instance = list(pool.map(_run_instance, tasks))

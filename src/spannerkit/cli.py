@@ -29,6 +29,7 @@ from .errors import (
 from .extension import build_extension
 from .generators import (
     DEMAND_FAMILIES,
+    DEMAND_PAIRS,
     FIXED_INSTANCES,
     WEIGHT_FAMILIES,
     fixed_instance,
@@ -45,6 +46,7 @@ from .oracles import (
     potential_monitor,
 )
 from .rational import format_rational
+from .rounding import GAMMA_MODES
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -297,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--m", type=int, default=None)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--demands", choices=DEMAND_FAMILIES, default="multiplicative")
-    p_gen.add_argument("--demand-pairs", choices=("edges", "all", "random"), default="edges")
+    p_gen.add_argument("--demand-pairs", choices=DEMAND_PAIRS, default="edges")
     p_gen.add_argument("--num-demands", type=int, default=None)
     p_gen.add_argument("--alpha", type=int, default=3)
     p_gen.add_argument("--beta", type=int, default=2)
@@ -313,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--mst-lift", action="store_true")
-    p_solve.add_argument("--gamma-mode", choices=("global", "restricted", "custom"), default="global")
+    p_solve.add_argument("--gamma-mode", choices=GAMMA_MODES, default="global")
     p_solve.add_argument("--confidence", type=float, default=2.0,
                          help="failure-odds divisor for --gamma-mode custom")
     p_solve.add_argument("--max-attempts", type=int, default=10)

@@ -3,7 +3,9 @@ the fixed hand-built instances used throughout the docs and tests.
 
 All randomness flows through one ``random.Random(seed)``, so a (family,
 params, seed) triple always produces the same instance, byte for byte after
-canonical serialization.
+canonical serialization.  Demand bounds start from shortest distances taken
+on the integer scaled view (``instance.scaled``) and read back in instance
+units, ``Fraction(d, L)``: the same values a Fraction search would give.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .instance import Demand, Edge, SpannerInstance
 
 WEIGHT_FAMILIES = ("decoupled", "coupled", "unit-length", "basic", "geometric", "anti-correlated")
 DEMAND_FAMILIES = ("multiplicative", "additive", "freeform")
+DEMAND_PAIRS = ("edges", "all", "random")
 FIXED_INSTANCES = ("example5", "triangle", "dk-edge")
 
 GEO_DENOM = 2**20  # geometric coordinates/lengths are rounded to this grid
@@ -121,7 +124,7 @@ def random_instance(
     seed: int,
     *,
     demand_family: str = "multiplicative",
-    demand_pairs: str = "edges",  # "edges" | "all" | "random"
+    demand_pairs: str = "edges",  # one of DEMAND_PAIRS
     num_demands: int | None = None,
     alpha: Fraction | int = 2,
     beta: int = 2,
@@ -200,13 +203,14 @@ def random_instance(
                 directed_edges.append(Edge(e.v, e.u, e.weight, e.length))
         instance = SpannerInstance(True, n, tuple(directed_edges), (), None)
 
-    view = graph_view(instance)
+    scaled = instance.scaled
+    view = graph_view(scaled)
     dist_cache: dict[int, list] = {}
 
     def dist(u: int, v: int):
         if u not in dist_cache:
             dist_cache[u] = shortest_distances(view, u)
-        return dist_cache[u][v]
+        return scaled.unscale(dist_cache[u][v])
 
     if demand_pairs == "edges":
         pair_list = sorted({(min(e.u, e.v), max(e.u, e.v)) for e in instance.edges})
@@ -218,9 +222,9 @@ def random_instance(
         rng.shuffle(all_pairs)
         pair_list = sorted(all_pairs[:count])
     else:
-        raise ValueError(f"unknown demand_pairs {demand_pairs!r}")
+        raise ValueError(f"unknown demand_pairs {demand_pairs!r}; have {DEMAND_PAIRS}")
 
-    max_len = max(e.length for e in instance.edges)
+    max_len = max((e.length for e in instance.edges), default=0)  # n = 1 has no edges
     budget_cap = instance.n * max_len
     # Flooring keeps integer-length instances in the LP's domain; with any
     # fractional length (the geometric family) it would zero most bounds.

@@ -48,17 +48,19 @@ def graph_view(inst, *, edge_subset=None, reverse: bool = False) -> GraphView:
     directed graphs).
     """
     lengths = inst.lengths
-    arcs = []
+    undirected = not inst.directed
+    view = GraphView(inst.n, ())
+    out = view.out
     for i, e in enumerate(inst.edges):
         if edge_subset is not None and i not in edge_subset:
             continue
         u, v, ln = e.u, e.v, lengths[i]
         if reverse:
             u, v = v, u
-        arcs.append((u, v, ln, i))
-        if not inst.directed:
-            arcs.append((v, u, ln, i))
-    return GraphView(inst.n, arcs)
+        out[u].append((v, ln, i))
+        if undirected:
+            out[v].append((u, ln, i))
+    return view
 
 
 def demand_graph_view(instance: SpannerInstance, *, skip: int | None = None) -> GraphView:
@@ -137,12 +139,16 @@ def dijkstra(view: GraphView, source: int) -> ShortestPathResult:
     return ShortestPathResult(source, dist, parent_edge, parent_node, seq)
 
 
-def shortest_distances(view: GraphView, source: int, *, limit=None) -> list:
+def shortest_distances(view: GraphView, source: int, *, limit=None, parent_edge=None) -> list:
     """Distances only; same algorithm, skips sequence bookkeeping.
 
     With ``limit`` the search never goes past that distance: nodes farther
     than ``limit`` read None, like unreachable ones.  Exact, because lengths
     are positive: every node on a path within the limit is within it too.
+
+    ``parent_edge``, a list of n entries, receives the edge index of each
+    reached node's last improving arc: a shortest-path tree, not the
+    tie-broken one.  The arc's tail is the edge's other endpoint.
     """
     n = view.n
     out = view.out
@@ -155,13 +161,15 @@ def shortest_distances(view: GraphView, source: int, *, limit=None) -> list:
         if done[q]:
             continue
         done[q] = True
-        for head, length, _ in out[q]:
+        for head, length, edge_index in out[q]:
             nd = d + length
             if done[head] or (limit is not None and nd > limit):
                 continue
             cur = dist[head]
             if cur is None or nd < cur:
                 dist[head] = nd
+                if parent_edge is not None:
+                    parent_edge[head] = edge_index
                 heapq.heappush(heap, (nd, head))
     return dist
 

@@ -26,7 +26,7 @@ from .errors import (
     TooManyCuts,
 )
 from .extension import build_extension, reachable_path
-from .graph import budget_window, graph_view, meets_bounds, shortest_distances
+from .graph import budget_window, graph_view, shortest_distances
 from .greedy import GreedyStep
 from .instance import (
     Demand,
@@ -58,21 +58,57 @@ def exact_optimum(instance: SpannerInstance, *, max_edges: int = 22) -> ExactRes
 
     Branches on edges in descending weight order, exclusion first; prunes a
     branch when its weight already exceeds the incumbent or when even keeping
-    all undecided edges cannot satisfy the demands.  Among equal-weight
-    optima the lexicographically smallest sorted edge-index tuple wins, which
-    makes the result deterministic.  Exact integer arithmetic throughout:
-    feasibility runs on the scaled view against floored bounds, and the
-    search adds the view's scaled weights.
+    all undecided edges (the envelope) cannot satisfy the demands.  Among
+    equal-weight optima the lexicographically smallest sorted edge-index
+    tuple wins, which makes the result deterministic.  Exact integer
+    arithmetic throughout: feasibility runs on the scaled view against
+    floored bounds, and the search adds the view's scaled weights.
+
+    Each demand source keeps a witness: the edges of the shortest-path tree
+    paths that met its bounds when it was last searched.  Every stored
+    witness is a subset of the current envelope: it was found inside the
+    envelope of its moment, excluding an edge removes only that edge, and
+    the edge comes back on return.  So excluding edge ``e`` re-searches only
+    the sources whose witness holds ``e``; every other source still meets
+    its bounds along its witness.  The verdicts, and so the search tree and
+    ``nodes_explored``, are those of re-searching every source.
     """
     m = instance.m
     if m > max_edges:
         raise TooLarge(f"{m} edges exceeds the exact-search cap of {max_edges}")
     scaled = instance.scaled
+    edges = scaled.edges
     checks = list(scaled.by_source)
     weights = scaled.weights
+    witness: dict[int, set[int]] = {}
 
-    def feasible(edge_ids) -> bool:
-        return meets_bounds(graph_view(scaled, edge_subset=edge_ids), checks)
+    def meets(view, source: int, limit: int, targets) -> bool:
+        """One source's bounded search; on success its witness is replaced."""
+        parent = [None] * scaled.n
+        dist = shortest_distances(view, source, limit=limit, parent_edge=parent)
+        found: set[int] = set()
+        for v, bound, _ in targets:
+            if dist[v] is None or dist[v] > bound:
+                return False
+            while v != source and parent[v] not in found:
+                e = edges[parent[v]]
+                found.add(parent[v])
+                v = e.u if v == e.v else e.v
+        witness[source] = found
+        return True
+
+    def feasible(envelope, removed: int | None = None) -> bool:
+        """Whether the envelope meets every bound; a failing source moves to the front."""
+        view = None
+        for k, (source, limit, targets) in enumerate(checks):
+            if removed is not None and removed not in witness[source]:
+                continue
+            if view is None:
+                view = graph_view(scaled, edge_subset=envelope)
+            if not meets(view, source, limit, targets):
+                checks.insert(0, checks.pop(k))
+                return False
+        return True
 
     if not feasible(range(m)):
         raise InfeasibleInstance("the full edge set violates some demand")
@@ -98,9 +134,9 @@ def exact_optimum(instance: SpannerInstance, *, max_edges: int = 22) -> ExactRes
             consider(included, weight)
             return
         e = order[idx]
-        # Exclude e: the envelope shrinks, so feasibility must be re-checked.
+        # Exclude e: the envelope shrinks, so the sources that used e are re-checked.
         envelope.discard(e)
-        if feasible(envelope):
+        if feasible(envelope, e):
             dfs(idx + 1, included, envelope, weight)
         envelope.add(e)
         # Include e: envelope unchanged, still feasible.

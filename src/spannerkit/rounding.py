@@ -26,9 +26,12 @@ from .instance import IntegerInstance, SpannerInstance, Subgraph, require_intege
 from .mcf import FractionalSolution, build_mcf, solve_lp
 
 
+GAMMA_MODES = ("global", "restricted", "custom")
+
+
 @dataclass(frozen=True)
 class GammaSpec:
-    mode: str  # "global" | "restricted" | "custom"
+    mode: str  # one of GAMMA_MODES
     value: float
     n: int
     num_pairs: int

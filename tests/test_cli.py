@@ -328,6 +328,46 @@ def test_bench_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, key, bad
     assert err.count("\n") == 1 and f"field {key!r}" in err, err
 
 
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"family": "foo"}, "family"),
+        ({"demand_family": "foo"}, "demand_family"),
+        ({"demand_pairs": "zz"}, "demand_pairs"),
+        ({"gamma_mode": "x", "algorithms": ["randomized-rounding"]}, "gamma_mode"),
+        ({"algorithms": ["greedy", "nope"]}, "algorithms"),
+        ({"n": -1}, "n"),
+        ({"n": 0}, "n"),
+        ({"m": -1}, "m"),
+        ({"instances": -2}, "instances"),
+        ({"trials": -1}, "trials"),
+        ({"max_attempts": 0, "algorithms": ["randomized-rounding"]}, "max_attempts"),
+        ({"num_demands": -2}, "num_demands"),
+        ({"gamma_mode": "custom", "confidence": 1, "algorithms": ["randomized-rounding"]},
+         "confidence"),
+    ],
+)
+def test_bench_config_value_outside_its_domain_exits_2(tmp_path, capsys, doc, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli(["bench", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"field {key!r}" in err, err
+
+
+def test_bench_config_least_values_run(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "r.csv"
+    cfg.write_text(json.dumps({"n": 1, "m": 0, "instances": 1, "exact": True,
+                               "algorithms": ["greedy", "exact"]}))
+    assert run_cli(["bench", str(cfg), "--out", str(out)]) == 0
+    assert len(out.read_text().strip().split("\n")) == 3
+    cfg.write_text(json.dumps({"instances": 0}))
+    assert run_cli(["bench", str(cfg), "--out", str(out)]) == 0
+    assert len(out.read_text().strip().split("\n")) == 1
+
+
 def test_bench_geometric_family_runs():
     # Geometric lengths are fractions, so the default integer_lengths=True
     # must not floor the bounds (flooring made them 0 and failed validation).

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from spannerkit.generators import (
@@ -9,7 +12,7 @@ from spannerkit.generators import (
     random_instance,
 )
 from spannerkit.graph import graph_view, shortest_distances
-from spannerkit.instance import save, validate
+from spannerkit.instance import save, to_json_dict, validate
 
 
 def test_fixed_instances_valid():
@@ -140,3 +143,95 @@ def test_bad_family_rejected():
         random_instance("basic", 5, 5, 0, demand_family="weird")
     with pytest.raises(ValueError):
         random_instance("basic", 5, 5, 0, demand_pairs="weird")
+
+
+# First 16 hex digits of the sha256 of each instance's sorted to_json_dict,
+# keyed by (family, directed, demand family, integer_lengths, demand pairs,
+# seed), for random_instance(family, n, 12, seed, ...) with n = 6 for
+# geometric and 7 otherwise.  Recorded while bounds came from Fraction
+# distances on the unscaled view.
+GENERATED_PINNED = {
+    ("decoupled", False, "multiplicative", False, "edges", 0): "ed28f3fe2aac54b5",
+    ("decoupled", False, "multiplicative", True, "all", 1): "030c95d7293eaa7b",
+    ("decoupled", False, "additive", False, "random", 2): "e8d508c7a4b9664a",
+    ("decoupled", False, "additive", True, "edges", 3): "4e54950d4fbc2340",
+    ("decoupled", False, "freeform", False, "all", 4): "002c79e632404db0",
+    ("decoupled", False, "freeform", True, "random", 5): "d102582f9908efa8",
+    ("decoupled", True, "multiplicative", False, "edges", 6): "66e08777297bb69b",
+    ("decoupled", True, "multiplicative", True, "all", 7): "b78c1bcda584ae42",
+    ("decoupled", True, "additive", False, "random", 8): "34aeba37853e1aa3",
+    ("decoupled", True, "additive", True, "edges", 9): "35e15f3a0c79a757",
+    ("decoupled", True, "freeform", False, "all", 10): "207b027c5f6559a1",
+    ("decoupled", True, "freeform", True, "random", 11): "37ff851a560660d9",
+    ("coupled", False, "multiplicative", False, "edges", 12): "ae65422ad49fb1f2",
+    ("coupled", False, "multiplicative", True, "all", 13): "6d62f0ee9488866a",
+    ("coupled", False, "additive", False, "random", 14): "94059c0809281a09",
+    ("coupled", False, "additive", True, "edges", 15): "ca4fc2c0c2817480",
+    ("coupled", False, "freeform", False, "all", 16): "933d71a0f834d187",
+    ("coupled", False, "freeform", True, "random", 17): "3f36926d5b86823f",
+    ("coupled", True, "multiplicative", False, "edges", 18): "af5049ff26a88ac0",
+    ("coupled", True, "multiplicative", True, "all", 19): "88bd8e7291d5d669",
+    ("coupled", True, "additive", False, "random", 20): "f7b2ad24d686c8c1",
+    ("coupled", True, "additive", True, "edges", 21): "02e99f3e84e95a9f",
+    ("coupled", True, "freeform", False, "all", 22): "615a8ac5d9ffaead",
+    ("coupled", True, "freeform", True, "random", 23): "e0d4a2d6c9641586",
+    ("unit-length", False, "multiplicative", False, "edges", 24): "0c4e175fd9e0b785",
+    ("unit-length", False, "multiplicative", True, "all", 25): "eb37daac4a2d2101",
+    ("unit-length", False, "additive", False, "random", 26): "e39fa476951a5315",
+    ("unit-length", False, "additive", True, "edges", 27): "47c05a554188227b",
+    ("unit-length", False, "freeform", False, "all", 28): "5a201627c2d0c522",
+    ("unit-length", False, "freeform", True, "random", 29): "e7dfac8ebdf2f4af",
+    ("unit-length", True, "multiplicative", False, "edges", 30): "adb33e1715d37013",
+    ("unit-length", True, "multiplicative", True, "all", 31): "88a4f1a13837de0c",
+    ("unit-length", True, "additive", False, "random", 32): "55265c1d1d8932cd",
+    ("unit-length", True, "additive", True, "edges", 33): "1266eb5bb0235b38",
+    ("unit-length", True, "freeform", False, "all", 34): "355bd69e5a638fee",
+    ("unit-length", True, "freeform", True, "random", 35): "16d529c562a7768c",
+    ("basic", False, "multiplicative", False, "edges", 36): "d9956c997d6a2f4f",
+    ("basic", False, "multiplicative", True, "all", 37): "da0feb41ff2cf674",
+    ("basic", False, "additive", False, "random", 38): "a3fd12cf41ec5e81",
+    ("basic", False, "additive", True, "edges", 39): "3651d462e37bdce8",
+    ("basic", False, "freeform", False, "all", 40): "a88c0e49fca4b29f",
+    ("basic", False, "freeform", True, "random", 41): "52e242d6750a3c72",
+    ("basic", True, "multiplicative", False, "edges", 42): "03160cadfe6bd4ff",
+    ("basic", True, "multiplicative", True, "all", 43): "d96a9ffe86bdc359",
+    ("basic", True, "additive", False, "random", 44): "d0fb6823a1b5d994",
+    ("basic", True, "additive", True, "edges", 45): "7eb554abe1258e21",
+    ("basic", True, "freeform", False, "all", 46): "1891c2f48defe9c2",
+    ("basic", True, "freeform", True, "random", 47): "acb0dcc8b0b924fe",
+    ("geometric", False, "multiplicative", False, "edges", 48): "8d750eb571f09560",
+    ("geometric", False, "multiplicative", True, "all", 49): "b3dddbf655e89b47",
+    ("geometric", False, "additive", False, "random", 50): "88a6fe58bef34e08",
+    ("geometric", False, "additive", True, "edges", 51): "bc668914f4a01c7b",
+    ("geometric", False, "freeform", False, "all", 52): "0ee68ac2d84f2240",
+    ("geometric", False, "freeform", True, "random", 53): "e61446d83ce5e96c",
+    ("geometric", True, "multiplicative", False, "edges", 54): "7186bbef826d48a7",
+    ("geometric", True, "multiplicative", True, "all", 55): "a70462b148b6980b",
+    ("geometric", True, "additive", False, "random", 56): "e3b49b7aab5adcb5",
+    ("geometric", True, "additive", True, "edges", 57): "841bf86b58072f74",
+    ("geometric", True, "freeform", False, "all", 58): "607c9da2e1a6500d",
+    ("geometric", True, "freeform", True, "random", 59): "30c50a27ef974016",
+    ("anti-correlated", False, "multiplicative", False, "edges", 60): "bde4d7da263bd3b0",
+    ("anti-correlated", False, "multiplicative", True, "all", 61): "cbf7857686e45954",
+    ("anti-correlated", False, "additive", False, "random", 62): "222943c9e31a1b40",
+    ("anti-correlated", False, "additive", True, "edges", 63): "d9c4dfd735fdadba",
+    ("anti-correlated", False, "freeform", False, "all", 64): "6e0c9c3b7067f367",
+    ("anti-correlated", False, "freeform", True, "random", 65): "4d2c34970a226147",
+    ("anti-correlated", True, "multiplicative", False, "edges", 66): "e3286f9e7e71a268",
+    ("anti-correlated", True, "multiplicative", True, "all", 67): "df0fa6670c33dc80",
+    ("anti-correlated", True, "additive", False, "random", 68): "bdb2dc54f88ab398",
+    ("anti-correlated", True, "additive", True, "edges", 69): "ceaf259a64de74e2",
+    ("anti-correlated", True, "freeform", False, "all", 70): "0762b7e2b7b9ef83",
+    ("anti-correlated", True, "freeform", True, "random", 71): "acc89990ce8701e0",
+}
+
+
+@pytest.mark.parametrize("key", sorted(GENERATED_PINNED))
+def test_generated_bytes_pinned(key):
+    family, directed, demand_family, integer_lengths, pairs, seed = key
+    inst = random_instance(
+        family, 6 if family == "geometric" else 7, 12, seed, demand_family=demand_family,
+        demand_pairs=pairs, integer_lengths=integer_lengths, directed=directed,
+    )
+    text = json.dumps(to_json_dict(inst), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == GENERATED_PINNED[key]

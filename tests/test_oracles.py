@@ -98,6 +98,47 @@ def test_exact_deterministic():
     assert a.weight == b.weight and a.edge_set == b.edge_set
 
 
+# (weight, sorted edge set, nodes_explored) of exact_optimum on
+# random_instance(family, n, m, seed, demand_family="freeform",
+# demand_pairs="random", num_demands=8, directed=directed), recorded while
+# every exclusion re-searched every source.  Undirected: n=8, m=16 (geometric
+# n=6, complete, m=15); directed: n=6, m=10, so 15 arcs once the 5 tree edges
+# are bi-directed.  The node count pins the search tree itself.
+EXACT_PINNED = {
+    ("decoupled", False, 0): ("37", (1, 2, 4, 5, 6, 10, 12, 13, 15), 89),
+    ("decoupled", False, 1): ("877/30", (2, 4, 5, 7, 9, 10, 11, 12), 129),
+    ("coupled", False, 0): ("34/3", (4, 5, 6, 7, 8, 10, 11, 14), 426),
+    ("coupled", False, 1): ("16", (0, 1, 3, 4, 8, 11, 13, 14), 282),
+    ("unit-length", False, 0): ("1193/30", (0, 3, 4, 5, 6, 7, 11, 13), 65),
+    ("unit-length", False, 1): ("141/4", (0, 1, 2, 3, 4, 5, 9, 12, 13), 204),
+    ("basic", False, 0): ("7", (1, 2, 3, 4, 10, 11, 13), 1113),
+    ("basic", False, 1): ("7", (0, 1, 3, 5, 8, 9, 10), 877),
+    ("anti-correlated", False, 0): ("410/7", (3, 5, 6, 7, 10, 11, 12, 14, 15), 111),
+    ("anti-correlated", False, 1): ("533/12", (0, 1, 2, 3, 4, 8, 12, 13), 324),
+    ("geometric", False, 0): ("1865765/1048576", (1, 3, 8, 13, 14), 293),
+    ("geometric", False, 1): ("3837797/1048576", (1, 2, 3, 7, 8, 10), 49),
+    ("decoupled", True, 0): ("709/40", (1, 3, 4, 6, 7, 10, 13, 14), 36),
+    ("decoupled", True, 1): ("273/8", (0, 1, 2, 4, 6, 8, 9), 123),
+    ("coupled", True, 0): ("23/2", (0, 4, 7, 8, 9, 11, 12, 13), 214),
+    ("coupled", True, 1): ("31/2", (0, 3, 5, 7, 8, 9, 11, 14), 223),
+    ("unit-length", True, 0): ("1639/70", (1, 4, 8, 9, 11, 12, 13, 14), 139),
+    ("unit-length", True, 1): ("377/8", (0, 3, 5, 7, 8, 9, 11, 13, 14), 323),
+    ("anti-correlated", True, 0): ("515/9", (0, 4, 6, 7, 8, 9, 11, 13), 52),
+    ("anti-correlated", True, 1): ("137/3", (0, 3, 5, 7, 8, 9, 11, 14), 33),
+}
+
+
+@pytest.mark.parametrize("family,directed,seed", sorted(EXACT_PINNED))
+def test_exact_search_tree_pinned(family, directed, seed):
+    n, m = (6, 10) if directed else (6, 0) if family == "geometric" else (8, 16)
+    inst = random_instance(family, n, m, seed, demand_family="freeform", demand_pairs="random",
+                           num_demands=8, directed=directed)
+    result = exact_optimum(inst)
+    weight, edges, nodes = EXACT_PINNED[family, directed, seed]
+    assert (result.weight, result.edge_tuple(), result.nodes_explored) == (
+        Fraction(weight), edges, nodes)
+
+
 # ---------------------------------------------------------------------------
 # Ascending cuts
 
