@@ -38,10 +38,9 @@ from .generators import (
     random_instance,
 )
 from .graph import (
-    ShortestPathResult,
     Verdict,
-    dijkstra,
     graph_view,
+    lex_shortest_path,
     minimum_spanning_tree,
     reduce_to_metric_pairs,
     shortest_distances,
@@ -111,7 +110,6 @@ __all__ = [
     "RandomizedRoundingReport",
     "Rational",
     "RoundingRun",
-    "ShortestPathResult",
     "SolverFailure",
     "SpannerError",
     "SpannerInstance",
@@ -127,7 +125,6 @@ __all__ = [
     "build_mcf",
     "check_cut_lemma",
     "derive_seed",
-    "dijkstra",
     "dk_edge",
     "dodis_khanna_demo",
     "enumerate_ascending_cuts",
@@ -139,6 +136,7 @@ __all__ = [
     "gamma",
     "graph_view",
     "greedy",
+    "lex_shortest_path",
     "load",
     "minimum_spanning_tree",
     "nonmetric_triangle",

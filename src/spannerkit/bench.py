@@ -101,6 +101,21 @@ class ExperimentConfig:
     exact_cap: int = 22
     threads: int = 1
 
+    def __post_init__(self):
+        for name, choices in CONFIG_CHOICES.items():
+            value = getattr(self, name)
+            items = value if isinstance(value, list) else [value]
+            if any(x not in choices for x in items):
+                raise ParseError(f"must be one of {choices}, got {value!r}", field=name)
+        for name, least in CONFIG_MINIMUM.items():
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ParseError(f"must be at least {least}, got {value!r}", field=name)
+        if self.gamma_mode == "custom" and self.confidence <= 1:
+            raise ParseError(
+                f"must exceed 1 in custom gamma mode, got {self.confidence!r}", field="confidence"
+            )
+
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
         doc = read_json_object(path)
@@ -113,20 +128,10 @@ class ExperimentConfig:
             if not _has_type(value, hints[name]):
                 expected = cls.__dataclass_fields__[name].type
                 raise ParseError(f"must be {expected}, got {value!r}", path=path, field=name)
-            least = CONFIG_MINIMUM.get(name)
-            if least is not None and value is not None and value < least:
-                raise ParseError(f"must be at least {least}, got {value!r}", path=path, field=name)
-            choices = CONFIG_CHOICES.get(name)
-            items = value if isinstance(value, list) else [value]
-            if choices is not None and any(x not in choices for x in items):
-                raise ParseError(f"must be one of {choices}, got {value!r}", path=path, field=name)
-        config = cls(**doc)
-        if config.gamma_mode == "custom" and config.confidence <= 1:
-            raise ParseError(
-                f"must exceed 1 in custom gamma mode, got {config.confidence!r}",
-                path=path, field="confidence",
-            )
-        return config
+        try:
+            return cls(**doc)
+        except ParseError as exc:  # a domain check of __post_init__; name the file too
+            raise ParseError(exc.reason, path=path, field=exc.field) from None
 
 
 def _has_type(value, hint) -> bool:

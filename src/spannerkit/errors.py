@@ -11,6 +11,7 @@ class ParseError(SpannerError):
     """Malformed instance, solution, or LP file."""
 
     def __init__(self, message: str, *, path: str | None = None, field: str | None = None):
+        self.reason = message  # without the location suffix
         self.path = path
         self.field = field
         where = []

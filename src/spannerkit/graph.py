@@ -8,11 +8,13 @@ view against floored integer bounds and report distances back in instance
 units, ``Fraction(d, L)``.  Unreachable is represented by ``None``, never by
 a large number.
 
-Tie-break contract: among all shortest paths from the source to a node, the
-one whose node sequence is lexicographically smallest wins.  This makes every
-shortest-path tree (and therefore every greedy run) reproducible without
-perturbing lengths.  Scaling every length by the same ``L`` keeps every
-comparison, so the trees are the same in either unit.
+One search routine, :func:`shortest_distances`, answers every distance
+question.  Tie-break contract: the path greedy adds for a pair is the one
+:func:`lex_shortest_path` returns, the shortest path whose node sequence is
+lexicographically smallest (between parallel arcs, the first in adjacency
+order).  It is read off distances to the target, so every greedy run is
+reproducible without perturbing lengths.  Scaling every length by the same
+``L`` keeps every comparison, so the path is the same in either unit.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .instance import Demand, SpannerInstance, Subgraph, group_by_source, scale_
 
 
 class GraphView:
-    """Adjacency over a fixed arc list ``(tail, head, length, edge_index)``.
+    """Adjacency lists: ``out[tail]`` holds ``(head, length, edge_index)`` arcs.
 
     Undirected instances are bi-directed: each edge contributes one arc per
     direction, both carrying the original edge index.
@@ -34,11 +36,9 @@ class GraphView:
 
     __slots__ = ("n", "out")
 
-    def __init__(self, n: int, arcs):
+    def __init__(self, n: int):
         self.n = n
         self.out: list[list[tuple[int, object, int]]] = [[] for _ in range(n)]
-        for tail, head, length, edge_index in arcs:
-            self.out[tail].append((head, length, edge_index))
 
 
 def graph_view(inst, *, edge_subset=None, reverse: bool = False) -> GraphView:
@@ -49,7 +49,7 @@ def graph_view(inst, *, edge_subset=None, reverse: bool = False) -> GraphView:
     """
     lengths = inst.lengths
     undirected = not inst.directed
-    view = GraphView(inst.n, ())
+    view = GraphView(inst.n)
     out = view.out
     for i, e in enumerate(inst.edges):
         if edge_subset is not None and i not in edge_subset:
@@ -63,84 +63,8 @@ def graph_view(inst, *, edge_subset=None, reverse: bool = False) -> GraphView:
     return view
 
 
-def demand_graph_view(instance: SpannerInstance, *, skip: int | None = None) -> GraphView:
-    """The demand graph: nodes V, one arc per terminal pair weighted by its bound.
-
-    ``skip`` omits the demand at that index (for the metric-pair reduction).
-    """
-    arcs = []
-    for i, d in enumerate(instance.demands):
-        if i == skip:
-            continue
-        arcs.append((d.u, d.v, d.delta, i))
-        if not instance.directed:
-            arcs.append((d.v, d.u, d.delta, i))
-    return GraphView(instance.n, arcs)
-
-
-@dataclass
-class ShortestPathResult:
-    source: int
-    dist: list  # Fraction | int | None per node
-    parent_edge: list  # edge index | None
-    parent_node: list  # node id | None
-    sequence: list  # tuple of node ids | None; the tie-broken path
-
-    def path_nodes(self, target: int) -> tuple[int, ...] | None:
-        if self.dist[target] is None:
-            return None
-        return self.sequence[target]
-
-    def path_edges(self, target: int) -> tuple[int, ...] | None:
-        if self.dist[target] is None:
-            return None
-        edges = []
-        q = target
-        while q != self.source:
-            edges.append(self.parent_edge[q])
-            q = self.parent_node[q]
-        edges.reverse()
-        return tuple(edges)
-
-
-def dijkstra(view: GraphView, source: int) -> ShortestPathResult:
-    """Exact Dijkstra with the lexicographic tie-break contract.
-
-    Heap keys are ``(dist, node_sequence)``; since all lengths are positive,
-    every node on a shortest path is strictly closer than its successor, so a
-    popped node's sequence is final and the parent tree is unique.
-    """
-    n = view.n
-    dist: list = [None] * n
-    seq: list = [None] * n
-    parent_edge: list = [None] * n
-    parent_node: list = [None] * n
-    done = [False] * n
-    dist[source] = 0
-    seq[source] = (source,)
-    heap = [(0, (source,), source)]
-    while heap:
-        d, s, q = heapq.heappop(heap)
-        if done[q]:
-            continue
-        done[q] = True
-        for head, length, edge_index in view.out[q]:
-            if done[head]:
-                continue
-            nd = d + length
-            ns = s + (head,)
-            cur = dist[head]
-            if cur is None or nd < cur or (nd == cur and ns < seq[head]):
-                dist[head] = nd
-                seq[head] = ns
-                parent_edge[head] = edge_index
-                parent_node[head] = q
-                heapq.heappush(heap, (nd, ns, head))
-    return ShortestPathResult(source, dist, parent_edge, parent_node, seq)
-
-
 def shortest_distances(view: GraphView, source: int, *, limit=None, parent_edge=None) -> list:
-    """Distances only; same algorithm, skips sequence bookkeeping.
+    """Exact Dijkstra distances from ``source``; None marks unreachable.
 
     With ``limit`` the search never goes past that distance: nodes farther
     than ``limit`` read None, like unreachable ones.  Exact, because lengths
@@ -172,6 +96,41 @@ def shortest_distances(view: GraphView, source: int, *, limit=None, parent_edge=
                     parent_edge[head] = edge_index
                 heapq.heappush(heap, (nd, head))
     return dist
+
+
+def lex_shortest_path(view: GraphView, to_target: list, source: int, target: int):
+    """``(nodes, edges)`` of the lexicographically smallest shortest source-target path.
+
+    ``to_target[x]`` is the distance from x to the target, from a search on
+    the reversed view; a limit of at least d(source, target) leaves every
+    node of a shortest path in it.  Each step takes the arc ``q -> x`` with
+    the smallest head x that can still finish on a shortest path,
+    ``length + to_target[x] == remaining``; between parallel arcs, the first
+    in adjacency order.  Choosing the smallest next node at every position
+    gives the smallest node sequence, since every choice can be completed.
+
+    Each step must get strictly closer to the target, so the walk ends.  It
+    raises :class:`SpannerError` where it cannot: a zero-length arc (which
+    validation rejects) or a target not reachable within the limit.
+    """
+    out = view.out
+    nodes, edges = [source], []
+    q, remaining = source, to_target[source]
+    while q != target:
+        best = None
+        for head, length, edge_index in out[q]:
+            rest = to_target[head]
+            if rest is None or rest >= remaining or length + rest != remaining:
+                continue
+            if best is None or head < best[0]:
+                best = (head, length, edge_index)
+        if best is None:
+            raise SpannerError(f"no shortest path toward {target} goes on from node {q}")
+        q, length, edge_index = best
+        remaining -= length
+        nodes.append(q)
+        edges.append(edge_index)
+    return tuple(nodes), tuple(edges)
 
 
 def budget_window(forward: GraphView, reverse: GraphView, demand) -> tuple[list, list]:
@@ -236,9 +195,16 @@ def reduce_to_metric_pairs(instance: SpannerInstance) -> tuple[Demand, ...]:
     A subgraph is feasible for all demands iff it is feasible for the metric
     ones, so solvers may restrict attention to the returned subset.
     """
+    demands = instance.demands
     kept = []
-    for i, d in enumerate(instance.demands):
-        view = demand_graph_view(instance, skip=i)
+    for i, d in enumerate(demands):
+        # the demand graph without demand i: one arc per pair, weighted by its bound
+        view = GraphView(instance.n)
+        for j, other in enumerate(demands):
+            if j != i:
+                view.out[other.u].append((other.v, other.delta, j))
+                if not instance.directed:
+                    view.out[other.v].append((other.u, other.delta, j))
         dist = shortest_distances(view, d.u)[d.v]
         if dist is None or dist > d.delta:
             kept.append(d)

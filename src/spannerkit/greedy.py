@@ -1,21 +1,25 @@
 """Greedy sparsification and its two-phase weight-thresholded variant.
 
-``greedy`` adds tie-broken shortest paths for demand pairs, cheapest-distance
-first, until every bound holds.  ``augmented_greedy`` first binary-searches
-the smallest edge-weight threshold W* whose weight-restricted subgraph is
-feasible (a lower bound on the optimum), then runs ``greedy`` inside that
-restricted graph; the result weighs at most ``|E[W*]| * W*``, hence at most
-``m * OPT``.
+``greedy`` adds shortest paths for demand pairs, cheapest-distance first,
+until every bound holds; each added path is the lexicographically smallest
+shortest one (:func:`~spannerkit.graph.lex_shortest_path`).
+``augmented_greedy`` first binary-searches the smallest edge-weight
+threshold W* whose weight-restricted subgraph is feasible (a lower bound on
+the optimum), then runs ``greedy`` inside that restricted graph; the result
+weighs at most ``|E[W*]| * W*``, hence at most ``m * OPT``.
 
 Both run on the instance's scaled integer view (``instance.scaled``): lengths
 times the lcm ``L`` of their denominators, bounds floored to
 ``floor(delta * L)``.  Every threshold probe searches each source only up to
-its largest bound and stops at the first violated pair; the greedy phase
-keeps the spanner's adjacency as it grows and asks a bounded distance-only
-search whether a pair already holds.  Distances go back to instance units,
-``Fraction(d, L)``, only in :class:`GreedyStep` and
-:class:`~spannerkit.errors.UnsatisfiableDemand`; the threshold search
-compares the view's integer weights and reports W* as a fraction.
+its largest bound and stops at the first violated pair.  The greedy phase
+orders the pairs with one such bounded search per source, keeps the
+spanner's adjacency as it grows and asks a bounded search whether a pair
+already holds.  Only for a pair that does not, it searches back from the
+target, up to the pair's distance, and walks the path off those distances.
+Distances go back to instance units, ``Fraction(d, L)``, only in
+:class:`GreedyStep` and :class:`~spannerkit.errors.UnsatisfiableDemand`; the
+threshold search compares the view's integer weights and reports W* as a
+fraction.
 """
 
 from __future__ import annotations
@@ -28,14 +32,14 @@ from fractions import Fraction
 from .errors import DirectedInstance, InfeasibleInstance, LemmaViolation, UnsatisfiableDemand
 from .graph import (
     GraphView,
-    dijkstra,
+    demand_bounds,
     graph_view,
+    lex_shortest_path,
     meets_bounds,
     minimum_spanning_tree,
-    demand_bounds,
     shortest_distances,
 )
-from .instance import SpannerInstance, Subgraph
+from .instance import SpannerInstance, Subgraph, group_by_source
 
 
 @dataclass(frozen=True)
@@ -63,28 +67,29 @@ def greedy(
 
     Pairs are processed by ascending (distance, u, v); the distance is taken
     in the restricted input graph, which is also where the added paths live.
-    Raises :class:`UnsatisfiableDemand` if some pair cannot meet its bound
-    even there.
+    Raises :class:`UnsatisfiableDemand` for the first demand, in demand
+    order, that cannot meet its bound even there.
     """
     scaled = instance.scaled
     demands, bounds = demand_bounds(instance, demands)
+    checks = scaled.by_source if bounds is scaled.demands else group_by_source(bounds)
     view = graph_view(scaled, edge_subset=edge_subset)
-
-    trees: dict[int, object] = {}
+    # one search per source, up to its largest bound, settles every pair's distance
+    dists = {source: shortest_distances(view, source, limit=limit) for source, limit, _ in checks}
     order = []
     for d, b in zip(demands, bounds):
         if d.u == d.v:
             continue
-        if d.u not in trees:
-            trees[d.u] = dijkstra(view, d.u)
-        dist = trees[d.u].dist[d.v]
+        dist = dists[d.u][d.v]
         if dist is None or dist > b.delta:
-            raise UnsatisfiableDemand(d.u, d.v, d.delta, scaled.unscale(dist))
+            exact = shortest_distances(view, d.u)[d.v]  # unbounded, for the report
+            raise UnsatisfiableDemand(d.u, d.v, d.delta, scaled.unscale(exact))
         order.append((dist, d.u, d.v, b.delta, d))
     order.sort(key=lambda t: (t[0], t[1], t[2]))
 
+    reverse = graph_view(scaled, edge_subset=edge_subset, reverse=True)
     chosen: set[int] = set()
-    spanner = GraphView(instance.n, ())  # grows with ``chosen``
+    spanner = GraphView(instance.n)  # grows with ``chosen``
     prev = None
     for dist, _, _, bound, d in order:
         if prev is not None and dist < prev:
@@ -95,9 +100,8 @@ def greedy(
         path_edges: tuple[int, ...] = ()
         new_edges: tuple[int, ...] = ()
         if executed:
-            tree = trees[d.u]
-            path_nodes = tree.path_nodes(d.v)
-            path_edges = tree.path_edges(d.v)
+            to_target = shortest_distances(reverse, d.v, limit=dist)
+            path_nodes, path_edges = lex_shortest_path(view, to_target, d.u, d.v)
             new_edges = tuple(e for e in path_edges if e not in chosen)
             chosen.update(new_edges)
             for e in new_edges:

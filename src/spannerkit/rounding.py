@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import SpannerError
 from .extension import build_extension
 from .graph import Verdict, verify_feasible
 from .instance import IntegerInstance, SpannerInstance, Subgraph, require_integer_lengths
@@ -127,11 +126,6 @@ class RandomizedRoundingReport:
     def feasible(self) -> bool:
         return self.accepted_attempt is not None
 
-    @property
-    def attempt_weights(self) -> list[Fraction]:
-        """Unconditional per-attempt weights, accepted or not."""
-        return [run.weight for run in self.attempts]
-
     def describe(self) -> str:
         lines = [
             f"gamma ({self.gamma.mode}): {self.gamma.value:.6f}",
@@ -186,10 +180,3 @@ def solve_randomized(
             return Subgraph(instance, frozenset(run.chosen_edges)), report
     return Subgraph(instance, frozenset(report.attempts[-1].chosen_edges)), report
 
-
-class RoundingInfeasible(SpannerError):
-    """Raised by callers that require a feasible rounded spanner."""
-
-    def __init__(self, report: RandomizedRoundingReport):
-        self.report = report
-        super().__init__("all rounding attempts infeasible:\n" + report.describe())

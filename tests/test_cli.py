@@ -4,6 +4,7 @@ import pytest
 
 from spannerkit import bench, cli
 from spannerkit.cli import main
+from spannerkit.errors import ParseError
 
 
 def run_cli(args):
@@ -354,6 +355,27 @@ def test_bench_config_value_outside_its_domain_exits_2(tmp_path, capsys, doc, ke
     assert run_cli(["bench", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"field {key!r}" in err, err
+
+
+@pytest.mark.parametrize(
+    "kwargs, key",
+    [
+        ({"family": "foo"}, "family"),
+        ({"demand_pairs": "zz"}, "demand_pairs"),
+        ({"gamma_mode": "x"}, "gamma_mode"),
+        ({"algorithms": ["nope"], "instances": 1}, "algorithms"),
+        ({"n": 0}, "n"),
+        ({"num_demands": -1}, "num_demands"),
+        ({"max_attempts": 0}, "max_attempts"),
+        ({"gamma_mode": "custom", "confidence": 0.5}, "confidence"),
+    ],
+)
+def test_bench_config_built_in_python_checks_its_domain(kwargs, key):
+    # the same ParseError as from a file, without one to name
+    with pytest.raises(ParseError) as info:
+        bench.ExperimentConfig(**kwargs)
+    assert info.value.field == key and info.value.path is None
+    assert str(info.value).endswith(f"(field {key!r})")
 
 
 def test_bench_config_least_values_run(tmp_path):

@@ -4,44 +4,42 @@ from fractions import Fraction
 import pytest
 
 from conftest import bellman_ford, brute_force_lex_shortest
-from spannerkit.errors import DirectedInstance
+from spannerkit.errors import DirectedInstance, SpannerError
 from spannerkit.generators import example5, nonmetric_triangle, random_instance
 from spannerkit.graph import (
-    dijkstra,
     graph_view,
+    lex_shortest_path,
     minimum_spanning_tree,
     reduce_to_metric_pairs,
     shortest_distances,
     verify_feasible,
 )
+from spannerkit.greedy import greedy
 from spannerkit.instance import Demand, Edge, SpannerInstance, Subgraph
 
 
-def test_dijkstra_example5_distances():
+def lex_path(inst, source, target):
+    """The greedy path: ``lex_shortest_path`` over distances to the target."""
+    to_target = shortest_distances(graph_view(inst, reverse=True), target)
+    return lex_shortest_path(graph_view(inst), to_target, source, target)
+
+
+def test_shortest_distances_example5():
     inst = example5()
-    result = dijkstra(graph_view(inst), 0)  # source a
-    assert result.dist[1] == 1  # dist(b) via edge (a,b)
-    assert result.dist[2] == 2  # dist(c)
-    assert result.path_edges(1) == (0,)
+    dist = shortest_distances(graph_view(inst), 0)  # source a
+    assert dist[1] == 1  # dist(b) via edge (a,b)
+    assert dist[2] == 2  # dist(c)
+    assert lex_path(inst, 0, 1) == ((0, 1), (0,))
 
 
-def test_dijkstra_source_equals_target():
+def test_lex_shortest_path_source_equals_target():
     inst = example5()
-    result = dijkstra(graph_view(inst), 2)
-    assert result.dist[2] == 0
-    assert result.path_edges(2) == ()
-    assert result.path_nodes(2) == (2,)
-
-
-def test_dijkstra_unreachable_is_none():
-    inst = SpannerInstance(True, 3, (Edge(0, 1, Fraction(1), Fraction(1)),), ())
-    result = dijkstra(graph_view(inst), 0)
-    assert result.dist[2] is None
-    assert result.path_nodes(2) is None
+    assert shortest_distances(graph_view(inst), 2)[2] == 0
+    assert lex_path(inst, 2, 2) == ((2,), ())
 
 
 def test_lexicographic_tie_break_two_equal_paths():
-    # 0 -> {1,2} -> 3, both length 2: parent tree must route through node 1
+    # 0 -> {1,2} -> 3, both length 2: the path must route through node 1
     edges = (
         Edge(0, 1, Fraction(1), Fraction(1)),
         Edge(0, 2, Fraction(1), Fraction(1)),
@@ -49,29 +47,69 @@ def test_lexicographic_tie_break_two_equal_paths():
         Edge(2, 3, Fraction(1), Fraction(1)),
     )
     inst = SpannerInstance(False, 4, edges, ())
-    result = dijkstra(graph_view(inst), 0)
-    assert result.dist[3] == 2
-    assert result.path_nodes(3) == (0, 1, 3)
+    assert shortest_distances(graph_view(inst), 0)[3] == 2
+    assert lex_path(inst, 0, 3) == ((0, 1, 3), (0, 2))
     best = brute_force_lex_shortest(graph_view(inst), 0, 3)
     assert best == (2, (0, 1, 3))
 
 
+def test_lex_shortest_path_prefers_smaller_node_over_fewer_hops():
+    # 0 -> 2 directly (length 2) ties with 0 -> 1 -> 2; (0, 1, 2) < (0, 2)
+    edges = (
+        Edge(0, 2, Fraction(1), Fraction(2)),
+        Edge(0, 1, Fraction(1), Fraction(1)),
+        Edge(1, 2, Fraction(1), Fraction(1)),
+    )
+    inst = SpannerInstance(True, 3, edges, ())
+    assert lex_path(inst, 0, 2) == ((0, 1, 2), (1, 2))
+
+
+def test_lex_shortest_path_raises_instead_of_looping_on_a_zero_length_edge():
+    # 0 -1- 2 -0- 1 -1- 3: nodes 1 and 2 are both at distance 1 from 3
+    edges = (
+        Edge(0, 2, Fraction(1), Fraction(1)),
+        Edge(1, 2, Fraction(1), Fraction(0)),
+        Edge(1, 3, Fraction(1), Fraction(1)),
+    )
+    inst = SpannerInstance(False, 4, edges, (Demand(0, 3, Fraction(5)),))
+    with pytest.raises(SpannerError):
+        lex_path(inst, 0, 3)
+    with pytest.raises(SpannerError):
+        greedy(inst)
+
+
 def test_lexicographic_tie_break_matches_brute_force_on_random_graphs():
+    # unit lengths and small integers tie often; rational lengths cover exact equality
     rng = random.Random(7)
-    for _ in range(60):
-        inst = random_instance("basic", rng.randint(4, 7), rng.randint(5, 12), rng.randint(0, 10**6))
-        view = graph_view(inst)
-        result = dijkstra(view, 0)
-        for target in range(1, inst.n):
-            expected = brute_force_lex_shortest(view, 0, target)
+    families = ("basic", "decoupled", "coupled")
+    for trial in range(120):
+        family, directed = families[trial % 3], trial % 4 >= 2
+        inst = random_instance(
+            family, rng.randint(4, 7), rng.randint(5, 12), rng.randint(0, 10**6),
+            integer_lengths=trial % 2 == 0, directed=directed,
+        )
+        view, reverse = graph_view(inst), graph_view(inst, reverse=True)
+        source = rng.randrange(inst.n)
+        dist = shortest_distances(view, source)
+        for target in range(inst.n):
+            if target == source:
+                continue
+            expected = brute_force_lex_shortest(view, source, target)
             if expected is None:
-                assert result.dist[target] is None
-            else:
-                assert result.dist[target] == expected[0]
-                assert result.path_nodes(target) == expected[1]
+                assert dist[target] is None
+                continue
+            assert dist[target] == expected[0]
+            # bounded at the pair's distance, as greedy asks
+            to_target = shortest_distances(reverse, target, limit=dist[target])
+            nodes, edge_ids = lex_shortest_path(view, to_target, source, target)
+            assert nodes == expected[1]
+            ends = [(inst.edges[e].u, inst.edges[e].v) for e in edge_ids]
+            for (a, b), end in zip(zip(nodes, nodes[1:]), ends):
+                assert end == (a, b) or (not directed and end == (b, a))
+            assert sum(inst.lengths[e] for e in edge_ids) == expected[0]
 
 
-def test_dijkstra_matches_bellman_ford_on_random_instances():
+def test_shortest_distances_matches_bellman_ford_on_random_instances():
     rng = random.Random(99)
     for _ in range(200):
         n = rng.randint(3, 10)
@@ -83,21 +121,23 @@ def test_dijkstra_matches_bellman_ford_on_random_instances():
         assert shortest_distances(view, src) == bellman_ford(view, src)
 
 
-def test_dijkstra_bellman_condition_and_determinism():
+def test_shortest_distances_bellman_condition_and_determinism():
     inst = random_instance("decoupled", 8, 14, 5)
     view = graph_view(inst)
-    r1 = dijkstra(view, 0)
-    r2 = dijkstra(graph_view(inst), 0)
-    assert r1.parent_edge == r2.parent_edge  # repeated runs identical
+    parents1, parents2 = [None] * inst.n, [None] * inst.n
+    dist = shortest_distances(view, 0, parent_edge=parents1)
+    assert shortest_distances(graph_view(inst), 0, parent_edge=parents2) == dist
+    assert parents1 == parents2  # repeated runs identical
     lengths = inst.lengths
     for i, e in enumerate(inst.edges):
         for u, v in ((e.u, e.v), (e.v, e.u)):
-            if r1.dist[u] is not None and r1.dist[v] is not None:
-                assert r1.dist[v] <= r1.dist[u] + lengths[i]
+            if dist[u] is not None and dist[v] is not None:
+                assert dist[v] <= dist[u] + lengths[i]
     for v in range(1, inst.n):
-        if r1.parent_edge[v] is not None:
-            u = r1.parent_node[v]
-            assert r1.dist[v] == r1.dist[u] + lengths[r1.parent_edge[v]]
+        if parents1[v] is not None:
+            e = inst.edges[parents1[v]]
+            u = e.u if e.v == v else e.v
+            assert dist[v] == dist[u] + lengths[parents1[v]]
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +257,13 @@ def test_shortest_distances_limit_cuts_off_farther_nodes():
     assert shortest_distances(view, 0, limit=0) == [0, None, None, None]
 
 
-def test_dijkstra_matches_bellman_ford_on_scaled_views():
+def test_shortest_distances_matches_bellman_ford_on_scaled_views():
     rng = random.Random(11)
     for seed in range(20):
         inst = random_instance("decoupled", 8, 14, seed, demand_family="freeform")
         scaled = inst.scaled
         src = rng.randrange(inst.n)
-        got = [scaled.unscale(d) for d in dijkstra(graph_view(scaled), src).dist]
+        got = [scaled.unscale(d) for d in shortest_distances(graph_view(scaled), src)]
         assert got == bellman_ford(graph_view(inst), src)
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -5,7 +7,14 @@ import pytest
 
 from conftest import brute_force_optimum
 from spannerkit.errors import DirectedInstance, UnsatisfiableDemand
-from spannerkit.generators import example5, nonmetric_triangle, random_instance
+from spannerkit.generators import (
+    DEMAND_FAMILIES,
+    DEMAND_PAIRS,
+    WEIGHT_FAMILIES,
+    example5,
+    nonmetric_triangle,
+    random_instance,
+)
 from spannerkit.graph import verify_feasible
 from spannerkit.greedy import augmented_greedy, greedy, weight_threshold_search
 from spannerkit.instance import Demand, Edge, SpannerInstance
@@ -49,6 +58,61 @@ def test_greedy_unsatisfiable_demand_raises():
     )
     with pytest.raises(UnsatisfiableDemand):
         greedy(inst)
+
+
+def test_unsatisfiable_demand_reports_exact_distance_past_every_bound():
+    # d(0,2) = 1/2 + 7/3 = 17/6 lies past source 0's largest bound (1)
+    inst = SpannerInstance(
+        False,
+        3,
+        (Edge(0, 1, Fraction(1), Fraction(1, 2)), Edge(1, 2, Fraction(1), Fraction(7, 3))),
+        (Demand(0, 1, Fraction(1)), Demand(0, 2, Fraction(1))),
+    )
+    with pytest.raises(UnsatisfiableDemand) as info:
+        greedy(inst)
+    assert info.value.pair == (0, 2)
+    assert info.value.delta == Fraction(1)
+    assert info.value.achieved == Fraction(17, 6)
+    assert type(info.value.achieved) is Fraction
+
+
+def test_unsatisfiable_demand_within_the_source_limit():
+    # d(0,1) = 1/2 misses its bound 1/3 but lies within the source's largest bound
+    inst = SpannerInstance(
+        False,
+        3,
+        (Edge(0, 1, Fraction(1), Fraction(1, 2)), Edge(1, 2, Fraction(1), Fraction(7, 3))),
+        (Demand(0, 2, Fraction(3)), Demand(0, 1, Fraction(1, 3))),
+    )
+    with pytest.raises(UnsatisfiableDemand) as info:
+        greedy(inst)
+    assert (info.value.pair, info.value.achieved) == ((0, 1), Fraction(1, 2))
+
+
+def test_unsatisfiable_demand_unreachable_reports_none():
+    inst = SpannerInstance(
+        True, 3, (Edge(0, 1, Fraction(1), Fraction(1)),), (Demand(1, 0, Fraction(5)),)
+    )
+    with pytest.raises(UnsatisfiableDemand) as info:
+        greedy(inst)
+    assert info.value.pair == (1, 0)
+    assert info.value.achieved is None
+
+
+def test_unsatisfiable_demand_is_the_first_failing_in_demand_order():
+    # source 0 is searched first, but demand 1 (from source 2) fails before demand 2
+    path = (Edge(0, 1, Fraction(1), Fraction(1, 2)), Edge(1, 2, Fraction(1), Fraction(7, 3)))
+    demands = (
+        Demand(0, 1, Fraction(1)),
+        Demand(2, 0, Fraction(2)),
+        Demand(0, 2, Fraction(2)),
+        Demand(2, 1, Fraction(1)),
+    )
+    inst = SpannerInstance(False, 3, path, demands)
+    for given in (None, demands[1:]):  # the instance's demands, then a subset
+        with pytest.raises(UnsatisfiableDemand) as info:
+            greedy(inst, given)
+        assert (info.value.pair, info.value.achieved) == ((2, 0), Fraction(17, 6))
 
 
 def test_greedy_skips_already_satisfied_pairs():
@@ -204,3 +268,79 @@ def test_coupled_retention_greedy_equals_augmented():
         plain = greedy(inst)
         lifted, _ = augmented_greedy(inst, mst_lift=True)
         assert plain.edge_set == lifted.edge_set
+
+
+# ---------------------------------------------------------------------------
+# Pinned traces
+
+
+def trace_digest(trace) -> str:
+    steps = [
+        [s.u, s.v, str(s.delta), str(s.base_distance), s.executed, s.path_nodes, s.path_edges, s.new_edges]
+        for s in trace
+    ]
+    return hashlib.sha256(json.dumps(steps).encode()).hexdigest()[:16]
+
+
+# (family, directed, demand family, integer lengths, demand pairs, seed) ->
+# sha256 prefixes of the full greedy and augmented-greedy traces, recorded
+# from the tuple-keyed tree search that preceded ``lex_shortest_path``.
+TRACE_PINNED = {
+    ("decoupled", False, "multiplicative", False, "random", 500): ("63f04d86c3c8827c", "0f61f46a85a5fb93"),
+    ("decoupled", False, "additive", True, "edges", 501): ("f829b3eb4231c763", "f829b3eb4231c763"),
+    ("decoupled", False, "freeform", False, "all", 502): ("4a2bac30c1454916", "4a2bac30c1454916"),
+    ("decoupled", True, "multiplicative", True, "random", 503): ("8fcf2a5d0c5ba4ca", "2420531a28d22e34"),
+    ("decoupled", True, "additive", False, "edges", 504): ("4dea2f0df3bb9b61", "e80177cfae22687b"),
+    ("decoupled", True, "freeform", True, "all", 505): ("970be54712997673", "970be54712997673"),
+    ("coupled", False, "multiplicative", False, "random", 506): ("0567623c3f972d42", "d3998d17b8502873"),
+    ("coupled", False, "additive", True, "edges", 507): ("47e1307ba8202552", "2d7f7ea89766319b"),
+    ("coupled", False, "freeform", False, "all", 508): ("11afdc66cb4313ec", "11afdc66cb4313ec"),
+    ("coupled", True, "multiplicative", True, "random", 509): ("22b9244280d95d94", "22b9244280d95d94"),
+    ("coupled", True, "additive", False, "edges", 510): ("90e04a4b0c767eb4", "90e04a4b0c767eb4"),
+    ("coupled", True, "freeform", True, "all", 511): ("b27ac47ae593b0f9", "b27ac47ae593b0f9"),
+    ("unit-length", False, "multiplicative", False, "random", 512): ("a306f224bef39920", "6cf6b999ea470379"),
+    ("unit-length", False, "additive", True, "edges", 513): ("b6279a5c2ae97d87", "05b6148901cef188"),
+    ("unit-length", False, "freeform", False, "all", 514): ("d8a88339350feb5c", "d8a88339350feb5c"),
+    ("unit-length", True, "multiplicative", True, "random", 515): ("f66198dcc318a005", "e252e1bd4a4d3705"),
+    ("unit-length", True, "additive", False, "edges", 516): ("01b221095d9d618d", "01b221095d9d618d"),
+    ("unit-length", True, "freeform", True, "all", 517): ("87a48ef59dc0cf61", "87a48ef59dc0cf61"),
+    ("basic", False, "multiplicative", False, "random", 518): ("f73c9410624da9d0", "f73c9410624da9d0"),
+    ("basic", False, "additive", True, "edges", 519): ("92c846bdc6ae118d", "92c846bdc6ae118d"),
+    ("basic", False, "freeform", False, "all", 520): ("fcbd08d1411ff037", "fcbd08d1411ff037"),
+    ("basic", True, "multiplicative", True, "random", 521): ("8660681da0500f42", "8660681da0500f42"),
+    ("basic", True, "additive", False, "edges", 522): ("ee3d1c2e9db364bb", "ee3d1c2e9db364bb"),
+    ("basic", True, "freeform", True, "all", 523): ("045cd741c9e683a3", "045cd741c9e683a3"),
+    ("geometric", False, "multiplicative", False, "random", 524): ("440c5bb19da8b86f", "a082e32b71352c4d"),
+    ("geometric", False, "additive", True, "edges", 525): ("f3c72aed671b33bf", "1b2ff53ac261a5e9"),
+    ("geometric", False, "freeform", False, "all", 526): ("68347d292e029809", "9962f6a192a0b1ec"),
+    ("geometric", True, "multiplicative", True, "random", 527): ("3b3d5c3855095d6a", "a63430599f4a45d5"),
+    ("geometric", True, "additive", False, "edges", 528): ("6bf8fa32ef730921", "f27b170338cd4139"),
+    ("geometric", True, "freeform", True, "all", 529): ("eae5bf8ef238b4c9", "e256982ea8db0e2e"),
+    ("anti-correlated", False, "multiplicative", False, "random", 530): ("815028b4f468c774", "815028b4f468c774"),
+    ("anti-correlated", False, "additive", True, "edges", 531): ("53e999a5b22b27b7", "53e999a5b22b27b7"),
+    ("anti-correlated", False, "freeform", False, "all", 532): ("d7086e5c31b10b06", "d7086e5c31b10b06"),
+    ("anti-correlated", True, "multiplicative", True, "random", 533): ("702a578adcc22e73", "702a578adcc22e73"),
+    ("anti-correlated", True, "additive", False, "edges", 534): ("1173181ba3998c88", "1173181ba3998c88"),
+    ("anti-correlated", True, "freeform", True, "all", 535): ("4b8ca1b083a9146f", "4b8ca1b083a9146f"),
+}
+
+
+def test_trace_pins_cover_every_family():
+    keys = {(family, directed, demand) for family, directed, demand, *_ in TRACE_PINNED}
+    assert keys == {
+        (f, d, k) for f in WEIGHT_FAMILIES for d in (False, True) for k in DEMAND_FAMILIES
+    }
+    assert {pairs for *_, pairs, _ in TRACE_PINNED} == set(DEMAND_PAIRS)
+
+
+@pytest.mark.parametrize("key", sorted(TRACE_PINNED))
+def test_greedy_traces_pinned(key):
+    family, directed, demand_family, integer_lengths, pairs, seed = key
+    inst = random_instance(
+        family, 7 if family == "geometric" else 10, 20, seed, demand_family=demand_family,
+        demand_pairs=pairs, integer_lengths=integer_lengths, directed=directed,
+    )
+    plain, augmented = [], []
+    greedy(inst, trace=plain)
+    augmented_greedy(inst, trace=augmented)
+    assert (trace_digest(plain), trace_digest(augmented)) == TRACE_PINNED[key]

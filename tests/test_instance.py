@@ -2,9 +2,17 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spannerkit.errors import NonIntegerLength, ParseError
-from spannerkit.generators import example5, random_instance
+from spannerkit.generators import (
+    DEMAND_FAMILIES,
+    DEMAND_PAIRS,
+    WEIGHT_FAMILIES,
+    example5,
+    random_instance,
+)
 from spannerkit.graph import graph_view, shortest_distances
 from spannerkit.instance import (
     Demand,
@@ -15,8 +23,10 @@ from spannerkit.instance import (
     load,
     require_integer_lengths,
     save,
+    to_json_dict,
     validate,
 )
+from test_int_core import instances
 
 
 def test_example5_is_valid():
@@ -269,3 +279,53 @@ def test_subgraph_weight_and_size():
     sub = Subgraph(inst, frozenset({1, 2}))
     assert sub.weight == Fraction(2)
     assert sub.size == 2
+
+
+# ---------------------------------------------------------------------------
+# Canonical round-trips
+
+ROUND_TRIP = settings(max_examples=100, derandomize=True, deadline=None, database=None)
+
+
+@st.composite
+def generated_instances(draw):
+    family = draw(st.sampled_from(WEIGHT_FAMILIES))
+    n = draw(st.integers(1, 6 if family == "geometric" else 8))
+    return random_instance(
+        family, n, draw(st.integers(0, 14)), draw(st.integers(0, 10**6)),
+        demand_family=draw(st.sampled_from(DEMAND_FAMILIES)),
+        demand_pairs=draw(st.sampled_from(DEMAND_PAIRS)),
+        integer_lengths=draw(st.booleans()),
+        directed=draw(st.booleans()),
+    )
+
+
+@st.composite
+def presented(draw, inner):
+    """An instance as a caller may build it: maybe labelled, undirected ends in any order."""
+    inst = draw(inner)
+    labels = tuple(f"node-{i}" for i in range(inst.n)) if draw(st.booleans()) else None
+    edges, demands = inst.edges, inst.demands
+    if not inst.directed:
+        edges = tuple(Edge(e.v, e.u, e.weight, e.length) if draw(st.booleans()) else e for e in edges)
+        demands = tuple(Demand(d.v, d.u, d.delta) if draw(st.booleans()) else d for d in demands)
+    return SpannerInstance(inst.directed, inst.n, edges, demands, labels)
+
+
+def assert_canonical_round_trip(inst):
+    doc = json.loads(json.dumps(to_json_dict(inst)))
+    canonical = inst.canonical()
+    assert from_json_dict(doc) == canonical
+    assert canonical.canonical() == canonical
+
+
+@ROUND_TRIP
+@given(presented(generated_instances()))
+def test_canonical_round_trip_on_generated_instances(inst):
+    assert_canonical_round_trip(inst)
+
+
+@ROUND_TRIP
+@given(presented(instances()))
+def test_canonical_round_trip_on_drawn_instances(inst):
+    assert_canonical_round_trip(inst)
