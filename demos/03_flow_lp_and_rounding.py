@@ -29,9 +29,11 @@ for arc in ext.arcs[:5]:
     print(f"  {ext.node_name(arc.tail)} -> {ext.node_name(arc.head)}   ({kind})")
 print("  ...")
 
-# Each pair gets flow columns only for the arcs on its own source-to-sink
-# paths, not one per extension arc.  They are read off two bounded searches
-# in the base graph: s_i -> t_{i+L} is kept when d(u,s) <= i and
+# The extension stores its arcs as runs, one per edge direction and one per
+# node's waiting arcs, each s_i -> t_{i+L} over every start layer i.  Each pair
+# gets flow columns only for the arcs on its own source-to-sink paths, not one
+# per extension arc.  They are read off two bounded searches in the base
+# graph: in every run, s_i -> t_{i+L} is kept when d(u,s) <= i and
 # i + L + d(t,v) <= delta.
 model = build_mcf(ext)
 print(

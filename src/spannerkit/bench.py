@@ -102,6 +102,11 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
+        for name, hint in _CONFIG_HINTS.items():
+            value = getattr(self, name)
+            if not _has_type(value, hint):
+                expected = self.__dataclass_fields__[name].type
+                raise ParseError(f"must be {expected}, got {value!r}", field=name)
         for name, choices in CONFIG_CHOICES.items():
             value = getattr(self, name)
             items = value if isinstance(value, list) else [value]
@@ -123,22 +128,23 @@ class ExperimentConfig:
         unknown = set(doc) - known
         if unknown:
             raise SpannerError(f"unknown config keys: {sorted(unknown)}")
-        hints = typing.get_type_hints(cls)
-        for name, value in doc.items():
-            if not _has_type(value, hints[name]):
-                expected = cls.__dataclass_fields__[name].type
-                raise ParseError(f"must be {expected}, got {value!r}", path=path, field=name)
         try:
             return cls(**doc)
-        except ParseError as exc:  # a domain check of __post_init__; name the file too
+        except ParseError as exc:  # a check of __post_init__; name the file too
             raise ParseError(exc.reason, path=path, field=exc.field) from None
 
 
+# Resolved once: the annotations are strings, and resolving them costs far
+# more than checking a config against them.
+_CONFIG_HINTS = typing.get_type_hints(ExperimentConfig)
+
+
 def _has_type(value, hint) -> bool:
-    """Whether a JSON value fits a config field's type; JSON booleans are not numbers."""
-    if typing.get_origin(hint) is types.UnionType:
+    """Whether a value fits a config field's type; booleans are not numbers."""
+    origin = typing.get_origin(hint)
+    if origin is types.UnionType:
         return any(_has_type(value, h) for h in typing.get_args(hint))
-    if typing.get_origin(hint) is list:
+    if origin is list:
         (item,) = typing.get_args(hint)
         return isinstance(value, list) and all(_has_type(x, item) for x in value)
     if isinstance(value, bool) or hint is bool:
@@ -175,7 +181,6 @@ def run_algorithm(
         )
         info["gamma"] = f"{report.gamma.value:.6f}"
         info["attempts"] = str(len(report.attempts))
-        info["rounding_feasible"] = report.feasible
     elif algorithm == "exact":
         result = exact_optimum(instance, max_edges=exact_cap)
         sub = Subgraph(instance, result.edge_set)
@@ -229,7 +234,12 @@ def _run_cell(config, instance, name, index, algorithm, trial):
         return failed, None
     elapsed = time.perf_counter() - t0
     feasible = verify_feasible(sub).feasible  # independent re-check, never trusted
-    row = MetricsRow(
+    return metrics_row(name, algorithm, trial, sub, info, feasible, elapsed), sub
+
+
+def metrics_row(name, algorithm, trial, sub, info, feasible, elapsed) -> MetricsRow:
+    """The row of one solved cell; ``info`` is :func:`run_algorithm`'s."""
+    return MetricsRow(
         instance=name,
         algorithm=algorithm,
         trial=trial,
@@ -237,12 +247,13 @@ def _run_cell(config, instance, name, index, algorithm, trial):
         weight=format_rational(sub.weight),
         size=sub.size,
         wall_time_s=f"{elapsed:.4f}",
-        w_star=info.get("w_star", ""),
-        high_weight_edges=info.get("high_weight_edges", ""),
-        gamma=info.get("gamma", ""),
-        attempts=info.get("attempts", ""),
+        **info,
     )
-    return row, sub
+
+
+def lightness(weight, mst_weight) -> str:
+    """``weight / w(MST)`` as row text; empty without a positive MST weight."""
+    return f"{float(weight / mst_weight):.6f}" if mst_weight else ""
 
 
 def _optimum_weight(instance: SpannerInstance, cap: int):
@@ -277,8 +288,7 @@ def _run_instance(args) -> list[MetricsRow]:
         rows[k] = row
         if sub is None:
             continue
-        if mst_weight is not None and mst_weight > 0:
-            row.lightness = f"{float(sub.weight / mst_weight):.6f}"
+        row.lightness = lightness(sub.weight, mst_weight)
         if algorithm == "exact":
             optimum = sub.weight
         elif config.exact:

@@ -145,27 +145,15 @@ def cmd_solve(args) -> int:
         "gamma_mode": args.gamma_mode,
         "max_attempts": args.max_attempts,
     }
-    params.update({k: v for k, v in info.items() if k != "rounding_feasible"})
+    params.update(info)
     payload = _solution_payload(args.algorithm, sub, verdict.feasible, params)
     _write_solution(args.out, payload)
     if args.metrics:
-        row = bench_mod.MetricsRow(
-            instance=args.instance,
-            algorithm=args.algorithm,
-            trial=0,
-            feasible=verdict.feasible,
-            weight=format_rational(sub.weight),
-            size=sub.size,
-            w_star=info.get("w_star", ""),
-            high_weight_edges=info.get("high_weight_edges", ""),
-            gamma=info.get("gamma", ""),
-            attempts=info.get("attempts", ""),
-            wall_time_s=f"{elapsed:.4f}",
+        row = bench_mod.metrics_row(
+            args.instance, args.algorithm, 0, sub, info, verdict.feasible, elapsed
         )
         if not instance.directed:
-            mst_weight, _ = minimum_spanning_tree(instance)
-            if mst_weight > 0:
-                row.lightness = f"{float(sub.weight / mst_weight):.6f}"
+            row.lightness = bench_mod.lightness(sub.weight, minimum_spanning_tree(instance)[0])
         with open(args.metrics, "w", encoding="utf-8") as fh:
             fh.write(bench_mod.rows_to_csv([row]))
     if not verdict.feasible:

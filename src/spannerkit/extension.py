@@ -7,15 +7,19 @@ additionally gets waiting self-arcs ``q_i -> q_{i+1}``.  All arcs strictly
 increase the layer, so the extension is acyclic.  A pair (u,v) can be
 connected within budget d in the base graph iff ``u_0`` reaches ``v_d`` here.
 
-Edges longer than ``delta_bar`` can satisfy no bound and contribute no arcs.
-Undirected instances are bi-directed first; both arc directions remember the
-originating undirected edge.
+The arcs are stored as runs (:class:`ArcGroup`): one per edge direction and
+one per node's waiting arcs, each a block of consecutive arc ids, one arc per
+start layer.  Undirected instances are bi-directed first, so an undirected
+edge gives two runs with the same edge index.  Edges longer than
+``delta_bar`` can satisfy no bound and give no run.  The per-arc objects of
+:attr:`DeltaExtension.arcs` are built from the runs on first use.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .instance import IntegerInstance
 
@@ -25,18 +29,34 @@ class ExtArc:
     tail: int  # extension node id
     head: int
     edge: int | None  # originating edge index; None for self-arcs
-    forward: bool  # arc follows the stored edge orientation (always True if directed)
+
+
+@dataclass(frozen=True)
+class ArcGroup:
+    """The arcs ``tail_i -> head_{i+length}``, ``i = 0 .. delta_bar - length``, with ids ``first + i``."""
+
+    edge: int | None  # originating edge index; None for a node's waiting arcs
+    tail: int  # base node
+    head: int  # base node; equal to tail for waiting arcs
+    length: int  # layers each arc jumps; 1 for waiting arcs
+    first: int  # arc id of the layer-0 arc
 
 
 @dataclass(frozen=True)
 class DeltaExtension:
     base: IntegerInstance
     delta_bar: int
-    arcs: tuple[ExtArc, ...]
-    # (edge index, forward) -> tuple of arc indices, one per start layer
-    arcs_by_edge: dict
-    # per node q: the arc index of its waiting arc q_i -> q_{i+1}, one per start layer i
-    waiting_arcs: tuple[tuple[int, ...], ...]
+    groups: tuple[ArcGroup, ...]  # in arc-id order: edge runs, then waiting runs by node
+
+    @cached_property
+    def arcs(self) -> tuple[ExtArc, ...]:
+        """Every arc, indexed by arc id."""
+        layers = self.delta_bar + 1
+        return tuple(
+            ExtArc(g.tail * layers + i, g.head * layers + i + g.length, g.edge)
+            for g in self.groups
+            for i in range(layers - g.length)
+        )
 
     @property
     def layer_count(self) -> int:
@@ -66,39 +86,19 @@ def build_extension(instance: IntegerInstance, delta_bar: int | None = None) -> 
         delta_bar = instance.delta_bar
     if delta_bar < 0:
         raise ValueError("delta_bar must be non-negative")
-    arcs: list[ExtArc] = []
-    arcs_by_edge: dict = {}
-    directions = (True,) if instance.directed else (True, False)
+    runs = []  # (edge, tail, head, length)
     for idx, e in enumerate(instance.edges):
-        length = instance.lengths[idx]
-        for forward in directions:
-            s, t = (e.u, e.v) if forward else (e.v, e.u)
-            ids = []
-            for i in range(delta_bar - length + 1):
-                arc_id = len(arcs)
-                arcs.append(
-                    ExtArc(
-                        tail=s * (delta_bar + 1) + i,
-                        head=t * (delta_bar + 1) + i + length,
-                        edge=idx,
-                        forward=forward,
-                    )
-                )
-                ids.append(arc_id)
-            arcs_by_edge[(idx, forward)] = tuple(ids)
-    waiting_arcs = []
-    for q in range(instance.n):
-        waiting_arcs.append(tuple(range(len(arcs), len(arcs) + delta_bar)))
-        for i in range(delta_bar):
-            arcs.append(
-                ExtArc(
-                    tail=q * (delta_bar + 1) + i,
-                    head=q * (delta_bar + 1) + i + 1,
-                    edge=None,
-                    forward=True,
-                )
-            )
-    return DeltaExtension(instance, delta_bar, tuple(arcs), arcs_by_edge, tuple(waiting_arcs))
+        runs.append((idx, e.u, e.v, instance.lengths[idx]))
+        if not instance.directed:
+            runs.append((idx, e.v, e.u, instance.lengths[idx]))
+    runs += [(None, q, q, 1) for q in range(instance.n)]
+    groups = []
+    first = 0
+    for edge, tail, head, length in runs:
+        if length <= delta_bar:
+            groups.append(ArcGroup(edge, tail, head, length, first))
+            first += delta_bar - length + 1
+    return DeltaExtension(instance, delta_bar, tuple(groups))
 
 
 def reachable_path(

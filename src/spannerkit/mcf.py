@@ -5,13 +5,16 @@ A pair gets a flow variable only for the arcs on some ``u_0 -> v_delta``
 path: the extension is acyclic, so every feasible flow decomposes into such
 paths and any other arc carries zero flow, which leaves the optimum unchanged.
 Those arcs are read off the pair's budget window in the base graph (one
-forward search from u and one reverse search to v, each bounded at delta):
-``s_i -> t_{i+L}`` is kept iff ``d(u,s) <= i <= delta - L - d(t,v)``, and the
-waiting arc ``q_i -> q_{i+1}`` iff ``d(u,q) <= i <= delta - 1 - d(q,v)``.
-One edge variable per original edge follows (a single shared variable per
-undirected edge).  Coupling rows force an edge variable active whenever any of
-its arcs carries that pair's flow; conservation rows are written for every
-extension node a pair's columns touch.  A pair with no route keeps its empty
+forward search from u and one reverse search to v, each bounded at delta),
+one pass over the extension's arc runs: the arc ``s_i -> t_{i+L}`` of a run
+is kept iff ``d(u,s) <= i <= delta - L - d(t,v)``, and a node's waiting arcs
+are the runs with ``s == t`` and ``L == 1``.  The kept arcs of a run are
+consecutive, and the runs are in arc-id order, so a pair's columns are its
+kept runs laid end to end.  One edge variable per original edge follows (a
+single shared variable per undirected edge).  Each kept edge run is one
+coupling row, forcing its edge variable active whenever any of its arcs
+carries that pair's flow; conservation rows are written for every extension
+node a pair's columns touch.  A pair with no route keeps its empty
 source and sink rows, so its model stays infeasible.  All variables live in
 [0,1]; edge variables of edges too long to ever help are fixed to 0.
 
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 import scipy.sparse as sp
@@ -82,44 +84,34 @@ class McfModel(StandardLp):
         return names
 
 
-def build_mcf(extension: DeltaExtension, demands=None) -> McfModel:
-    """Assemble the flow LP for the given extension and demand pairs."""
+def build_mcf(extension: DeltaExtension) -> McfModel:
+    """Assemble the flow LP for the extension's instance and its demand pairs."""
     inst = extension.base
-    if demands is None:
-        demands = inst.demands
-    demands = tuple(demands)
+    demands = inst.demands
     for d in demands:
         if d.delta > extension.delta_bar:
             raise ValueError(
                 f"demand ({d.u},{d.v}) bound {d.delta} exceeds the extension's {extension.delta_bar}"
             )
-    arcs = extension.arcs
-    tails = [arc.tail for arc in arcs]
-    heads = [arc.head for arc in arcs]
-    edge_groups = []  # (tail node, head node, length, arc ids by start layer)
-    for (e, forward), ids in extension.arcs_by_edge.items():
-        edge = inst.edges[e]
-        s, t = (edge.u, edge.v) if forward else (edge.v, edge.u)
-        edge_groups.append((s, t, inst.lengths[e], ids))
-
     forward_view, reverse_view = graph_view(inst), graph_view(inst, reverse=True)
-    flow_arcs = []
+    kept_runs = []  # per pair: (run, lo, hi) for each run whose arcs lo .. hi-1 are kept
     for d in demands:
         from_u, to_v = budget_window(forward_view, reverse_view, d)
-        kept = []
-        # s_i -> t_{i+L} lies on a u_0 -> v_delta path iff d(u,s) <= i <= delta - L - d(t,v);
-        # the end is clamped at 0, as a negative slice end would wrap around.
-        for s, t, length, ids in edge_groups:
-            if from_u[s] is not None and to_v[t] is not None:
-                kept += ids[from_u[s] : max(0, d.delta - length - to_v[t] + 1)]
-        # q_i -> q_{i+1} iff d(u,q) <= i <= delta - 1 - d(q,v); that end is never negative.
-        for q, ids in enumerate(extension.waiting_arcs):
-            if from_u[q] is not None and to_v[q] is not None:
-                kept += ids[from_u[q] : d.delta - to_v[q]]
-        flow_arcs.append(tuple(sorted(kept)))
+        runs = []
+        for g in extension.groups:
+            if from_u[g.tail] is not None and to_v[g.head] is not None:
+                lo, hi = from_u[g.tail], d.delta - g.length - to_v[g.head] + 1
+                if lo < hi:
+                    runs.append((g, lo, hi))
+        kept_runs.append(runs)
+    flow_arcs = tuple(
+        tuple(a for g, lo, hi in runs for a in range(g.first + lo, g.first + hi))
+        for runs in kept_runs
+    )
     num_flow = sum(map(len, flow_arcs))
     num_vars = num_flow + inst.m
 
+    layers = extension.delta_bar + 1
     rows_ub: list[int] = []
     cols_ub: list[int] = []
     vals_ub: list[float] = []
@@ -129,39 +121,33 @@ def build_mcf(extension: DeltaExtension, demands=None) -> McfModel:
     b_eq: list[float] = []
     num_ub = 0
     col = 0
-    for d, kept in zip(demands, flow_arcs):
-        cols = range(col, col + len(kept))
-        col += len(kept)
-        # The arcs of one (edge, direction) have consecutive ids, so each group
-        # is one coupling row; self-arcs (edge None) couple to nothing.
-        for (edge, _), group in groupby(
-            zip(kept, cols), key=lambda pair: (arcs[pair[0]].edge, arcs[pair[0]].forward)
-        ):
-            if edge is None:
-                continue
-            for _, j in group:
-                rows_ub.append(num_ub)
-                cols_ub.append(j)
-                vals_ub.append(1.0)
-            rows_ub.append(num_ub)
-            cols_ub.append(num_flow + edge)
-            vals_ub.append(-1.0)
-            num_ub += 1
-
+    for d, runs in zip(demands, kept_runs):
         source = extension.node_id(d.u, 0)
         sink = extension.node_id(d.v, d.delta)
         rhs = {source: 1.0}
         rhs[sink] = rhs.get(sink, 0.0) - 1.0
-        nodes = {tails[a] for a in kept} | {heads[a] for a in kept}
-        nodes |= {q for q, value in rhs.items() if value}
+        nodes = {q for q, value in rhs.items() if value}
+        for g, lo, hi in runs:
+            tail, head = g.tail * layers, g.head * layers + g.length  # arc i: tail+i -> head+i
+            nodes.update(range(tail + lo, tail + hi), range(head + lo, head + hi))
         row_of = {}
         for q in sorted(nodes):
             row_of[q] = len(b_eq)
             b_eq.append(rhs.get(q, 0.0))
-        for a, j in zip(kept, cols):
-            rows_eq += (row_of[tails[a]], row_of[heads[a]])
-            cols_eq += (j, j)
-            vals_eq += (1.0, -1.0)
+        for g, lo, hi in runs:
+            cols = range(col, col + hi - lo)
+            col += hi - lo
+            # Each kept edge run is one coupling row; waiting arcs couple to nothing.
+            if g.edge is not None:
+                rows_ub += [num_ub] * (len(cols) + 1)
+                cols_ub += [*cols, num_flow + g.edge]
+                vals_ub += [1.0] * len(cols) + [-1.0]
+                num_ub += 1
+            tail, head = g.tail * layers, g.head * layers + g.length
+            for i, j in zip(range(lo, hi), cols):
+                rows_eq += (row_of[tail + i], row_of[head + i])
+                cols_eq += (j, j)
+                vals_eq += (1.0, -1.0)
 
     c = np.zeros(num_vars)
     upper = np.ones(num_vars)
@@ -179,7 +165,7 @@ def build_mcf(extension: DeltaExtension, demands=None) -> McfModel:
         upper=upper,
         extension=extension,
         demands=demands,
-        flow_arcs=tuple(flow_arcs),
+        flow_arcs=flow_arcs,
         num_edge_vars=inst.m,
     )
 

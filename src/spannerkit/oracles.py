@@ -25,7 +25,7 @@ from .errors import (
     TooLarge,
     TooManyCuts,
 )
-from .extension import build_extension, reachable_path
+from .extension import ExtArc, build_extension, reachable_path
 from .graph import budget_window, graph_view, shortest_distances
 from .greedy import GreedyStep
 from .instance import (
@@ -258,11 +258,13 @@ def check_cut_lemma(
     instance = require_integer_lengths(subgraph.instance)
     if demands is None:
         demands = instance.demands
+    demands = [_as_int_demand(instance, d0) for d0 in demands]
     view = graph_view(instance, edge_subset=subgraph.edge_set)
+    ext = build_extension(instance, max([0, *(d.delta for d in demands)]))
+    waiting = {g.tail: g for g in ext.groups if g.edge is None}
     rng = random.Random(seed)
     report = CutLemmaReport()
-    for d0 in demands:
-        d = _as_int_demand(instance, d0)
+    for d in demands:
         total = 0
         satisfied = 0
         for _, sat in enumerate_ascending_cuts(subgraph, d, cap=cap):
@@ -286,7 +288,7 @@ def check_cut_lemma(
         )
 
         # Sampled non-ascending cuts: some node column has A below B, and the
-        # self-arc on that column crosses regardless of the subgraph.
+        # extension's waiting arc on that column crosses regardless of the subgraph.
         layers = d.delta + 1
         for _ in range(nonascending_samples):
             side = {
@@ -305,7 +307,8 @@ def check_cut_lemma(
             if not breaks:
                 continue  # ascending; covered exhaustively above
             q, i = breaks[0]
-            if not (side[(q, i)] and not side[(q, i + 1)]):
+            arc = ext.arcs[waiting[q].first + i] if q in waiting else None
+            if arc != ExtArc(ext.node_id(q, i), ext.node_id(q, i + 1), None):
                 raise LemmaViolation("self-arc fails to cross a non-ascending cut")
             report.nonascending_sampled += 1
     return report

@@ -110,9 +110,7 @@ def round_solution(solution: FractionalSolution, spec: GammaSpec, seed: int) -> 
         if _uniform(seed, e) < p:
             chosen.append(e)
     sub = Subgraph(inst.base, frozenset(chosen))
-    verdict = verify_feasible(sub, inst.demands)
-    weight = sum((inst.edges[e].weight for e in chosen), Fraction(0))
-    return RoundingRun(seed, tuple(sorted(chosen)), weight, verdict)
+    return RoundingRun(seed, tuple(chosen), sub.weight, verify_feasible(sub))
 
 
 @dataclass

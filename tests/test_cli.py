@@ -378,6 +378,18 @@ def test_bench_config_built_in_python_checks_its_domain(kwargs, key):
     assert str(info.value).endswith(f"(field {key!r})")
 
 
+@pytest.mark.parametrize(
+    "key, bad", [("n", "x"), ("n", True), ("confidence", "2"), ("algorithms", "greedy"),
+                 ("algorithms", [1]), ("num_demands", 2.5), ("exact", 1)]
+)
+def test_bench_config_built_in_python_checks_its_types(key, bad):
+    # a string of algorithm names is not a list of them: it must not run per character
+    with pytest.raises(ParseError) as info:
+        bench.ExperimentConfig(**{key: bad})
+    assert info.value.field == key and info.value.path is None
+    assert str(info.value).endswith(f"(field {key!r})")
+
+
 def test_bench_config_least_values_run(tmp_path):
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "r.csv"

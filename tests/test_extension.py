@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from spannerkit.extension import build_extension, reachable_path
+from spannerkit.extension import ExtArc, build_extension, reachable_path
 from spannerkit.generators import example5, random_instance
 from spannerkit.graph import graph_view, shortest_distances
 from spannerkit.instance import (
@@ -92,6 +92,24 @@ def test_structure_counts_on_random_instances():
                 assert qt == qh and lj == li + 1
             else:
                 assert lj == li + ii.lengths[arc.edge]
+        # Runs tile the arc ids in order, one arc per start layer, and match
+        # their edge (or node, for waiting arcs).
+        next_id = 0
+        for g in ext.groups:
+            count = db - g.length + 1
+            assert g.first == next_id and count >= 1
+            next_id += count
+            assert ext.arcs[g.first : g.first + count] == tuple(
+                ExtArc(ext.node_id(g.tail, i), ext.node_id(g.head, i + g.length), g.edge)
+                for i in range(count)
+            )
+            if g.edge is None:
+                assert g.tail == g.head and g.length == 1
+            else:
+                e = ii.edges[g.edge]
+                assert g.length == ii.lengths[g.edge]
+                assert (g.tail, g.head) in ([(e.u, e.v)] if directed else [(e.u, e.v), (e.v, e.u)])
+        assert next_id == len(ext.arcs)
 
 
 def test_acyclic_topological_order_by_layer():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -234,6 +236,58 @@ def test_export_random_model_round_trip(tmp_path):
     _, objective = solve_standard(read_lp(str(path)))
     assert objective == pytest.approx(direct.objective, abs=1e-6)
 
+
+# First 16 hex digits of the sha256 of the export_lp text followed by the JSON
+# of flow_arcs, keyed by (family, directed, demand family, demand pairs,
+# seed), for random_instance(family, 6, 10, seed, integer_lengths=True, ...).
+# Recorded while each pair's columns were sorted arc ids regrouped into
+# coupling rows, before the extension stored its arcs as runs.
+EXPORT_PINNED = {
+    ("decoupled", False, "multiplicative", "edges", 700): "64cfeb98b5a76588",
+    ("decoupled", False, "additive", "all", 701): "b7232f9785a3956e",
+    ("decoupled", False, "freeform", "random", 702): "a37fe8cab5baa84c",
+    ("decoupled", True, "multiplicative", "edges", 703): "23f5172178356079",
+    ("decoupled", True, "additive", "all", 704): "cc8bba9e366277bb",
+    ("decoupled", True, "freeform", "random", 705): "92068949e37b504f",
+    ("coupled", False, "multiplicative", "edges", 706): "b6a5e358b5fcfc72",
+    ("coupled", False, "additive", "all", 707): "e355bfa050dcf802",
+    ("coupled", False, "freeform", "random", 708): "252a271ca03249b3",
+    ("coupled", True, "multiplicative", "edges", 709): "554db8eae722ab7c",
+    ("coupled", True, "additive", "all", 710): "b50c7a8fe9bdba9b",
+    ("coupled", True, "freeform", "random", 711): "6a6d830ae8f86d1d",
+    ("unit-length", False, "multiplicative", "edges", 712): "802e23b86d97d1d9",
+    ("unit-length", False, "additive", "all", 713): "c5af76526165e33d",
+    ("unit-length", False, "freeform", "random", 714): "942e0a28ad22cd6b",
+    ("unit-length", True, "multiplicative", "edges", 715): "503bf24a98705fcc",
+    ("unit-length", True, "additive", "all", 716): "3d0419cbc9c58777",
+    ("unit-length", True, "freeform", "random", 717): "53af4f5764d05a55",
+    ("basic", False, "multiplicative", "edges", 718): "5b9757f2170df745",
+    ("basic", False, "additive", "all", 719): "725371b84d54d39f",
+    ("basic", False, "freeform", "random", 720): "0d302c0b2ed61c8d",
+    ("basic", True, "multiplicative", "edges", 721): "1836ba95385b3cd9",
+    ("basic", True, "additive", "all", 722): "f4350ef7755b9a52",
+    ("basic", True, "freeform", "random", 723): "0245ce06c207d85c",
+    ("anti-correlated", False, "multiplicative", "edges", 724): "892984eba7afe23d",
+    ("anti-correlated", False, "additive", "all", 725): "bbac961cd4a8d13c",
+    ("anti-correlated", False, "freeform", "random", 726): "ffd39c274766ec08",
+    ("anti-correlated", True, "multiplicative", "edges", 727): "b733a46a1d6e559a",
+    ("anti-correlated", True, "additive", "all", 728): "a054a76a658eae76",
+    ("anti-correlated", True, "freeform", "random", 729): "a1af3d65e36704d9",
+}
+
+
+@pytest.mark.parametrize("key", sorted(EXPORT_PINNED))
+def test_export_bytes_pinned(tmp_path, key):
+    family, directed, demand_family, pairs, seed = key
+    inst = random_instance(
+        family, 6, 10, seed, demand_family=demand_family, demand_pairs=pairs,
+        integer_lengths=True, directed=directed,
+    )
+    model = build_mcf(build_extension(require_integer_lengths(inst)))
+    path = tmp_path / "model.lp"
+    export_lp(model, str(path))
+    text = path.read_text(encoding="utf-8") + json.dumps(model.flow_arcs)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == EXPORT_PINNED[key]
 
 
 _TEXTBOOK_LP = """Minimize

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from spannerkit.instance import (
     Demand,
     Edge,
     SpannerInstance,
+    Subgraph,
     require_integer_lengths,
 )
 from spannerkit.mcf import build_mcf, solve_lp
@@ -90,6 +92,21 @@ def test_round_edge_probability_extremes():
         assert {1, 2} <= set(run.chosen_edges)
         assert run.feasible
         assert run.weight == Fraction(2)
+
+
+def test_failed_rounding_reports_the_instances_own_bound():
+    # Integer lengths, fractional bound: the extension works with the floored
+    # bound 3, but a violation must name the instance's 7/2.
+    inst = SpannerInstance(
+        True, 2, (Edge(0, 1, Fraction(5), Fraction(3)),), (Demand(0, 1, Fraction(7, 2)),)
+    )
+    sol = solve_lp(build_mcf(build_extension(require_integer_lengths(inst))))
+    run = round_solution(sol, replace(gamma(inst), value=0.0), 0)  # p = 0: nothing chosen
+    assert not run.feasible and run.chosen_edges == () and run.weight == 0
+    (violation,) = run.verdict.violations
+    assert (violation.u, violation.v, violation.delta) == (0, 1, Fraction(7, 2))
+    assert violation.achieved is None
+    assert run.verdict.violations == verify_feasible(Subgraph(inst, frozenset())).violations
 
 
 def test_rounding_reproducible_bit_for_bit():
