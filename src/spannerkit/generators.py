@@ -203,15 +203,6 @@ def random_instance(
                 directed_edges.append(Edge(e.v, e.u, e.weight, e.length))
         instance = SpannerInstance(True, n, tuple(directed_edges), (), None)
 
-    scaled = instance.scaled
-    view = graph_view(scaled)
-    dist_cache: dict[int, list] = {}
-
-    def dist(u: int, v: int):
-        if u not in dist_cache:
-            dist_cache[u] = shortest_distances(view, u)
-        return scaled.unscale(dist_cache[u][v])
-
     if demand_pairs == "edges":
         pair_list = sorted({(min(e.u, e.v), max(e.u, e.v)) for e in instance.edges})
     elif demand_pairs == "all":
@@ -223,6 +214,18 @@ def random_instance(
         pair_list = sorted(all_pairs[:count])
     else:
         raise ValueError(f"unknown demand_pairs {demand_pairs!r}; have {DEMAND_PAIRS}")
+
+    scaled = instance.scaled
+    view = graph_view(scaled)
+    partners: dict[int, set[int]] = {}
+    for u, v in pair_list:
+        partners.setdefault(u, set()).add(v)
+    dist_cache: dict[int, list] = {}
+
+    def dist(u: int, v: int):
+        if u not in dist_cache:  # one search per source, up to its pair partners
+            dist_cache[u] = shortest_distances(view, u, targets=partners[u])
+        return scaled.unscale(dist_cache[u][v])
 
     max_len = max((e.length for e in instance.edges), default=0)  # n = 1 has no edges
     budget_cap = instance.n * max_len

@@ -9,7 +9,14 @@ units, ``Fraction(d, L)``.  Unreachable is represented by ``None``, never by
 a large number.
 
 One search routine, :func:`shortest_distances`, answers every distance
-question.  Tie-break contract: the path greedy adds for a pair is the one
+question.  It stops past a distance (``limit``) and once its targets are
+settled (``targets``).  With targets, only the targets and the nodes
+settled before them hold final distances; every other entry may be
+tentative, but never below the last settled distance, so a caller reads
+only the targets.  :func:`lex_shortest_path` stays exact on a reverse
+search stopped at the path's source: it only steps to nodes strictly
+closer to the target than that source, and all of those were settled.
+Tie-break contract: the path greedy adds for a pair is the one
 :func:`lex_shortest_path` returns, the shortest path whose node sequence is
 lexicographically smallest (between parallel arcs, the first in adjacency
 order).  It is read off distances to the target, so every greedy run is
@@ -63,16 +70,27 @@ def graph_view(inst, *, edge_subset=None, reverse: bool = False) -> GraphView:
     return view
 
 
-def shortest_distances(view: GraphView, source: int, *, limit=None, parent_edge=None) -> list:
+def shortest_distances(
+    view: GraphView, source: int, *, limit=None, parent_edge=None, targets=None
+) -> list:
     """Exact Dijkstra distances from ``source``; None marks unreachable.
 
     With ``limit`` the search never goes past that distance: nodes farther
     than ``limit`` read None, like unreachable ones.  Exact, because lengths
     are positive: every node on a path within the limit is within it too.
 
+    With ``targets``, a collection of distinct nodes, the search returns as
+    soon as every target is settled (popped from the heap), or when the heap
+    runs dry under ``limit``.  Only the targets and the nodes settled before
+    them are then final.  Any other entry may hold a tentative distance, or
+    None; a tentative distance is never below the last settled one.  An
+    empty collection, or one with repeats, only forgoes the early exit.
+
     ``parent_edge``, a list of n entries, receives the edge index of each
     reached node's last improving arc: a shortest-path tree, not the
-    tie-broken one.  The arc's tail is the edge's other endpoint.
+    tie-broken one.  The arc's tail is the edge's other endpoint.  A settled
+    node's entry is final, and so are those along its tree path to the
+    source, since each of those nodes was settled before it.
     """
     n = view.n
     out = view.out
@@ -80,11 +98,17 @@ def shortest_distances(view: GraphView, source: int, *, limit=None, parent_edge=
     done = [False] * n
     dist[source] = 0
     heap = [(0, source)]
+    targets = targets or ()
+    left = len(targets)
     while heap:
         d, q = heapq.heappop(heap)
         if done[q]:
             continue
         done[q] = True
+        if q in targets:
+            left -= 1
+            if not left:
+                break
         for head, length, edge_index in out[q]:
             nd = d + length
             if done[head] or (limit is not None and nd > limit):
@@ -205,7 +229,7 @@ def reduce_to_metric_pairs(instance: SpannerInstance) -> tuple[Demand, ...]:
                 view.out[other.u].append((other.v, other.delta, j))
                 if not instance.directed:
                     view.out[other.v].append((other.u, other.delta, j))
-        dist = shortest_distances(view, d.u)[d.v]
+        dist = shortest_distances(view, d.u, targets=(d.v,))[d.v]
         if dist is None or dist > d.delta:
             kept.append(d)
     return tuple(kept)
@@ -257,8 +281,8 @@ def meets_bounds(view: GraphView, checks: list) -> bool:
     one search tend to fail on the same source, so the next probe tries it
     first.
     """
-    for k, (source, limit, targets) in enumerate(checks):
-        dist = shortest_distances(view, source, limit=limit)
+    for k, (source, limit, targets, nodes) in enumerate(checks):
+        dist = shortest_distances(view, source, limit=limit, targets=nodes)
         for v, bound, _ in targets:
             got = dist[v]
             if got is None or got > bound:
@@ -271,14 +295,15 @@ def violated_pairs(view: GraphView, checks, scale: int) -> list[tuple[int, Fract
     """``(demand index, exact distance in instance units)`` of every failed check, by index.
 
     The bounded search decides each pair; a failing source is searched again
-    without the bound, so the reported distance is the true one.
+    without the bound, up to its failed targets, so the reported distance is
+    the true one.
     """
     found = []
-    for source, limit, targets in checks:
-        dist = shortest_distances(view, source, limit=limit)
+    for source, limit, targets, nodes in checks:
+        dist = shortest_distances(view, source, limit=limit, targets=nodes)
         failed = [(v, i) for v, bound, i in targets if dist[v] is None or dist[v] > bound]
         if failed:
-            exact = shortest_distances(view, source)
+            exact = shortest_distances(view, source, targets={v for v, _ in failed})
             for v, i in failed:
                 found.append((i, None if exact[v] is None else Fraction(exact[v], scale)))
     found.sort(key=lambda pair: pair[0])

@@ -10,12 +10,14 @@ weighs at most ``|E[W*]| * W*``, hence at most ``m * OPT``.
 
 Both run on the instance's scaled integer view (``instance.scaled``): lengths
 times the lcm ``L`` of their denominators, bounds floored to
-``floor(delta * L)``.  Every threshold probe searches each source only up to
-its largest bound and stops at the first violated pair.  The greedy phase
-orders the pairs with one such bounded search per source, keeps the
-spanner's adjacency as it grows and asks a bounded search whether a pair
-already holds.  Only for a pair that does not, it searches back from the
-target, up to the pair's distance, and walks the path off those distances.
+``floor(delta * L)``.  Every search stops past a distance and once its
+targets are settled.  A threshold probe searches each source up to its
+largest bound and its targets, and stops at the first violated pair.  The
+greedy phase orders the pairs with one such search per source, keeps the
+spanner's adjacency as it grows and asks a search bounded at the pair's
+bound, stopped at its target, whether a pair already holds.  Only for a
+pair that does not, it searches back from the target, up to the pair's
+distance and its source, and walks the path off those distances.
 Distances go back to instance units, ``Fraction(d, L)``, only in
 :class:`GreedyStep` and :class:`~spannerkit.errors.UnsatisfiableDemand`; the
 threshold search compares the view's integer weights and reports W* as a
@@ -74,15 +76,18 @@ def greedy(
     demands, bounds = demand_bounds(instance, demands)
     checks = scaled.by_source if bounds is scaled.demands else group_by_source(bounds)
     view = graph_view(scaled, edge_subset=edge_subset)
-    # one search per source, up to its largest bound, settles every pair's distance
-    dists = {source: shortest_distances(view, source, limit=limit) for source, limit, _ in checks}
+    # one search per source, up to its largest bound and its targets, settles every pair's distance
+    dists = {
+        source: shortest_distances(view, source, limit=limit, targets=nodes)
+        for source, limit, _, nodes in checks
+    }
     order = []
     for d, b in zip(demands, bounds):
         if d.u == d.v:
             continue
         dist = dists[d.u][d.v]
         if dist is None or dist > b.delta:
-            exact = shortest_distances(view, d.u)[d.v]  # unbounded, for the report
+            exact = shortest_distances(view, d.u, targets=(d.v,))[d.v]  # unbounded, for the report
             raise UnsatisfiableDemand(d.u, d.v, d.delta, scaled.unscale(exact))
         order.append((dist, d.u, d.v, b.delta, d))
     order.sort(key=lambda t: (t[0], t[1], t[2]))
@@ -95,12 +100,12 @@ def greedy(
         if prev is not None and dist < prev:
             raise LemmaViolation("pairs must be visited in non-decreasing distance")
         prev = dist
-        executed = shortest_distances(spanner, d.u, limit=bound)[d.v] is None
+        executed = shortest_distances(spanner, d.u, limit=bound, targets=(d.v,))[d.v] is None
         path_nodes: tuple[int, ...] = ()
         path_edges: tuple[int, ...] = ()
         new_edges: tuple[int, ...] = ()
         if executed:
-            to_target = shortest_distances(reverse, d.v, limit=dist)
+            to_target = shortest_distances(reverse, d.v, limit=dist, targets=(d.u,))
             path_nodes, path_edges = lex_shortest_path(view, to_target, d.u, d.v)
             new_edges = tuple(e for e in path_edges if e not in chosen)
             chosen.update(new_edges)

@@ -115,14 +115,19 @@ class SpannerInstance:
             u, v = e.u, e.v
             if not self.directed and u > v:
                 u, v = v, u
-            edges.append(Edge(u, v, Fraction(e.weight), Fraction(e.length)))
+            edges.append(Edge(u, v, _fraction(e.weight), _fraction(e.length)))
         edges.sort(key=lambda e: (e.u, e.v))
         demands = []
         for d in self.demands:
             u, v = d.pair(self.directed)
-            demands.append(Demand(u, v, Fraction(d.delta)))
+            demands.append(Demand(u, v, _fraction(d.delta)))
         demands.sort(key=lambda d: (d.u, d.v))
         return SpannerInstance(self.directed, self.n, tuple(edges), tuple(demands), self.labels)
+
+
+def _fraction(x) -> Fraction:
+    """``x`` as a Fraction, without re-wrapping one: loading canonicalizes every value."""
+    return x if type(x) is Fraction else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -279,17 +284,21 @@ def scale_demands(demands, scale: int) -> tuple[Demand, ...]:
 
 
 def group_by_source(demands) -> tuple:
-    """Checks per source: ``(source, largest bound, ((target, bound, demand index), ...))``.
+    """Checks per source: ``(source, largest bound, ((target, bound, demand index), ...), nodes)``.
 
     Sources keep their first-appearance order; self-pairs are left out.  One
-    search from each source, bounded at its largest bound, settles all of
+    search from each source, bounded at its largest bound and stopped once
+    ``nodes`` (the frozenset of its target nodes) is settled, settles all of
     that source's pairs.
     """
     targets: dict[int, list[tuple[int, int, int]]] = {}
     for i, d in enumerate(demands):
         if d.u != d.v:
             targets.setdefault(d.u, []).append((d.v, d.delta, i))
-    return tuple((u, max(b for _, b, _ in ts), tuple(ts)) for u, ts in targets.items())
+    return tuple(
+        (u, max(b for _, b, _ in ts), tuple(ts), frozenset(v for v, _, _ in ts))
+        for u, ts in targets.items()
+    )
 
 
 @dataclass(frozen=True)

@@ -268,21 +268,37 @@ def export_lp(lp: StandardLp, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-_TERM_RE = re.compile(r"([+-]?)\s*(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)?\s*([A-Za-z_][\w.]*)")
+_NUMBER = r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
+_NAME = r"[A-Za-z_][\w.]*"
+# One term of a linear expression; every term after the first needs its sign.
+_TERM_RE = re.compile(rf"\s*([+-]?)\s*({_NUMBER})?\s*({_NAME})")
+_ROW_RE = re.compile(rf"(<=|>=|=)\s*([+-]?{_NUMBER})\s*$")
+_BOUNDS_RE = re.compile(
+    rf"(-inf|[+-]?{_NUMBER})\s*<=\s*({_NAME})\s*<=\s*(\+?inf|[+-]?{_NUMBER})\s*$"
+)
 
 
-def _parse_terms(expr: str) -> list[tuple[str, float]]:
+def _parse_terms(expr: str, line: str, path: str) -> list[tuple[str, float]]:
+    """The ``(name, coefficient)`` terms of ``expr``, which they must cover entirely."""
     terms = []
-    for sign, coef, name in _TERM_RE.findall(expr):
+    pos, end = 0, len(expr.rstrip())
+    while pos < end:
+        match = _TERM_RE.match(expr, pos)
+        if not match or (terms and not match.group(1)):
+            raise ParseError(f"malformed expression in line {line!r}", path=path)
+        sign, coef, name = match.groups()
         value = float(coef) if coef else 1.0
-        if sign == "-":
-            value = -value
-        terms.append((name, value))
+        terms.append((name, -value if sign == "-" else value))
+        pos = match.end()
     return terms
 
 
 def read_lp(path: str) -> StandardLp:
-    """Parse the LP subset written by :func:`export_lp`."""
+    """Parse the LP subset written by :func:`export_lp`.
+
+    Anything else raises :class:`ParseError` naming the line: text outside
+    a section, a term or number that does not parse, a maximization.
+    """
     with open(path, encoding="utf-8") as fh:
         raw_lines = [ln.strip() for ln in fh]
     lines = [ln for ln in raw_lines if ln and not ln.startswith("\\")]
@@ -299,9 +315,11 @@ def read_lp(path: str) -> StandardLp:
 
     for ln in lines:
         low = ln.lower()
-        if low in ("minimize", "maximize"):
+        if low == "minimize":
             section = "obj"
             continue
+        if low == "maximize":
+            raise ParseError(f"unsupported objective sense in line {ln!r}", path=path)
         if low == "subject to":
             section = "rows"
             continue
@@ -312,30 +330,29 @@ def read_lp(path: str) -> StandardLp:
             break
         if section == "obj":
             expr = ln.split(":", 1)[1] if ":" in ln else ln
-            objective.extend(_parse_terms(expr))
+            objective.extend(_parse_terms(expr, ln, path))
             for name, _ in objective:
                 remember(name)
         elif section == "rows":
             expr = ln.split(":", 1)[1] if ":" in ln else ln
-            match = re.search(r"(<=|>=|=)\s*([+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)\s*$", expr)
+            match = _ROW_RE.search(expr)
             if not match:
                 raise ParseError(f"malformed constraint line {ln!r}", path=path)
             op, rhs = match.group(1), float(match.group(2))
-            terms = _parse_terms(expr[: match.start()])
+            terms = _parse_terms(expr[: match.start()], ln, path)
             for name, _ in terms:
                 remember(name)
             rows.append((terms, op, rhs))
         elif section == "bounds":
-            match = re.match(
-                r"(-inf|[+-]?[\d.eE+-]+)\s*<=\s*([A-Za-z_][\w.]*)\s*<=\s*(\+?inf|[+-]?[\d.eE+-]+)\s*$",
-                ln,
-            )
+            match = _BOUNDS_RE.match(ln)
             if not match:
                 raise ParseError(f"malformed bounds line {ln!r}", path=path)
             lo = -np.inf if match.group(1) == "-inf" else float(match.group(1))
             up = np.inf if match.group(3).lstrip("+") == "inf" else float(match.group(3))
             remember(match.group(2))
             bounds[match.group(2)] = (lo, up)
+        else:
+            raise ParseError(f"line {ln!r} comes before any section", path=path)
     index = {name: j for j, name in enumerate(order)}
     n = len(order)
     c = np.zeros(n)

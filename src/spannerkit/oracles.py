@@ -68,10 +68,13 @@ def exact_optimum(instance: SpannerInstance, *, max_edges: int = 22) -> ExactRes
     paths that met its bounds when it was last searched.  Every stored
     witness is a subset of the current envelope: it was found inside the
     envelope of its moment, excluding an edge removes only that edge, and
-    the edge comes back on return.  So excluding edge ``e`` re-searches only
-    the sources whose witness holds ``e``; every other source still meets
-    its bounds along its witness.  The verdicts, and so the search tree and
-    ``nodes_explored``, are those of re-searching every source.
+    the edge comes back on return.  Each search stops once the source's
+    targets are settled; every node on a target's tree path was settled
+    before it, so the witness reads only final tree edges.  Excluding edge
+    ``e`` then re-searches only the sources whose witness holds ``e``; every
+    other source still meets its bounds along its witness.  The verdicts,
+    and so the search tree and ``nodes_explored``, are those of re-searching
+    every source.
     """
     m = instance.m
     if m > max_edges:
@@ -82,10 +85,10 @@ def exact_optimum(instance: SpannerInstance, *, max_edges: int = 22) -> ExactRes
     weights = scaled.weights
     witness: dict[int, set[int]] = {}
 
-    def meets(view, source: int, limit: int, targets) -> bool:
+    def meets(view, source: int, limit: int, targets, nodes) -> bool:
         """One source's bounded search; on success its witness is replaced."""
         parent = [None] * scaled.n
-        dist = shortest_distances(view, source, limit=limit, parent_edge=parent)
+        dist = shortest_distances(view, source, limit=limit, parent_edge=parent, targets=nodes)
         found: set[int] = set()
         for v, bound, _ in targets:
             if dist[v] is None or dist[v] > bound:
@@ -100,12 +103,12 @@ def exact_optimum(instance: SpannerInstance, *, max_edges: int = 22) -> ExactRes
     def feasible(envelope, removed: int | None = None) -> bool:
         """Whether the envelope meets every bound; a failing source moves to the front."""
         view = None
-        for k, (source, limit, targets) in enumerate(checks):
+        for k, (source, limit, targets, nodes) in enumerate(checks):
             if removed is not None and removed not in witness[source]:
                 continue
             if view is None:
                 view = graph_view(scaled, edge_subset=envelope)
-            if not meets(view, source, limit, targets):
+            if not meets(view, source, limit, targets, nodes):
                 checks.insert(0, checks.pop(k))
                 return False
         return True

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import bellman_ford, brute_force_lex_shortest
 from spannerkit.errors import DirectedInstance, SpannerError
@@ -16,6 +18,7 @@ from spannerkit.graph import (
 )
 from spannerkit.greedy import greedy
 from spannerkit.instance import Demand, Edge, SpannerInstance, Subgraph
+from test_int_core import PROFILE, instances
 
 
 def lex_path(inst, source, target):
@@ -107,6 +110,34 @@ def test_lexicographic_tie_break_matches_brute_force_on_random_graphs():
             for (a, b), end in zip(zip(nodes, nodes[1:]), ends):
                 assert end == (a, b) or (not directed and end == (b, a))
             assert sum(inst.lengths[e] for e in edge_ids) == expected[0]
+
+
+def test_lex_shortest_path_same_from_reverse_search_stopped_at_the_source():
+    # the graphs of the brute-force tie-break test above
+    rng = random.Random(7)
+    families = ("basic", "decoupled", "coupled")
+    stopped_short = 0
+    for trial in range(120):
+        family, directed = families[trial % 3], trial % 4 >= 2
+        inst = random_instance(
+            family, rng.randint(4, 7), rng.randint(5, 12), rng.randint(0, 10**6),
+            integer_lengths=trial % 2 == 0, directed=directed,
+        )
+        view, reverse = graph_view(inst), graph_view(inst, reverse=True)
+        source = rng.randrange(inst.n)
+        dist = shortest_distances(view, source)
+        for target in range(inst.n):
+            if target == source or dist[target] is None:
+                continue
+            full = shortest_distances(reverse, target, limit=dist[target])
+            path = lex_shortest_path(view, full, source, target)
+            # bounded at the pair's distance, as greedy asks, and unbounded, which
+            # leaves tentative entries at or past the source's distance
+            for limit in (dist[target], None):
+                early = shortest_distances(reverse, target, limit=limit, targets=(source,))
+                assert lex_shortest_path(view, early, source, target) == path
+                stopped_short += limit is None and early != full
+    assert stopped_short > 100
 
 
 def test_shortest_distances_matches_bellman_ford_on_random_instances():
@@ -255,6 +286,56 @@ def test_shortest_distances_limit_cuts_off_farther_nodes():
     assert shortest_distances(view, 0, limit=3) == [0, 1, 3, None]
     assert shortest_distances(view, 0, limit=Fraction(5, 2)) == [0, 1, None, None]
     assert shortest_distances(view, 0, limit=0) == [0, None, None, None]
+
+
+def test_targets_stop_the_search_once_settled():
+    # path 0 - 1 - ... - k: node 1 is settled second, so the search never reaches k
+    k = 6
+    inst = SpannerInstance(
+        False, k + 1, tuple(Edge(u, u + 1, Fraction(1), Fraction(1)) for u in range(k)), ()
+    )
+    view = graph_view(inst)
+    early = shortest_distances(view, 0, targets=(1,))
+    assert early[:2] == [0, 1]
+    assert early[k] is None
+    assert shortest_distances(view, 0)[k] == k
+    # repeats or no targets only forgo the early exit
+    assert shortest_distances(view, 0, targets=(1, 1)) == shortest_distances(view, 0)
+    assert shortest_distances(view, 0, targets=()) == shortest_distances(view, 0)
+
+
+def tree_path(instance, parent_edge, source, node):
+    """Edge indices of the ``parent_edge`` tree path from ``node`` back to ``source``."""
+    path = []
+    while node != source:
+        assert len(path) < instance.n, "parent_edge has a cycle"
+        e = instance.edges[parent_edge[node]]
+        path.append(parent_edge[node])
+        node = e.u if node == e.v else e.v
+    return path
+
+
+@PROFILE
+@given(instances(), st.data())
+def test_targets_keep_target_distances_and_tree_paths(inst, data):
+    scaled = inst.scaled
+    view = graph_view(scaled, reverse=data.draw(st.booleans()))
+    source = data.draw(st.integers(0, inst.n - 1))
+    limit = data.draw(st.one_of(st.none(), st.integers(0, sum(scaled.lengths))))
+    targets = data.draw(st.sets(st.integers(0, inst.n - 1), min_size=1))
+    full_parent, early_parent = [None] * inst.n, [None] * inst.n
+    full = shortest_distances(view, source, limit=limit, parent_edge=full_parent)
+    early = shortest_distances(view, source, limit=limit, parent_edge=early_parent, targets=targets)
+    for t in targets:
+        assert early[t] == full[t]
+        if full[t] is not None:
+            expected = tree_path(inst, full_parent, source, t)
+            assert tree_path(inst, early_parent, source, t) == expected
+    # every other entry is final, unreached, or tentative: above its distance and
+    # never below the last settled one, the farthest target (the search stopped early)
+    for q in range(inst.n):
+        if early[q] is not None and early[q] != full[q]:
+            assert early[q] > full[q] and early[q] >= max(early[t] for t in targets)
 
 
 def test_shortest_distances_matches_bellman_ford_on_scaled_views():

@@ -120,6 +120,21 @@ def test_canonical_serialization_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_canonical_turns_python_ints_into_fractions(tmp_path):
+    ints = SpannerInstance(False, 2, (Edge(1, 0, 3, 2),), (Demand(1, 0, 4),))
+    fractions = SpannerInstance(
+        False, 2, (Edge(0, 1, Fraction(3), Fraction(2)),), (Demand(0, 1, Fraction(4)),)
+    )
+    canonical = ints.canonical()
+    (e,), (d,) = canonical.edges, canonical.demands
+    assert (e.u, e.v, d.u, d.v) == (0, 1, 0, 1)
+    assert all(type(x) is Fraction for x in (e.weight, e.length, d.delta))
+    assert canonical == fractions.canonical()
+    save(ints, str(tmp_path / "ints.json"))
+    save(fractions, str(tmp_path / "fractions.json"))
+    assert (tmp_path / "ints.json").read_bytes() == (tmp_path / "fractions.json").read_bytes()
+
+
 def test_empty_demands_is_valid_and_greedy_returns_empty(tmp_path):
     from spannerkit.greedy import greedy
 

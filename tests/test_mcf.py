@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import brute_force_optimum
-from spannerkit.errors import SolverFailure
+from spannerkit.errors import ParseError, SolverFailure
 from spannerkit.extension import build_extension
 from spannerkit.generators import example5, random_instance
 from spannerkit.instance import (
@@ -288,6 +288,56 @@ def test_export_bytes_pinned(tmp_path, key):
     export_lp(model, str(path))
     text = path.read_text(encoding="utf-8") + json.dumps(model.flow_arcs)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == EXPORT_PINNED[key]
+
+
+@pytest.mark.parametrize("key", sorted(EXPORT_PINNED))
+def test_export_reads_back(tmp_path, key):
+    family, directed, demand_family, pairs, seed = key
+    inst = random_instance(
+        family, 6, 10, seed, demand_family=demand_family, demand_pairs=pairs,
+        integer_lengths=True, directed=directed,
+    )
+    model = build_mcf(build_extension(require_integer_lengths(inst)))
+    path = tmp_path / "model.lp"
+    export_lp(model, str(path))
+    parsed = read_lp(str(path))
+    # read_lp numbers the columns in order of first appearance
+    perm = [parsed.names.index(name) for name in model.var_names()]
+    assert len(perm) == parsed.num_vars
+    close = dict(rtol=1e-11, atol=0)
+    assert np.allclose(parsed.c[perm], model.c, **close)
+    assert np.allclose(parsed.a_ub[:, perm].toarray(), model.a_ub.toarray(), **close)
+    assert np.allclose(parsed.a_eq[:, perm].toarray(), model.a_eq.toarray(), **close)
+    assert np.allclose(parsed.b_ub, model.b_ub, **close)
+    assert np.allclose(parsed.b_eq, model.b_eq, **close)
+    assert np.array_equal(parsed.lower[perm], model.lower)
+    assert np.array_equal(parsed.upper[perm], model.upper)
+
+
+_GOOD_LP = ["Minimize", " obj: x + y", "Subject To", " c0: x + y >= 1", "Bounds",
+            " 0 <= x <= 4", " 0 <= y <= 4", "End"]
+# (line of _GOOD_LP replaced, the malformed line put there)
+_MALFORMED_LP = {
+    "unread text in a row": (3, " c0: 1 x + 1 y zz! 7 >= 1"),
+    "terms without a sign": (3, " c0: 1 x 1 y >= 1"),
+    "unread text in the objective": (1, " obj: x + y ?"),
+    "number with two points": (5, " 1.2.3 <= x <= 4"),
+    "letter for a number": (5, " e <= x <= 4"),
+    "bad exponent": (5, " 0 <= x <= 4e"),
+    "text before any section": (0, "x + y"),
+    "maximization": (0, "Maximize"),
+}
+
+
+@pytest.mark.parametrize("where, bad", _MALFORMED_LP.values(), ids=list(_MALFORMED_LP))
+def test_read_lp_rejects_malformed_lines(tmp_path, where, bad):
+    lines = list(_GOOD_LP)
+    lines[where] = bad
+    path = tmp_path / "bad.lp"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as info:
+        read_lp(str(path))
+    assert repr(bad.strip()) in str(info.value)
 
 
 _TEXTBOOK_LP = """Minimize
