@@ -10,18 +10,21 @@ a large number.
 
 One search routine, :func:`shortest_distances`, answers every distance
 question.  It stops past a distance (``limit``) and once its targets are
-settled (``targets``).  With targets, only the targets and the nodes
-settled before them hold final distances; every other entry may be
-tentative, but never below the last settled distance, so a caller reads
-only the targets.  :func:`lex_shortest_path` stays exact on a reverse
-search stopped at the path's source: it only steps to nodes strictly
-closer to the target than that source, and all of those were settled.
+settled (``targets``), and it can be goal-directed (``potential``).  With
+targets, only the targets and the nodes settled before them hold final
+distances; every other entry may be tentative, but without a potential
+never below the last settled distance, so a caller reads only the targets.
+A potential is a consistent lower bound on each node's distance to the
+targets, 0 at them: the search keys its heap and compares ``limit`` by
+distance plus potential, and the targets' distances stay exact.
 Tie-break contract: the path greedy adds for a pair is the one
 :func:`lex_shortest_path` returns, the shortest path whose node sequence is
 lexicographically smallest (between parallel arcs, the first in adjacency
-order).  It is read off distances to the target, so every greedy run is
-reproducible without perturbing lengths.  Scaling every length by the same
-``L`` keeps every comparison, so the path is the same in either unit.
+order).  It is read off distances from the source, which need be exact only
+up to the target's distance, so a search stopped at the target serves, and
+every greedy run is reproducible without perturbing lengths.  Scaling every
+length by the same ``L`` keeps every comparison, so the path is the same in
+either unit.
 """
 
 from __future__ import annotations
@@ -52,7 +55,9 @@ def graph_view(inst, *, edge_subset=None, reverse: bool = False) -> GraphView:
     """View of a SpannerInstance or IntegerInstance, optionally edge-restricted.
 
     ``reverse=True`` flips every arc (used for distances *to* a target in
-    directed graphs).
+    directed graphs).  An undirected instance's reversed view has the same
+    lists as its forward view, both in edge-index order, so callers reuse the
+    forward view there.
     """
     lengths = inst.lengths
     undirected = not inst.directed
@@ -71,7 +76,7 @@ def graph_view(inst, *, edge_subset=None, reverse: bool = False) -> GraphView:
 
 
 def shortest_distances(
-    view: GraphView, source: int, *, limit=None, parent_edge=None, targets=None
+    view: GraphView, source: int, *, limit=None, parent_edge=None, targets=None, potential=None
 ) -> list:
     """Exact Dijkstra distances from ``source``; None marks unreachable.
 
@@ -86,6 +91,15 @@ def shortest_distances(
     None; a tentative distance is never below the last settled one.  An
     empty collection, or one with repeats, only forgoes the early exit.
 
+    ``potential``, a list of n lower bounds on each node's distance to the
+    targets, makes the search goal-directed (A*).  It must be consistent,
+    ``potential[x] <= length + potential[y]`` on every arc ``x -> y``, and 0
+    at the targets.  The heap is then keyed, and ``limit`` compared, by
+    distance plus potential: a node whose distance plus potential exceeds
+    ``limit`` reads None.  Every settled node's distance is still exact, so
+    the targets' distances are the plain search's; other entries may be
+    tentative (above their distance) or None.
+
     ``parent_edge``, a list of n entries, receives the edge index of each
     reached node's last improving arc: a shortest-path tree, not the
     tie-broken one.  The arc's tail is the edge's other endpoint.  A settled
@@ -97,9 +111,34 @@ def shortest_distances(
     dist: list = [None] * n
     done = [False] * n
     dist[source] = 0
-    heap = [(0, source)]
     targets = targets or ()
     left = len(targets)
+    if potential is not None:
+        # the plain loop below on keys distance + potential, kept apart so it costs the plain search nothing
+        heap = [(potential[source], source)]
+        while heap:
+            q = heapq.heappop(heap)[1]
+            if done[q]:
+                continue
+            done[q] = True
+            if q in targets:
+                left -= 1
+                if not left:
+                    break
+            d = dist[q]
+            for head, length, edge_index in out[q]:
+                nd = d + length
+                key = nd + potential[head]
+                if done[head] or (limit is not None and key > limit):
+                    continue
+                cur = dist[head]
+                if cur is None or nd < cur:
+                    dist[head] = nd
+                    if parent_edge is not None:
+                        parent_edge[head] = edge_index
+                    heapq.heappush(heap, (key, head))
+        return dist
+    heap = [(0, source)]
     while heap:
         d, q = heapq.heappop(heap)
         if done[q]:
@@ -122,36 +161,51 @@ def shortest_distances(
     return dist
 
 
-def lex_shortest_path(view: GraphView, to_target: list, source: int, target: int):
+def lex_shortest_path(view: GraphView, reverse: GraphView, from_source: list, source: int, target: int):
     """``(nodes, edges)`` of the lexicographically smallest shortest source-target path.
 
-    ``to_target[x]`` is the distance from x to the target, from a search on
-    the reversed view; a limit of at least d(source, target) leaves every
-    node of a shortest path in it.  Each step takes the arc ``q -> x`` with
-    the smallest head x that can still finish on a shortest path,
-    ``length + to_target[x] == remaining``; between parallel arcs, the first
-    in adjacency order.  Choosing the smallest next node at every position
-    gives the smallest node sequence, since every choice can be completed.
+    ``from_source[x]`` is the distance from the source to x (``view``'s
+    arcs; ``reverse`` holds them reversed).  It need be exact only at the
+    target and the nodes nearer the source than it: every other entry may
+    be any value at least the target's distance, or None.  A search from the
+    source stopped once the target is settled gives such a list, and still
+    does with every None and every entry past a cap at least the target's
+    distance set to that cap.
 
-    Each step must get strictly closer to the target, so the walk ends.  It
-    raises :class:`SpannerError` where it cannot: a zero-length arc (which
-    validation rejects) or a target not reachable within the limit.
+    An arc ``x -> y`` is tight when ``from_source[x] + length ==
+    from_source[y]``.  A walk back from the target over tight arcs marks
+    every node of a shortest path; an entry at or past the target's distance
+    is never the tail of a tight arc into a marked node.  The walk forward
+    from the source then steps to the smallest marked head of a tight arc;
+    between parallel arcs, the first in adjacency order.  Choosing the
+    smallest next node at every position gives the smallest node sequence,
+    since every choice can be completed.
+
+    Each step must have positive length, so the walk ends.  It raises
+    :class:`SpannerError` where it cannot: a zero-length arc (which
+    validation rejects) or a target not reachable from the source.
     """
+    marked = {target}
+    stack = [target]
+    while stack:
+        y = stack.pop()
+        at = from_source[y]
+        for x, length, _ in reverse.out[y]:
+            dx = from_source[x]
+            if dx is not None and x not in marked and dx + length == at:
+                marked.add(x)
+                stack.append(x)
     out = view.out
     nodes, edges = [source], []
-    q, remaining = source, to_target[source]
+    q = source
     while q != target:
-        best = None
+        at, best = from_source[q], None
         for head, length, edge_index in out[q]:
-            rest = to_target[head]
-            if rest is None or rest >= remaining or length + rest != remaining:
-                continue
-            if best is None or head < best[0]:
+            if head in marked and at + length == from_source[head] and (best is None or head < best[0]):
                 best = (head, length, edge_index)
-        if best is None:
+        if best is None or not best[1]:
             raise SpannerError(f"no shortest path toward {target} goes on from node {q}")
-        q, length, edge_index = best
-        remaining -= length
+        q, _, edge_index = best
         nodes.append(q)
         edges.append(edge_index)
     return tuple(nodes), tuple(edges)

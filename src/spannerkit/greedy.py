@@ -13,11 +13,14 @@ times the lcm ``L`` of their denominators, bounds floored to
 ``floor(delta * L)``.  Every search stops past a distance and once its
 targets are settled.  A threshold probe searches each source up to its
 largest bound and its targets, and stops at the first violated pair.  The
-greedy phase orders the pairs with one such search per source, keeps the
-spanner's adjacency as it grows and asks a search bounded at the pair's
-bound, stopped at its target, whether a pair already holds.  Only for a
-pair that does not, it searches back from the target, up to the pair's
-distance and its source, and walks the path off those distances.
+greedy phase orders the pairs with one such search per source u, and caps
+its distances at u's farthest target distance T, which makes them
+min(d(u, x), T).  The spanner only grows inside the searched graph, so these
+bound every spanner distance from u from below: the spanner's arcs are kept
+reversed, and whether a pair already holds is asked by a search back from
+its target, bounded at the pair's bound, stopped at u and goal-directed by
+u's capped list.  For a pair that does not hold, the path is walked off the
+same list; no further search is needed.
 Distances go back to instance units, ``Fraction(d, L)``, only in
 :class:`GreedyStep` and :class:`~spannerkit.errors.UnsatisfiableDemand`; the
 threshold search compares the view's integer weights and reports W* as a
@@ -91,29 +94,36 @@ def greedy(
             raise UnsatisfiableDemand(d.u, d.v, d.delta, scaled.unscale(exact))
         order.append((dist, d.u, d.v, b.delta, d))
     order.sort(key=lambda t: (t[0], t[1], t[2]))
+    # every target settled, the farthest at T: entries below T are exact and the
+    # rest at least T, so capping them at T gives min(d(u, x), T)
+    for source, _, _, nodes in checks:
+        far = max(dists[source][v] for v in nodes)
+        dists[source] = [far if x is None or x > far else x for x in dists[source]]
 
-    reverse = graph_view(scaled, edge_subset=edge_subset, reverse=True)
+    reverse = graph_view(scaled, edge_subset=edge_subset, reverse=True) if instance.directed else view
     chosen: set[int] = set()
-    spanner = GraphView(instance.n)  # grows with ``chosen``
+    spanner = GraphView(instance.n)  # grows with ``chosen``, arcs reversed
     prev = None
     for dist, _, _, bound, d in order:
         if prev is not None and dist < prev:
             raise LemmaViolation("pairs must be visited in non-decreasing distance")
         prev = dist
-        executed = shortest_distances(spanner, d.u, limit=bound, targets=(d.v,))[d.v] is None
+        # the spanner only grows inside ``view``, so min(d(u, x), T) bounds its distances from u
+        from_source = dists[d.u]
+        back = shortest_distances(spanner, d.v, limit=bound, targets=(d.u,), potential=from_source)
+        executed = back[d.u] is None
         path_nodes: tuple[int, ...] = ()
         path_edges: tuple[int, ...] = ()
         new_edges: tuple[int, ...] = ()
         if executed:
-            to_target = shortest_distances(reverse, d.v, limit=dist, targets=(d.u,))
-            path_nodes, path_edges = lex_shortest_path(view, to_target, d.u, d.v)
+            path_nodes, path_edges = lex_shortest_path(view, reverse, from_source, d.u, d.v)
             new_edges = tuple(e for e in path_edges if e not in chosen)
             chosen.update(new_edges)
             for e in new_edges:
                 edge, length = instance.edges[e], scaled.lengths[e]
-                spanner.out[edge.u].append((edge.v, length, e))
+                spanner.out[edge.v].append((edge.u, length, e))
                 if not instance.directed:
-                    spanner.out[edge.v].append((edge.u, length, e))
+                    spanner.out[edge.u].append((edge.v, length, e))
         if trace is not None:
             trace.append(
                 GreedyStep(

@@ -332,7 +332,8 @@ def restricted_subgraph(instance: IntegerInstance | SpannerInstance, pair):
         instance = require_integer_lengths(instance)
     d = _as_int_demand(instance, pair)
     forward = graph_view(instance)
-    from_u, to_v = budget_window(forward, graph_view(instance, reverse=True), d)
+    reverse = graph_view(instance, reverse=True) if instance.directed else forward
+    from_u, to_v = budget_window(forward, reverse, d)
 
     def fits(s: int, length: int, t: int) -> bool:
         ds, dt = from_u[s], to_v[t]

@@ -35,6 +35,66 @@ def bellman_ford(view: GraphView, source: int) -> list:
     return dist
 
 
+def reference_greedy(instance, edge_subset=None) -> list[tuple]:
+    """Greedy's trace, on the instance's own lengths, by Bellman-Ford alone.
+
+    Orders the pairs by (distance, u, v) in the restricted graph, checks each
+    on the spanner built so far and, for a pair that does not hold, walks
+    from u to the smallest next node that still lies on a shortest path,
+    read off distances to v.  One ``(u, v, delta, distance, executed,
+    path_nodes, path_edges, new_edges)`` tuple per pair, as in
+    ``GreedyStep``.
+    """
+    lengths = instance.lengths
+
+    def view_of(ids, reverse=False):
+        view = GraphView(instance.n)
+        for i in sorted(ids):
+            e, length = instance.edges[i], lengths[i]
+            tail, head = (e.v, e.u) if reverse else (e.u, e.v)
+            view.out[tail].append((head, length, i))
+            if not instance.directed:
+                view.out[head].append((tail, length, i))
+        return view
+
+    ids = range(instance.m) if edge_subset is None else edge_subset
+    graph, reverse = view_of(ids), view_of(ids, reverse=True)
+    from_source = {u: bellman_ford(graph, u) for u in {d.u for d in instance.demands}}
+    to_target = {v: bellman_ford(reverse, v) for v in {d.v for d in instance.demands}}
+    order = sorted(
+        ((from_source[d.u][d.v], d.u, d.v, d) for d in instance.demands if d.u != d.v),
+        key=lambda t: t[:3],
+    )
+    chosen: set[int] = set()
+    spanner_from: dict = {}  # per source, on the spanner as it is now
+    trace = []
+    for dist, u, v, d in order:
+        assert dist is not None and dist <= d.delta, "unsatisfiable pair"
+        if u not in spanner_from:
+            spanner_from[u] = bellman_ford(view_of(chosen), u)
+        held = spanner_from[u][v]
+        executed = held is None or held > d.delta
+        nodes, path, new = (), (), ()
+        if executed:
+            to_v, q = to_target[v], u
+            nodes, path = [u], []
+            while q != v:
+                steps = [
+                    (head, i)
+                    for head, length, i in graph.out[q]
+                    if to_v[head] is not None and length + to_v[head] == to_v[q]
+                ]
+                q, i = min(steps, key=lambda step: step[0])
+                nodes.append(q)
+                path.append(i)
+            nodes, path = tuple(nodes), tuple(path)
+            new = tuple(i for i in path if i not in chosen)
+            chosen.update(new)
+            spanner_from.clear()
+        trace.append((u, v, d.delta, dist, executed, nodes, path, new))
+    return trace
+
+
 def all_simple_paths(view: GraphView, source: int, target: int, limit: int = 10**6):
     """Every simple path as (length, node tuple); exponential, tiny graphs only."""
     results = []

@@ -22,9 +22,10 @@ from test_int_core import PROFILE, instances
 
 
 def lex_path(inst, source, target):
-    """The greedy path: ``lex_shortest_path`` over distances to the target."""
-    to_target = shortest_distances(graph_view(inst, reverse=True), target)
-    return lex_shortest_path(graph_view(inst), to_target, source, target)
+    """The greedy path: ``lex_shortest_path`` over distances from the source."""
+    view = graph_view(inst)
+    from_source = shortest_distances(view, source)
+    return lex_shortest_path(view, graph_view(inst, reverse=True), from_source, source, target)
 
 
 def test_shortest_distances_example5():
@@ -102,9 +103,7 @@ def test_lexicographic_tie_break_matches_brute_force_on_random_graphs():
                 assert dist[target] is None
                 continue
             assert dist[target] == expected[0]
-            # bounded at the pair's distance, as greedy asks
-            to_target = shortest_distances(reverse, target, limit=dist[target])
-            nodes, edge_ids = lex_shortest_path(view, to_target, source, target)
+            nodes, edge_ids = lex_shortest_path(view, reverse, dist, source, target)
             assert nodes == expected[1]
             ends = [(inst.edges[e].u, inst.edges[e].v) for e in edge_ids]
             for (a, b), end in zip(zip(nodes, nodes[1:]), ends):
@@ -112,7 +111,7 @@ def test_lexicographic_tie_break_matches_brute_force_on_random_graphs():
             assert sum(inst.lengths[e] for e in edge_ids) == expected[0]
 
 
-def test_lex_shortest_path_same_from_reverse_search_stopped_at_the_source():
+def test_lex_shortest_path_same_from_search_stopped_at_the_target():
     # the graphs of the brute-force tie-break test above
     rng = random.Random(7)
     families = ("basic", "decoupled", "coupled")
@@ -129,14 +128,15 @@ def test_lex_shortest_path_same_from_reverse_search_stopped_at_the_source():
         for target in range(inst.n):
             if target == source or dist[target] is None:
                 continue
-            full = shortest_distances(reverse, target, limit=dist[target])
-            path = lex_shortest_path(view, full, source, target)
-            # bounded at the pair's distance, as greedy asks, and unbounded, which
-            # leaves tentative entries at or past the source's distance
+            path = lex_shortest_path(view, reverse, dist, source, target)
+            # bounded at the pair's distance and unbounded, which leaves tentative
+            # entries at or past the target's distance, and capped there, as greedy asks
             for limit in (dist[target], None):
-                early = shortest_distances(reverse, target, limit=limit, targets=(source,))
-                assert lex_shortest_path(view, early, source, target) == path
-                stopped_short += limit is None and early != full
+                early = shortest_distances(view, source, limit=limit, targets=(target,))
+                assert lex_shortest_path(view, reverse, early, source, target) == path
+                stopped_short += limit is None and early != dist
+            capped = [dist[target] if x is None or x > dist[target] else x for x in early]
+            assert lex_shortest_path(view, reverse, capped, source, target) == path
     assert stopped_short > 100
 
 
@@ -336,6 +336,28 @@ def test_targets_keep_target_distances_and_tree_paths(inst, data):
     for q in range(inst.n):
         if early[q] is not None and early[q] != full[q]:
             assert early[q] > full[q] and early[q] >= max(early[t] for t in targets)
+
+
+@PROFILE
+@given(instances(), st.data())
+def test_potential_keeps_the_target_distance(inst, data):
+    scaled = inst.scaled
+    reverse = data.draw(st.booleans())
+    view, back = graph_view(scaled, reverse=reverse), graph_view(scaled, reverse=not reverse)
+    source = data.draw(st.integers(0, inst.n - 1))
+    target = data.draw(st.integers(0, inst.n - 1))
+    limit = data.draw(st.one_of(st.none(), st.integers(0, sum(scaled.lengths))))
+    cap = data.draw(st.integers(0, sum(scaled.lengths)))
+    exact = bellman_ford(view, source)[target]
+    expected = None if exact is None or (limit is not None and exact > limit) else exact
+    assert shortest_distances(view, source, limit=limit)[target] == expected
+    # min(exact distance to the target, cap) and all zeros are both consistent
+    to_target = bellman_ford(back, target)
+    capped = [cap if x is None else min(x, cap) for x in to_target]
+    for potential in (capped, [0] * inst.n):
+        for targets in ((target,), None):
+            got = shortest_distances(view, source, limit=limit, targets=targets, potential=potential)
+            assert got[target] == expected
 
 
 def test_shortest_distances_matches_bellman_ford_on_scaled_views():

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_force_optimum
+from conftest import brute_force_optimum, reference_greedy
 from spannerkit.errors import DirectedInstance, UnsatisfiableDemand
 from spannerkit.generators import (
     DEMAND_FAMILIES,
@@ -344,3 +346,49 @@ def test_greedy_traces_pinned(key):
     greedy(inst, trace=plain)
     augmented_greedy(inst, trace=augmented)
     assert (trace_digest(plain), trace_digest(augmented)) == TRACE_PINNED[key]
+
+
+def test_greedy_caps_the_order_distances_it_takes_as_potential():
+    # source 0's order search stops at its farthest target 4 (distance 10) with
+    # node 3 tentative at 14, though 0-1-2-3 is 12.  Capped at 10, the check of
+    # (0, 4) finds the spanner path 0-1-2-3-4 of length 15; read as 14, node 3
+    # would lie past the bound (3 + 14 > 15) and (0, 4) would be executed.
+    edges = tuple(
+        Edge(u, v, Fraction(1), Fraction(ln))
+        for u, v, ln in ((0, 1, 6), (0, 3, 14), (0, 4, 10), (1, 2, 5), (2, 3, 1), (3, 4, 3))
+    )
+    demands = tuple(
+        Demand(u, v, Fraction(b)) for u, v, b in ((0, 1, 6), (0, 4, 15), (1, 2, 5), (2, 3, 1), (3, 4, 3))
+    )
+    inst = SpannerInstance(False, 5, edges, demands)
+    trace = []
+    sub = greedy(inst, trace=trace)
+    assert [s.executed for s in trace if (s.u, s.v) == (0, 4)] == [False]
+    assert sub.edge_set == frozenset({0, 3, 4, 5})
+
+
+def steps(trace) -> list[tuple]:
+    return [
+        (s.u, s.v, s.delta, s.base_distance, s.executed, s.path_nodes, s.path_edges, s.new_edges)
+        for s in trace
+    ]
+
+
+@pytest.mark.parametrize("family", WEIGHT_FAMILIES)
+@pytest.mark.parametrize("directed", (False, True))
+@pytest.mark.parametrize("demand_family", DEMAND_FAMILIES)
+@settings(max_examples=3, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_greedy_traces_match_reference_greedy(family, directed, demand_family, data):
+    n = data.draw(st.integers(15, 30), label="n")
+    inst = random_instance(
+        family, n, data.draw(st.integers(n, 3 * n), label="m"), data.draw(st.integers(0, 10**6)),
+        demand_family=demand_family, demand_pairs=data.draw(st.sampled_from(DEMAND_PAIRS)),
+        integer_lengths=data.draw(st.booleans()), directed=directed,
+    )
+    plain, augmented = [], []
+    greedy(inst, trace=plain)
+    augmented_greedy(inst, trace=augmented)
+    assert steps(plain) == reference_greedy(inst)
+    restricted = weight_threshold_search(inst).restricted_edges
+    assert steps(augmented) == reference_greedy(inst, restricted)
