@@ -17,6 +17,12 @@ never below the last settled distance, so a caller reads only the targets.
 A potential is a consistent lower bound on each node's distance to the
 targets, 0 at them: the search keys its heap and compares ``limit`` by
 distance plus potential, and the targets' distances stay exact.
+Every instance's full graph search is made once: the scaled view keeps the
+full forward view (``scaled.view``) and, per demand source, the search on
+it bounded at the source's largest bound and stopped at its targets
+(``scaled.reach``, from :func:`check_distances`, the one producer of such
+lists).  Validation, the threshold search's top probe and greedy's pair
+order on the full graph read them; nothing may change them.
 Tie-break contract: the path greedy adds for a pair is the one
 :func:`lex_shortest_path` returns, the shortest path whose node sequence is
 lexicographically smallest (between parallel arcs, the first in adjacency
@@ -345,16 +351,31 @@ def meets_bounds(view: GraphView, checks: list) -> bool:
     return True
 
 
-def violated_pairs(view: GraphView, checks, scale: int) -> list[tuple[int, Fraction | None]]:
+def check_distances(view: GraphView, checks) -> tuple[list, ...]:
+    """One distance list per check ``(source, limit, targets, nodes)``, in check order.
+
+    Each is the search from ``source`` bounded at ``limit`` (the source's
+    largest bound) and stopped once ``nodes`` is settled, so it is exact at
+    every target within its bound.  The one producer of these lists: the
+    scaled view's cache (:attr:`~spannerkit.instance.IntegerInstance.reach`),
+    greedy on a restricted graph and :func:`verify_feasible` all take them
+    from here.
+    """
+    return tuple(
+        shortest_distances(view, source, limit=limit, targets=nodes) for source, limit, _, nodes in checks
+    )
+
+
+def violated_pairs(view: GraphView, checks, dists, scale: int) -> list[tuple[int, Fraction | None]]:
     """``(demand index, exact distance in instance units)`` of every failed check, by index.
 
-    The bounded search decides each pair; a failing source is searched again
+    ``dists`` is :func:`check_distances` of ``view`` and ``checks``; these
+    bounded searches decide each pair.  A failing source is searched again
     without the bound, up to its failed targets, so the reported distance is
     the true one.
     """
     found = []
-    for source, limit, targets, nodes in checks:
-        dist = shortest_distances(view, source, limit=limit, targets=nodes)
+    for (source, _, targets, _), dist in zip(checks, dists):
         failed = [(v, i) for v, bound, i in targets if dist[v] is None or dist[v] > bound]
         if failed:
             exact = shortest_distances(view, source, targets={v for v, _ in failed})
@@ -379,6 +400,6 @@ def verify_feasible(subgraph: Subgraph, demands=None) -> Verdict:
     view = graph_view(scaled, edge_subset=subgraph.edge_set)
     violations = [
         PairViolation(demands[i].u, demands[i].v, demands[i].delta, achieved)
-        for i, achieved in violated_pairs(view, checks, scaled.scale)
+        for i, achieved in violated_pairs(view, checks, check_distances(view, checks), scaled.scale)
     ]
     return Verdict(not violations, violations)

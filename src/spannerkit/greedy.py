@@ -21,6 +21,13 @@ reversed, and whether a pair already holds is asked by a search back from
 its target, bounded at the pair's bound, stopped at u and goal-directed by
 u's capped list.  For a pair that does not hold, the path is walked off the
 same list; no further search is needed.
+On the whole graph the searches are the instance's own: the threshold
+search's probe at the largest weight (which keeps every edge) and greedy's
+pair order, when the demands are the instance's and ``edge_subset`` keeps
+every edge (plain ``greedy``, and ``augmented_greedy`` whenever E[W*] = E),
+read the scaled view's cached ``view`` and ``reach``, which validation
+built or the first of them builds.  Greedy caps into new lists; the cached
+ones are shared and never changed.
 Distances go back to instance units, ``Fraction(d, L)``, only in
 :class:`GreedyStep` and :class:`~spannerkit.errors.UnsatisfiableDemand`; the
 threshold search compares the view's integer weights and reports W* as a
@@ -37,12 +44,14 @@ from fractions import Fraction
 from .errors import DirectedInstance, InfeasibleInstance, LemmaViolation, UnsatisfiableDemand
 from .graph import (
     GraphView,
+    check_distances,
     demand_bounds,
     graph_view,
     lex_shortest_path,
     meets_bounds,
     minimum_spanning_tree,
     shortest_distances,
+    violated_pairs,
 )
 from .instance import SpannerInstance, Subgraph, group_by_source
 
@@ -78,12 +87,12 @@ def greedy(
     scaled = instance.scaled
     demands, bounds = demand_bounds(instance, demands)
     checks = scaled.by_source if bounds is scaled.demands else group_by_source(bounds)
-    view = graph_view(scaled, edge_subset=edge_subset)
-    # one search per source, up to its largest bound and its targets, settles every pair's distance
-    dists = {
-        source: shortest_distances(view, source, limit=limit, targets=nodes)
-        for source, limit, _, nodes in checks
-    }
+    whole = edge_subset is None or all(i in edge_subset for i in range(instance.m))
+    view = scaled.view if whole else graph_view(scaled, edge_subset=edge_subset)
+    # one search per source, up to its largest bound and its targets, settles every pair's
+    # distance; on the whole graph with the instance's own demands those are the cached ones
+    reach = scaled.reach if whole and checks is scaled.by_source else check_distances(view, checks)
+    dists = {check[0]: dist for check, dist in zip(checks, reach)}
     order = []
     for d, b in zip(demands, bounds):
         if d.u == d.v:
@@ -95,7 +104,8 @@ def greedy(
         order.append((dist, d.u, d.v, b.delta, d))
     order.sort(key=lambda t: (t[0], t[1], t[2]))
     # every target settled, the farthest at T: entries below T are exact and the
-    # rest at least T, so capping them at T gives min(d(u, x), T)
+    # rest at least T, so capping them at T gives min(d(u, x), T); new lists, as
+    # the cached ones are shared
     for source, _, _, nodes in checks:
         far = max(dists[source][v] for v in nodes)
         dists[source] = [far if x is None or x > far else x for x in dists[source]]
@@ -162,7 +172,8 @@ def weight_threshold_search(instance: SpannerInstance, *, mst_lift: bool = False
     def feasible_at(w: int) -> bool:
         return meets_bounds(graph_view(scaled, edge_subset=edges_upto(w)), checks)
 
-    if not feasible_at(weights[-1]):
+    # the largest weight keeps every edge: that probe reads the scaled view's cached searches
+    if violated_pairs(scaled.view, scaled.by_source, scaled.reach, scaled.scale):
         raise InfeasibleInstance("even the full graph violates some demand")
     lo, hi = 0, len(weights) - 1
     while lo < hi:

@@ -30,6 +30,17 @@ Validation, verification, greedy, the threshold search and the exact search
 run on this view; fractions come back only in reports.  With ``L = 1`` it is
 the integer-length view that the layered extension requires
 (:func:`require_integer_lengths`).
+
+The scaled view also holds the instance's full graph search, built once on
+first use and kept for the instance's life: :attr:`IntegerInstance.view`,
+the forward graph view of every edge, and :attr:`IntegerInstance.reach`,
+each demand source's search on it, bounded at its largest bound and
+stopped at its targets.  Validation, the threshold search's probe at the
+largest weight (the full graph) and greedy's pair order on the full graph
+read them instead of searching again; the connectivity check, the flow
+LP's forward view and the exact search's root check read the view.  Both
+are shared, so no reader may change them.  They travel with a pickled
+instance.
 """
 
 from __future__ import annotations
@@ -239,18 +250,17 @@ def validate(instance: SpannerInstance) -> ValidationReport:
 
     # Structural connectivity, then per-demand satisfiability (delta >= d_G),
     # both on the scaled integer view.
-    from .graph import graph_view, shortest_distances, violated_pairs
+    from .graph import shortest_distances, violated_pairs
 
     scaled = instance.scaled
-    view = graph_view(scaled)
     if not instance.directed:
-        dist0 = shortest_distances(view, 0)
+        dist0 = shortest_distances(scaled.view, 0)
         unreachable = [q for q in range(instance.n) if dist0[q] is None]
         if unreachable:
             report.add("not-connected", f"nodes {unreachable} unreachable from node 0")
 
     budget_cap = instance.n * max(scaled.lengths, default=0)  # n * max_length, scaled
-    achieved = dict(violated_pairs(view, scaled.by_source, scaled.scale))
+    achieved = dict(violated_pairs(scaled.view, scaled.by_source, scaled.reach, scaled.scale))
     for i, d in enumerate(instance.demands):
         if d.u == d.v:
             continue
@@ -313,6 +323,11 @@ class IntegerInstance:
     sums and comparisons are integer too.  Built once per instance as
     :attr:`SpannerInstance.scaled`; with ``scale == 1`` it is the
     integer-length view the layered-extension LP requires.
+
+    :attr:`view` and :attr:`reach` (see the module docstring) are built on
+    first use and kept, like :attr:`by_source`.  They are shared by every
+    reader and read-only: a reader that needs other values (greedy caps the
+    distances) builds new lists.
     """
 
     base: SpannerInstance
@@ -343,6 +358,26 @@ class IntegerInstance:
     def by_source(self):
         """:func:`group_by_source` of the scaled demands."""
         return group_by_source(self.demands)
+
+    @cached_property
+    def view(self):
+        """The full forward :func:`~spannerkit.graph.graph_view`: every edge, in edge-index order."""
+        from .graph import graph_view
+
+        return graph_view(self)
+
+    @cached_property
+    def reach(self) -> tuple[list, ...]:
+        """One distance list per :attr:`by_source` check, in check order, searched on :attr:`view`.
+
+        Each is that source's search bounded at its largest bound and
+        stopped once its targets are settled
+        (:func:`~spannerkit.graph.check_distances`): exact at every target
+        within its bound, None past it.
+        """
+        from .graph import check_distances
+
+        return check_distances(self.view, self.by_source)
 
     def unscale(self, dist: int | None) -> Fraction | None:
         """A scaled distance in instance units; None (unreachable) stays None."""
@@ -382,14 +417,26 @@ def to_json_dict(instance: SpannerInstance) -> dict:
     return doc
 
 
-def _node_id(value, field: str, path: str | None) -> int:
+def _node_id(value, record: str, i: int, key: str, path: str | None) -> int:
     # bool is a subclass of int, but `true` is not a node id; floats are not truncated
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"node id must be an integer, got {value!r}", path=path, field=field)
+        raise ParseError(f"node id must be an integer, got {value!r}", path=path, field=f"{record}[{i}].{key}")
     return value
 
 
+def _in_canonical_order(records, directed: bool) -> bool:
+    """Whether :meth:`SpannerInstance.canonical` keeps these edges or demands as they are."""
+    keys = [(r.u, r.v) for r in records]
+    return (directed or all(u <= v for u, v in keys)) and all(a <= b for a, b in zip(keys, keys[1:]))
+
+
 def from_json_dict(doc: dict, *, path: str | None = None) -> SpannerInstance:
+    """The canonical instance a document describes; a malformed one raises :class:`ParseError`.
+
+    Each record is built once: a document already in canonical form (every
+    saved file) is returned as parsed, any other is put in that form.  Each
+    distinct rational string is parsed once per document.
+    """
     try:
         directed = doc["directed"]
         n = doc["n"]
@@ -401,15 +448,28 @@ def from_json_dict(doc: dict, *, path: str | None = None) -> SpannerInstance:
         raise ParseError(f"must be true or false, got {directed!r}", path=path, field="directed")
     if isinstance(n, bool) or not isinstance(n, int):
         raise ParseError(f"node count must be an integer, got {n!r}", path=path, field="n")
+    parsed: dict[str, Fraction] = {}  # each distinct rational string, once it has parsed
+
+    def rational(text, record: str, i: int, key: str) -> Fraction:
+        value = parsed.get(text) if type(text) is str else None
+        if value is None:
+            try:
+                value = parse_rational(text)
+            except ParseError as exc:
+                raise ParseError(exc.reason, field=f"{record}[{i}].{key}") from None
+            if type(text) is str:
+                parsed[text] = value
+        return value
+
     edges = []
     for i, e in enumerate(raw_edges):
         try:
             edges.append(
                 Edge(
-                    _node_id(e["u"], f"edges[{i}].u", path),
-                    _node_id(e["v"], f"edges[{i}].v", path),
-                    parse_rational(e["w"], field=f"edges[{i}].w"),
-                    parse_rational(e["len"], field=f"edges[{i}].len"),
+                    _node_id(e["u"], "edges", i, "u", path),
+                    _node_id(e["v"], "edges", i, "v", path),
+                    rational(e["w"], "edges", i, "w"),
+                    rational(e["len"], "edges", i, "len"),
                 )
             )
         except (KeyError, TypeError, ValueError):
@@ -419,9 +479,9 @@ def from_json_dict(doc: dict, *, path: str | None = None) -> SpannerInstance:
         try:
             demands.append(
                 Demand(
-                    _node_id(d["u"], f"demands[{i}].u", path),
-                    _node_id(d["v"], f"demands[{i}].v", path),
-                    parse_rational(d["delta"], field=f"demands[{i}].delta"),
+                    _node_id(d["u"], "demands", i, "u", path),
+                    _node_id(d["v"], "demands", i, "v", path),
+                    rational(d["delta"], "demands", i, "delta"),
                 )
             )
         except (KeyError, TypeError, ValueError):
@@ -430,7 +490,10 @@ def from_json_dict(doc: dict, *, path: str | None = None) -> SpannerInstance:
     if not (labels is None or isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
         raise ParseError(f"must be null or a list of strings, got {labels!r}", path=path, field="labels")
     labels = None if labels is None else tuple(labels)
-    return SpannerInstance(directed, n, tuple(edges), tuple(demands), labels).canonical()
+    instance = SpannerInstance(directed, n, tuple(edges), tuple(demands), labels)
+    if _in_canonical_order(instance.edges, directed) and _in_canonical_order(instance.demands, directed):
+        return instance
+    return instance.canonical()
 
 
 def save(instance: SpannerInstance, path: str) -> None:

@@ -93,7 +93,7 @@ def build_mcf(extension: DeltaExtension) -> McfModel:
             raise ValueError(
                 f"demand ({d.u},{d.v}) bound {d.delta} exceeds the extension's {extension.delta_bar}"
             )
-    forward_view = graph_view(inst)
+    forward_view = inst.view
     reverse_view = graph_view(inst, reverse=True) if inst.directed else forward_view
     kept_runs = []  # per pair: (run, lo, hi) for each run whose arcs lo .. hi-1 are kept
     for d in demands:

@@ -101,19 +101,19 @@ def exact_optimum(instance: SpannerInstance, *, max_edges: int = 22) -> ExactRes
         return True
 
     def feasible(envelope, removed: int | None = None) -> bool:
-        """Whether the envelope meets every bound; a failing source moves to the front."""
+        """Whether the envelope (None: every edge) meets every bound; a failing source moves to the front."""
         view = None
         for k, (source, limit, targets, nodes) in enumerate(checks):
             if removed is not None and removed not in witness[source]:
                 continue
             if view is None:
-                view = graph_view(scaled, edge_subset=envelope)
+                view = scaled.view if envelope is None else graph_view(scaled, edge_subset=envelope)
             if not meets(view, source, limit, targets, nodes):
                 checks.insert(0, checks.pop(k))
                 return False
         return True
 
-    if not feasible(range(m)):
+    if not feasible(None):
         raise InfeasibleInstance("the full edge set violates some demand")
 
     order = sorted(range(m), key=lambda i: (-weights[i], i))

@@ -360,6 +360,22 @@ def test_potential_keeps_the_target_distance(inst, data):
             assert got[target] == expected
 
 
+@PROFILE
+@given(instances())
+def test_scaled_view_caches_the_full_view_and_each_sources_search(inst):
+    scaled = inst.scaled
+    assert scaled.view is scaled.view and scaled.reach is scaled.reach  # built once, then kept
+    fresh = graph_view(scaled)
+    assert scaled.view.out == fresh.out
+    assert len(scaled.reach) == len(scaled.by_source)
+    for (source, limit, targets, nodes), dist in zip(scaled.by_source, scaled.reach):
+        searched = shortest_distances(fresh, source, limit=limit, targets=nodes)
+        exact = bellman_ford(fresh, source)
+        for v, _, _ in targets:
+            assert dist[v] == searched[v]
+            assert dist[v] == (None if exact[v] is None or exact[v] > limit else exact[v])
+
+
 def test_shortest_distances_matches_bellman_ford_on_scaled_views():
     rng = random.Random(11)
     for seed in range(20):

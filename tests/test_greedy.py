@@ -1,5 +1,7 @@
 import hashlib
+import importlib
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -17,9 +19,11 @@ from spannerkit.generators import (
     nonmetric_triangle,
     random_instance,
 )
-from spannerkit.graph import verify_feasible
+from spannerkit.graph import check_distances, graph_view, verify_feasible
 from spannerkit.greedy import augmented_greedy, greedy, weight_threshold_search
-from spannerkit.instance import Demand, Edge, SpannerInstance
+from spannerkit.instance import Demand, Edge, SpannerInstance, Subgraph, validate
+from spannerkit.oracles import exact_optimum
+from spannerkit.rounding import solve_randomized
 
 
 def test_greedy_example5_processes_cheap_distances_first():
@@ -392,3 +396,90 @@ def test_greedy_traces_match_reference_greedy(family, directed, demand_family, d
     assert steps(plain) == reference_greedy(inst)
     restricted = weight_threshold_search(inst).restricted_edges
     assert steps(augmented) == reference_greedy(inst, restricted)
+
+
+# ---------------------------------------------------------------------------
+# The scaled view's shared searches (``scaled.view``, ``scaled.reach``)
+
+
+def solve_everything(inst) -> dict:
+    """Every solver's output on one instance, validation last: traces, edge sets, verdicts."""
+    out = {}
+    trace = []
+    out["greedy"] = (greedy(inst, trace=trace).edge_set, trace)
+    for lift in (False, True):
+        trace = []
+        sub, report = augmented_greedy(inst, mst_lift=lift, trace=trace)
+        out["augmented", lift] = (sub.edge_set, trace, report.w_star, report.restricted_edge_count)
+    sub, report = solve_randomized(inst, seed=3)
+    out["randomized"] = (sub.edge_set, report.accepted_attempt)
+    exact = exact_optimum(inst)
+    out["exact"] = (exact.weight, exact.edge_set, exact.nodes_explored)
+    out["verify"] = [
+        verify_feasible(Subgraph(inst, edges)).violations
+        for edges in (frozenset(), exact.edge_set, frozenset(range(inst.m - 1)))
+    ]
+    out["validate"] = validate(inst).violations
+    return out
+
+
+def assert_cache_as_built(inst):
+    scaled = inst.scaled
+    fresh = graph_view(scaled)
+    assert scaled.view.out == fresh.out
+    assert scaled.reach == check_distances(fresh, scaled.by_source)
+
+
+# (family, seed, |E[W*]|) of undirected integer-length instances with n = 8, m = 14
+SHARED = [("decoupled", 1, 14), ("coupled", 3, 11)]
+
+
+@pytest.mark.parametrize("family, seed, restricted", SHARED)
+def test_solvers_leave_the_shared_searches_as_built(family, seed, restricted):
+    def make():
+        return random_instance(family, 8, 14, seed, demand_family="freeform", integer_lengths=True)
+
+    fresh = make()
+    expected = solve_everything(fresh)  # greedy builds the cache here
+    assert expected["augmented", False][3] == restricted
+    assert_cache_as_built(fresh)
+    validated = make()
+    assert validate(validated).ok  # validation builds it here
+    assert solve_everything(validated) == expected
+    assert solve_everything(validated) == expected  # and again, every cache warm
+    assert_cache_as_built(validated)
+
+
+@pytest.mark.parametrize("family, seed, restricted", SHARED)
+def test_pickled_validated_instance_solves_the_same(family, seed, restricted):
+    inst = random_instance(family, 8, 14, seed, demand_family="freeform", integer_lengths=True)
+    assert validate(inst).ok
+    again = pickle.loads(pickle.dumps(inst))
+    assert again.scaled.base is again and again.scaled.reach == inst.scaled.reach
+    assert greedy(again).edge_set == greedy(inst).edge_set
+    assert augmented_greedy(again)[0].edge_set == augmented_greedy(inst)[0].edge_set
+    assert_cache_as_built(again)
+
+
+def test_augmented_greedy_searches_nothing_on_a_validated_instances_full_view(monkeypatch):
+    # at the benchmark's greedy size E[W*] = E: the threshold search's top probe and
+    # greedy's pair order both read the searches validation cached
+    inst = random_instance("decoupled", 60, 180, 424200001, demand_family="freeform", demand_pairs="edges")
+    assert validate(inst).ok
+    views = []
+
+    def spy(fn):
+        def wrapper(view, *args, **kwargs):
+            views.append(view)
+            return fn(view, *args, **kwargs)
+
+        return wrapper
+
+    greedy_module, graph_module = (importlib.import_module(f"spannerkit.{m}") for m in ("greedy", "graph"))
+    for module, name in ((greedy_module, "shortest_distances"), (greedy_module, "meets_bounds"),
+                         (graph_module, "shortest_distances")):
+        monkeypatch.setattr(module, name, spy(getattr(module, name)))
+    sub, report = augmented_greedy(inst)
+    assert report.restricted_edge_count == inst.m
+    assert views and not any(view is inst.scaled.view for view in views)
+    assert verify_feasible(sub).feasible

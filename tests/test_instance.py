@@ -344,3 +344,57 @@ def test_canonical_round_trip_on_generated_instances(inst):
 @given(presented(instances()))
 def test_canonical_round_trip_on_drawn_instances(inst):
     assert_canonical_round_trip(inst)
+
+
+@ROUND_TRIP
+@given(presented(instances()), st.randoms(use_true_random=False))
+def test_shuffled_documents_load_canonical(inst, rng):
+    doc = json.loads(json.dumps(to_json_dict(inst)))
+    for key in ("edges", "demands"):
+        rng.shuffle(doc[key])
+        if not inst.directed:
+            for record in doc[key]:
+                if rng.random() < 0.5:
+                    record["u"], record["v"] = record["v"], record["u"]
+    assert from_json_dict(doc) == inst.canonical()
+
+
+def test_canonical_document_is_returned_as_parsed(monkeypatch):
+    doc = to_json_dict(random_instance("decoupled", 8, 14, 5, demand_family="freeform"))
+
+    def rebuilt(self):
+        raise AssertionError("a canonical document was put in canonical form again")
+
+    monkeypatch.setattr(SpannerInstance, "canonical", rebuilt)
+    inst = from_json_dict(doc)
+    assert [(e.u, e.v) for e in inst.edges] == [(r["u"], r["v"]) for r in doc["edges"]]
+    # each distinct string is parsed once: its records share one Fraction
+    by_text = {}
+    for record, e in zip(doc["edges"], inst.edges):
+        assert by_text.setdefault(record["w"], e.weight) is e.weight
+
+
+@pytest.mark.parametrize(
+    "record, i, key, bad, message",
+    [
+        ("edges", 1, "len", "1/0", "zero denominator in '1/0' (field 'edges[1].len')"),
+        ("edges", 1, "w", "x", "malformed rational 'x' (field 'edges[1].w')"),
+        ("edges", 1, "w", True, "expected rational string, got True (field 'edges[1].w')"),
+        ("edges", 1, "w", 1.5, "expected rational string, got float (field 'edges[1].w')"),
+        ("edges", 1, "w", [1], "expected rational string, got list (field 'edges[1].w')"),
+        ("demands", 0, "delta", "1/2/3", "malformed rational '1/2/3' (field 'demands[0].delta')"),
+        ("edges", 1, "u", "1", "node id must be an integer, got '1' (f.json, field 'edges[1].u')"),
+        ("demands", 0, "v", 2.0, "node id must be an integer, got 2.0 (f.json, field 'demands[0].v')"),
+    ],
+)
+def test_parse_errors_name_the_record_and_field(record, i, key, bad, message):
+    # edge 0's strings parse first: a bad value after them is still named by its own field
+    doc = {
+        "directed": False, "n": 3,
+        "edges": [{"u": 0, "v": 1, "w": "1/2", "len": "1"}, {"u": 1, "v": 2, "w": "1/2", "len": "1"}],
+        "demands": [{"u": 0, "v": 2, "delta": "2"}],
+    }
+    doc[record][i][key] = bad
+    with pytest.raises(ParseError) as info:
+        from_json_dict(doc, path="f.json")
+    assert str(info.value) == message
