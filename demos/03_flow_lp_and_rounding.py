@@ -14,15 +14,13 @@ from spannerkit import (
     example5,
     export_lp,
     gamma,
-    require_integer_lengths,
     round_solution,
     solve_lp,
     solve_randomized,
 )
 
 inst = example5()
-ii = require_integer_lengths(inst)
-ext = build_extension(ii)
+ext = build_extension(inst)
 print(f"extension: {ext.layer_count} layers, {ext.node_count} nodes, {len(ext.arcs)} arcs")
 for arc in ext.arcs[:5]:
     kind = "self" if arc.edge is None else f"edge {arc.edge}"
@@ -52,7 +50,7 @@ for e in range(inst.m):
     edge = inst.edges[e]
     print(f"  x[{inst.label(edge.u)}->{inst.label(edge.v)}] = {solution.x[e]:.3f}")
 
-spec = gamma(ii)
+spec = gamma(inst)
 print(f"\ngamma ({spec.mode}) = ln(n * C * |K|) = {spec.value:.4f}")
 
 for seed in (0, 1, 2):

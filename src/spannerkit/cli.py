@@ -37,7 +37,7 @@ from .generators import (
 )
 from .graph import minimum_spanning_tree, verify_feasible
 from .greedy import augmented_greedy
-from .instance import Subgraph, load, read_json_object, require_integer_lengths, save, validate
+from .instance import Subgraph, load, read_json_object, save, validate
 from .mcf import build_mcf, export_lp
 from .oracles import (
     check_cut_lemma,
@@ -263,8 +263,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_export_lp(args) -> int:
     instance = _load_validated(args.instance)
-    int_inst = require_integer_lengths(instance)
-    extension = build_extension(int_inst)
+    extension = build_extension(instance)
     model = build_mcf(extension)
     export_lp(model, args.out)
     print(

@@ -12,7 +12,10 @@ one per node's waiting arcs, each a block of consecutive arc ids, one arc per
 start layer.  Undirected instances are bi-directed first, so an undirected
 edge gives two runs with the same edge index.  Edges longer than
 ``delta_bar`` can satisfy no bound and give no run.  The per-arc objects of
-:attr:`DeltaExtension.arcs` are built from the runs on first use.
+:attr:`DeltaExtension.arcs` are built from the runs on first use.  An
+extension holds the instance it was built from; its integer lengths and
+bounds are the instance's scaled view (scale 1), a value cached on the
+instance with no reference back to it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .instance import IntegerInstance
+from .instance import SpannerInstance, require_integer_lengths
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,7 @@ class ArcGroup:
 
 @dataclass(frozen=True)
 class DeltaExtension:
-    base: IntegerInstance
+    instance: SpannerInstance
     delta_bar: int
     groups: tuple[ArcGroup, ...]  # in arc-id order: edge runs, then waiting runs by node
 
@@ -64,7 +67,7 @@ class DeltaExtension:
 
     @property
     def node_count(self) -> int:
-        return self.base.n * (self.delta_bar + 1)
+        return self.instance.n * (self.delta_bar + 1)
 
     def node_id(self, q: int, layer: int) -> int:
         return q * (self.delta_bar + 1) + layer
@@ -74,23 +77,25 @@ class DeltaExtension:
 
     def node_name(self, ext_id: int) -> str:
         q, i = self.node_of(ext_id)
-        return f"{self.base.base.label(q)}_{i}"
+        return f"{self.instance.label(q)}_{i}"
 
 
-def build_extension(instance: IntegerInstance, delta_bar: int | None = None) -> DeltaExtension:
+def build_extension(instance: SpannerInstance, delta_bar: int | None = None) -> DeltaExtension:
     """Construct the layered extension of an integer-length instance.
 
     ``delta_bar`` defaults to the instance's maximum (floored) demand.
+    Raises :class:`~spannerkit.errors.NonIntegerLength` on a fractional length.
     """
+    scaled = require_integer_lengths(instance)
     if delta_bar is None:
-        delta_bar = instance.delta_bar
+        delta_bar = scaled.delta_bar
     if delta_bar < 0:
         raise ValueError("delta_bar must be non-negative")
     runs = []  # (edge, tail, head, length)
     for idx, e in enumerate(instance.edges):
-        runs.append((idx, e.u, e.v, instance.lengths[idx]))
+        runs.append((idx, e.u, e.v, scaled.lengths[idx]))
         if not instance.directed:
-            runs.append((idx, e.v, e.u, instance.lengths[idx]))
+            runs.append((idx, e.v, e.u, scaled.lengths[idx]))
     runs += [(None, q, q, 1) for q in range(instance.n)]
     groups = []
     first = 0

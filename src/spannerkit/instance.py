@@ -29,7 +29,9 @@ Weights are scaled the same way by the lcm of their own denominators.
 Validation, verification, greedy, the threshold search and the exact search
 run on this view; fractions come back only in reports.  With ``L = 1`` it is
 the integer-length view that the layered extension requires
-(:func:`require_integer_lengths`).
+(:func:`require_integer_lengths`).  The view is a plain value cached on the
+instance: it shares the edge tuple but holds no reference back, so a dropped
+instance is freed with its view at once.  Every solver takes the instance.
 
 The scaled view also holds the instance's full graph search, built once on
 first use and kept for the instance's life: :attr:`IntegerInstance.view`,
@@ -117,7 +119,9 @@ class SpannerInstance:
         delta_bar = max((d.delta for d in demands), default=0)
         weight_scale = math.lcm(*(e.weight.denominator for e in self.edges))
         weights = tuple(e.weight.numerator * (weight_scale // e.weight.denominator) for e in self.edges)
-        return IntegerInstance(self, lengths, demands, delta_bar, scale, weights, weight_scale)
+        return IntegerInstance(
+            self.directed, self.n, self.edges, lengths, demands, delta_bar, scale, weights, weight_scale
+        )
 
     def canonical(self) -> "SpannerInstance":
         """Sorted edges/demands with undirected endpoints normalized u < v."""
@@ -322,7 +326,8 @@ class IntegerInstance:
     their own, by the lcm ``weight_scale`` of their denominators, so weight
     sums and comparisons are integer too.  Built once per instance as
     :attr:`SpannerInstance.scaled`; with ``scale == 1`` it is the
-    integer-length view the layered-extension LP requires.
+    integer-length view the layered-extension LP requires.  A value cached on
+    its instance with no reference back: ``n``, ``directed`` and ``edges`` are its own.
 
     :attr:`view` and :attr:`reach` (see the module docstring) are built on
     first use and kept, like :attr:`by_source`.  They are shared by every
@@ -330,7 +335,9 @@ class IntegerInstance:
     distances) builds new lists.
     """
 
-    base: SpannerInstance
+    directed: bool
+    n: int
+    edges: tuple[Edge, ...]  # the instance's own tuple, shared
     lengths: tuple[int, ...]
     demands: tuple[Demand, ...]  # int bounds
     delta_bar: int
@@ -339,20 +346,8 @@ class IntegerInstance:
     weight_scale: int
 
     @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
     def m(self) -> int:
-        return self.base.m
-
-    @property
-    def directed(self) -> bool:
-        return self.base.directed
-
-    @property
-    def edges(self) -> tuple[Edge, ...]:
-        return self.base.edges
+        return len(self.edges)
 
     @cached_property
     def by_source(self):
@@ -389,10 +384,11 @@ def require_integer_lengths(instance: SpannerInstance) -> IntegerInstance:
 
     Raises :class:`NonIntegerLength` naming the first offending edge.
     """
-    for i, e in enumerate(instance.edges):
-        if not is_integer(e.length):
-            raise NonIntegerLength(i, format_rational(e.length))
-    return instance.scaled
+    scaled = instance.scaled
+    if scaled.scale != 1:  # the lcm of the length denominators
+        i = next(i for i, e in enumerate(instance.edges) if not is_integer(e.length))
+        raise NonIntegerLength(i, format_rational(instance.edges[i].length))
+    return scaled
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +444,9 @@ def from_json_dict(doc: dict, *, path: str | None = None) -> SpannerInstance:
         raise ParseError(f"must be true or false, got {directed!r}", path=path, field="directed")
     if isinstance(n, bool) or not isinstance(n, int):
         raise ParseError(f"node count must be an integer, got {n!r}", path=path, field="n")
+    for key, records in (("edges", raw_edges), ("demands", raw_demands)):
+        if not isinstance(records, list):
+            raise ParseError(f"must be a list of records, got {records!r}", path=path, field=key)
     parsed: dict[str, Fraction] = {}  # each distinct rational string, once it has parsed
 
     def rational(text, record: str, i: int, key: str) -> Fraction:
@@ -456,7 +455,7 @@ def from_json_dict(doc: dict, *, path: str | None = None) -> SpannerInstance:
             try:
                 value = parse_rational(text)
             except ParseError as exc:
-                raise ParseError(exc.reason, field=f"{record}[{i}].{key}") from None
+                raise ParseError(exc.reason, path=path, field=f"{record}[{i}].{key}") from None
             if type(text) is str:
                 parsed[text] = value
         return value

@@ -86,7 +86,7 @@ class McfModel(StandardLp):
 
 def build_mcf(extension: DeltaExtension) -> McfModel:
     """Assemble the flow LP for the extension's instance and its demand pairs."""
-    inst = extension.base
+    inst = extension.instance.scaled
     demands = inst.demands
     for d in demands:
         if d.delta > extension.delta_bar:

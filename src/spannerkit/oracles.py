@@ -148,6 +148,7 @@ def exact_optimum(instance: SpannerInstance, *, max_edges: int = 22) -> ExactRes
         included.pop()
 
     dfs(0, [], set(range(m)), 0)
+    del dfs  # a recursive closure is a reference cycle; this frees it, and the scaled view, at once
     return ExactResult(Fraction(best_weight, scaled.weight_scale), frozenset(best_tuple), explored)
 
 
@@ -171,12 +172,9 @@ class CutLabeling:
 
 
 def _as_int_demand(instance: IntegerInstance, pair) -> Demand:
-    """The pair in the view's units: an int bound or a tuple is taken as scaled already."""
+    """The pair, a :class:`Demand` or a ``(u, v, delta)`` tuple, in the view's units."""
     if not isinstance(pair, Demand):
-        u, v, delta = pair
-        return Demand(int(u), int(v), int(delta))
-    if isinstance(pair.delta, int):
-        return pair
+        pair = Demand(*pair)
     return scale_demands((pair,), instance.scale)[0]
 
 
@@ -263,7 +261,7 @@ def check_cut_lemma(
         demands = instance.demands
     demands = [_as_int_demand(instance, d0) for d0 in demands]
     view = graph_view(instance, edge_subset=subgraph.edge_set)
-    ext = build_extension(instance, max([0, *(d.delta for d in demands)]))
+    ext = build_extension(subgraph.instance, max([0, *(d.delta for d in demands)]))
     waiting = {g.tail: g for g in ext.groups if g.edge is None}
     rng = random.Random(seed)
     report = CutLemmaReport()
@@ -321,18 +319,17 @@ def check_cut_lemma(
 # Per-pair reachable subgraph
 
 
-def restricted_subgraph(instance: IntegerInstance | SpannerInstance, pair):
+def restricted_subgraph(instance: SpannerInstance, pair):
     """Nodes and edges that can lie on some within-budget path for the pair.
 
     ``V_uv = {z : d(u,z) + d(z,v) <= delta}`` and
     ``E_uv = {(s,t) : d(u,s) + len(s,t) + d(t,v) <= delta}``, from the
     pair's bounded forward and reverse searches (:func:`graph.budget_window`).
     """
-    if isinstance(instance, SpannerInstance):
-        instance = require_integer_lengths(instance)
-    d = _as_int_demand(instance, pair)
-    forward = graph_view(instance)
-    reverse = graph_view(instance, reverse=True) if instance.directed else forward
+    scaled = require_integer_lengths(instance)
+    d = _as_int_demand(scaled, pair)
+    forward = scaled.view
+    reverse = graph_view(scaled, reverse=True) if instance.directed else forward
     from_u, to_v = budget_window(forward, reverse, d)
 
     def fits(s: int, length: int, t: int) -> bool:
@@ -414,11 +411,10 @@ def dodis_khanna_demo(edge_length: int = 3, alpha: int = 2) -> DemoReport:
         demands=(Demand(0, edge_length, Fraction(alpha)),),
         labels=labels,
     )
-    int_t = require_integer_lengths(transformed)
-    ext = build_extension(int_t, alpha)
+    ext = build_extension(transformed, alpha)
     source = ext.node_id(0, 0)
     sink = ext.node_id(edge_length, alpha)
-    path = reachable_path(ext, frozenset(range(int_t.m)), source, sink)
+    path = reachable_path(ext, frozenset(range(transformed.m)), source, sink)
 
     from .errors import SolverFailure
     from .mcf import build_mcf, solve_lp

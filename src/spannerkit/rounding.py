@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .extension import build_extension
 from .graph import Verdict, verify_feasible
-from .instance import IntegerInstance, SpannerInstance, Subgraph, require_integer_lengths
+from .instance import SpannerInstance, Subgraph, require_integer_lengths
 from .mcf import FractionalSolution, build_mcf, solve_lp
 
 
@@ -38,7 +38,7 @@ class GammaSpec:
     confidence: float | None = None  # custom mode: replaces n in the union bound
 
 
-def gamma(instance: IntegerInstance | SpannerInstance, mode: str = "global", *, confidence: float | None = None) -> GammaSpec:
+def gamma(instance: SpannerInstance, mode: str = "global", *, confidence: float | None = None) -> GammaSpec:
     """Rounding inflation factor, computed in log space.
 
     ``global``      uses the cut bound (delta(u,v)+2)^(n-2) maximized over pairs.
@@ -46,10 +46,8 @@ def gamma(instance: IntegerInstance | SpannerInstance, mode: str = "global", *, 
     ``custom``      is restricted with a caller-supplied confidence multiplier
                     c replacing n: failure probability at most 1/c per run.
     """
-    if isinstance(instance, SpannerInstance):
-        instance = require_integer_lengths(instance)
     n = instance.n
-    pairs = instance.demands
+    pairs = require_integer_lengths(instance).demands
     k = len(pairs)
     if k == 0:
         return GammaSpec(mode, 0.0, n, 0, 0.0, confidence)
@@ -103,13 +101,13 @@ class RoundingRun:
 
 def round_solution(solution: FractionalSolution, spec: GammaSpec, seed: int) -> RoundingRun:
     """One independent rounding pass; same (solution, spec, seed) -> same set."""
-    inst = solution.model.extension.base
+    inst = solution.model.extension.instance
     chosen = []
     for e in range(inst.m):
         p = min(1.0, spec.value * float(solution.x[e]))
         if _uniform(seed, e) < p:
             chosen.append(e)
-    sub = Subgraph(inst.base, frozenset(chosen))
+    sub = Subgraph(inst, frozenset(chosen))
     return RoundingRun(seed, tuple(chosen), sub.weight, verify_feasible(sub))
 
 
@@ -156,16 +154,15 @@ def solve_randomized(
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
-    int_inst = require_integer_lengths(instance)
-    spec = gamma(int_inst, mode, confidence=confidence)
-    if not int_inst.demands:
+    spec = gamma(instance, mode, confidence=confidence)
+    if not instance.demands:
         report = RandomizedRoundingReport(spec, 0.0)
         empty = RoundingRun(seed, (), Fraction(0), Verdict(True, []))
         report.attempts.append(empty)
         report.accepted_attempt = 0
         return Subgraph(instance, frozenset()), report
 
-    extension = build_extension(int_inst)
+    extension = build_extension(instance)
     model = build_mcf(extension)
     solution = solve_lp(model)
     report = RandomizedRoundingReport(spec, solution.objective)

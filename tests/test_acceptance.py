@@ -148,7 +148,7 @@ def test_criterion_04_coupled_retention(report):
 def test_criterion_05_lp_lower_bound(report):
     t0 = time.perf_counter()
     # Equality on the worked example.
-    sol = solve_lp(build_mcf(build_extension(require_integer_lengths(example5()))))
+    sol = solve_lp(build_mcf(build_extension(example5())))
     assert abs(sol.objective - 2.0) <= 1e-6
     # Relaxation bound on every instance the exact oracle handles here.
     rng = random.Random(55)
@@ -171,7 +171,7 @@ def test_criterion_05_lp_lower_bound(report):
         ii = require_integer_lengths(inst)
         if ii.delta_bar > 8:
             continue
-        lp = solve_lp(build_mcf(build_extension(ii)))
+        lp = solve_lp(build_mcf(build_extension(inst)))
         opt = exact_optimum(inst)
         assert lp.objective <= float(opt.weight) + 1e-6, (
             f"LP {lp.objective} above OPT {float(opt.weight)}"
@@ -208,8 +208,8 @@ def test_criterion_06_feasibility_frequency(report):
         ii = require_integer_lengths(inst)
         if ii.delta_bar > n or ii.delta_bar == 0:
             continue
-        sol = solve_lp(build_mcf(build_extension(ii)))
-        spec = gamma(ii, "global")
+        sol = solve_lp(build_mcf(build_extension(inst)))
+        spec = gamma(inst, "global")
         infeasible = 0
         for t in range(attempts):
             run = round_solution(sol, spec, seed_scan * 100000 + t)
@@ -262,7 +262,7 @@ def test_criterion_07_cut_machinery(report):
 
 def test_criterion_08_extension_structure(report):
     t0 = time.perf_counter()
-    ext5 = build_extension(require_integer_lengths(example5()))
+    ext5 = build_extension(example5())
     assert ext5.node_count == 12 and len(ext5.arcs) == 17
     rng = random.Random(88)
     for trial in range(200):
@@ -278,7 +278,7 @@ def test_criterion_08_extension_structure(report):
             integer_lengths=True,
             directed=directed,
         )
-        ext = build_extension(require_integer_lengths(inst))
+        ext = build_extension(inst)
         assert ext.node_count == inst.n * (ext.delta_bar + 1)
         m_directed = inst.m if directed else 2 * inst.m
         assert len(ext.arcs) <= (inst.n + m_directed) * ext.delta_bar

@@ -1,6 +1,9 @@
+import copy
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spannerkit import bench, cli
 from spannerkit.cli import main
@@ -148,6 +151,80 @@ def test_labels_that_are_not_a_list_of_strings_exit_2(ex5, tmp_path, capsys, lab
     assert run_cli(["solve", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "field 'labels'" in err, err
+
+
+def test_records_that_are_not_a_list_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"directed": False, "n": 2, "edges": 5, "demands": []}))
+    capsys.readouterr()
+    assert run_cli(["solve", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "field 'edges'" in err, err
+
+
+# A valid instance with integer lengths, so every algorithm can run on it.
+FUZZ_DOC = {
+    "directed": False,
+    "n": 3,
+    "edges": [
+        {"u": 0, "v": 1, "w": "1", "len": "1"},
+        {"u": 0, "v": 2, "w": "3", "len": "2"},
+        {"u": 1, "v": 2, "w": "1/2", "len": "1"},
+    ],
+    "demands": [{"u": 0, "v": 2, "delta": "2"}, {"u": 1, "v": 2, "delta": "3/2"}],
+    "labels": ["a", "b", "c"],
+}
+SCALARS = (None, True, 0, 1, -1, 2.5, "", "x", "2")
+BAD_RATIONALS = ("1/0", "x", "1/2/3", "-1", "0", "1.5", " ")
+
+
+def _slots(doc):
+    """Every (container, key) of a document: its own keys, each record and each record's keys."""
+    slots = [(doc, key) for key in doc]
+    for key in ("edges", "demands"):
+        records = doc.get(key)
+        if isinstance(records, list):
+            slots += [(records, i) for i in range(len(records))]
+            slots += [(r, k) for r in records if isinstance(r, dict) for k in r]
+    return slots
+
+
+@st.composite
+def mutated_documents(draw):
+    """FUZZ_DOC after one to three mutations: drop a key, swap a value's type,
+    put a scalar in place of a list, or put in a bad rational."""
+    doc = copy.deepcopy(FUZZ_DOC)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("drop", "retype", "scalar-for-list", "bad-rational")))
+        slots = _slots(doc)
+        if kind == "scalar-for-list":
+            slots = [(c, k) for c, k in slots if isinstance(c[k], list)]
+        elif kind == "bad-rational":
+            slots = [(c, k) for c, k in slots if k in ("w", "len", "delta")]
+        if not slots:
+            continue
+        container, key = draw(st.sampled_from(slots))
+        if kind == "drop":
+            del container[key]
+        elif kind == "bad-rational":
+            container[key] = draw(st.sampled_from(BAD_RATIONALS))
+        else:
+            others = [x for x in SCALARS + ([], {}) if type(x) is not type(container[key])]
+            container[key] = draw(st.sampled_from(others))
+    return doc
+
+
+@settings(
+    max_examples=150, derandomize=True, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(doc=mutated_documents(), algorithm=st.sampled_from(bench.ALGORITHMS))
+def test_mutated_instance_files_never_exit_4(tmp_path, doc, algorithm):
+    inst, sol, out = tmp_path / "inst.json", tmp_path / "sol.json", tmp_path / "out.json"
+    inst.write_text(json.dumps(doc))
+    sol.write_text(json.dumps({"edge_indices": [0, 2]}))
+    assert run_cli(["solve", str(inst), "--algorithm", algorithm, "--out", str(out)]) in (0, 2, 3), doc
+    assert run_cli(["verify", str(inst), "--solution", str(sol)]) in (0, 2, 3), doc
 
 
 def test_export_lp(ex5, tmp_path):

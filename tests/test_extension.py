@@ -15,7 +15,7 @@ from spannerkit.instance import (
 
 
 def test_example5_extension_structure():
-    ext = build_extension(require_integer_lengths(example5()))
+    ext = build_extension(example5())
     assert ext.delta_bar == 3
     assert ext.node_count == 12
     assert len(ext.arcs) == 17  # 3 + 2 + 3 edge-arcs + 9 self-arcs
@@ -35,7 +35,7 @@ def test_two_layer_extension():
         (Edge(0, 1, Fraction(1), Fraction(1)), Edge(1, 2, Fraction(1), Fraction(1))),
         (Demand(0, 1, Fraction(1)),),
     )
-    ext = build_extension(require_integer_lengths(inst), 1)
+    ext = build_extension(inst, 1)
     assert ext.layer_count == 2
     edge_arcs = [a for a in ext.arcs if a.edge is not None]
     self_arcs = [a for a in ext.arcs if a.edge is None]
@@ -45,7 +45,7 @@ def test_two_layer_extension():
 
 def test_edge_with_length_equal_to_delta_bar_gets_single_arc():
     inst = SpannerInstance(True, 2, (Edge(0, 1, Fraction(1), Fraction(4)),), ())
-    ext = build_extension(require_integer_lengths(inst), 4)
+    ext = build_extension(inst, 4)
     edge_arcs = [a for a in ext.arcs if a.edge == 0]
     assert len(edge_arcs) == 1
     assert ext.node_of(edge_arcs[0].tail) == (0, 0)
@@ -54,7 +54,7 @@ def test_edge_with_length_equal_to_delta_bar_gets_single_arc():
 
 def test_overlong_edges_contribute_no_arcs():
     inst = SpannerInstance(True, 2, (Edge(0, 1, Fraction(1), Fraction(5)),), ())
-    ext = build_extension(require_integer_lengths(inst), 3)
+    ext = build_extension(inst, 3)
     assert all(a.edge is None for a in ext.arcs)
 
 
@@ -74,7 +74,7 @@ def test_structure_counts_on_random_instances():
             directed=directed,
         )
         ii = require_integer_lengths(inst)
-        ext = build_extension(ii)
+        ext = build_extension(inst)
         n, db = inst.n, ext.delta_bar
         assert ext.node_count == n * (db + 1)
         m_directed = inst.m if directed else 2 * inst.m
@@ -114,7 +114,7 @@ def test_structure_counts_on_random_instances():
 
 def test_acyclic_topological_order_by_layer():
     inst = random_instance("decoupled", 6, 10, 9, integer_lengths=True)
-    ext = build_extension(require_integer_lengths(inst))
+    ext = build_extension(inst)
     for arc in ext.arcs:
         assert ext.node_of(arc.head)[1] > ext.node_of(arc.tail)[1]
 
@@ -136,7 +136,7 @@ def test_reachability_matches_budgeted_distance():
         ii = require_integer_lengths(inst)
         if ii.delta_bar == 0:
             continue
-        ext = build_extension(ii)
+        ext = build_extension(inst)
         subset = frozenset(i for i in range(inst.m) if rng.random() < 0.6)
         view = graph_view(ii, edge_subset=subset)
         for d in ii.demands:
@@ -149,10 +149,10 @@ def test_reachability_matches_budgeted_distance():
 
 
 def test_node_naming_uses_labels():
-    ext = build_extension(require_integer_lengths(example5()))
+    ext = build_extension(example5())
     assert ext.node_name(ext.node_id(2, 1)) == "c_1"
 
 
 def test_negative_delta_bar_rejected():
     with pytest.raises(ValueError):
-        build_extension(require_integer_lengths(example5()), -1)
+        build_extension(example5(), -1)

@@ -455,7 +455,7 @@ def test_pickled_validated_instance_solves_the_same(family, seed, restricted):
     inst = random_instance(family, 8, 14, seed, demand_family="freeform", integer_lengths=True)
     assert validate(inst).ok
     again = pickle.loads(pickle.dumps(inst))
-    assert again.scaled.base is again and again.scaled.reach == inst.scaled.reach
+    assert again.scaled.edges is again.edges and again.scaled.reach == inst.scaled.reach
     assert greedy(again).edge_set == greedy(inst).edge_set
     assert augmented_greedy(again)[0].edge_set == augmented_greedy(inst)[0].edge_set
     assert_cache_as_built(again)

@@ -61,5 +61,5 @@ def test_augmented_greedy_within_m_times_opt(instance):
 def test_lp_at_most_opt_on_integer_lengths(instance):
     instance = feasible_instance(instance)
     opt = float(exact_optimum(instance).weight)
-    lp = solve_lp(build_mcf(build_extension(instance.scaled))).objective
+    lp = solve_lp(build_mcf(build_extension(instance))).objective
     assert lp <= opt + LP_TOLERANCE * max(1.0, opt)

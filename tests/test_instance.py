@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from spannerkit.generators import (
     random_instance,
 )
 from spannerkit.graph import graph_view, shortest_distances
+from spannerkit.greedy import augmented_greedy
 from spannerkit.instance import (
     Demand,
     Edge,
@@ -26,6 +29,8 @@ from spannerkit.instance import (
     to_json_dict,
     validate,
 )
+from spannerkit.oracles import exact_optimum
+from spannerkit.rounding import solve_randomized
 from test_int_core import instances
 
 
@@ -278,6 +283,24 @@ def test_require_integer_lengths_rejects_fractional_edge():
     assert info.value.edge_index == 0
 
 
+def test_a_solved_instance_is_freed_without_the_cycle_collector():
+    # the scaled view holds no reference back to its instance: dropping the
+    # instance frees both, with their cached searches, by reference counting
+    gc.collect()
+    gc.disable()
+    try:
+        inst = random_instance("decoupled", 8, 14, 1, demand_family="freeform", integer_lengths=True)
+        assert validate(inst).ok
+        augmented_greedy(inst)
+        solve_randomized(inst)
+        exact_optimum(inst)
+        refs = weakref.ref(inst), weakref.ref(inst.scaled)
+        del inst
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
 def test_validated_instances_have_satisfiable_demands():
     for seed in range(40):
         inst = random_instance(
@@ -377,14 +400,17 @@ def test_canonical_document_is_returned_as_parsed(monkeypatch):
 @pytest.mark.parametrize(
     "record, i, key, bad, message",
     [
-        ("edges", 1, "len", "1/0", "zero denominator in '1/0' (field 'edges[1].len')"),
-        ("edges", 1, "w", "x", "malformed rational 'x' (field 'edges[1].w')"),
-        ("edges", 1, "w", True, "expected rational string, got True (field 'edges[1].w')"),
-        ("edges", 1, "w", 1.5, "expected rational string, got float (field 'edges[1].w')"),
-        ("edges", 1, "w", [1], "expected rational string, got list (field 'edges[1].w')"),
-        ("demands", 0, "delta", "1/2/3", "malformed rational '1/2/3' (field 'demands[0].delta')"),
+        ("edges", 1, "len", "1/0", "zero denominator in '1/0' (f.json, field 'edges[1].len')"),
+        ("edges", 1, "w", "x", "malformed rational 'x' (f.json, field 'edges[1].w')"),
+        ("edges", 1, "w", True, "expected rational string, got True (f.json, field 'edges[1].w')"),
+        ("edges", 1, "w", 1.5, "expected rational string, got float (f.json, field 'edges[1].w')"),
+        ("edges", 1, "w", [1], "expected rational string, got list (f.json, field 'edges[1].w')"),
+        ("demands", 0, "delta", "1/2/3", "malformed rational '1/2/3' (f.json, field 'demands[0].delta')"),
         ("edges", 1, "u", "1", "node id must be an integer, got '1' (f.json, field 'edges[1].u')"),
         ("demands", 0, "v", 2.0, "node id must be an integer, got 2.0 (f.json, field 'demands[0].v')"),
+        # i None: the bad value replaces the whole list
+        ("edges", None, None, 5, "must be a list of records, got 5 (f.json, field 'edges')"),
+        ("demands", None, None, None, "must be a list of records, got None (f.json, field 'demands')"),
     ],
 )
 def test_parse_errors_name_the_record_and_field(record, i, key, bad, message):
@@ -394,7 +420,10 @@ def test_parse_errors_name_the_record_and_field(record, i, key, bad, message):
         "edges": [{"u": 0, "v": 1, "w": "1/2", "len": "1"}, {"u": 1, "v": 2, "w": "1/2", "len": "1"}],
         "demands": [{"u": 0, "v": 2, "delta": "2"}],
     }
-    doc[record][i][key] = bad
+    if i is None:
+        doc[record] = bad
+    else:
+        doc[record][i][key] = bad
     with pytest.raises(ParseError) as info:
         from_json_dict(doc, path="f.json")
     assert str(info.value) == message

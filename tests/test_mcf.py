@@ -15,7 +15,6 @@ from spannerkit.instance import (
     Demand,
     Edge,
     SpannerInstance,
-    require_integer_lengths,
 )
 from spannerkit.mcf import (
     StandardLp,
@@ -28,7 +27,7 @@ from spannerkit.mcf import (
 
 
 def _example5_model():
-    return build_mcf(build_extension(require_integer_lengths(example5())))
+    return build_mcf(build_extension(example5()))
 
 
 def test_example5_model_counts():
@@ -70,7 +69,7 @@ def test_flow_columns_are_the_arcs_on_some_source_to_sink_path(directed):
             "decoupled", 7, 12, 600 + seed, demand_family="freeform", demand_pairs="random",
             num_demands=4, integer_lengths=True, directed=directed,
         )
-        ext = build_extension(require_integer_lengths(inst))
+        ext = build_extension(inst)
         tails = [arc.tail for arc in ext.arcs]
         heads = [arc.head for arc in ext.arcs]
         out = [[] for _ in range(ext.node_count)]
@@ -93,7 +92,7 @@ def test_undirected_coupling_rows_double_up():
         (Edge(0, 1, Fraction(1), Fraction(1)), Edge(1, 2, Fraction(2), Fraction(1))),
         (Demand(0, 2, Fraction(2)),),
     )
-    model = build_mcf(build_extension(require_integer_lengths(inst)))
+    model = build_mcf(build_extension(inst))
     # 0_0 -> 2_2 within budget 2 is only 0_0 -> 1_1 -> 2_2, so the pair keeps
     # one arc per edge, forward: 2 coupling rows (the full model would have
     # 2 * 1 * 2, two directions per edge) and 3 conservation rows.
@@ -104,7 +103,7 @@ def test_undirected_coupling_rows_double_up():
 
 def test_empty_demands_zero_objective():
     inst = SpannerInstance(False, 2, (Edge(0, 1, Fraction(3), Fraction(1)),), ())
-    model = build_mcf(build_extension(require_integer_lengths(inst), 2))
+    model = build_mcf(build_extension(inst, 2))
     sol = solve_lp(model)
     assert sol.objective == 0.0
     assert np.all(sol.x == 0.0)
@@ -115,7 +114,7 @@ def test_forced_edge_reaches_one():
     inst = SpannerInstance(
         True, 2, (Edge(0, 1, Fraction(7), Fraction(2)),), (Demand(0, 1, Fraction(2)),)
     )
-    sol = solve_lp(build_mcf(build_extension(require_integer_lengths(inst))))
+    sol = solve_lp(build_mcf(build_extension(inst)))
     assert sol.x[0] == pytest.approx(1.0, abs=1e-9)
     assert sol.objective == pytest.approx(7.0, abs=1e-9)
 
@@ -142,7 +141,7 @@ def test_solution_invariants_on_random_models():
             num_demands=2,
             integer_lengths=True,
         )
-        model = build_mcf(build_extension(require_integer_lengths(inst)))
+        model = build_mcf(build_extension(inst))
         sol = solve_lp(model)
         weights = [float(e.weight) for e in inst.edges]
         recomputed = sum(w * x for w, x in zip(weights, sol.x))
@@ -166,7 +165,7 @@ def test_lp_lower_bounds_exact_optimum():
             num_demands=2,
             integer_lengths=True,
         )
-        sol = solve_lp(build_mcf(build_extension(require_integer_lengths(inst))))
+        sol = solve_lp(build_mcf(build_extension(inst)))
         opt_weight, _ = brute_force_optimum(inst)
         assert sol.objective <= float(opt_weight) + 1e-6
 
@@ -176,15 +175,14 @@ def test_unreachable_sink_is_infeasible():
     inst = SpannerInstance(
         True, 2, (Edge(0, 1, Fraction(1), Fraction(2)),), (Demand(0, 1, Fraction(1)),)
     )
-    model = build_mcf(build_extension(require_integer_lengths(inst)))
+    model = build_mcf(build_extension(inst))
     with pytest.raises(SolverFailure) as info:
         solve_lp(model)
     assert info.value.status == "infeasible"
 
 
 def test_demand_beyond_delta_bar_rejected():
-    ii = require_integer_lengths(example5())
-    ext = build_extension(ii, 2)
+    ext = build_extension(example5(), 2)
     with pytest.raises(ValueError):
         build_mcf(ext)  # delta(a,b)=3 exceeds the 2-layer extension
 
@@ -215,7 +213,7 @@ def test_export_reimport_external_solve_matches(tmp_path):
 
 def test_export_empty_model_header_only(tmp_path):
     inst = SpannerInstance(False, 1, (), ())
-    model = build_mcf(build_extension(require_integer_lengths(inst), 0))
+    model = build_mcf(build_extension(inst, 0))
     path = tmp_path / "empty.lp"
     export_lp(model, str(path))
     text = path.read_text()
@@ -229,7 +227,7 @@ def test_export_random_model_round_trip(tmp_path):
         "decoupled", 4, 6, 77, demand_family="freeform", demand_pairs="random",
         num_demands=2, integer_lengths=True,
     )
-    model = build_mcf(build_extension(require_integer_lengths(inst)))
+    model = build_mcf(build_extension(inst))
     direct = solve_lp(model)
     path = tmp_path / "model.lp"
     export_lp(model, str(path))
@@ -283,7 +281,7 @@ def test_export_bytes_pinned(tmp_path, key):
         family, 6, 10, seed, demand_family=demand_family, demand_pairs=pairs,
         integer_lengths=True, directed=directed,
     )
-    model = build_mcf(build_extension(require_integer_lengths(inst)))
+    model = build_mcf(build_extension(inst))
     path = tmp_path / "model.lp"
     export_lp(model, str(path))
     text = path.read_text(encoding="utf-8") + json.dumps(model.flow_arcs)
@@ -297,7 +295,7 @@ def test_export_reads_back(tmp_path, key):
         family, 6, 10, seed, demand_family=demand_family, demand_pairs=pairs,
         integer_lengths=True, directed=directed,
     )
-    model = build_mcf(build_extension(require_integer_lengths(inst)))
+    model = build_mcf(build_extension(inst))
     path = tmp_path / "model.lp"
     export_lp(model, str(path))
     parsed = read_lp(str(path))

@@ -83,7 +83,7 @@ def test_gamma_unknown_mode():
 
 def test_round_edge_probability_extremes():
     inst = example5()
-    sol = solve_lp(build_mcf(build_extension(require_integer_lengths(inst))))
+    sol = solve_lp(build_mcf(build_extension(inst)))
     spec = gamma(inst)
     for seed in range(50):
         run = round_solution(sol, spec, seed)
@@ -100,7 +100,7 @@ def test_failed_rounding_reports_the_instances_own_bound():
     inst = SpannerInstance(
         True, 2, (Edge(0, 1, Fraction(5), Fraction(3)),), (Demand(0, 1, Fraction(7, 2)),)
     )
-    sol = solve_lp(build_mcf(build_extension(require_integer_lengths(inst))))
+    sol = solve_lp(build_mcf(build_extension(inst)))
     run = round_solution(sol, replace(gamma(inst), value=0.0), 0)  # p = 0: nothing chosen
     assert not run.feasible and run.chosen_edges == () and run.weight == 0
     (violation,) = run.verdict.violations
@@ -111,7 +111,7 @@ def test_failed_rounding_reports_the_instances_own_bound():
 
 def test_rounding_reproducible_bit_for_bit():
     inst = example5()
-    sol = solve_lp(build_mcf(build_extension(require_integer_lengths(inst))))
+    sol = solve_lp(build_mcf(build_extension(inst)))
     spec = gamma(inst)
     a = round_solution(sol, spec, 123)
     b = round_solution(sol, spec, 123)
@@ -177,7 +177,7 @@ def test_expected_weight_bound_over_many_seeds():
         "decoupled", 5, 8, 314, demand_family="freeform", demand_pairs="random",
         num_demands=3, integer_lengths=True,
     )
-    sol = solve_lp(build_mcf(build_extension(require_integer_lengths(inst))))
+    sol = solve_lp(build_mcf(build_extension(inst)))
     spec = gamma(inst)
     trials = 500
     weights = [float(round_solution(sol, spec, seed).weight) for seed in range(trials)]
@@ -205,8 +205,8 @@ def test_restricted_mode_keeps_feasibility_frequency():
         ii = require_integer_lengths(inst)
         if ii.delta_bar > 6:
             continue
-        sol = solve_lp(build_mcf(build_extension(ii)))
-        spec = gamma(ii, "restricted")
+        sol = solve_lp(build_mcf(build_extension(inst)))
+        spec = gamma(inst, "restricted")
         infeasible = sum(
             not round_solution(sol, spec, 777_000 + t).feasible for t in range(100)
         )
