@@ -5,6 +5,8 @@ functions (weight = what you pay, length = what you traverse) and a list of
 terminal pairs, each with its own distance bound.
 """
 
+import os
+import tempfile
 from fractions import Fraction
 
 from spannerkit import (
@@ -31,8 +33,10 @@ print("valid:", report.ok)
 
 # Round-trip through the JSON interchange format; canonical form is sorted,
 # so equal instances produce byte-identical files.
-save(inst, "/tmp/demo_example5.json")
-again = load("/tmp/demo_example5.json")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "demo_example5.json")
+    save(inst, path)
+    again = load(path)
 print("load(save(x)) == x:", again == inst)
 
 # Validation collects *all* problems instead of stopping at the first.

@@ -8,6 +8,9 @@ spanner weight; sampling each edge with probability min(1, gamma * x_e)
 yields a feasible spanner with high probability.
 """
 
+import os
+import tempfile
+
 from spannerkit import (
     build_extension,
     build_mcf,
@@ -64,5 +67,6 @@ sub, report = solve_randomized(inst, seed=7)
 print("\nsolve_randomized:", report.describe().replace("\n", "\n  "))
 
 # Models export to LP text format for external solvers.
-export_lp(model, "/tmp/demo_example5.lp")
-print("\nwrote /tmp/demo_example5.lp")
+with tempfile.TemporaryDirectory() as tmp:
+    export_lp(model, os.path.join(tmp, "demo_example5.lp"))
+print("\nwrote demo_example5.lp")

@@ -13,7 +13,6 @@ import json
 import time
 import types
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from .errors import ParseError, SpannerError, TooLarge
@@ -304,6 +303,11 @@ def _run_instance(args) -> list[MetricsRow]:
 
 
 def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
+    """The metrics rows of every (instance, algorithm, trial) cell, instance by instance.
+
+    With ``config.threads > 1`` the instances run in a process pool, and only
+    then is ``multiprocessing`` imported.
+    """
     if config.trials == 0:
         return []
     # Validate the generator once up front so bad configs fail loudly; that
@@ -312,6 +316,8 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
     validate(first).raise_if_invalid()
     tasks = [(config, index, first if index == 0 else None) for index in range(config.instances)]
     if config.threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
             per_instance = list(pool.map(_run_instance, tasks))
     else:

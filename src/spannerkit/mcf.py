@@ -21,20 +21,28 @@ source and sink rows, so its model stays infeasible.  All variables live in
 ``solve_lp`` hands the sparse matrices to scipy's HiGHS.  ``export_lp`` writes
 the model in CPLEX LP text format; ``read_lp`` parses that subset back, so
 exported models can be re-solved with ``solve_standard`` and cross-checked.
+
+numpy and scipy are imported inside ``build_mcf``, ``solve_standard``,
+``solve_lp``, ``export_lp`` and ``read_lp``, not at module level: numpy and
+scipy.sparse take about 0.4 s and 35 MB to import in a fresh interpreter, which
+the greedy solvers, the exact oracle and the verifier never need.  Importing
+this module loads neither.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-
-import numpy as np
-import scipy.sparse as sp
+from typing import TYPE_CHECKING
 
 from .errors import ParseError, SolverFailure
 from .extension import DeltaExtension
 from .graph import budget_window, graph_view
 from .instance import Demand
+
+if TYPE_CHECKING:
+    import numpy as np
+    import scipy.sparse as sp
 
 
 @dataclass
@@ -86,6 +94,9 @@ class McfModel(StandardLp):
 
 def build_mcf(extension: DeltaExtension) -> McfModel:
     """Assemble the flow LP for the extension's instance and its demand pairs."""
+    import numpy as np
+    import scipy.sparse as sp
+
     inst = extension.instance.scaled
     demands = inst.demands
     for d in demands:
@@ -178,10 +189,12 @@ def solve_standard(lp: StandardLp) -> tuple[np.ndarray, float]:
     """Solve ``lp`` with scipy's HiGHS; returns (x, objective).
 
     Raises :class:`SolverFailure` carrying the solver's status on anything but
-    an optimum, and wraps any exception the solver raises.  scipy.optimize is
-    imported here rather than at module level: it costs about 25 MB and 0.4 s,
-    which callers that never solve an LP should not pay.
+    an optimum, and wraps any exception the solver raises.  numpy and
+    scipy.optimize are imported here rather than at module level: with
+    scipy.sparse they take about 0.8 s and 60 MB to import in a fresh
+    interpreter, which callers that never solve an LP should not pay.
     """
+    import numpy as np
     from scipy.optimize import linprog
 
     try:
@@ -213,6 +226,8 @@ class FractionalSolution:
 
 def solve_lp(model: McfModel) -> FractionalSolution:
     """Solve the model; raise :class:`SolverFailure` on any non-optimal status."""
+    import numpy as np
+
     values, _ = solve_standard(model)
     num_flow = model.num_flow_vars
     x_edges = np.clip(values[num_flow:], 0.0, 1.0) + 0.0  # + 0.0 turns HiGHS's -0.0 into 0.0
@@ -238,6 +253,8 @@ def _fmt_coef(value: float, name: str, first: bool) -> str:
 
 def export_lp(lp: StandardLp, path: str) -> None:
     """Write the LP in CPLEX LP text format (Minimize/Subject To/Bounds/End)."""
+    import numpy as np
+
     names = lp.var_names()
     lines = ["\\ spannerkit flow model", "Minimize"]
     terms = [
@@ -300,6 +317,9 @@ def read_lp(path: str) -> StandardLp:
     Anything else raises :class:`ParseError` naming the line: text outside
     a section, a term or number that does not parse, a maximization.
     """
+    import numpy as np
+    import scipy.sparse as sp
+
     with open(path, encoding="utf-8") as fh:
         raw_lines = [ln.strip() for ln in fh]
     lines = [ln for ln in raw_lines if ln and not ln.startswith("\\")]

@@ -21,6 +21,7 @@ from .errors import (
     InfeasibleInstance,
     LemmaViolation,
     MonotonicityViolation,
+    SolverFailure,
     SpannerError,
     TooLarge,
     TooManyCuts,
@@ -37,6 +38,7 @@ from .instance import (
     require_integer_lengths,
     scale_demands,
 )
+from .mcf import build_mcf, solve_lp
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +417,6 @@ def dodis_khanna_demo(edge_length: int = 3, alpha: int = 2) -> DemoReport:
     source = ext.node_id(0, 0)
     sink = ext.node_id(edge_length, alpha)
     path = reachable_path(ext, frozenset(range(transformed.m)), source, sink)
-
-    from .errors import SolverFailure
-    from .mcf import build_mcf, solve_lp
 
     model = build_mcf(ext)
     try:

@@ -1,10 +1,15 @@
 import copy
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import spannerkit
 from spannerkit import bench, cli
 from spannerkit.cli import main
 from spannerkit.errors import ParseError
@@ -484,3 +489,54 @@ def test_bench_geometric_family_runs():
     # must not floor the bounds (flooring made them 0 and failed validation).
     rows = bench.run_experiment(bench.ExperimentConfig(family="geometric", n=6, m=10))
     assert len(rows) == 5 and all(row.feasible for row in rows)
+
+
+COLD_START = textwrap.dedent("""
+    import json, sys
+
+    def heavy():
+        stack = {"numpy", "scipy", "multiprocessing"}
+        return sorted(stack & {m.split(".")[0] for m in sys.modules})
+
+    import spannerkit
+    from spannerkit.cli import main
+
+    def run(*args):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        if code:
+            sys.exit(f"{args} exited {code}")
+
+    seen = {"import": heavy()}
+    run("gen", "decoupled", "--n", "7", "--m", "12", "--seed", "3", "--demands", "freeform",
+        "--demand-pairs", "random", "--integer-lengths", "--out", "inst.json")
+    for algo in ("greedy", "augmented-greedy", "exact"):
+        run("solve", "inst.json", "--algorithm", algo, "--out", algo + ".json")
+    run("verify", "inst.json", "--solution", "augmented-greedy.json")
+    run("oracle", "exact", "inst.json", "--out", "oracle.txt")
+    with open("cfg.json", "w") as fh:
+        json.dump({"n": 6, "m": 9, "instances": 2, "exact": True,
+                   "algorithms": ["greedy", "augmented-greedy", "exact"]}, fh)
+    run("bench", "cfg.json", "--threads", "1", "--out", "bench.csv")
+    seen["non_lp"] = heavy()
+    run("solve", "inst.json", "--algorithm", "randomized-rounding", "--out", "rr.json")
+    seen["lp"] = heavy()
+    with open("seen.json", "w") as fh:
+        json.dump(seen, fh)
+""")
+
+
+def test_cold_start_loads_lp_stack_only_for_the_lp(tmp_path):
+    # A fresh interpreter, since this one has long loaded numpy and scipy.
+    src = os.path.dirname(os.path.dirname(spannerkit.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", COLD_START], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads((tmp_path / "seen.json").read_text())
+    assert seen["import"] == [] and seen["non_lp"] == []
+    # The LP path does load them, so the checks above are not vacuous.
+    assert {"numpy", "scipy"} <= set(seen["lp"])
