@@ -115,7 +115,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and value < least:
                 raise ParseError(f"must be at least {least}, got {value!r}", field=name)
-        if self.gamma_mode == "custom" and self.confidence <= 1:
+        if self.gamma_mode == "custom" and not self.confidence > 1:  # NaN too
             raise ParseError(
                 f"must exceed 1 in custom gamma mode, got {self.confidence!r}", field="confidence"
             )
@@ -151,49 +151,40 @@ def _has_type(value, hint) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
-def run_algorithm(
-    instance: SpannerInstance,
-    algorithm: str,
-    *,
-    mst_lift: bool = False,
-    gamma_mode: str = "global",
-    confidence: float = 2.0,
-    max_attempts: int = 10,
-    seed: int = 0,
-    exact_cap: int = 22,
-):
-    """Dispatch one solver; returns (Subgraph, info dict)."""
+def run_algorithm(instance: SpannerInstance, algorithm: str, *, config: ExperimentConfig, seed: int):
+    """Dispatch one solver with the config's options; returns (Subgraph, info dict)."""
     info: dict = {}
     if algorithm == "greedy":
         sub = greedy(instance)
     elif algorithm == "augmented-greedy":
-        sub, report = augmented_greedy(instance, mst_lift=mst_lift)
+        sub, report = augmented_greedy(instance, mst_lift=config.mst_lift)
         info["w_star"] = format_rational(report.w_star)
         info["high_weight_edges"] = str(report.high_weight_edge_count)
     elif algorithm == "randomized-rounding":
         sub, report = solve_randomized(
             instance,
-            mode=gamma_mode,
+            mode=config.gamma_mode,
             seed=seed,
-            max_attempts=max_attempts,
-            confidence=confidence if gamma_mode == "custom" else None,
+            max_attempts=config.max_attempts,
+            confidence=config.confidence if config.gamma_mode == "custom" else None,
         )
         info["gamma"] = f"{report.gamma.value:.6f}"
         info["attempts"] = str(len(report.attempts))
     elif algorithm == "exact":
-        result = exact_optimum(instance, max_edges=exact_cap)
+        result = exact_optimum(instance, max_edges=config.exact_cap)
         sub = Subgraph(instance, result.edge_set)
     else:
         raise SpannerError(f"unknown algorithm {algorithm!r}; have {ALGORITHMS}")
     return sub, info
 
 
-def _instance(config: ExperimentConfig, index: int) -> SpannerInstance:
+def generate(config: ExperimentConfig, seed: int) -> SpannerInstance:
+    """The random instance of the config's generator fields at one generator seed."""
     return random_instance(
         config.family,
         config.n,
         config.m,
-        config.seed * 10_000 + index,
+        seed,
         demand_family=config.demand_family,
         demand_pairs=config.demand_pairs,
         num_demands=config.num_demands,
@@ -209,16 +200,8 @@ def _run_cell(config, instance, name, index, algorithm, trial):
     """One (algorithm, trial) cell: ``(row, subgraph)``, the subgraph None on failure."""
     t0 = time.perf_counter()
     try:
-        sub, info = run_algorithm(
-            instance,
-            algorithm,
-            mst_lift=config.mst_lift,
-            gamma_mode=config.gamma_mode,
-            confidence=config.confidence,
-            max_attempts=config.max_attempts,
-            seed=config.seed * 100_003 + index * 101 + trial,
-            exact_cap=config.exact_cap,
-        )
+        seed = config.seed * 100_003 + index * 101 + trial
+        sub, info = run_algorithm(instance, algorithm, config=config, seed=seed)
     except SpannerError as exc:
         failed = MetricsRow(
             instance=name,
@@ -274,7 +257,7 @@ def _run_instance(args) -> list[MetricsRow]:
     """
     config, index, instance = args
     if instance is None:
-        instance = _instance(config, index)
+        instance = generate(config, config.seed * 10_000 + index)
     name = f"{config.family}-{config.n}x{config.m}-s{config.seed}-{index}"
     mst_weight = None if instance.directed else minimum_spanning_tree(instance)[0]
     cells = [(a, t) for a in config.algorithms for t in range(max(1, config.trials))]
@@ -312,7 +295,7 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
         return []
     # Validate the generator once up front so bad configs fail loudly; that
     # instance is then solved as index 0 instead of being generated again.
-    first = _instance(config, 0)
+    first = generate(config, config.seed * 10_000)  # index 0's generator seed
     validate(first).raise_if_invalid()
     tasks = [(config, index, first if index == 0 else None) for index in range(config.instances)]
     if config.threads > 1:

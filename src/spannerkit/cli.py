@@ -7,6 +7,11 @@ a directory), 3 infeasible after retries (or another library error), 4
 internal error (lemma violation or any unexpected exception), reported on
 one line without a traceback.
 
+``solve``, and ``gen`` for a random family, build from their flags the
+:class:`~spannerkit.bench.ExperimentConfig` that ``bench`` reads from its
+config file, so a flag outside its field's domain exits 2 naming the field,
+as a bad config value does; the solvers read their options off that config.
+
 Solution files are deterministic given identical inputs and seeds; timing
 lives only in the metrics CSV.
 """
@@ -33,7 +38,6 @@ from .generators import (
     FIXED_INSTANCES,
     WEIGHT_FAMILIES,
     fixed_instance,
-    random_instance,
 )
 from .graph import minimum_spanning_tree, verify_feasible
 from .greedy import augmented_greedy
@@ -100,11 +104,10 @@ def cmd_gen(args) -> int:
     if args.family in FIXED_INSTANCES:
         instance = fixed_instance(args.family)
     else:
-        instance = random_instance(
-            args.family,
-            args.n,
-            args.m if args.m is not None else 2 * args.n,
-            args.seed,
+        config = bench_mod.ExperimentConfig(
+            family=args.family,
+            n=args.n,
+            m=args.m if args.m is not None else 2 * args.n,
             demand_family=args.demands,
             demand_pairs=args.demand_pairs,
             num_demands=args.num_demands,
@@ -114,6 +117,7 @@ def cmd_gen(args) -> int:
             integer_lengths=args.integer_lengths,
             directed=args.directed,
         )
+        instance = bench_mod.generate(config, args.seed)
     report = validate(instance)
     if not report.ok:
         print("generated instance failed validation (bad parameters?):", file=sys.stderr)
@@ -125,25 +129,24 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    instance = _load_validated(args.instance)
-    t0 = time.perf_counter()
-    sub, info = bench_mod.run_algorithm(
-        instance,
-        args.algorithm,
+    config = bench_mod.ExperimentConfig(
+        algorithms=[args.algorithm],
         mst_lift=args.mst_lift,
         gamma_mode=args.gamma_mode,
         confidence=args.confidence,
         max_attempts=args.max_attempts,
-        seed=args.seed,
         exact_cap=args.exact_cap,
     )
+    instance = _load_validated(args.instance)
+    t0 = time.perf_counter()
+    sub, info = bench_mod.run_algorithm(instance, args.algorithm, config=config, seed=args.seed)
     elapsed = time.perf_counter() - t0
     verdict = verify_feasible(sub)  # exact re-verification, never skipped
     params = {
         "seed": args.seed,
-        "mst_lift": args.mst_lift,
-        "gamma_mode": args.gamma_mode,
-        "max_attempts": args.max_attempts,
+        "mst_lift": config.mst_lift,
+        "gamma_mode": config.gamma_mode,
+        "max_attempts": config.max_attempts,
     }
     params.update(info)
     payload = _solution_payload(args.algorithm, sub, verdict.feasible, params)
@@ -203,6 +206,9 @@ def cmd_bench(args) -> int:
 
 def cmd_oracle(args) -> int:
     if args.oracle == "demo":
+        for flag, value in (("--length", args.length), ("--alpha", args.alpha)):
+            if value < 1:
+                raise ParseError(f"must be at least 1, got {value}", field=flag)
         report = dodis_khanna_demo(args.length, args.alpha)
         text = report.to_json() if args.format == "json" else report.to_text()
         if args.out:
@@ -279,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spanner approximation algorithms with exact verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = bench_mod.ExperimentConfig  # a dataclass: its fields' defaults are class attributes
 
     p_gen = sub.add_parser("gen", help="generate an instance file")
     p_gen.add_argument("family", choices=list(WEIGHT_FAMILIES) + list(FIXED_INSTANCES))
@@ -302,11 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--mst-lift", action="store_true")
-    p_solve.add_argument("--gamma-mode", choices=GAMMA_MODES, default="global")
-    p_solve.add_argument("--confidence", type=float, default=2.0,
+    p_solve.add_argument("--gamma-mode", choices=GAMMA_MODES, default=defaults.gamma_mode)
+    p_solve.add_argument("--confidence", type=float, default=defaults.confidence,
                          help="failure-odds divisor for --gamma-mode custom")
-    p_solve.add_argument("--max-attempts", type=int, default=10)
-    p_solve.add_argument("--exact-cap", type=int, default=22)
+    p_solve.add_argument("--max-attempts", type=int, default=defaults.max_attempts)
+    p_solve.add_argument("--exact-cap", type=int, default=defaults.exact_cap)
     p_solve.add_argument("--out", default=None)
     p_solve.add_argument("--metrics", default=None)
 
@@ -325,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("instance", nargs="?")
     p_oracle.add_argument("--solution", default=None)
     p_oracle.add_argument("--seed", type=int, default=0)
-    p_oracle.add_argument("--exact-cap", type=int, default=22)
+    p_oracle.add_argument("--exact-cap", type=int, default=defaults.exact_cap)
     p_oracle.add_argument("--cut-cap", type=int, default=10**6)
     p_oracle.add_argument("--beta", type=int, default=2)
     p_oracle.add_argument("--mst-lift", action="store_true")

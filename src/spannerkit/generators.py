@@ -138,6 +138,8 @@ def random_instance(
         raise ValueError(f"unknown family {family!r}; have {WEIGHT_FAMILIES}")
     if demand_family not in DEMAND_FAMILIES:
         raise ValueError(f"unknown demand family {demand_family!r}; have {DEMAND_FAMILIES}")
+    if num_demands is not None and num_demands < 0:
+        raise ValueError(f"num_demands must be at least 0, got {num_demands}")
     rng = random.Random(seed)
 
     if family == "geometric":

@@ -92,17 +92,15 @@ def greedy(
     # one search per source, up to its largest bound and its targets, settles every pair's
     # distance; on the whole graph with the instance's own demands those are the cached ones
     reach = scaled.reach if whole and checks is scaled.by_source else check_distances(view, checks)
+    unsatisfiable = violated_pairs(view, checks, reach, scaled.scale)
+    if unsatisfiable:
+        i, achieved = unsatisfiable[0]
+        raise UnsatisfiableDemand(demands[i].u, demands[i].v, demands[i].delta, achieved)
     dists = {check[0]: dist for check, dist in zip(checks, reach)}
-    order = []
-    for d, b in zip(demands, bounds):
-        if d.u == d.v:
-            continue
-        dist = dists[d.u][d.v]
-        if dist is None or dist > b.delta:
-            exact = shortest_distances(view, d.u, targets=(d.v,))[d.v]  # unbounded, for the report
-            raise UnsatisfiableDemand(d.u, d.v, d.delta, scaled.unscale(exact))
-        order.append((dist, d.u, d.v, b.delta, d))
-    order.sort(key=lambda t: (t[0], t[1], t[2]))
+    order = sorted(
+        ((dists[d.u][d.v], d.u, d.v, b.delta, d) for d, b in zip(demands, bounds) if d.u != d.v),
+        key=lambda t: (t[0], t[1], t[2]),
+    )
     # every target settled, the farthest at T: entries below T are exact and the
     # rest at least T, so capping them at T gives min(d(u, x), T); new lists, as
     # the cached ones are shared

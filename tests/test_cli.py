@@ -13,6 +13,8 @@ import spannerkit
 from spannerkit import bench, cli
 from spannerkit.cli import main
 from spannerkit.errors import ParseError
+from spannerkit.generators import DEMAND_FAMILIES, DEMAND_PAIRS, WEIGHT_FAMILIES
+from spannerkit.rounding import GAMMA_MODES
 
 
 def run_cli(args):
@@ -230,6 +232,98 @@ def test_mutated_instance_files_never_exit_4(tmp_path, doc, algorithm):
     sol.write_text(json.dumps({"edge_indices": [0, 2]}))
     assert run_cli(["solve", str(inst), "--algorithm", algorithm, "--out", str(out)]) in (0, 2, 3), doc
     assert run_cli(["verify", str(inst), "--solution", str(sol)]) in (0, 2, 3), doc
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (["solve", "{inst}", "--algorithm", "randomized-rounding", "--max-attempts", "0"],
+         "max_attempts"),
+        (["solve", "{inst}", "--algorithm", "greedy", "--max-attempts", "0"], "max_attempts"),
+        (["solve", "{inst}", "--algorithm", "randomized-rounding", "--gamma-mode", "custom",
+          "--confidence", "1"], "confidence"),
+        (["solve", "{inst}", "--algorithm", "randomized-rounding", "--gamma-mode", "custom",
+          "--confidence", "nan"], "confidence"),
+        (["gen", "decoupled", "--demand-pairs", "random", "--num-demands", "-1", "--out", "{out}"],
+         "num_demands"),
+        (["gen", "decoupled", "--m", "-1", "--out", "{out}"], "m"),
+        (["oracle", "demo", "--length", "0", "--out", "{out}"], "--length"),
+        (["oracle", "demo", "--alpha", "0", "--out", "{out}"], "--alpha"),
+    ],
+    ids=["rr-max-attempts", "greedy-max-attempts", "custom-confidence", "nan-confidence",
+         "num-demands", "m", "demo-length", "demo-alpha"],
+)
+def test_flags_outside_their_domain_exit_2_naming_the_field(ex5, tmp_path, capsys, args, name):
+    # gen and solve check their flags as ExperimentConfig fields, as bench checks a config
+    out = tmp_path / "out.json"
+    args = [a.format(inst=ex5, out=out) for a in args]
+    capsys.readouterr()
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"field {name!r}" in err, err
+    assert not out.exists()
+
+
+def _flags(draw, options):
+    """Each flag of ``options`` at a value drawn from its strategy, or left out."""
+    args = []
+    for flag, values in options.items():
+        value = draw(st.none() | values)
+        if value is True:
+            args.append(flag)
+        elif value is not None and value is not False:
+            args += [flag, str(value)]
+    return args
+
+
+@st.composite
+def command_lines(draw):
+    """A gen, solve or oracle (demo, cuts, potential) command line with small, bounded flags;
+    ``{inst}`` stands for the fixed instance FUZZ_DOC and ``{out}`` for the output file."""
+    count = st.integers(-2, 8)
+    command = draw(st.sampled_from(("gen", "solve", "demo", "cuts", "potential")))
+    if command == "gen":
+        head = ["gen", draw(st.sampled_from(WEIGHT_FAMILIES)), "--out", "{out}"]
+        options = {
+            "--n": st.integers(-1, 6), "--m": count, "--num-demands": count,
+            "--demands": st.sampled_from(DEMAND_FAMILIES),
+            "--demand-pairs": st.sampled_from(DEMAND_PAIRS),
+            "--alpha": count, "--beta": count, "--freeform-factor": count,
+            "--integer-lengths": st.booleans(), "--directed": st.booleans(),
+        }
+    elif command == "solve":
+        head = ["solve", "{inst}", "--algorithm", draw(st.sampled_from(bench.ALGORITHMS)),
+                "--out", "{out}"]
+        options = {
+            "--max-attempts": st.integers(-1, 3),
+            "--confidence": st.sampled_from((-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 8.0)),
+            "--exact-cap": count, "--gamma-mode": st.sampled_from(GAMMA_MODES),
+            "--mst-lift": st.booleans(), "--seed": st.integers(0, 3),
+        }
+    elif command == "demo":
+        head = ["oracle", "demo", "--out", "{out}"]
+        options = {"--length": st.integers(-1, 5), "--alpha": st.integers(-1, 4),
+                   "--format": st.sampled_from(("text", "json"))}
+    elif command == "cuts":
+        head = ["oracle", "cuts", "{inst}", "--out", "{out}"]
+        options = {"--cut-cap": st.integers(-1, 20), "--seed": st.integers(-1, 3)}
+    else:
+        head = ["oracle", "potential", "{inst}", "--out", "{out}"]
+        options = {"--beta": st.integers(-2, 4), "--mst-lift": st.booleans(),
+                   "--format": st.sampled_from(("text", "json"))}
+    return head + _flags(draw, options)
+
+
+@settings(
+    max_examples=200, derandomize=True, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(args=command_lines())
+def test_command_line_flags_never_exit_4(tmp_path, args):
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    inst.write_text(json.dumps(FUZZ_DOC))
+    args = [a.format(inst=inst, out=out) for a in args]
+    assert run_cli(args) in (0, 2, 3), args
 
 
 def test_export_lp(ex5, tmp_path):

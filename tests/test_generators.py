@@ -145,6 +145,13 @@ def test_bad_family_rejected():
         random_instance("basic", 5, 5, 0, demand_pairs="weird")
 
 
+def test_negative_demand_count_rejected():
+    # read as a slice bound, -1 would keep every pair but the last
+    with pytest.raises(ValueError, match="num_demands"):
+        random_instance("basic", 5, 5, 0, demand_pairs="random", num_demands=-1)
+    assert random_instance("basic", 5, 5, 0, demand_pairs="random", num_demands=0).demands == ()
+
+
 # First 16 hex digits of the sha256 of each instance's sorted to_json_dict,
 # keyed by (family, directed, demand family, integer_lengths, demand pairs,
 # seed), for random_instance(family, n, 12, seed, ...) with n = 6 for
