@@ -51,7 +51,9 @@ CONFIG_CHOICES = {
     "gamma_mode": GAMMA_MODES,
     "algorithms": ALGORITHMS,
 }
-CONFIG_MINIMUM = {"n": 1, "m": 0, "instances": 0, "trials": 0, "max_attempts": 1, "num_demands": 0}
+CONFIG_MINIMUM = {
+    "n": 1, "m": 0, "instances": 0, "trials": 0, "max_attempts": 1, "num_demands": 0, "exact_cap": 0,
+}
 
 
 @dataclass

@@ -205,10 +205,13 @@ def cmd_bench(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    for flag, value, least in (  # checked whichever oracle runs, as solve checks its flags
+        ("--length", args.length, 1), ("--alpha", args.alpha, 1), ("--exact-cap", args.exact_cap, 0),
+        ("--cut-cap", args.cut_cap, 0), ("--beta", args.beta, 2),
+    ):
+        if value < least:
+            raise ParseError(f"must be at least {least}, got {value}", field=flag)
     if args.oracle == "demo":
-        for flag, value in (("--length", args.length), ("--alpha", args.alpha)):
-            if value < 1:
-                raise ParseError(f"must be at least 1, got {value}", field=flag)
         report = dodis_khanna_demo(args.length, args.alpha)
         text = report.to_json() if args.format == "json" else report.to_text()
         if args.out:

@@ -3,9 +3,13 @@ the fixed hand-built instances used throughout the docs and tests.
 
 All randomness flows through one ``random.Random(seed)``, so a (family,
 params, seed) triple always produces the same instance, byte for byte after
-canonical serialization.  Demand bounds start from shortest distances taken
-on the integer scaled view (``instance.scaled``) and read back in instance
-units, ``Fraction(d, L)``: the same values a Fraction search would give.
+canonical serialization.  Demand bounds are built in the units of the
+integer scaled view (``instance.scaled``): from a scaled distance ``d``,
+which is ``d / L`` in instance units, each bound's formula, the
+``n * max_length`` cap and the floor are integer arithmetic on one
+numerator/denominator pair, made a ``Fraction`` once.  That is the value
+the formula gives in Fractions.  Undirected instances come out in canonical
+form and are returned as built.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import math
 import random
 from fractions import Fraction
 
-from .graph import graph_view, shortest_distances
+from .graph import shortest_distances
 from .instance import Demand, Edge, SpannerInstance
 
 WEIGHT_FAMILIES = ("decoupled", "coupled", "unit-length", "basic", "geometric", "anti-correlated")
@@ -218,40 +222,33 @@ def random_instance(
         raise ValueError(f"unknown demand_pairs {demand_pairs!r}; have {DEMAND_PAIRS}")
 
     scaled = instance.scaled
-    view = graph_view(scaled)
+    view, L = scaled.view, scaled.scale
     partners: dict[int, set[int]] = {}
     for u, v in pair_list:
         partners.setdefault(u, set()).add(v)
     dist_cache: dict[int, list] = {}
-
-    def dist(u: int, v: int):
-        if u not in dist_cache:  # one search per source, up to its pair partners
-            dist_cache[u] = shortest_distances(view, u, targets=partners[u])
-        return scaled.unscale(dist_cache[u][v])
-
-    max_len = max((e.length for e in instance.edges), default=0)  # n = 1 has no edges
-    budget_cap = instance.n * max_len
+    alpha = Fraction(alpha)
+    p, q = Fraction(freeform_factor).as_integer_ratio()
+    cap = instance.n * max(scaled.lengths, default=0)  # n * max_length is cap / L; n = 1 has no edges
     # Flooring keeps integer-length instances in the LP's domain; with any
     # fractional length (the geometric family) it would zero most bounds.
-    floor_bounds = integer_lengths and all(e.length.denominator == 1 for e in instance.edges)
+    floor_bounds = integer_lengths and L == 1
     demands = []
     for u, v in pair_list:
-        d = dist(u, v)
+        if u not in dist_cache:  # one search per source, up to its pair partners
+            dist_cache[u] = shortest_distances(view, u, targets=partners[u])
+        d = dist_cache[u][v]
         if d is None:
             continue
         if demand_family == "multiplicative":
-            delta = Fraction(alpha) * d
+            num, den = alpha.numerator * d, alpha.denominator * L
         elif demand_family == "additive":
-            delta = d + beta
-        else:  # freeform: a random stretch in [1, freeform_factor]
-            stretch = Fraction(1) + (Fraction(freeform_factor) - 1) * Fraction(
-                rng.randint(0, 16), 16
-            )
-            delta = stretch * d
-        delta = min(delta, budget_cap)  # same feasible set; keeps extensions small
-        if floor_bounds:
-            delta = Fraction(math.floor(delta))
+            num, den = d + beta * L, L
+        else:  # freeform: a random stretch 1 + (p/q - 1) * r/16 in [1, p/q]
+            num, den = (16 * q + (p - q) * rng.randint(0, 16)) * d, 16 * q * L
+        if num * L > cap * den:  # same feasible set; keeps extensions small
+            num, den = cap, L
+        delta = Fraction(num // den) if floor_bounds else Fraction(num, den)
         demands.append(Demand(u, v, delta))
-    return SpannerInstance(
-        instance.directed, n, instance.edges, tuple(demands), None
-    ).canonical()
+    instance = SpannerInstance(instance.directed, n, instance.edges, tuple(demands), None)
+    return instance if instance.is_canonical() else instance.canonical()

@@ -250,21 +250,22 @@ def minimum_spanning_tree(instance: SpannerInstance) -> tuple[Fraction, frozense
         return a
 
     chosen: list[int] = []
-    total = Fraction(0)
-    order = sorted(range(instance.m), key=lambda i: (instance.edges[i].weight, i))
-    for i in order:
+    scaled = instance.scaled  # integer weights: the same order, summed exactly
+    weights = scaled.weights
+    total = 0
+    for i in sorted(range(instance.m), key=lambda i: (weights[i], i)):
         e = instance.edges[i]
         ru, rv = find(e.u), find(e.v)
         if ru == rv:
             continue
         parent[ru] = rv
         chosen.append(i)
-        total += e.weight
+        total += weights[i]
         if len(chosen) == instance.n - 1:
             break
     if len(chosen) != instance.n - 1:
         raise SpannerError("graph is disconnected; no spanning tree exists")
-    return total, frozenset(chosen)
+    return Fraction(total, scaled.weight_scale), frozenset(chosen)
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InvalidInstance, NonIntegerLength, ParseError
-from .rational import format_rational, is_integer, parse_rational
+from .rational import as_fraction, format_rational, is_integer, parse_rational
 
 
 @dataclass(frozen=True)
@@ -130,19 +130,23 @@ class SpannerInstance:
             u, v = e.u, e.v
             if not self.directed and u > v:
                 u, v = v, u
-            edges.append(Edge(u, v, _fraction(e.weight), _fraction(e.length)))
+            edges.append(Edge(u, v, as_fraction(e.weight), as_fraction(e.length)))
         edges.sort(key=lambda e: (e.u, e.v))
         demands = []
         for d in self.demands:
             u, v = d.pair(self.directed)
-            demands.append(Demand(u, v, _fraction(d.delta)))
+            demands.append(Demand(u, v, as_fraction(d.delta)))
         demands.sort(key=lambda d: (d.u, d.v))
         return SpannerInstance(self.directed, self.n, tuple(edges), tuple(demands), self.labels)
 
-
-def _fraction(x) -> Fraction:
-    """``x`` as a Fraction, without re-wrapping one: loading canonicalizes every value."""
-    return x if type(x) is Fraction else Fraction(x)
+    def is_canonical(self) -> bool:
+        """Whether :meth:`canonical` leaves every edge and demand in its place and orientation."""
+        for records in (self.edges, self.demands):
+            keys = [(r.u, r.v) for r in records]
+            oriented = self.directed or all(u <= v for u, v in keys)
+            if not oriented or any(a > b for a, b in zip(keys, keys[1:])):
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -228,9 +232,9 @@ def validate(instance: SpannerInstance) -> ValidationReport:
         if key in seen_pairs:
             report.add("duplicate-edge", f"edge {i} duplicates pair {key}")
         seen_pairs.add(key)
-        if e.weight < 0:
+        if e.weight.numerator < 0:  # a Fraction's sign is its numerator's
             report.add("negative-weight", f"edge {i} has weight {format_rational(e.weight)} < 0")
-        if e.length <= 0:
+        if e.length.numerator <= 0:
             report.add("nonpositive-length", f"edge {i} has length {format_rational(e.length)} <= 0")
 
     seen_demands: set[tuple[int, int]] = set()
@@ -246,7 +250,7 @@ def validate(instance: SpannerInstance) -> ValidationReport:
         if key in seen_demands:
             report.add("duplicate-demand", f"demand {i} duplicates pair {key}")
         seen_demands.add(key)
-        if d.delta <= 0:
+        if d.delta.numerator <= 0:
             report.add("nonpositive-demand", f"demand {i} has bound {format_rational(d.delta)} <= 0")
 
     if not ids_ok or report.codes() & {"nonpositive-length", "self-loop"}:
@@ -396,7 +400,12 @@ def require_integer_lengths(instance: SpannerInstance) -> IntegerInstance:
 
 
 def to_json_dict(instance: SpannerInstance) -> dict:
-    inst = instance.canonical()
+    """The document of the instance's canonical form, the one builder of instance files.
+
+    A canonical instance (every loaded or generated one) is written as it is,
+    with no second canonical pass; any other is put in canonical form first.
+    """
+    inst = instance if instance.is_canonical() else instance.canonical()
     doc: dict = {
         "directed": inst.directed,
         "n": inst.n,
@@ -418,12 +427,6 @@ def _node_id(value, record: str, i: int, key: str, path: str | None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"node id must be an integer, got {value!r}", path=path, field=f"{record}[{i}].{key}")
     return value
-
-
-def _in_canonical_order(records, directed: bool) -> bool:
-    """Whether :meth:`SpannerInstance.canonical` keeps these edges or demands as they are."""
-    keys = [(r.u, r.v) for r in records]
-    return (directed or all(u <= v for u, v in keys)) and all(a <= b for a, b in zip(keys, keys[1:]))
 
 
 def from_json_dict(doc: dict, *, path: str | None = None) -> SpannerInstance:
@@ -490,16 +493,17 @@ def from_json_dict(doc: dict, *, path: str | None = None) -> SpannerInstance:
         raise ParseError(f"must be null or a list of strings, got {labels!r}", path=path, field="labels")
     labels = None if labels is None else tuple(labels)
     instance = SpannerInstance(directed, n, tuple(edges), tuple(demands), labels)
-    if _in_canonical_order(instance.edges, directed) and _in_canonical_order(instance.demands, directed):
-        return instance
-    return instance.canonical()
+    return instance if instance.is_canonical() else instance.canonical()
 
 
 def save(instance: SpannerInstance, path: str) -> None:
-    """Write the canonical form; deterministic byte-for-byte."""
+    """Write :func:`to_json_dict`'s document, indented by ``json``, in one write.
+
+    Deterministic byte-for-byte: equal instances give equal files.
+    """
+    text = json.dumps(to_json_dict(instance), indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json_dict(instance), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def read_json_object(path: str) -> dict:

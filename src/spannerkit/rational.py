@@ -49,9 +49,14 @@ def parse_rational(text: str, *, field: str | None = None) -> Fraction:
     return Fraction(num, den)
 
 
+def as_fraction(value) -> Fraction:
+    """``value`` as a Fraction, without re-wrapping one (every loaded or generated value)."""
+    return value if type(value) is Fraction else Fraction(value)
+
+
 def format_rational(value: Fraction) -> str:
     """Canonical text form: lowest terms, ``"p"`` when the denominator is 1."""
-    value = Fraction(value)
+    value = as_fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

@@ -249,14 +249,21 @@ def test_mutated_instance_files_never_exit_4(tmp_path, doc, algorithm):
         (["gen", "decoupled", "--m", "-1", "--out", "{out}"], "m"),
         (["oracle", "demo", "--length", "0", "--out", "{out}"], "--length"),
         (["oracle", "demo", "--alpha", "0", "--out", "{out}"], "--alpha"),
+        (["solve", "{inst}", "--algorithm", "exact", "--exact-cap", "-1", "--out", "{out}"],
+         "exact_cap"),
+        (["oracle", "exact", "{inst}", "--exact-cap", "-1", "--out", "{out}"], "--exact-cap"),
+        (["oracle", "cuts", "{inst}", "--cut-cap", "-1", "--out", "{out}"], "--cut-cap"),
+        (["oracle", "potential", "{tri}", "--beta", "0", "--out", "{out}"], "--beta"),
     ],
     ids=["rr-max-attempts", "greedy-max-attempts", "custom-confidence", "nan-confidence",
-         "num-demands", "m", "demo-length", "demo-alpha"],
+         "num-demands", "m", "demo-length", "demo-alpha", "solve-exact-cap", "oracle-exact-cap",
+         "cut-cap", "potential-beta"],
 )
 def test_flags_outside_their_domain_exit_2_naming_the_field(ex5, tmp_path, capsys, args, name):
     # gen and solve check their flags as ExperimentConfig fields, as bench checks a config
-    out = tmp_path / "out.json"
-    args = [a.format(inst=ex5, out=out) for a in args]
+    out, tri = tmp_path / "out.json", tmp_path / "triangle.json"  # tri: undirected
+    assert run_cli(["gen", "triangle", "--out", str(tri)]) == 0
+    args = [a.format(inst=ex5, tri=tri, out=out) for a in args]
     capsys.readouterr()
     assert run_cli(args) == 2
     err = capsys.readouterr().err

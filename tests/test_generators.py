@@ -1,10 +1,21 @@
 import hashlib
 import json
+import math
+import random
+import types
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import bellman_ford
+from spannerkit import generators
 from spannerkit.generators import (
+    DEMAND_FAMILIES,
+    DEMAND_PAIRS,
     GEO_DENOM,
+    WEIGHT_FAMILIES,
     dk_edge,
     example5,
     fixed_instance,
@@ -12,7 +23,7 @@ from spannerkit.generators import (
     random_instance,
 )
 from spannerkit.graph import graph_view, shortest_distances
-from spannerkit.instance import save, to_json_dict, validate
+from spannerkit.instance import Edge, SpannerInstance, load, save, to_json_dict, validate
 
 
 def test_fixed_instances_valid():
@@ -242,3 +253,146 @@ def test_generated_bytes_pinned(key):
     )
     text = json.dumps(to_json_dict(inst), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == GENERATED_PINNED[key]
+
+
+def _saved_instance(name):
+    """The instance behind each SAVE_PINNED key."""
+    fixed = {"example5": example5, "triangle": nonmetric_triangle, "dk-edge": dk_edge}
+    if name in fixed:
+        return fixed[name]()
+    if name == "n60-m180":
+        return random_instance("decoupled", 60, 180, 3, demand_family="freeform")
+    if name == "no-demands":
+        return random_instance("decoupled", 6, 9, 4, demand_pairs="random", num_demands=0)
+    if name == "n1":
+        return random_instance("basic", 1, 0, 0)
+    family, orientation = name.rsplit("-", 1)
+    i = WEIGHT_FAMILIES.index(family)
+    return random_instance(
+        family, 7, 12, 100 + i, demand_family=DEMAND_FAMILIES[i % 3],
+        demand_pairs=DEMAND_PAIRS[i % 3], alpha=Fraction(5, 2), beta=3,
+        freeform_factor=Fraction(7, 3), integer_lengths=i % 2 == 1,
+        directed=orientation == "directed",
+    )
+
+
+# sha256 of the bytes save writes for each _saved_instance, recorded while
+# every bound was built in Fractions and save streamed json.dump's chunks.
+SAVE_PINNED = {
+    "anti-correlated-directed": "7d804c0b041d51fd784cfb0740f6f7a41a1329cc25895f28d0df443756ae8b63",
+    "anti-correlated-undirected": "bd4e771cb6324be827e55cb625fd0a8b8e5899c09a44a633d5ac58002653aed7",
+    "basic-directed": "60e51f8186e8499607f682bf140c9e6c90fd835d2efe57ac3284a40b486bca6c",
+    "basic-undirected": "27aa1cf6ce6271da08563a3bbba64ebbd9c3e34dde9079d78078f1412f332365",
+    "coupled-directed": "fa7689225f641199dee70fa7150008a893b7ab1860ed797cc9fb9b62f48e1639",
+    "coupled-undirected": "f4981b5815b7520e0410bfaeff5517e9f09302c00d5384ca2c9b1f085e8e4afc",
+    "decoupled-directed": "b9a1034495141a50131df1fec0321d4213904c9990af10380b896224002d5f8e",
+    "decoupled-undirected": "564475652433ea20fb3f03bb586884cb8bcfd35272c0810b14537e629a49c453",
+    "dk-edge": "6060a7c406d3a941560769c113e4c8e459f45ea5c33d5c12970e154f4059e69e",
+    "example5": "6fbf9193707ae363e5b3c3fa3f67ea262e110997d868134648e1aa371d54a960",
+    "geometric-directed": "fa4de5585c1d216b2e6d5c558fc613d251496e83596e95dc33d5b6c4206b0b06",
+    "geometric-undirected": "fa4de5585c1d216b2e6d5c558fc613d251496e83596e95dc33d5b6c4206b0b06",
+    "n1": "9635ae984023e0cb24c09bcc7595d33d707f1b11b47236412a12aaa0c77e0658",
+    "n60-m180": "640667361667bb507bdf6c09ec0c4939a3d5b0c3292c42ee262ca708f7476790",
+    "no-demands": "789417cd55ef0d36942b96b2485f126bb98c606193706d00ccfd570b6d677c5a",
+    "triangle": "7368eb77a0a9348e60468b7d9e604d20886be43a5ac82dfb13b3a70b26cdaad1",
+    "unit-length-directed": "9972df2974d04b6e0b22bdda9f55362b222716ecde6e039ce6434d38a416de8e",
+    "unit-length-undirected": "fa1f7b85f5798cc38aa22805a68c29047b7152bbddad24f79d195de5872b764b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAVE_PINNED))
+def test_saved_bytes_pinned(tmp_path, name):
+    path = tmp_path / "inst.json"
+    save(_saved_instance(name), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVE_PINNED[name]
+
+
+# p/q in [1, 12] with q up to 3: a stretch factor or alpha that is not an integer
+ratios = st.integers(1, 3).flatmap(lambda q: st.builds(Fraction, st.integers(q, 12 * q), st.just(q)))
+
+
+@st.composite
+def generator_calls(draw):
+    """random_instance arguments over every family, orientation and pair mode, with
+    bounds large enough that the n * max_length cap binds, on fractional lengths too."""
+    kwargs = dict(
+        demand_family=draw(st.sampled_from(DEMAND_FAMILIES)),
+        demand_pairs=draw(st.sampled_from(DEMAND_PAIRS)),
+        num_demands=draw(st.none() | st.integers(0, 12)),
+        alpha=draw(st.integers(1, 12) | ratios),
+        beta=draw(st.integers(0, 12)),
+        freeform_factor=draw(st.integers(1, 12) | ratios),
+        integer_lengths=draw(st.booleans()),
+        directed=draw(st.booleans()),
+    )
+    family = draw(st.sampled_from(WEIGHT_FAMILIES))
+    return family, draw(st.integers(1, 7)), draw(st.integers(0, 14)), draw(st.integers(0, 10**6)), kwargs
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(call=generator_calls())
+def test_bounds_match_fraction_arithmetic(call):
+    # The reference builds each bound the way the generator once did: Fraction
+    # distances by Bellman-Ford, then the family's formula, the cap and the floor.
+    family, n, m, seed, kw = call
+    rngs = []
+
+    class Recorded(random.Random):
+        """The generator's rng, keeping every randint draw."""
+
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.draws = []
+            rngs.append(self)
+
+        def randint(self, a, b):
+            self.draws.append(super().randint(a, b))
+            return self.draws[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generators, "random", types.SimpleNamespace(Random=Recorded))
+        inst = random_instance(family, n, m, seed, **kw)
+    view = graph_view(inst)
+    cap = inst.n * max((e.length for e in inst.edges), default=0)
+    floor = kw["integer_lengths"] and all(e.length.denominator == 1 for e in inst.edges)
+    # every pair is reachable, so each draws its stretch once, last and in pair order
+    stretches = rngs[0].draws[len(rngs[0].draws) - len(inst.demands):]
+    for d, r in zip(inst.demands, stretches):
+        dist = bellman_ford(view, d.u)[d.v]
+        if kw["demand_family"] == "multiplicative":
+            delta = Fraction(kw["alpha"]) * dist
+        elif kw["demand_family"] == "additive":
+            delta = dist + kw["beta"]
+        else:
+            delta = (1 + (Fraction(kw["freeform_factor"]) - 1) * Fraction(r, 16)) * dist
+        delta = min(delta, cap)
+        if floor:
+            delta = Fraction(math.floor(delta))
+        assert type(d.delta) is Fraction and d.delta == delta, (d, delta)
+    pairs = [(d.u, d.v) for d in inst.demands]
+    if kw["demand_pairs"] == "edges":
+        assert pairs == sorted({(min(e.u, e.v), max(e.u, e.v)) for e in inst.edges})
+    elif kw["demand_pairs"] == "all":
+        assert pairs == [(u, v) for u in range(n) for v in range(u + 1, n)]
+    else:
+        count = max(1, n // 2) if kw["num_demands"] is None else kw["num_demands"]
+        assert len(pairs) == min(count, n * (n - 1) // 2)
+
+
+def test_generation_and_save_make_no_canonical_pass(tmp_path, monkeypatch):
+    directed = random_instance("decoupled", 8, 14, 5, demand_family="freeform", directed=True)
+    loaded = tmp_path / "loaded.json"
+    save(directed, str(loaded))
+    fixed = example5()  # directed, and built in canonical form
+
+    def rebuilt(self):
+        raise AssertionError("a canonical instance was put in canonical form again")
+
+    monkeypatch.setattr(SpannerInstance, "canonical", rebuilt)
+    path = str(tmp_path / "inst.json")
+    for family in WEIGHT_FAMILIES:
+        save(random_instance(family, 8, 14, 5, demand_family="freeform", demand_pairs="all"), path)
+    for inst in (directed, load(str(loaded)), fixed):
+        save(inst, path)
+    with pytest.raises(AssertionError, match="canonical form again"):  # (1, 0) is not
+        save(SpannerInstance(False, 2, (Edge(1, 0, Fraction(1), Fraction(1)),), ()), path)
