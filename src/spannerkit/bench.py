@@ -13,7 +13,7 @@ import json
 import time
 import types
 import typing
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 from .errors import ParseError, SpannerError, TooLarge
 from .generators import DEMAND_FAMILIES, DEMAND_PAIRS, WEIGHT_FAMILIES, random_instance
@@ -23,22 +23,6 @@ from .instance import SpannerInstance, Subgraph, read_json_object, validate
 from .oracles import exact_optimum
 from .rational import format_rational
 from .rounding import GAMMA_MODES, solve_randomized
-
-CSV_COLUMNS = [
-    "instance",
-    "algorithm",
-    "trial",
-    "feasible",
-    "weight",
-    "size",
-    "lightness",
-    "ratio",
-    "w_star",
-    "high_weight_edges",
-    "gamma",
-    "attempts",
-    "wall_time_s",
-]
 
 ALGORITHMS = ("greedy", "augmented-greedy", "randomized-rounding", "exact")
 
@@ -53,6 +37,7 @@ CONFIG_CHOICES = {
 }
 CONFIG_MINIMUM = {
     "n": 1, "m": 0, "instances": 0, "trials": 0, "max_attempts": 1, "num_demands": 0, "exact_cap": 0,
+    "threads": 1,
 }
 
 
@@ -73,8 +58,10 @@ class MetricsRow:
     wall_time_s: str = ""
 
     def as_list(self) -> list:
-        data = asdict(self)
-        return [data[c] for c in CSV_COLUMNS]
+        return list(astuple(self))
+
+
+CSV_COLUMNS = [f.name for f in fields(MetricsRow)]
 
 
 @dataclass
@@ -290,8 +277,10 @@ def _run_instance(args) -> list[MetricsRow]:
 def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
     """The metrics rows of every (instance, algorithm, trial) cell, instance by instance.
 
-    With ``config.threads > 1`` the instances run in a process pool, and only
-    then is ``multiprocessing`` imported.
+    With ``config.threads > 1`` and more than one instance, the instances run
+    in a pool of ``min(threads, instances)`` worker processes (a forked pool
+    starts every worker at once, even one that gets no task), and only then
+    is ``multiprocessing`` imported.
     """
     if config.trials == 0:
         return []
@@ -300,10 +289,11 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
     first = generate(config, config.seed * 10_000)  # index 0's generator seed
     validate(first).raise_if_invalid()
     tasks = [(config, index, first if index == 0 else None) for index in range(config.instances)]
-    if config.threads > 1:
+    workers = min(config.threads, len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_instance = list(pool.map(_run_instance, tasks))
     else:
         per_instance = [_run_instance(task) for task in tasks]

@@ -19,6 +19,7 @@ lives only in the metrics CSV.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -58,13 +59,13 @@ EXIT_INFEASIBLE = 3
 EXIT_ASSERTION = 4
 
 
-def _write_solution(path: str | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+def _emit(path: str | None, text: str) -> None:
+    """Write ``text`` and a newline to the file ``path``, or to stdout when there is none."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(text + "\n")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(text + "\n")
 
 
 def _solution_payload(algorithm: str, sub: Subgraph, feasible: bool, params: dict) -> dict:
@@ -150,7 +151,7 @@ def cmd_solve(args) -> int:
     }
     params.update(info)
     payload = _solution_payload(args.algorithm, sub, verdict.feasible, params)
-    _write_solution(args.out, payload)
+    _emit(args.out, json.dumps(payload, indent=2))
     if args.metrics:
         row = bench_mod.metrics_row(
             args.instance, args.algorithm, 0, sub, info, verdict.feasible, elapsed
@@ -189,8 +190,8 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     config = bench_mod.ExperimentConfig.from_json(args.config)
-    if args.threads is not None:
-        config.threads = args.threads
+    if args.threads is not None:  # through the config's own checks, as a file value would be
+        config = dataclasses.replace(config, threads=args.threads)
     rows = bench_mod.run_experiment(config)
     text = bench_mod.rows_to_csv(rows) if args.format == "csv" else bench_mod.rows_to_json(rows)
     if args.out:
@@ -213,12 +214,7 @@ def cmd_oracle(args) -> int:
             raise ParseError(f"must be at least {least}, got {value}", field=flag)
     if args.oracle == "demo":
         report = dodis_khanna_demo(args.length, args.alpha)
-        text = report.to_json() if args.format == "json" else report.to_text()
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _emit(args.out, report.to_json() if args.format == "json" else report.to_text())
         return EXIT_OK
 
     if not args.instance:
@@ -229,7 +225,7 @@ def cmd_oracle(args) -> int:
         result = exact_optimum(instance, max_edges=args.exact_cap)
         sub = Subgraph(instance, result.edge_set)
         payload = _solution_payload("exact", sub, True, {"nodes_explored": result.nodes_explored})
-        _write_solution(args.out, payload)
+        _emit(args.out, json.dumps(payload, indent=2))
         return EXIT_OK
     if args.oracle == "cuts":
         if args.solution:
@@ -254,18 +250,13 @@ def cmd_oracle(args) -> int:
             "nonascending_sampled": report.nonascending_sampled,
             "biconditional_holds": report.ok,
         }
-        _write_solution(args.out, payload)
+        _emit(args.out, json.dumps(payload, indent=2))
         return EXIT_OK
     if args.oracle == "potential":
         trace: list = []
         augmented_greedy(instance, mst_lift=args.mst_lift, trace=trace)
         report = potential_monitor(instance, trace, args.beta)
-        text = report.to_json() if args.format == "json" else report.to_text()
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _emit(args.out, report.to_json() if args.format == "json" else report.to_text())
         return EXIT_OK
     raise SpannerError(f"unknown oracle {args.oracle!r}")
 

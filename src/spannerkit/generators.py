@@ -164,33 +164,27 @@ def random_instance(
         directed = False
         tree_pairs: set[tuple[int, int]] = set()
     else:
+
+        def length() -> Fraction:
+            if integer_lengths:
+                return Fraction(rng.randint(1, max_length))
+            return _rational(rng, 1, max_length, 4)
+
         pairs, tree_pairs = _random_connected_edges(rng, n, m)
         edges = []
         for u, v in pairs:
             if family == "basic":
                 w = ln = Fraction(1)
             elif family == "coupled":
-                w = ln = (
-                    Fraction(rng.randint(1, max_length))
-                    if integer_lengths
-                    else _rational(rng, 1, max_length, 4)
-                )
+                w = ln = length()
             elif family == "unit-length":
                 ln = Fraction(1)
                 w = _rational(rng, 0, 10, 8)
             elif family == "anti-correlated":
-                ln = (
-                    Fraction(rng.randint(1, max_length))
-                    if integer_lengths
-                    else _rational(rng, 1, max_length, 4)
-                )
+                ln = length()
                 w = Fraction(10) / ln  # expensive when fast
             else:  # decoupled: independent draws
-                ln = (
-                    Fraction(rng.randint(1, max_length))
-                    if integer_lengths
-                    else _rational(rng, 1, max_length, 4)
-                )
+                ln = length()
                 w = _rational(rng, 0, 10, 8)
             edges.append(Edge(u, v, w, ln))
 

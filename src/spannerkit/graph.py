@@ -22,7 +22,11 @@ full forward view (``scaled.view``) and, per demand source, the search on
 it bounded at the source's largest bound and stopped at its targets
 (``scaled.reach``, from :func:`check_distances`, the one producer of such
 lists).  Validation, the threshold search's top probe and greedy's pair
-order on the full graph read them; nothing may change them.
+order on the full graph read them.  It also keeps the full reversed view
+(``scaled.reverse``, the forward view itself when undirected), which the
+flow LP's and the restricted gamma's budget windows read.  Nothing may
+change them.  The demands checked are always the instance's own; a check
+of other pairs is a check of a copy of the instance that holds them.
 Tie-break contract: the path greedy adds for a pair is the one
 :func:`lex_shortest_path` returns, the shortest path whose node sequence is
 lexicographically smallest (between parallel arcs, the first in adjacency
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DirectedInstance, SpannerError
-from .instance import Demand, SpannerInstance, Subgraph, group_by_source, scale_demands
+from .instance import Demand, SpannerInstance, Subgraph
 
 
 class GraphView:
@@ -61,9 +65,9 @@ def graph_view(inst, *, edge_subset=None, reverse: bool = False) -> GraphView:
     """View of a SpannerInstance or IntegerInstance, optionally edge-restricted.
 
     ``reverse=True`` flips every arc (used for distances *to* a target in
-    directed graphs).  An undirected instance's reversed view has the same
-    lists as its forward view, both in edge-index order, so callers reuse the
-    forward view there.
+    directed graphs).  The full graph's views, forward and reversed, are
+    cached on the scaled view (:attr:`~spannerkit.instance.IntegerInstance.view`
+    and :attr:`~spannerkit.instance.IntegerInstance.reverse`).
     """
     lengths = inst.lengths
     undirected = not inst.directed
@@ -323,18 +327,6 @@ class Verdict:
         return "infeasible:\n" + "\n".join(lines)
 
 
-def demand_bounds(instance: SpannerInstance, demands=None):
-    """``(demands, bounds)``: the demands (default: the instance's) and their scaled bounds.
-
-    The instance's own are scaled once, on its scaled view; others here.
-    """
-    scaled = instance.scaled
-    if demands is None or demands is instance.demands:
-        return instance.demands, scaled.demands
-    demands = tuple(demands)
-    return demands, scale_demands(demands, scaled.scale)
-
-
 def meets_bounds(view: GraphView, checks: list) -> bool:
     """Whether every check holds in the view (scaled units); stops at the first miss.
 
@@ -386,18 +378,18 @@ def violated_pairs(view: GraphView, checks, dists, scale: int) -> list[tuple[int
     return found
 
 
-def verify_feasible(subgraph: Subgraph, demands=None) -> Verdict:
-    """Exact check that every demand pair meets its bound in the subgraph.
+def verify_feasible(subgraph: Subgraph) -> Verdict:
+    """Exact check that every demand pair of the instance meets its bound in the subgraph.
 
-    ``demands`` defaults to the instance's own list; pass a subset (e.g. the
-    metric pairs) to check against that instead.  Runs on the scaled integer
-    view; every violation is reported, in demand order, with its exact
-    distance in instance units.
+    To check a subset of the pairs (e.g. the metric pairs), check a copy of
+    the instance that holds just those: ``dataclasses.replace(instance,
+    demands=subset)``.  Runs on the scaled integer view; every violation is
+    reported, in demand order, with its exact distance in instance units.
     """
     instance = subgraph.instance
+    demands = instance.demands
     scaled = instance.scaled
-    demands, bounds = demand_bounds(instance, demands)
-    checks = scaled.by_source if bounds is scaled.demands else group_by_source(bounds)
+    checks = scaled.by_source
     view = graph_view(scaled, edge_subset=subgraph.edge_set)
     violations = [
         PairViolation(demands[i].u, demands[i].v, demands[i].delta, achieved)

@@ -23,11 +23,10 @@ u's capped list.  For a pair that does not hold, the path is walked off the
 same list; no further search is needed.
 On the whole graph the searches are the instance's own: the threshold
 search's probe at the largest weight (which keeps every edge) and greedy's
-pair order, when the demands are the instance's and ``edge_subset`` keeps
-every edge (plain ``greedy``, and ``augmented_greedy`` whenever E[W*] = E),
-read the scaled view's cached ``view`` and ``reach``, which validation
-built or the first of them builds.  Greedy caps into new lists; the cached
-ones are shared and never changed.
+pair order, when ``edge_subset`` keeps every edge (plain ``greedy``, and
+``augmented_greedy`` whenever E[W*] = E), read the scaled view's cached
+``view`` and ``reach``, which validation built or the first of them builds.
+Greedy caps into new lists; the cached ones are shared and never changed.
 Distances go back to instance units, ``Fraction(d, L)``, only in
 :class:`GreedyStep` and :class:`~spannerkit.errors.UnsatisfiableDemand`; the
 threshold search compares the view's integer weights and reports W* as a
@@ -45,7 +44,6 @@ from .errors import DirectedInstance, InfeasibleInstance, LemmaViolation, Unsati
 from .graph import (
     GraphView,
     check_distances,
-    demand_bounds,
     graph_view,
     lex_shortest_path,
     meets_bounds,
@@ -53,7 +51,7 @@ from .graph import (
     shortest_distances,
     violated_pairs,
 )
-from .instance import SpannerInstance, Subgraph, group_by_source
+from .instance import SpannerInstance, Subgraph
 
 
 @dataclass(frozen=True)
@@ -72,7 +70,6 @@ class GreedyStep:
 
 def greedy(
     instance: SpannerInstance,
-    demands=None,
     *,
     edge_subset=None,
     trace: list | None = None,
@@ -85,13 +82,12 @@ def greedy(
     order, that cannot meet its bound even there.
     """
     scaled = instance.scaled
-    demands, bounds = demand_bounds(instance, demands)
-    checks = scaled.by_source if bounds is scaled.demands else group_by_source(bounds)
+    demands, bounds, checks = instance.demands, scaled.demands, scaled.by_source
     whole = edge_subset is None or all(i in edge_subset for i in range(instance.m))
     view = scaled.view if whole else graph_view(scaled, edge_subset=edge_subset)
     # one search per source, up to its largest bound and its targets, settles every pair's
-    # distance; on the whole graph with the instance's own demands those are the cached ones
-    reach = scaled.reach if whole and checks is scaled.by_source else check_distances(view, checks)
+    # distance; on the whole graph those are the cached ones
+    reach = scaled.reach if whole else check_distances(view, checks)
     unsatisfiable = violated_pairs(view, checks, reach, scaled.scale)
     if unsatisfiable:
         i, achieved = unsatisfiable[0]

@@ -35,14 +35,22 @@ instance is freed with its view at once.  Every solver takes the instance.
 
 The scaled view also holds the instance's full graph search, built once on
 first use and kept for the instance's life: :attr:`IntegerInstance.view`,
-the forward graph view of every edge, and :attr:`IntegerInstance.reach`,
-each demand source's search on it, bounded at its largest bound and
-stopped at its targets.  Validation, the threshold search's probe at the
-largest weight (the full graph) and greedy's pair order on the full graph
-read them instead of searching again; the connectivity check, the flow
-LP's forward view and the exact search's root check read the view.  Both
-are shared, so no reader may change them.  They travel with a pickled
-instance.
+the forward graph view of every edge, :attr:`IntegerInstance.reverse`, the
+same reversed (the forward view itself when undirected), and
+:attr:`IntegerInstance.reach`, each demand source's search on the forward
+view, bounded at its largest bound and stopped at its targets.
+Validation, the threshold search's probe at the largest weight (the full
+graph) and greedy's pair order on the full graph read them instead of
+searching again; the connectivity check and the exact search's root check
+read the forward view, and the flow LP and the restricted gamma read both
+views for their budget windows.  All are shared, so no reader may change
+them.  They travel with a pickled instance.
+
+An instance's demands are the only ones its solvers and checks answer for,
+through :attr:`IntegerInstance.by_source` and ``reach``.  To ask about a
+subset of them, make a copy that holds just those,
+``dataclasses.replace(instance, demands=subset)``: the copy has its own
+scaled view and its own cached checks.
 """
 
 from __future__ import annotations
@@ -301,24 +309,6 @@ def scale_demands(demands, scale: int) -> tuple[Demand, ...]:
     )
 
 
-def group_by_source(demands) -> tuple:
-    """Checks per source: ``(source, largest bound, ((target, bound, demand index), ...), nodes)``.
-
-    Sources keep their first-appearance order; self-pairs are left out.  One
-    search from each source, bounded at its largest bound and stopped once
-    ``nodes`` (the frozenset of its target nodes) is settled, settles all of
-    that source's pairs.
-    """
-    targets: dict[int, list[tuple[int, int, int]]] = {}
-    for i, d in enumerate(demands):
-        if d.u != d.v:
-            targets.setdefault(d.u, []).append((d.v, d.delta, i))
-    return tuple(
-        (u, max(b for _, b, _ in ts), tuple(ts), frozenset(v for v, _, _ in ts))
-        for u, ts in targets.items()
-    )
-
-
 @dataclass(frozen=True)
 class IntegerInstance:
     """An instance in exact integer units: lengths times ``scale``, bounds floored.
@@ -333,10 +323,10 @@ class IntegerInstance:
     integer-length view the layered-extension LP requires.  A value cached on
     its instance with no reference back: ``n``, ``directed`` and ``edges`` are its own.
 
-    :attr:`view` and :attr:`reach` (see the module docstring) are built on
-    first use and kept, like :attr:`by_source`.  They are shared by every
-    reader and read-only: a reader that needs other values (greedy caps the
-    distances) builds new lists.
+    :attr:`view`, :attr:`reverse` and :attr:`reach` (see the module
+    docstring) are built on first use and kept, like :attr:`by_source`.
+    They are shared by every reader and read-only: a reader that needs other
+    values (greedy caps the distances) builds new lists.
     """
 
     directed: bool
@@ -354,9 +344,22 @@ class IntegerInstance:
         return len(self.edges)
 
     @cached_property
-    def by_source(self):
-        """:func:`group_by_source` of the scaled demands."""
-        return group_by_source(self.demands)
+    def by_source(self) -> tuple:
+        """Checks per source: ``(source, largest bound, ((target, bound, demand index), ...), nodes)``.
+
+        Sources keep their first-appearance order; self-pairs are left out.
+        One search from each source, bounded at its largest bound and
+        stopped once ``nodes`` (the frozenset of its target nodes) is
+        settled, settles all of that source's pairs.
+        """
+        targets: dict[int, list[tuple[int, int, int]]] = {}
+        for i, d in enumerate(self.demands):
+            if d.u != d.v:
+                targets.setdefault(d.u, []).append((d.v, d.delta, i))
+        return tuple(
+            (u, max(b for _, b, _ in ts), tuple(ts), frozenset(v for v, _, _ in ts))
+            for u, ts in targets.items()
+        )
 
     @cached_property
     def view(self):
@@ -364,6 +367,17 @@ class IntegerInstance:
         from .graph import graph_view
 
         return graph_view(self)
+
+    @cached_property
+    def reverse(self):
+        """The full reversed view, for distances *to* a node: :attr:`view` itself when undirected.
+
+        An undirected instance's reversed view has the same lists as its
+        forward view, both in edge-index order.
+        """
+        from .graph import graph_view
+
+        return graph_view(self, reverse=True) if self.directed else self.view
 
     @cached_property
     def reach(self) -> tuple[list, ...]:

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 
 from .errors import ParseError, SolverFailure
 from .extension import DeltaExtension
-from .graph import budget_window, graph_view
+from .graph import budget_window
 from .instance import Demand
 
 if TYPE_CHECKING:
@@ -104,11 +104,9 @@ def build_mcf(extension: DeltaExtension) -> McfModel:
             raise ValueError(
                 f"demand ({d.u},{d.v}) bound {d.delta} exceeds the extension's {extension.delta_bar}"
             )
-    forward_view = inst.view
-    reverse_view = graph_view(inst, reverse=True) if inst.directed else forward_view
     kept_runs = []  # per pair: (run, lo, hi) for each run whose arcs lo .. hi-1 are kept
     for d in demands:
-        from_u, to_v = budget_window(forward_view, reverse_view, d)
+        from_u, to_v = budget_window(inst.view, inst.reverse, d)
         runs = []
         for g in extension.groups:
             if from_u[g.tail] is not None and to_v[g.head] is not None:

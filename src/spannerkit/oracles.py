@@ -244,30 +244,24 @@ class CutLemmaReport:
         return all(p.all_satisfied == p.within_budget for p in self.pairs)
 
 
-def check_cut_lemma(
-    subgraph: Subgraph,
-    demands=None,
-    *,
-    cap: int = 10**6,
-    nonascending_samples: int = 25,
-    seed: int = 0,
-) -> CutLemmaReport:
-    """Certify: all ascending cuts satisfied <=> the pair meets its bound.
+NONASCENDING_SAMPLES = 25  # random non-ascending cuts drawn per pair by check_cut_lemma
 
-    Also spot-checks random non-ascending cuts, which must always be crossed
-    by a waiting self-arc.  Any mismatch raises :class:`LemmaViolation` --
-    that would mean the extension or the cut machinery is wrong.
+
+def check_cut_lemma(subgraph: Subgraph, *, cap: int = 10**6, seed: int = 0) -> CutLemmaReport:
+    """Certify, for each demand pair: all ascending cuts satisfied <=> the pair meets its bound.
+
+    Also spot-checks :data:`NONASCENDING_SAMPLES` random non-ascending cuts
+    per pair, which must always be crossed by a waiting self-arc.  Any
+    mismatch raises :class:`LemmaViolation` -- that would mean the extension
+    or the cut machinery is wrong.
     """
     instance = require_integer_lengths(subgraph.instance)
-    if demands is None:
-        demands = instance.demands
-    demands = [_as_int_demand(instance, d0) for d0 in demands]
     view = graph_view(instance, edge_subset=subgraph.edge_set)
-    ext = build_extension(subgraph.instance, max([0, *(d.delta for d in demands)]))
+    ext = build_extension(subgraph.instance)
     waiting = {g.tail: g for g in ext.groups if g.edge is None}
     rng = random.Random(seed)
     report = CutLemmaReport()
-    for d in demands:
+    for d in instance.demands:
         total = 0
         satisfied = 0
         for _, sat in enumerate_ascending_cuts(subgraph, d, cap=cap):
@@ -293,7 +287,7 @@ def check_cut_lemma(
         # Sampled non-ascending cuts: some node column has A below B, and the
         # extension's waiting arc on that column crosses regardless of the subgraph.
         layers = d.delta + 1
-        for _ in range(nonascending_samples):
+        for _ in range(NONASCENDING_SAMPLES):
             side = {
                 (q, i): rng.random() < 0.5
                 for q in range(instance.n)
@@ -331,8 +325,7 @@ def restricted_subgraph(instance: SpannerInstance, pair):
     scaled = require_integer_lengths(instance)
     d = _as_int_demand(scaled, pair)
     forward = scaled.view
-    reverse = graph_view(scaled, reverse=True) if instance.directed else forward
-    from_u, to_v = budget_window(forward, reverse, d)
+    from_u, to_v = budget_window(forward, scaled.reverse, d)
 
     def fits(s: int, length: int, t: int) -> bool:
         ds, dt = from_u[s], to_v[t]

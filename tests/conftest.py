@@ -6,6 +6,7 @@ that tests compare against a second, dumber route to the same answer.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -123,16 +124,21 @@ def brute_force_lex_shortest(view: GraphView, source: int, target: int):
 
 
 def brute_force_optimum(instance, demands=None) -> tuple[Fraction, tuple[int, ...]] | None:
-    """Minimum-weight feasible subset by full enumeration (m <= ~14)."""
+    """Minimum-weight feasible subset by full enumeration (m <= ~14).
+
+    ``demands``, when given, replaces the instance's own demand list.
+    """
     from spannerkit.graph import verify_feasible
     from spannerkit.instance import Subgraph
 
+    if demands is not None:
+        instance = replace(instance, demands=tuple(demands))
     m = instance.m
     best = None
     for k in range(m + 1):
         for subset in combinations(range(m), k):
             sub = Subgraph(instance, frozenset(subset))
-            if verify_feasible(sub, demands).feasible:
+            if verify_feasible(sub).feasible:
                 key = (sub.weight, subset)
                 if best is None or key < best:
                     best = key

@@ -254,16 +254,19 @@ def test_mutated_instance_files_never_exit_4(tmp_path, doc, algorithm):
         (["oracle", "exact", "{inst}", "--exact-cap", "-1", "--out", "{out}"], "--exact-cap"),
         (["oracle", "cuts", "{inst}", "--cut-cap", "-1", "--out", "{out}"], "--cut-cap"),
         (["oracle", "potential", "{tri}", "--beta", "0", "--out", "{out}"], "--beta"),
+        (["bench", "{cfg}", "--threads", "0", "--out", "{out}"], "threads"),
     ],
     ids=["rr-max-attempts", "greedy-max-attempts", "custom-confidence", "nan-confidence",
          "num-demands", "m", "demo-length", "demo-alpha", "solve-exact-cap", "oracle-exact-cap",
-         "cut-cap", "potential-beta"],
+         "cut-cap", "potential-beta", "bench-threads"],
 )
 def test_flags_outside_their_domain_exit_2_naming_the_field(ex5, tmp_path, capsys, args, name):
     # gen and solve check their flags as ExperimentConfig fields, as bench checks a config
     out, tri = tmp_path / "out.json", tmp_path / "triangle.json"  # tri: undirected
     assert run_cli(["gen", "triangle", "--out", str(tri)]) == 0
-    args = [a.format(inst=ex5, tri=tri, out=out) for a in args]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"instances": 1, "n": 4, "m": 4, "algorithms": ["greedy"]}))
+    args = [a.format(inst=ex5, tri=tri, out=out, cfg=cfg) for a in args]
     capsys.readouterr()
     assert run_cli(args) == 2
     err = capsys.readouterr().err
@@ -482,6 +485,32 @@ def test_bench_worker_pool(tmp_path):
     assert strip_time(serial) == strip_time(parallel)
 
 
+@pytest.mark.parametrize("threads, instances, workers", [(1, 3, None), (4, 1, None), (3, 2, 2), (2, 3, 2)])
+def test_bench_pool_has_at_most_one_worker_per_instance(monkeypatch, threads, instances, workers):
+    # a forked pool starts all its workers at once, so none may be left without an instance
+    import concurrent.futures
+
+    made = []
+
+    class RecordingPool:  # records max_workers and runs the tasks in this process
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    config = bench.ExperimentConfig(n=5, m=6, instances=instances, threads=threads, algorithms=["greedy"])
+    assert len(bench.run_experiment(config)) == instances
+    assert made == ([] if workers is None else [workers])
+
+
 def test_bench_zero_trials_empty_table(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"trials": 0, "algorithms": ["greedy"]}))
@@ -529,6 +558,7 @@ def test_bench_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, key, bad
         ({"num_demands": -2}, "num_demands"),
         ({"gamma_mode": "custom", "confidence": 1, "algorithms": ["randomized-rounding"]},
          "confidence"),
+        ({"threads": -1}, "threads"),
     ],
 )
 def test_bench_config_value_outside_its_domain_exits_2(tmp_path, capsys, doc, key):

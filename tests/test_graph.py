@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -266,11 +267,11 @@ def test_metric_reduction_preserves_feasibility():
             demand_pairs="random",
             num_demands=4,
         )
-        metric = reduce_to_metric_pairs(inst)
+        metric = replace(inst, demands=reduce_to_metric_pairs(inst))
         for _ in range(50):
             subset = frozenset(i for i in range(inst.m) if rng.random() < 0.5)
-            sub = Subgraph(inst, subset)
-            assert verify_feasible(sub).feasible == verify_feasible(sub, metric).feasible
+            feasible = verify_feasible(Subgraph(inst, subset)).feasible
+            assert feasible == verify_feasible(Subgraph(metric, subset)).feasible
 
 
 def test_shortest_distances_limit_cuts_off_farther_nodes():
@@ -374,6 +375,18 @@ def test_scaled_view_caches_the_full_view_and_each_sources_search(inst):
         for v, _, _ in targets:
             assert dist[v] == searched[v]
             assert dist[v] == (None if exact[v] is None or exact[v] > limit else exact[v])
+
+
+@PROFILE
+@given(instances())
+def test_scaled_view_caches_the_reversed_view(inst):
+    # an undirected instance's reversed view is its forward view
+    scaled = inst.scaled
+    assert scaled.reverse is scaled.reverse  # built once, then kept
+    if inst.directed:
+        assert scaled.reverse.out == graph_view(scaled, reverse=True).out
+    else:
+        assert scaled.reverse is scaled.view
 
 
 def test_shortest_distances_matches_bellman_ford_on_scaled_views():

@@ -3,6 +3,7 @@ import importlib
 import json
 import pickle
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -115,9 +116,9 @@ def test_unsatisfiable_demand_is_the_first_failing_in_demand_order():
         Demand(2, 1, Fraction(1)),
     )
     inst = SpannerInstance(False, 3, path, demands)
-    for given in (None, demands[1:]):  # the instance's demands, then a subset
+    for case in (inst, replace(inst, demands=demands[1:])):  # the instance's demands, then a subset
         with pytest.raises(UnsatisfiableDemand) as info:
-            greedy(inst, given)
+            greedy(case)
         assert (info.value.pair, info.value.achieved) == ((2, 0), Fraction(17, 6))
 
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -281,10 +282,10 @@ def test_restricted_subgraph_soundness():
         toggled = subset.symmetric_difference(
             i for i in outside if rng.random() < 0.5
         )
-        demand_only = (Demand(d.u, d.v, d.delta),)
-        verdict_a = verify_feasible(Subgraph(inst, subset), demand_only).feasible
-        verdict_b = verify_feasible(Subgraph(inst, subset & region), demand_only).feasible
-        verdict_c = verify_feasible(Subgraph(inst, toggled), demand_only).feasible
+        demand_only = replace(inst, demands=(Demand(d.u, d.v, d.delta),))
+        verdict_a = verify_feasible(Subgraph(demand_only, subset)).feasible
+        verdict_b = verify_feasible(Subgraph(demand_only, subset & region)).feasible
+        verdict_c = verify_feasible(Subgraph(demand_only, toggled)).feasible
         assert verdict_a == verdict_b
         assert (toggled & region) != (subset & region) or verdict_a == verdict_c
 

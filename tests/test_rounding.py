@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from spannerkit import graph, oracles
 from spannerkit.errors import NonIntegerLength
 from spannerkit.extension import build_extension
 from spannerkit.generators import example5, random_instance
@@ -65,6 +66,25 @@ def test_gamma_restricted_never_exceeds_global():
             integer_lengths=True,
         )
         assert gamma(inst, "restricted").value <= gamma(inst, "global").value + 1e-12
+
+
+def test_restricted_gamma_builds_the_reversed_view_once(monkeypatch):
+    inst = random_instance(
+        "decoupled", 6, 10, 3, demand_family="freeform", demand_pairs="all",
+        integer_lengths=True, directed=True,
+    )
+    reversed_views = []
+    build = graph.graph_view
+
+    def counting(of, **kwargs):
+        if kwargs.get("reverse"):
+            reversed_views.append(of)
+        return build(of, **kwargs)
+
+    for module in (graph, oracles):
+        monkeypatch.setattr(module, "graph_view", counting)
+    assert gamma(inst, "restricted").num_pairs > 1
+    assert len(reversed_views) == 1
 
 
 def test_gamma_custom_mode():
