@@ -29,7 +29,7 @@ print("the cheap length-3 edge is non-metric yet must stay: dropping it forces w
 # --- Ascending cuts certify feasibility ------------------------------------
 inst = example5()
 best = Subgraph(inst, exact_optimum(inst).edge_set)
-labels, satisfied = zip(*enumerate_ascending_cuts(best, (0, 1, 3)))
+labels, satisfied = zip(*enumerate_ascending_cuts(best, 0))
 print(f"pair (a,b): {len(labels)} ascending cuts, all satisfied: {all(satisfied)}")
 print("one labeling:", labels[2].labels, "-> each node's copies below its label "
       "sit on the sink side")
@@ -40,7 +40,7 @@ for p in report.pairs:
           f"distance {p.distance} <= {p.delta}")
 
 # --- Per-pair reachable regions ---------------------------------------------
-nodes, edges = restricted_subgraph(inst, (0, 2, 2))
+nodes, edges = restricted_subgraph(inst, 1)
 print("\nregion of pair (a,c) with budget 2:",
       sorted(inst.label(q) for q in nodes), "| edges:", sorted(edges))
 print("(the a->b branch can never lie on a within-budget a..c path)")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 import types
 import typing
@@ -104,9 +105,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and value < least:
                 raise ParseError(f"must be at least {least}, got {value!r}", field=name)
-        if self.gamma_mode == "custom" and not self.confidence > 1:  # NaN too
+        if self.gamma_mode == "custom" and not 1 < self.confidence < math.inf:  # NaN too
             raise ParseError(
-                f"must exceed 1 in custom gamma mode, got {self.confidence!r}", field="confidence"
+                f"must be a finite number above 1 in custom gamma mode, got {self.confidence!r}",
+                field="confidence",
             )
 
     @classmethod

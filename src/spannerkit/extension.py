@@ -1,11 +1,12 @@
 """Layered graph extension encoding integer edge lengths as layer jumps.
 
-For a maximum distance bound ``delta_bar`` the extension has ``delta_bar + 1``
-node layers, each a copy of V.  An edge (s,t) of length L yields arcs
-``s_i -> t_{i+L}`` for every layer i where the head still exists; every node
-additionally gets waiting self-arcs ``q_i -> q_{i+1}``.  All arcs strictly
-increase the layer, so the extension is acyclic.  A pair (u,v) can be
-connected within budget d in the base graph iff ``u_0`` reaches ``v_d`` here.
+The extension's depth ``delta_bar`` is the instance's largest demand bound;
+it has ``delta_bar + 1`` node layers, each a copy of V.  An edge (s,t) of
+length L yields arcs ``s_i -> t_{i+L}`` for every layer i where the head
+still exists; every node additionally gets waiting self-arcs
+``q_i -> q_{i+1}``.  All arcs strictly increase the layer, so the extension
+is acyclic.  A pair (u,v) can be connected within budget d in the base
+graph iff ``u_0`` reaches ``v_d`` here.
 
 The arcs are stored as runs (:class:`ArcGroup`): one per edge direction and
 one per node's waiting arcs, each a block of consecutive arc ids, one arc per
@@ -80,17 +81,15 @@ class DeltaExtension:
         return f"{self.instance.label(q)}_{i}"
 
 
-def build_extension(instance: SpannerInstance, delta_bar: int | None = None) -> DeltaExtension:
+def build_extension(instance: SpannerInstance) -> DeltaExtension:
     """Construct the layered extension of an integer-length instance.
 
-    ``delta_bar`` defaults to the instance's maximum (floored) demand.
+    Its depth ``delta_bar`` is the instance's largest (floored) demand,
+    ``instance.scaled.delta_bar``, so every demand's sink layer exists.
     Raises :class:`~spannerkit.errors.NonIntegerLength` on a fractional length.
     """
     scaled = require_integer_lengths(instance)
-    if delta_bar is None:
-        delta_bar = scaled.delta_bar
-    if delta_bar < 0:
-        raise ValueError("delta_bar must be non-negative")
+    delta_bar = scaled.delta_bar
     runs = []  # (edge, tail, head, length)
     for idx, e in enumerate(instance.edges):
         runs.append((idx, e.u, e.v, scaled.lengths[idx]))

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DirectedInstance, SpannerError
-from .instance import Demand, SpannerInstance, Subgraph
+from .instance import Demand, IntegerInstance, SpannerInstance, Subgraph
 
 
 class GraphView:
@@ -221,15 +221,17 @@ def lex_shortest_path(view: GraphView, reverse: GraphView, from_source: list, so
     return tuple(nodes), tuple(edges)
 
 
-def budget_window(forward: GraphView, reverse: GraphView, demand) -> tuple[list, list]:
-    """``(d(u, .), d(., v))`` for a demand ``(u, v, delta)``: forward from u, reverse to v.
+def budget_window(scaled: IntegerInstance, demand: Demand) -> tuple[list, list]:
+    """``(d(u, .), d(., v))`` for one of the scaled view's demands ``(u, v, delta)``.
 
-    Both searches stop at delta.  Every term of a within-budget sum
-    ``d(u,s) + ... + d(t,v) <= delta`` is at most delta, so no such test changes.
+    Searches forward from u on ``scaled.view`` and back to v on
+    ``scaled.reverse``, both stopped at delta.  Every term of a
+    within-budget sum ``d(u,s) + ... + d(t,v) <= delta`` is at most delta,
+    so no such test changes.
     """
     return (
-        shortest_distances(forward, demand.u, limit=demand.delta),
-        shortest_distances(reverse, demand.v, limit=demand.delta),
+        shortest_distances(scaled.view, demand.u, limit=demand.delta),
+        shortest_distances(scaled.reverse, demand.v, limit=demand.delta),
     )
 
 

@@ -25,7 +25,8 @@ On the whole graph the searches are the instance's own: the threshold
 search's probe at the largest weight (which keeps every edge) and greedy's
 pair order, when ``edge_subset`` keeps every edge (plain ``greedy``, and
 ``augmented_greedy`` whenever E[W*] = E), read the scaled view's cached
-``view`` and ``reach``, which validation built or the first of them builds.
+``view``, ``reverse`` and ``reach``, which validation built or the first of
+them builds.
 Greedy caps into new lists; the cached ones are shared and never changed.
 Distances go back to instance units, ``Fraction(d, L)``, only in
 :class:`GreedyStep` and :class:`~spannerkit.errors.UnsatisfiableDemand`; the
@@ -104,7 +105,12 @@ def greedy(
         far = max(dists[source][v] for v in nodes)
         dists[source] = [far if x is None or x > far else x for x in dists[source]]
 
-    reverse = graph_view(scaled, edge_subset=edge_subset, reverse=True) if instance.directed else view
+    if whole:
+        reverse = scaled.reverse
+    elif instance.directed:
+        reverse = graph_view(scaled, edge_subset=edge_subset, reverse=True)
+    else:
+        reverse = view
     chosen: set[int] = set()
     spanner = GraphView(instance.n)  # grows with ``chosen``, arcs reversed
     prev = None

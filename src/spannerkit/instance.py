@@ -77,7 +77,7 @@ class Edge:
 class Demand:
     u: int
     v: int
-    delta: Fraction  # an int in a scaled view's demands (scale_demands)
+    delta: Fraction  # an int in a scaled view's demands: floor(delta * scale)
 
     def pair(self, directed: bool) -> tuple[int, int]:
         """The pair key; undirected demands are unordered."""
@@ -123,7 +123,9 @@ class SpannerInstance:
         """The exact integer view, built once per instance (see the module docstring)."""
         scale = math.lcm(*(e.length.denominator for e in self.edges))
         lengths = tuple(e.length.numerator * (scale // e.length.denominator) for e in self.edges)
-        demands = scale_demands(self.demands, scale)
+        demands = tuple(
+            Demand(d.u, d.v, d.delta.numerator * scale // d.delta.denominator) for d in self.demands
+        )
         delta_bar = max((d.delta for d in demands), default=0)
         weight_scale = math.lcm(*(e.weight.denominator for e in self.edges))
         weights = tuple(e.weight.numerator * (weight_scale // e.weight.denominator) for e in self.edges)
@@ -300,13 +302,6 @@ def validate(instance: SpannerInstance) -> ValidationReport:
 
 # ---------------------------------------------------------------------------
 # The scaled integer view
-
-
-def scale_demands(demands, scale: int) -> tuple[Demand, ...]:
-    """Each bound times ``scale``, floored to an int: ``floor(delta * scale)``."""
-    return tuple(
-        Demand(d.u, d.v, d.delta.numerator * scale // d.delta.denominator) for d in demands
-    )
 
 
 @dataclass(frozen=True)

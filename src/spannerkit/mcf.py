@@ -93,20 +93,19 @@ class McfModel(StandardLp):
 
 
 def build_mcf(extension: DeltaExtension) -> McfModel:
-    """Assemble the flow LP for the extension's instance and its demand pairs."""
+    """Assemble the flow LP for the extension's instance and its demand pairs.
+
+    The extension is as deep as the instance's largest bound, so every
+    pair's sink layer ``v_delta`` exists.
+    """
     import numpy as np
     import scipy.sparse as sp
 
     inst = extension.instance.scaled
     demands = inst.demands
-    for d in demands:
-        if d.delta > extension.delta_bar:
-            raise ValueError(
-                f"demand ({d.u},{d.v}) bound {d.delta} exceeds the extension's {extension.delta_bar}"
-            )
     kept_runs = []  # per pair: (run, lo, hi) for each run whose arcs lo .. hi-1 are kept
     for d in demands:
-        from_u, to_v = budget_window(inst.view, inst.reverse, d)
+        from_u, to_v = budget_window(inst, d)
         runs = []
         for g in extension.groups:
             if from_u[g.tail] is not None and to_v[g.head] is not None:

@@ -29,15 +29,7 @@ from .errors import (
 from .extension import ExtArc, build_extension, reachable_path
 from .graph import budget_window, graph_view, shortest_distances
 from .greedy import GreedyStep
-from .instance import (
-    Demand,
-    Edge,
-    IntegerInstance,
-    SpannerInstance,
-    Subgraph,
-    require_integer_lengths,
-    scale_demands,
-)
+from .instance import Demand, Edge, SpannerInstance, Subgraph, require_integer_lengths
 from .mcf import build_mcf, solve_lp
 
 
@@ -173,13 +165,6 @@ class CutLabeling:
     labels: tuple[int, ...]
 
 
-def _as_int_demand(instance: IntegerInstance, pair) -> Demand:
-    """The pair, a :class:`Demand` or a ``(u, v, delta)`` tuple, in the view's units."""
-    if not isinstance(pair, Demand):
-        pair = Demand(*pair)
-    return scale_demands((pair,), instance.scale)[0]
-
-
 def ascending_cut_count(n: int, delta: int) -> int:
     return (delta + 2) ** (n - 2)
 
@@ -198,20 +183,12 @@ def crossing_arc(labels, view, delta: int):
     return None
 
 
-def enumerate_ascending_cuts(subgraph: Subgraph, pair, *, cap: int = 10**6):
-    """Yield every ascending cut labeling for the pair, with its satisfaction.
-
-    Exactly ``(delta + 2)^(n-2)`` labelings are produced.  A cut is satisfied
-    when some arc of the subgraph's extension crosses from the source side to
-    the sink side; self-arcs never cross an ascending cut.
-    """
-    instance = require_integer_lengths(subgraph.instance)
-    d = _as_int_demand(instance, pair)
-    n = instance.n
+def _ascending_cuts(view, d: Demand, cap: int):
+    """Every ascending cut labeling for the scaled demand ``d`` on ``view``, with its satisfaction."""
+    n = view.n
     total = ascending_cut_count(n, d.delta)
     if total > cap:
         raise TooManyCuts(f"{total} ascending cuts exceeds the cap of {cap}")
-    view = graph_view(instance, edge_subset=subgraph.edge_set)
     free_nodes = [q for q in range(n) if q not in (d.u, d.v)]
     labels = [0] * n
     labels[d.v] = d.delta + 1
@@ -220,6 +197,19 @@ def enumerate_ascending_cuts(subgraph: Subgraph, pair, *, cap: int = 10**6):
             labels[q] = val
         satisfied = crossing_arc(labels, view, d.delta) is not None
         yield CutLabeling(d.u, d.v, d.delta, tuple(labels)), satisfied
+
+
+def enumerate_ascending_cuts(subgraph: Subgraph, index: int, *, cap: int = 10**6):
+    """Yield every ascending cut labeling for the instance's demand ``index``, with its satisfaction.
+
+    The demand is ``instance.scaled.demands[index]``, in the scaled view's
+    integer units.  Exactly ``(delta + 2)^(n-2)`` labelings are produced.  A
+    cut is satisfied when some arc of the subgraph's extension crosses from
+    the source side to the sink side; self-arcs never cross an ascending cut.
+    """
+    instance = require_integer_lengths(subgraph.instance)
+    view = graph_view(instance, edge_subset=subgraph.edge_set)
+    return _ascending_cuts(view, instance.demands[index], cap)
 
 
 @dataclass
@@ -250,10 +240,12 @@ NONASCENDING_SAMPLES = 25  # random non-ascending cuts drawn per pair by check_c
 def check_cut_lemma(subgraph: Subgraph, *, cap: int = 10**6, seed: int = 0) -> CutLemmaReport:
     """Certify, for each demand pair: all ascending cuts satisfied <=> the pair meets its bound.
 
-    Also spot-checks :data:`NONASCENDING_SAMPLES` random non-ascending cuts
-    per pair, which must always be crossed by a waiting self-arc.  Any
-    mismatch raises :class:`LemmaViolation` -- that would mean the extension
-    or the cut machinery is wrong.
+    One view of the subgraph serves every pair's cuts and distance, in the
+    scaled view's integer units.  Also spot-checks
+    :data:`NONASCENDING_SAMPLES` random non-ascending cuts per pair, which
+    must always be crossed by a waiting self-arc.  Any mismatch raises
+    :class:`LemmaViolation` -- that would mean the extension or the cut
+    machinery is wrong.
     """
     instance = require_integer_lengths(subgraph.instance)
     view = graph_view(instance, edge_subset=subgraph.edge_set)
@@ -264,7 +256,7 @@ def check_cut_lemma(subgraph: Subgraph, *, cap: int = 10**6, seed: int = 0) -> C
     for d in instance.demands:
         total = 0
         satisfied = 0
-        for _, sat in enumerate_ascending_cuts(subgraph, d, cap=cap):
+        for _, sat in _ascending_cuts(view, d, cap):
             total += 1
             satisfied += sat
         dist = shortest_distances(view, d.u)[d.v]
@@ -315,17 +307,17 @@ def check_cut_lemma(subgraph: Subgraph, *, cap: int = 10**6, seed: int = 0) -> C
 # Per-pair reachable subgraph
 
 
-def restricted_subgraph(instance: SpannerInstance, pair):
-    """Nodes and edges that can lie on some within-budget path for the pair.
+def restricted_subgraph(instance: SpannerInstance, index: int):
+    """Nodes and edges that can lie on some within-budget path for the instance's demand ``index``.
 
+    For the scaled demand ``(u, v, delta) = instance.scaled.demands[index]``,
     ``V_uv = {z : d(u,z) + d(z,v) <= delta}`` and
     ``E_uv = {(s,t) : d(u,s) + len(s,t) + d(t,v) <= delta}``, from the
     pair's bounded forward and reverse searches (:func:`graph.budget_window`).
     """
     scaled = require_integer_lengths(instance)
-    d = _as_int_demand(scaled, pair)
-    forward = scaled.view
-    from_u, to_v = budget_window(forward, scaled.reverse, d)
+    d = scaled.demands[index]
+    from_u, to_v = budget_window(scaled, d)
 
     def fits(s: int, length: int, t: int) -> bool:
         ds, dt = from_u[s], to_v[t]
@@ -333,7 +325,7 @@ def restricted_subgraph(instance: SpannerInstance, pair):
 
     nodes = frozenset(z for z in range(instance.n) if fits(z, 0, z))
     edges = frozenset(
-        e for s, out in enumerate(forward.out) for t, length, e in out if fits(s, length, t)
+        e for s, out in enumerate(scaled.view.out) for t, length, e in out if fits(s, length, t)
     )
     return nodes, edges
 
@@ -406,7 +398,7 @@ def dodis_khanna_demo(edge_length: int = 3, alpha: int = 2) -> DemoReport:
         demands=(Demand(0, edge_length, Fraction(alpha)),),
         labels=labels,
     )
-    ext = build_extension(transformed, alpha)
+    ext = build_extension(transformed)
     source = ext.node_id(0, 0)
     sink = ext.node_id(edge_length, alpha)
     path = reachable_path(ext, frozenset(range(transformed.m)), source, sink)

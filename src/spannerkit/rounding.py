@@ -44,7 +44,8 @@ def gamma(instance: SpannerInstance, mode: str = "global", *, confidence: float 
     ``global``      uses the cut bound (delta(u,v)+2)^(n-2) maximized over pairs.
     ``restricted``  replaces n by the per-pair reachable-subgraph size n_uv.
     ``custom``      is restricted with a caller-supplied confidence multiplier
-                    c replacing n: failure probability at most 1/c per run.
+                    c replacing n: failure probability at most 1/c per run;
+                    c must be finite and above 1.
     """
     n = instance.n
     pairs = require_integer_lengths(instance).demands
@@ -58,14 +59,14 @@ def gamma(instance: SpannerInstance, mode: str = "global", *, confidence: float 
         from .oracles import restricted_subgraph
 
         log_c = 0.0
-        for d in pairs:
-            nodes, _ = restricted_subgraph(instance, d)
+        for i, d in enumerate(pairs):
+            nodes, _ = restricted_subgraph(instance, i)
             log_c = max(log_c, (len(nodes) - 2) * math.log(d.delta + 2))
         if mode == "restricted":
             lead = math.log(n)
         else:
-            if confidence is None or confidence <= 1:
-                raise ValueError("custom mode needs a confidence multiplier > 1")
+            if confidence is None or not 1 < confidence < math.inf:
+                raise ValueError("custom mode needs a finite confidence multiplier > 1")
             lead = math.log(confidence)
     else:
         raise ValueError(f"unknown gamma mode {mode!r}")

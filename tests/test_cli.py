@@ -244,6 +244,8 @@ def test_mutated_instance_files_never_exit_4(tmp_path, doc, algorithm):
           "--confidence", "1"], "confidence"),
         (["solve", "{inst}", "--algorithm", "randomized-rounding", "--gamma-mode", "custom",
           "--confidence", "nan"], "confidence"),
+        (["solve", "{inst}", "--algorithm", "randomized-rounding", "--gamma-mode", "custom",
+          "--confidence", "inf"], "confidence"),
         (["gen", "decoupled", "--demand-pairs", "random", "--num-demands", "-1", "--out", "{out}"],
          "num_demands"),
         (["gen", "decoupled", "--m", "-1", "--out", "{out}"], "m"),
@@ -257,8 +259,8 @@ def test_mutated_instance_files_never_exit_4(tmp_path, doc, algorithm):
         (["bench", "{cfg}", "--threads", "0", "--out", "{out}"], "threads"),
     ],
     ids=["rr-max-attempts", "greedy-max-attempts", "custom-confidence", "nan-confidence",
-         "num-demands", "m", "demo-length", "demo-alpha", "solve-exact-cap", "oracle-exact-cap",
-         "cut-cap", "potential-beta", "bench-threads"],
+         "inf-confidence", "num-demands", "m", "demo-length", "demo-alpha", "solve-exact-cap",
+         "oracle-exact-cap", "cut-cap", "potential-beta", "bench-threads"],
 )
 def test_flags_outside_their_domain_exit_2_naming_the_field(ex5, tmp_path, capsys, args, name):
     # gen and solve check their flags as ExperimentConfig fields, as bench checks a config

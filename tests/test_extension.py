@@ -1,8 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from spannerkit.extension import ExtArc, build_extension, reachable_path
 from spannerkit.generators import example5, random_instance
 from spannerkit.graph import graph_view, shortest_distances
@@ -35,7 +33,7 @@ def test_two_layer_extension():
         (Edge(0, 1, Fraction(1), Fraction(1)), Edge(1, 2, Fraction(1), Fraction(1))),
         (Demand(0, 1, Fraction(1)),),
     )
-    ext = build_extension(inst, 1)
+    ext = build_extension(inst)
     assert ext.layer_count == 2
     edge_arcs = [a for a in ext.arcs if a.edge is not None]
     self_arcs = [a for a in ext.arcs if a.edge is None]
@@ -44,8 +42,8 @@ def test_two_layer_extension():
 
 
 def test_edge_with_length_equal_to_delta_bar_gets_single_arc():
-    inst = SpannerInstance(True, 2, (Edge(0, 1, Fraction(1), Fraction(4)),), ())
-    ext = build_extension(inst, 4)
+    inst = SpannerInstance(True, 2, (Edge(0, 1, Fraction(1), Fraction(4)),), (Demand(0, 1, Fraction(4)),))
+    ext = build_extension(inst)
     edge_arcs = [a for a in ext.arcs if a.edge == 0]
     assert len(edge_arcs) == 1
     assert ext.node_of(edge_arcs[0].tail) == (0, 0)
@@ -53,8 +51,8 @@ def test_edge_with_length_equal_to_delta_bar_gets_single_arc():
 
 
 def test_overlong_edges_contribute_no_arcs():
-    inst = SpannerInstance(True, 2, (Edge(0, 1, Fraction(1), Fraction(5)),), ())
-    ext = build_extension(inst, 3)
+    inst = SpannerInstance(True, 2, (Edge(0, 1, Fraction(1), Fraction(5)),), (Demand(0, 1, Fraction(3)),))
+    ext = build_extension(inst)
     assert all(a.edge is None for a in ext.arcs)
 
 
@@ -151,8 +149,3 @@ def test_reachability_matches_budgeted_distance():
 def test_node_naming_uses_labels():
     ext = build_extension(example5())
     assert ext.node_name(ext.node_id(2, 1)) == "c_1"
-
-
-def test_negative_delta_bar_rejected():
-    with pytest.raises(ValueError):
-        build_extension(example5(), -1)

@@ -462,6 +462,24 @@ def test_pickled_validated_instance_solves_the_same(family, seed, restricted):
     assert_cache_as_built(again)
 
 
+def test_directed_greedy_reads_the_cached_reversed_view_on_the_whole_graph(monkeypatch):
+    inst = random_instance("decoupled", 10, 20, 3, demand_family="freeform", directed=True)
+    assert validate(inst).ok
+    # the package's ``greedy`` attribute is the function, which shadows its module
+    greedy_module = importlib.import_module("spannerkit.greedy")
+    reversed_views = []
+    build = greedy_module.graph_view
+
+    def counting(of, **kwargs):
+        if kwargs.get("reverse"):
+            reversed_views.append(of)
+        return build(of, **kwargs)
+
+    monkeypatch.setattr(greedy_module, "graph_view", counting)
+    assert verify_feasible(greedy(inst)).feasible
+    assert reversed_views == []
+
+
 def test_augmented_greedy_searches_nothing_on_a_validated_instances_full_view(monkeypatch):
     # at the benchmark's greedy size E[W*] = E: the threshold search's top probe and
     # greedy's pair order both read the searches validation cached

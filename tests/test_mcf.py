@@ -103,7 +103,7 @@ def test_undirected_coupling_rows_double_up():
 
 def test_empty_demands_zero_objective():
     inst = SpannerInstance(False, 2, (Edge(0, 1, Fraction(3), Fraction(1)),), ())
-    model = build_mcf(build_extension(inst, 2))
+    model = build_mcf(build_extension(inst))
     sol = solve_lp(model)
     assert sol.objective == 0.0
     assert np.all(sol.x == 0.0)
@@ -181,12 +181,6 @@ def test_unreachable_sink_is_infeasible():
     assert info.value.status == "infeasible"
 
 
-def test_demand_beyond_delta_bar_rejected():
-    ext = build_extension(example5(), 2)
-    with pytest.raises(ValueError):
-        build_mcf(ext)  # delta(a,b)=3 exceeds the 2-layer extension
-
-
 # ---------------------------------------------------------------------------
 # Export / import
 
@@ -213,7 +207,7 @@ def test_export_reimport_external_solve_matches(tmp_path):
 
 def test_export_empty_model_header_only(tmp_path):
     inst = SpannerInstance(False, 1, (), ())
-    model = build_mcf(build_extension(inst, 0))
+    model = build_mcf(build_extension(inst))
     path = tmp_path / "empty.lp"
     export_lp(model, str(path))
     text = path.read_text()

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import brute_force_optimum
+from spannerkit import oracles
 from spannerkit.errors import (
     InfeasibleInstance,
     SpannerError,
@@ -147,16 +148,16 @@ def test_exact_search_tree_pinned(family, directed, seed):
 def test_cut_count_identity_example5():
     inst = example5()
     opt = Subgraph(inst, frozenset({1, 2}))
-    for pair, expected in (((0, 1, 3), 5), ((0, 2, 2), 4), ((2, 1, 2), 4)):
-        cuts = list(enumerate_ascending_cuts(opt, pair))
-        assert len(cuts) == expected == ascending_cut_count(3, pair[2])
+    for index, expected in enumerate((5, 4, 4)):
+        cuts = list(enumerate_ascending_cuts(opt, index))
+        assert len(cuts) == expected == ascending_cut_count(3, inst.demands[index].delta)
 
 
 def test_fig2_labeling_satisfied():
     inst = example5()
     opt = Subgraph(inst, frozenset({1, 2}))
     found = False
-    for labeling, satisfied in enumerate_ascending_cuts(opt, (0, 1, 3)):
+    for labeling, satisfied in enumerate_ascending_cuts(opt, 0):  # (a, b, 3)
         assert labeling.labels[0] == 0 and labeling.labels[1] == 4
         if labeling.labels == (0, 4, 2):
             assert satisfied  # crossed by the arc c_2 -> b_3
@@ -168,23 +169,22 @@ def test_two_node_instance_single_cut():
     inst = SpannerInstance(
         True, 2, (Edge(0, 1, Fraction(1), Fraction(1)),), (Demand(0, 1, Fraction(1)),)
     )
-    cuts = list(enumerate_ascending_cuts(Subgraph(inst, frozenset({0})), (0, 1, 1)))
+    cuts = list(enumerate_ascending_cuts(Subgraph(inst, frozenset({0})), 0))
     assert len(cuts) == 1
     assert cuts[0][1]
 
 
 def test_empty_subgraph_has_unsatisfied_cut():
     inst = example5()
-    cuts = list(enumerate_ascending_cuts(Subgraph(inst, frozenset()), (0, 1, 3)))
+    cuts = list(enumerate_ascending_cuts(Subgraph(inst, frozenset()), 0))
     assert not any(sat for _, sat in cuts)
 
 
 def test_cut_cap_enforced():
     inst = random_instance("basic", 10, 15, 2, demand_family="multiplicative", alpha=3)
     sub = Subgraph(inst, frozenset(range(inst.m)))
-    d = inst.demands[0]
     with pytest.raises(TooManyCuts):
-        list(enumerate_ascending_cuts(sub, (d.u, d.v, int(d.delta)), cap=100))
+        list(enumerate_ascending_cuts(sub, 0, cap=100))
 
 
 def test_cut_lemma_example5_optimum():
@@ -197,6 +197,21 @@ def test_cut_lemma_complete_feasible_subgraph():
     inst = example5()
     report = check_cut_lemma(Subgraph(inst, frozenset(range(inst.m))))
     assert all(p.satisfied_count == p.cut_count for p in report.pairs)
+
+
+def test_cut_lemma_builds_the_subgraphs_view_once(monkeypatch):
+    # one view serves every pair's cut enumeration and distance
+    views = []
+    build = oracles.graph_view
+
+    def counting(of, **kwargs):
+        views.append(of)
+        return build(of, **kwargs)
+
+    monkeypatch.setattr(oracles, "graph_view", counting)
+    inst = example5()
+    assert check_cut_lemma(Subgraph(inst, frozenset(range(inst.m)))).ok
+    assert len(views) == 1
 
 
 def test_cut_lemma_missing_edge():
@@ -238,13 +253,13 @@ def test_cut_lemma_biconditional_random_samples():
 def test_restricted_path_graph():
     edges = (Edge(0, 1, Fraction(1), Fraction(1)), Edge(1, 2, Fraction(1), Fraction(1)))
     inst = SpannerInstance(False, 3, edges, (Demand(0, 2, Fraction(2)),))
-    nodes, edge_ids = restricted_subgraph(inst, (0, 2, 2))
+    nodes, edge_ids = restricted_subgraph(inst, 0)
     assert nodes == frozenset({0, 1, 2})
     assert edge_ids == frozenset({0, 1})
 
 
 def test_restricted_example5_pair_ac():
-    nodes, edge_ids = restricted_subgraph(example5(), (0, 2, 2))
+    nodes, edge_ids = restricted_subgraph(example5(), 1)  # (a, c, 2)
     assert nodes == frozenset({0, 2})
     assert edge_ids == frozenset({1})  # only (a,c); the a->b branch is a dead end
 
@@ -253,7 +268,7 @@ def test_restricted_tight_budget_is_union_of_shortest_paths():
     inst = random_instance("basic", 6, 10, 44)
     view = graph_view(inst)
     d02 = shortest_distances(view, 0)[2]
-    nodes, edge_ids = restricted_subgraph(inst, (0, 2, int(d02)))
+    nodes, edge_ids = restricted_subgraph(replace(inst, demands=(Demand(0, 2, d02),)), 0)
     dist_from = shortest_distances(view, 0)
     dist_to = shortest_distances(graph_view(inst, reverse=True), 2)
     expected = {z for z in range(inst.n) if dist_from[z] + dist_to[z] == d02}
@@ -275,8 +290,7 @@ def test_restricted_subgraph_soundness():
             integer_lengths=True,
         )
         d = inst.demands[0]
-        pair = (d.u, d.v, int(d.delta))
-        _, region = restricted_subgraph(inst, pair)
+        _, region = restricted_subgraph(inst, 0)
         subset = frozenset(i for i in range(inst.m) if rng.random() < 0.5)
         outside = [i for i in range(inst.m) if i not in region]
         toggled = subset.symmetric_difference(

@@ -92,8 +92,9 @@ def test_gamma_custom_mode():
     relaxed = gamma(inst, "custom", confidence=2.0)
     restricted = gamma(inst, "restricted")
     assert abs((restricted.value - relaxed.value) - (math.log(3) - math.log(2))) < 1e-12
-    with pytest.raises(ValueError):
-        gamma(inst, "custom")
+    for confidence in (None, 1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            gamma(inst, "custom", confidence=confidence)
 
 
 def test_gamma_unknown_mode():
