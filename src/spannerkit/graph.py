@@ -1,12 +1,14 @@
 """Deterministic shortest paths, spanning trees, and feasibility checks.
 
-All arithmetic is exact.  The public routines work in whatever units the
-view carries: a view of a :class:`SpannerInstance` has its fractional
-lengths, a view of its scaled integer view (``instance.scaled``) has
-integer lengths, ``L`` times larger.  Feasibility checks run on the scaled
-view against floored integer bounds and report distances back in instance
-units, ``Fraction(d, L)``.  Unreachable is represented by ``None``, never by
-a large number.
+All arithmetic is exact.  The search routines work in whatever units the
+view carries, but inside the package every view is a view of a scaled
+instance (``instance.scaled``): integer lengths, ``L`` times the instance's
+own, and floored integer bounds; the metric-pair reduction's demand graph
+is weighted by those bounds too.  :func:`graph_view` also builds a view of
+a :class:`SpannerInstance` itself, on its fractional lengths, for
+independent reference checks.  Feasibility checks report distances back in
+instance units, ``Fraction(d, L)``.  Unreachable is represented by
+``None``, never by a large number.
 
 One search routine, :func:`shortest_distances`, answers every distance
 question.  It stops past a distance (``limit``) and once its targets are
@@ -62,7 +64,7 @@ class GraphView:
 
 
 def graph_view(inst, *, edge_subset=None, reverse: bool = False) -> GraphView:
-    """View of a SpannerInstance or IntegerInstance, optionally edge-restricted.
+    """View of an IntegerInstance (inside the package, always ``instance.scaled``) or a SpannerInstance.
 
     ``reverse=True`` flips every arc (used for distances *to* a target in
     directed graphs).  The full graph's views, forward and reversed, are
@@ -279,27 +281,47 @@ def minimum_spanning_tree(instance: SpannerInstance) -> tuple[Fraction, frozense
 
 
 def reduce_to_metric_pairs(instance: SpannerInstance) -> tuple[Demand, ...]:
-    """Keep exactly the demands not dominated by a path of other demands.
+    """The demands not implied by a chain of other demands, in demand order.
 
-    A pair (u,v) is *metric* when, in the demand graph with that one demand
-    removed, the u-v distance w.r.t. the demand bounds exceeds delta(u,v).
-    A subgraph is feasible for all demands iff it is feasible for the metric
-    ones, so solvers may restrict attention to the returned subset.
+    Works in scaled units, on the floored bounds of ``instance.scaled``.  The
+    demand graph has one arc per demand ``j = (w, x)``, weighted ``delta_j``
+    (one each way when undirected), and is searched once per demand source,
+    bounded at the source's largest bound, which keeps it exact wherever the
+    rule reads it.  Demand ``i = (u, v)`` is dropped iff an in-arc ``j = (w,
+    v)`` with ``w != u`` (so ``j != i``) has ``d(u, w) + delta_j <= delta_i``.
+    Arcs are positive, so that walk avoids arc i and each of its demands has
+    a smaller bound: a subgraph meets every demand iff it meets the kept
+    ones.  The scaled view has the instance's feasible sets, so this holds
+    in instance units too.
+
+    Flooring can make a chain fit in scaled units only (bounds 3/2, 3/2 and
+    5/2 at scale 1 floor to 1, 1 and 2), so with fractional bounds the result
+    may be a strict subset of what the rule keeps on the instance's own
+    bounds; it is still sound.  A pair never drops its duplicate.  A bound
+    that floors to 0 is no arc, since a walk through arc i could then fit;
+    no subgraph meets it, and it is never dropped.  Self-pairs always hold
+    and are left out.
     """
-    demands = instance.demands
-    kept = []
-    for i, d in enumerate(demands):
-        # the demand graph without demand i: one arc per pair, weighted by its bound
-        view = GraphView(instance.n)
-        for j, other in enumerate(demands):
-            if j != i:
-                view.out[other.u].append((other.v, other.delta, j))
-                if not instance.directed:
-                    view.out[other.v].append((other.u, other.delta, j))
-        dist = shortest_distances(view, d.u, targets=(d.v,))[d.v]
-        if dist is None or dist > d.delta:
-            kept.append(d)
-    return tuple(kept)
+    scaled = instance.scaled
+    view = GraphView(instance.n)
+    into: list[list[tuple[int, int]]] = [[] for _ in range(instance.n)]  # (tail, bound) per in-arc
+    for j, d in enumerate(scaled.demands):
+        if d.delta < 1:
+            continue
+        view.out[d.u].append((d.v, d.delta, j))
+        into[d.v].append((d.u, d.delta))
+        if not instance.directed:
+            view.out[d.v].append((d.u, d.delta, j))
+            into[d.u].append((d.v, d.delta))
+    kept = set()
+    for source, limit, targets, _ in scaled.by_source:
+        dist = shortest_distances(view, source, limit=limit)
+        for v, bound, i in targets:
+            if not any(
+                w != source and dist[w] is not None and dist[w] + length <= bound for w, length in into[v]
+            ):
+                kept.add(i)
+    return tuple(d for i, d in enumerate(instance.demands) if i in kept)
 
 
 # ---------------------------------------------------------------------------

@@ -214,7 +214,6 @@ def solve_standard(lp: StandardLp) -> tuple[np.ndarray, float]:
 @dataclass
 class FractionalSolution:
     model: McfModel
-    status: str
     objective: float
     x: np.ndarray  # per edge variable, clamped into [0,1]
     f: np.ndarray  # per flow column, in the model's column order
@@ -231,9 +230,7 @@ def solve_lp(model: McfModel) -> FractionalSolution:
     resid_eq = float(np.max(np.abs(model.a_eq @ values - model.b_eq), initial=0.0))
     resid_ub = float(np.max(model.a_ub @ values - model.b_ub, initial=0.0))
     objective = float(model.c[num_flow:] @ x_edges)
-    return FractionalSolution(
-        model, "optimal", objective, x_edges, values[:num_flow], max(resid_eq, resid_ub)
-    )
+    return FractionalSolution(model, objective, x_edges, values[:num_flow], max(resid_eq, resid_ub))
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,10 @@ def gamma(instance: SpannerInstance, mode: str = "global", *, confidence: float 
                     c replacing n: failure probability at most 1/c per run;
                     c must be finite and above 1.
     """
+    if mode not in GAMMA_MODES:
+        raise ValueError(f"unknown gamma mode {mode!r}")
+    if mode == "custom" and (confidence is None or not 1 < confidence < math.inf):
+        raise ValueError("custom mode needs a finite confidence multiplier > 1")
     n = instance.n
     pairs = require_integer_lengths(instance).demands
     k = len(pairs)
@@ -55,21 +59,14 @@ def gamma(instance: SpannerInstance, mode: str = "global", *, confidence: float 
     if mode == "global":
         log_c = max((n - 2) * math.log(d.delta + 2) for d in pairs)
         lead = math.log(n)
-    elif mode in ("restricted", "custom"):
+    else:
         from .oracles import restricted_subgraph
 
         log_c = 0.0
         for i, d in enumerate(pairs):
             nodes, _ = restricted_subgraph(instance, i)
             log_c = max(log_c, (len(nodes) - 2) * math.log(d.delta + 2))
-        if mode == "restricted":
-            lead = math.log(n)
-        else:
-            if confidence is None or not 1 < confidence < math.inf:
-                raise ValueError("custom mode needs a finite confidence multiplier > 1")
-            lead = math.log(confidence)
-    else:
-        raise ValueError(f"unknown gamma mode {mode!r}")
+        lead = math.log(n if mode == "restricted" else confidence)
     return GammaSpec(mode, lead + log_c + math.log(k), n, k, log_c, confidence)
 
 

@@ -1,15 +1,18 @@
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import bellman_ford, brute_force_lex_shortest
+from spannerkit import graph as graph_module
 from spannerkit.errors import DirectedInstance, SpannerError
 from spannerkit.generators import example5, nonmetric_triangle, random_instance
 from spannerkit.graph import (
+    GraphView,
     graph_view,
     lex_shortest_path,
     minimum_spanning_tree,
@@ -19,7 +22,7 @@ from spannerkit.graph import (
 )
 from spannerkit.greedy import greedy
 from spannerkit.instance import Demand, Edge, SpannerInstance, Subgraph
-from test_int_core import PROFILE, instances
+from test_int_core import PROFILE, instances, rationals
 
 
 def lex_path(inst, source, target):
@@ -272,6 +275,139 @@ def test_metric_reduction_preserves_feasibility():
             subset = frozenset(i for i in range(inst.m) if rng.random() < 0.5)
             feasible = verify_feasible(Subgraph(inst, subset)).feasible
             assert feasible == verify_feasible(Subgraph(metric, subset)).feasible
+
+
+def metric_reference(instance, demands) -> tuple:
+    """The per-demand rule on ``demands``' own bounds: rebuild the demand graph without each demand.
+
+    Demand i is kept iff the demand graph without it has no chain within
+    its bound.  Returns the kept entries of ``instance.demands``.
+    """
+    kept = []
+    for i, d in enumerate(demands):
+        view = GraphView(instance.n)
+        for j, other in enumerate(demands):
+            if j != i:
+                view.out[other.u].append((other.v, other.delta, j))
+                if not instance.directed:
+                    view.out[other.v].append((other.u, other.delta, j))
+        dist = shortest_distances(view, d.u, targets=(d.v,))[d.v]
+        if dist is None or dist > d.delta:
+            kept.append(instance.demands[i])
+    return tuple(kept)
+
+
+@st.composite
+def demand_chains(draw, *, unique=True):
+    """Instances with m <= 8 and up to 10 demands, many implied by chains; not necessarily valid.
+
+    Unless ``unique``, some draws repeat demand pairs.
+    """
+    n = draw(st.integers(3, 5))
+    directed = draw(st.booleans())
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+    edge_pairs = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=8, unique=True))
+    unique = unique or draw(st.booleans())
+    demand_pairs = draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=10, unique=unique))
+    lengths = st.builds(Fraction, st.integers(1, 4), st.integers(1, 2))
+    bounds = draw(st.sampled_from([st.integers(1, 8).map(Fraction), rationals]))
+    edges = tuple(Edge(u, v, draw(rationals), draw(lengths)) for u, v in edge_pairs)
+    demands = tuple(Demand(u, v, draw(bounds)) for u, v in demand_pairs)
+    return SpannerInstance(directed, n, edges, demands)
+
+
+EXHAUSTIVE = settings(max_examples=100, derandomize=True, deadline=None, database=None)
+
+
+@EXHAUSTIVE
+@given(demand_chains(unique=False))
+def test_every_edge_subset_meets_all_demands_iff_it_meets_the_metric_ones(inst):
+    metric = replace(inst, demands=reduce_to_metric_pairs(inst))
+    for size in range(inst.m + 1):
+        for subset in itertools.combinations(range(inst.m), size):
+            subset = frozenset(subset)
+            feasible = verify_feasible(Subgraph(inst, subset)).feasible
+            assert feasible == verify_feasible(Subgraph(metric, subset)).feasible
+
+
+@EXHAUSTIVE
+@given(demand_chains())
+def test_metric_pairs_match_the_per_demand_rule_on_floored_bounds(inst):
+    # Distinct pairs, every floored bound positive: the in-arc rule keeps
+    # what rebuilding the demand graph per demand keeps, in scaled units,
+    # and in instance units too when every bound is an integer.
+    assume(all(d.delta > 0 for d in inst.scaled.demands))
+    kept = reduce_to_metric_pairs(inst)
+    assert kept == metric_reference(inst, inst.scaled.demands)
+    if all(d.delta.denominator == 1 for d in inst.demands):
+        assert kept == metric_reference(inst, inst.demands)
+
+
+def test_metric_pairs_make_one_integer_search_per_demand_source(monkeypatch):
+    inst = random_instance("coupled", 12, 24, 1, demand_pairs="all", integer_lengths=True)
+    sources = inst.scaled.by_source
+    searched = []
+
+    def counting(view, source, **options):
+        searched.append(all(type(length) is int for arcs in view.out for _, length, _ in arcs))
+        return shortest_distances(view, source, **options)
+
+    monkeypatch.setattr(graph_module, "shortest_distances", counting)
+    kept = reduce_to_metric_pairs(inst)
+    assert len(searched) == len(sources) < len(inst.demands)
+    assert all(searched)  # scaled bounds, never Fraction lengths
+    assert kept == metric_reference(inst, inst.demands)
+
+
+def test_duplicated_demand_does_not_drop_its_twin():
+    # Validation rejects duplicates; unvalidated, each twin is a chain for
+    # the other, and dropping both would leave nothing to check.
+    inst = SpannerInstance(
+        False,
+        2,
+        (Edge(0, 1, Fraction(1), Fraction(1)),),
+        (Demand(0, 1, Fraction(2)), Demand(0, 1, Fraction(2))),
+    )
+    metric = replace(inst, demands=reduce_to_metric_pairs(inst))
+    assert metric.demands
+    for subset in (frozenset(), frozenset({0})):
+        feasible = verify_feasible(Subgraph(inst, subset)).feasible
+        assert feasible == verify_feasible(Subgraph(metric, subset)).feasible
+
+
+def test_bound_floored_to_zero_neither_is_dropped_nor_chains():
+    # Every pair of a directed triangle with unit lengths demands 1/2, which
+    # floors to 0, so every chain of two demands is within every bound.  No
+    # subgraph meets such a bound: dropping them all would be unsound.
+    edges = tuple(Edge(u, v, Fraction(1), Fraction(1)) for u in range(3) for v in range(3) if u != v)
+    inst = SpannerInstance(True, 3, edges, tuple(Demand(e.u, e.v, Fraction(1, 2)) for e in edges))
+    assert reduce_to_metric_pairs(inst) == inst.demands
+    # A self-pair's bound 1/2 floors to 0 too, but it always holds: it must
+    # not extend the walk through demand (0, 1) itself into a chain for it.
+    inst = SpannerInstance(
+        False,
+        2,
+        (Edge(0, 1, Fraction(1), Fraction(1)),),
+        (Demand(0, 1, Fraction(2)), Demand(1, 1, Fraction(1, 2))),
+    )
+    assert reduce_to_metric_pairs(inst) == inst.demands[:1]
+
+
+def test_flooring_may_drop_a_pair_the_instance_bounds_keep():
+    # Bounds 3/2, 3/2 and 5/2 at scale 1 floor to 1, 1 and 2: the chain
+    # 0-1-2 meets (0, 2) in scaled units only.  Both sets are sound.
+    inst = SpannerInstance(
+        False,
+        3,
+        (
+            Edge(0, 1, Fraction(1), Fraction(1)),
+            Edge(1, 2, Fraction(1), Fraction(1)),
+            Edge(0, 2, Fraction(1), Fraction(2)),
+        ),
+        (Demand(0, 1, Fraction(3, 2)), Demand(1, 2, Fraction(3, 2)), Demand(0, 2, Fraction(5, 2))),
+    )
+    assert reduce_to_metric_pairs(inst) == inst.demands[:2]
+    assert metric_reference(inst, inst.demands) == inst.demands
 
 
 def test_shortest_distances_limit_cuts_off_farther_nodes():

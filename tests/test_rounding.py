@@ -155,6 +155,19 @@ def test_solve_randomized_empty_demands():
     assert sub.edge_set == frozenset()
 
 
+def test_demandless_instance_still_checks_mode_and_confidence():
+    # Without demands gamma has nothing to bound, but a bad mode or
+    # confidence is still an error, as it is with demands.
+    inst = SpannerInstance(False, 2, (Edge(0, 1, Fraction(1), Fraction(1)),), ())
+    with pytest.raises(ValueError, match="unknown gamma mode"):
+        gamma(inst, "bogus")
+    with pytest.raises(ValueError, match="confidence"):
+        gamma(inst, "custom", confidence=math.inf)
+    with pytest.raises(ValueError, match="unknown gamma mode"):
+        solve_randomized(inst, mode="bogus")
+    assert gamma(inst, "custom", confidence=2.0).value == 0.0
+
+
 def test_solve_randomized_rejects_fractional_lengths():
     inst = SpannerInstance(
         False, 2, (Edge(0, 1, Fraction(1), Fraction(3, 2)),), (Demand(0, 1, Fraction(2)),)
