@@ -69,7 +69,7 @@ class SolverFailure(SpannerError):
 
 
 class TooLarge(SpannerError):
-    """Input exceeds a hard size cap of an exhaustive oracle."""
+    """Input exceeds a hard size cap: the exact search's, the flow LP's or the generator's."""
 
 
 class TooManyCuts(SpannerError):

@@ -18,6 +18,7 @@ import math
 import random
 from fractions import Fraction
 
+from .errors import TooLarge
 from .graph import shortest_distances
 from .instance import Demand, Edge, SpannerInstance
 
@@ -27,6 +28,13 @@ DEMAND_PAIRS = ("edges", "all", "random")
 FIXED_INSTANCES = ("example5", "triangle", "dk-edge")
 
 GEO_DENOM = 2**20  # geometric coordinates/lengths are rounded to this grid
+
+# The most edges one generated instance may have, and the most node pairs it
+# may list as demand candidates; both are known from n and m before anything
+# is built.  Geometric n=400 (79,800 edges, each pair also a demand) took 34 s
+# and 294 MB to generate on a 2-core host, about 1.8 KB per edge with its
+# demand, so the cap keeps one generation near 1 GB and a few minutes.
+MAX_GENERATED_PAIRS = 250_000
 
 
 def example5() -> SpannerInstance:
@@ -137,13 +145,25 @@ def random_instance(
     max_length: int = 3,
     directed: bool = False,
 ) -> SpannerInstance:
-    """Generate a seeded random instance of the requested families."""
+    """Generate a seeded random instance of the requested families.
+
+    Raises :class:`TooLarge`, before allocating, when the instance would
+    have more than :data:`MAX_GENERATED_PAIRS` edges or list more node pairs
+    as demand candidates.
+    """
     if family not in WEIGHT_FAMILIES:
         raise ValueError(f"unknown family {family!r}; have {WEIGHT_FAMILIES}")
     if demand_family not in DEMAND_FAMILIES:
         raise ValueError(f"unknown demand family {demand_family!r}; have {DEMAND_FAMILIES}")
     if num_demands is not None and num_demands < 0:
         raise ValueError(f"num_demands must be at least 0, got {num_demands}")
+    node_pairs = n * (n - 1) // 2
+    edge_count = node_pairs if family == "geometric" else max(n - 1, min(m, node_pairs))
+    size = max(edge_count, node_pairs if demand_pairs in ("all", "random") else 0)
+    if size > MAX_GENERATED_PAIRS:
+        raise TooLarge(
+            f"n={n}, m={m} needs {size} edges or listed demand pairs, over the cap of {MAX_GENERATED_PAIRS}"
+        )
     rng = random.Random(seed)
 
     if family == "geometric":

@@ -7,6 +7,15 @@ reachable subgraph used by the degree-restricted rounding factor, a fixed
 reproduction of the broken subdivide-and-reuse transform for length-encoded
 flow, and a step-by-step monitor for the degree-potential argument behind the
 additive-spanner size bound.
+
+The branch and bound prunes on the included weight plus a connectivity
+lower bound: the lightest edges that could still join the components every
+demand pair must share.  Its feasibility searches run on one private view of
+the envelope (the edges not yet excluded), edited in place as edges are
+excluded and restored, never on a rebuilt view and never on the shared
+``scaled.view``.  Each demand source's witness, the edges of the paths that
+last met its bounds, stays a subset of the envelope, so an exclusion
+re-searches only the sources whose witness holds the excluded edge.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from .errors import (
     TooManyCuts,
 )
 from .extension import ExtArc, build_extension, reachable_path
-from .graph import budget_window, graph_view, shortest_distances
+from .graph import GraphView, budget_window, graph_view, shortest_distances
 from .greedy import GreedyStep
 from .instance import Demand, Edge, SpannerInstance, Subgraph, require_integer_lengths
 from .mcf import build_mcf, solve_lp
@@ -39,24 +48,96 @@ from .mcf import build_mcf, solve_lp
 
 @dataclass
 class ExactResult:
+    """The optimum and what the search that found it did.
+
+    ``nodes_explored`` counts the search nodes entered, pruned ones
+    included.  ``bound_prunes`` counts those of them cut by the connectivity
+    bound alone: their included weight was still within the incumbent's.
+    ``witness_skips`` counts the sources not re-searched after an exclusion
+    because the excluded edge was off their witness.
+    """
+
     weight: Fraction
     edge_set: frozenset[int]
     nodes_explored: int
+    bound_prunes: int
+    witness_skips: int
 
     def edge_tuple(self) -> tuple[int, ...]:
         return tuple(sorted(self.edge_set))
 
 
+class _Components:
+    """Weak components under union by rank, undone in reverse order; no path compression."""
+
+    __slots__ = ("parent", "rank", "count")
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.rank = [0] * n
+        self.count = n
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int):
+        """Join the components of a and b; returns what :meth:`undo` needs, None if already one."""
+        a, b = self.find(a), self.find(b)
+        if a == b:
+            return None
+        rank = self.rank
+        if rank[a] < rank[b]:
+            a, b = b, a
+        self.parent[b] = a
+        bumped = rank[a] == rank[b]
+        rank[a] += bumped
+        self.count -= 1
+        return b, bumped
+
+    def undo(self, joined) -> None:
+        """Reverse the latest :meth:`union` not yet undone, given what it returned."""
+        if joined is None:
+            return
+        b, bumped = joined
+        self.rank[self.parent[b]] -= bumped
+        self.parent[b] = b
+        self.count += 1
+
+
 def exact_optimum(instance: SpannerInstance, *, max_edges: int = 22) -> ExactResult:
     """Global minimum-weight feasible subgraph by subset branch and bound.
 
-    Branches on edges in descending weight order, exclusion first; prunes a
-    branch when its weight already exceeds the incumbent or when even keeping
-    all undecided edges (the envelope) cannot satisfy the demands.  Among
-    equal-weight optima the lexicographically smallest sorted edge-index
-    tuple wins, which makes the result deterministic.  Exact integer
-    arithmetic throughout: feasibility runs on the scaled view against
-    floored bounds, and the search adds the view's scaled weights.
+    Branches on edges in descending weight order, exclusion first.  The
+    envelope is the set of edges not yet excluded: the included ones and
+    the undecided ones, ``order[idx:]``.  An exclusion is followed only when
+    the envelope still meets every bound.  Among equal-weight optima the
+    lexicographically smallest sorted edge-index tuple wins, which makes the
+    result deterministic.  Exact integer arithmetic throughout: feasibility
+    runs on the scaled view against floored bounds, and the search adds the
+    view's scaled weights.
+
+    A node is pruned when its included weight plus a lower bound on what a
+    completion adds exceeds the incumbent.  The bound counts weak
+    components (after Sigurd and Zachariasen, "Construction of
+    minimum-weight spanners", ESA 2004).  Every demand pair must end up in
+    one component.  With c1 components of the included edges, and c2 once
+    every demand pair is joined as well, any completion adds at least
+    ``c1 - c2`` undecided edges.  Those weigh at least the ``c1 - c2``
+    lightest weights of the whole instance, the tail of ``order``.  Two
+    union-finds, by rank with rollback and no path compression, follow the
+    include path.  The test is strict, so every optimal-weight leaf is still
+    visited and the tie-break holds.  It holds on directed instances too,
+    since a directed path joins its endpoints' weak components.
+
+    The searches run on one private view of the envelope, a copy of
+    ``scaled.view``'s adjacency lists made once per call.  Excluding an edge
+    deletes its arcs from their lists, and the backtrack puts each back at
+    its old index.  So every search sees the lists ``graph_view(scaled,
+    edge_subset=envelope)`` would build, in the same order.  The shared
+    ``scaled.view`` is never changed.
 
     Each demand source keeps a witness: the edges of the shortest-path tree
     paths that met its bounds when it was last searched.  Every stored
@@ -67,8 +148,7 @@ def exact_optimum(instance: SpannerInstance, *, max_edges: int = 22) -> ExactRes
     before it, so the witness reads only final tree edges.  Excluding edge
     ``e`` then re-searches only the sources whose witness holds ``e``; every
     other source still meets its bounds along its witness.  The verdicts,
-    and so the search tree and ``nodes_explored``, are those of re-searching
-    every source.
+    and so the search tree, are those of re-searching every source.
     """
     m = instance.m
     if m > max_edges:
@@ -78,8 +158,18 @@ def exact_optimum(instance: SpannerInstance, *, max_edges: int = 22) -> ExactRes
     checks = list(scaled.by_source)
     weights = scaled.weights
     witness: dict[int, set[int]] = {}
+    view = GraphView(scaled.n)
+    view.out = [list(arcs) for arcs in scaled.view.out]
+    # Each edge's arcs, with the private list that holds each, in the order graph_view appends them.
+    arcs_of = []
+    for i, (e, length) in enumerate(zip(edges, scaled.lengths)):
+        arcs = [(view.out[e.u], (e.v, length, i))]
+        if not scaled.directed:
+            arcs.append((view.out[e.v], (e.u, length, i)))
+        arcs_of.append(arcs)
+    skips = 0
 
-    def meets(view, source: int, limit: int, targets, nodes) -> bool:
+    def meets(source: int, limit: int, targets, nodes) -> bool:
         """One source's bounded search; on success its witness is replaced."""
         parent = [None] * scaled.n
         dist = shortest_distances(view, source, limit=limit, parent_edge=parent, targets=nodes)
@@ -94,26 +184,33 @@ def exact_optimum(instance: SpannerInstance, *, max_edges: int = 22) -> ExactRes
         witness[source] = found
         return True
 
-    def feasible(envelope, removed: int | None = None) -> bool:
-        """Whether the envelope (None: every edge) meets every bound; a failing source moves to the front."""
-        view = None
+    def feasible(removed: int | None = None) -> bool:
+        """Whether the envelope meets every bound; a failing source moves to the front."""
+        nonlocal skips
         for k, (source, limit, targets, nodes) in enumerate(checks):
             if removed is not None and removed not in witness[source]:
+                skips += 1
                 continue
-            if view is None:
-                view = scaled.view if envelope is None else graph_view(scaled, edge_subset=envelope)
-            if not meets(view, source, limit, targets, nodes):
+            if not meets(source, limit, targets, nodes):
                 checks.insert(0, checks.pop(k))
                 return False
         return True
 
-    if not feasible(None):
+    if not feasible():
         raise InfeasibleInstance("the full edge set violates some demand")
 
     order = sorted(range(m), key=lambda i: (-weights[i], i))
+    cheapest = [0]  # cheapest[k]: the k lightest weights, the last k of order
+    for e in reversed(order):
+        cheapest.append(cheapest[-1] + weights[e])
+    included_parts = _Components(scaled.n)
+    joined_parts = _Components(scaled.n)  # the included edges and every demand pair
+    for d in scaled.demands:
+        joined_parts.union(d.u, d.v)
     best_weight = sum(weights)
     best_tuple = tuple(range(m))
     explored = 0
+    prunes = 0
 
     def consider(included: list[int], weight: int) -> None:
         nonlocal best_weight, best_tuple
@@ -122,28 +219,41 @@ def exact_optimum(instance: SpannerInstance, *, max_edges: int = 22) -> ExactRes
             best_weight = weight
             best_tuple = candidate
 
-    def dfs(idx: int, included: list[int], envelope: set[int], weight: int) -> None:
-        nonlocal explored
+    def dfs(idx: int, included: list[int], weight: int) -> None:
+        nonlocal explored, prunes
         explored += 1
-        if weight > best_weight:
+        if weight + cheapest[included_parts.count - joined_parts.count] > best_weight:
+            prunes += weight <= best_weight  # cut by the bound alone
             return
-        if idx == len(order):
+        if idx == m:
             consider(included, weight)
             return
         e = order[idx]
-        # Exclude e: the envelope shrinks, so the sources that used e are re-checked.
-        envelope.discard(e)
-        if feasible(envelope, e):
-            dfs(idx + 1, included, envelope, weight)
-        envelope.add(e)
+        # Exclude e: its arcs leave the view, so the sources that used e are re-checked.
+        removed = []
+        for out, arc in arcs_of[e]:
+            k = out.index(arc)
+            del out[k]
+            removed.append((out, k, arc))
+        if feasible(e):
+            dfs(idx + 1, included, weight)
+        for out, k, arc in reversed(removed):
+            out.insert(k, arc)
         # Include e: envelope unchanged, still feasible.
+        u, v = edges[e].u, edges[e].v
+        undo_included = included_parts.union(u, v)
+        undo_joined = joined_parts.union(u, v)
         included.append(e)
-        dfs(idx + 1, included, envelope, weight + weights[e])
+        dfs(idx + 1, included, weight + weights[e])
         included.pop()
+        joined_parts.undo(undo_joined)
+        included_parts.undo(undo_included)
 
-    dfs(0, [], set(range(m)), 0)
-    del dfs  # a recursive closure is a reference cycle; this frees it, and the scaled view, at once
-    return ExactResult(Fraction(best_weight, scaled.weight_scale), frozenset(best_tuple), explored)
+    dfs(0, [], 0)
+    del dfs  # a recursive closure is a reference cycle; this frees it, and the private view, at once
+    return ExactResult(
+        Fraction(best_weight, scaled.weight_scale), frozenset(best_tuple), explored, prunes, skips
+    )
 
 
 # ---------------------------------------------------------------------------

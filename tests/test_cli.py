@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -673,3 +674,40 @@ def test_cold_start_loads_lp_stack_only_for_the_lp(tmp_path):
     assert seen["import"] == [] and seen["non_lp"] == []
     # The LP path does load them, so the checks above are not vacuous.
     assert {"numpy", "scipy"} <= set(seen["lp"])
+
+
+# A valid triangle of length-10^6 edges whose one demand keeps 3,000,003 flow
+# columns; before the flow LP had a cap it ran into HiGHS's bad_alloc.
+OVERSIZED_TRIANGLE = {
+    "directed": False,
+    "n": 3,
+    "edges": [{"u": u, "v": v, "w": "1", "len": "1000000"} for u, v in ((0, 1), (0, 2), (1, 2))],
+    "demands": [{"u": 0, "v": 1, "delta": "2000000"}],
+}
+
+# The CLI in a child limited to 1.5 GB of address space; the limit is the child's alone.
+UNDER_MEMORY_LIMIT = textwrap.dedent("""
+    import resource, sys
+    resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+    from spannerkit.cli import main
+    main(sys.argv[1:])
+""")
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "big.json", "--algorithm", "randomized-rounding"],
+    ["export-lp", "big.json", "--out", "big.lp"],
+    ["gen", "geometric", "--n", "20000", "--out", "gen.json"],
+])
+def test_oversized_inputs_exit_3_before_allocating(tmp_path, args):
+    (tmp_path / "big.json").write_text(json.dumps(OVERSIZED_TRIANGLE))
+    src = os.path.dirname(os.path.dirname(spannerkit.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", UNDER_MEMORY_LIMIT, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 3, proc.stderr
+    assert "over the cap" in proc.stderr
+    assert elapsed < 5  # about 0.5 s here; without the caps, 12 s and more before failing

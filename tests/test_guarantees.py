@@ -5,21 +5,23 @@ the bounds of augmented greedy (``OPT <= w(H) <= |E[W*]|·W* <= m·OPT``) and
 of the LP relaxation (``LP <= OPT``) are then checked against it.  The
 instances come from ``test_int_core.instances``: rational lengths, weights and
 bounds, directed and undirected, at most 9 edges, kept when the full graph
-meets every bound.
+meets every bound.  One more strategy redraws the weights from {0, 1, 2}, so
+the exact search meets ties and completions that cost nothing.
 """
 
 import math
 from fractions import Fraction
 
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_force_optimum
 from spannerkit.extension import build_extension
 from spannerkit.greedy import augmented_greedy
-from spannerkit.instance import Edge, SpannerInstance, Subgraph
+from spannerkit.instance import Demand, Edge, SpannerInstance, Subgraph
 from spannerkit.mcf import build_mcf, solve_lp
 from spannerkit.oracles import exact_optimum
-from test_int_core import instances, oracle_feasible
+from test_int_core import instances, oracle_distances, oracle_feasible
 
 PROFILE = settings(max_examples=40, derandomize=True, deadline=None, database=None)
 
@@ -33,6 +35,24 @@ def feasible_instance(instance) -> SpannerInstance:
     return instance
 
 
+@st.composite
+def tied_instances(draw):
+    """Feasible ``instances()`` with weights from {0, 1, 2}: ties and zero-cost completions are common.
+
+    Each bound is raised to its pair's distance in the full graph and an
+    unreachable pair is dropped, so no draw is filtered out.
+    """
+    instance = draw(instances())
+    edges = tuple(Edge(e.u, e.v, Fraction(draw(st.integers(0, 2))), e.length) for e in instance.edges)
+    dist = oracle_distances(instance)
+    demands = tuple(
+        Demand(d.u, d.v, max(d.delta, dist[d.u][d.v]))
+        for d in instance.demands
+        if dist[d.u][d.v] is not None
+    )
+    return SpannerInstance(instance.directed, instance.n, edges, demands)
+
+
 def with_integer_lengths(instance) -> SpannerInstance:
     edges = tuple(Edge(e.u, e.v, e.weight, Fraction(math.ceil(e.length))) for e in instance.edges)
     return SpannerInstance(instance.directed, instance.n, edges, instance.demands)
@@ -42,6 +62,13 @@ def with_integer_lengths(instance) -> SpannerInstance:
 @given(instances())
 def test_exact_optimum_matches_brute_force(instance):
     instance = feasible_instance(instance)
+    result = exact_optimum(instance)
+    assert (result.weight, result.edge_tuple()) == brute_force_optimum(instance)
+
+
+@PROFILE
+@given(tied_instances())
+def test_exact_optimum_matches_brute_force_on_tied_and_zero_weights(instance):
     result = exact_optimum(instance)
     assert (result.weight, result.edge_tuple()) == brute_force_optimum(instance)
 

@@ -1,3 +1,4 @@
+import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -102,31 +103,33 @@ def test_exact_deterministic():
 
 # (weight, sorted edge set, nodes_explored) of exact_optimum on
 # random_instance(family, n, m, seed, demand_family="freeform",
-# demand_pairs="random", num_demands=8, directed=directed), recorded while
-# every exclusion re-searched every source.  Undirected: n=8, m=16 (geometric
-# n=6, complete, m=15); directed: n=6, m=10, so 15 arcs once the 5 tree edges
-# are bi-directed.  The node count pins the search tree itself.
+# demand_pairs="random", num_demands=8, directed=directed).  Weights and edge
+# sets were recorded while every exclusion re-searched every source; the node
+# counts with the connectivity bound, each at most its count without it.
+# Undirected: n=8, m=16 (geometric n=6, complete, m=15); directed: n=6, m=10,
+# so 15 arcs once the 5 tree edges are bi-directed.  The node count pins the
+# search tree itself.
 EXACT_PINNED = {
-    ("decoupled", False, 0): ("37", (1, 2, 4, 5, 6, 10, 12, 13, 15), 89),
-    ("decoupled", False, 1): ("877/30", (2, 4, 5, 7, 9, 10, 11, 12), 129),
-    ("coupled", False, 0): ("34/3", (4, 5, 6, 7, 8, 10, 11, 14), 426),
-    ("coupled", False, 1): ("16", (0, 1, 3, 4, 8, 11, 13, 14), 282),
-    ("unit-length", False, 0): ("1193/30", (0, 3, 4, 5, 6, 7, 11, 13), 65),
-    ("unit-length", False, 1): ("141/4", (0, 1, 2, 3, 4, 5, 9, 12, 13), 204),
-    ("basic", False, 0): ("7", (1, 2, 3, 4, 10, 11, 13), 1113),
-    ("basic", False, 1): ("7", (0, 1, 3, 5, 8, 9, 10), 877),
-    ("anti-correlated", False, 0): ("410/7", (3, 5, 6, 7, 10, 11, 12, 14, 15), 111),
-    ("anti-correlated", False, 1): ("533/12", (0, 1, 2, 3, 4, 8, 12, 13), 324),
-    ("geometric", False, 0): ("1865765/1048576", (1, 3, 8, 13, 14), 293),
-    ("geometric", False, 1): ("3837797/1048576", (1, 2, 3, 7, 8, 10), 49),
-    ("decoupled", True, 0): ("709/40", (1, 3, 4, 6, 7, 10, 13, 14), 36),
-    ("decoupled", True, 1): ("273/8", (0, 1, 2, 4, 6, 8, 9), 123),
-    ("coupled", True, 0): ("23/2", (0, 4, 7, 8, 9, 11, 12, 13), 214),
-    ("coupled", True, 1): ("31/2", (0, 3, 5, 7, 8, 9, 11, 14), 223),
-    ("unit-length", True, 0): ("1639/70", (1, 4, 8, 9, 11, 12, 13, 14), 139),
-    ("unit-length", True, 1): ("377/8", (0, 3, 5, 7, 8, 9, 11, 13, 14), 323),
-    ("anti-correlated", True, 0): ("515/9", (0, 4, 6, 7, 8, 9, 11, 13), 52),
-    ("anti-correlated", True, 1): ("137/3", (0, 3, 5, 7, 8, 9, 11, 14), 33),
+    ("decoupled", False, 0): ("37", (1, 2, 4, 5, 6, 10, 12, 13, 15), 82),
+    ("decoupled", False, 1): ("877/30", (2, 4, 5, 7, 9, 10, 11, 12), 126),
+    ("coupled", False, 0): ("34/3", (4, 5, 6, 7, 8, 10, 11, 14), 119),
+    ("coupled", False, 1): ("16", (0, 1, 3, 4, 8, 11, 13, 14), 169),
+    ("unit-length", False, 0): ("1193/30", (0, 3, 4, 5, 6, 7, 11, 13), 55),
+    ("unit-length", False, 1): ("141/4", (0, 1, 2, 3, 4, 5, 9, 12, 13), 196),
+    ("basic", False, 0): ("7", (1, 2, 3, 4, 10, 11, 13), 631),
+    ("basic", False, 1): ("7", (0, 1, 3, 5, 8, 9, 10), 610),
+    ("anti-correlated", False, 0): ("410/7", (3, 5, 6, 7, 10, 11, 12, 14, 15), 109),
+    ("anti-correlated", False, 1): ("533/12", (0, 1, 2, 3, 4, 8, 12, 13), 163),
+    ("geometric", False, 0): ("1865765/1048576", (1, 3, 8, 13, 14), 79),
+    ("geometric", False, 1): ("3837797/1048576", (1, 2, 3, 7, 8, 10), 31),
+    ("decoupled", True, 0): ("709/40", (1, 3, 4, 6, 7, 10, 13, 14), 31),
+    ("decoupled", True, 1): ("273/8", (0, 1, 2, 4, 6, 8, 9), 68),
+    ("coupled", True, 0): ("23/2", (0, 4, 7, 8, 9, 11, 12, 13), 161),
+    ("coupled", True, 1): ("31/2", (0, 3, 5, 7, 8, 9, 11, 14), 186),
+    ("unit-length", True, 0): ("1639/70", (1, 4, 8, 9, 11, 12, 13, 14), 123),
+    ("unit-length", True, 1): ("377/8", (0, 3, 5, 7, 8, 9, 11, 13, 14), 277),
+    ("anti-correlated", True, 0): ("515/9", (0, 4, 6, 7, 8, 9, 11, 13), 40),
+    ("anti-correlated", True, 1): ("137/3", (0, 3, 5, 7, 8, 9, 11, 14), 32),
 }
 
 
@@ -139,6 +142,59 @@ def test_exact_search_tree_pinned(family, directed, seed):
     weight, edges, nodes = EXACT_PINNED[family, directed, seed]
     assert (result.weight, result.edge_tuple(), result.nodes_explored) == (
         Fraction(weight), edges, nodes)
+
+
+# (weight, sorted edge set, most nodes) of exact_optimum on the coupled
+# integer-length instance random_instance("coupled", 14, 22, seed,
+# demand_family="freeform", demand_pairs="random", num_demands=8,
+# integer_lengths=True).  Weights and edge sets were recorded before the
+# connectivity bound, when the searches took 2,492 / 2,891 / 4,019 nodes.
+EXACT_BEYOND_THE_SUITE = {
+    0: ("17", (2, 4, 5, 6, 8, 10, 11, 13, 14, 15, 17, 18, 19), 594),
+    1: ("15", (1, 3, 4, 7, 8, 10, 16, 19), 400),
+    2: ("22", (2, 5, 6, 7, 8, 9, 10, 11, 17, 19), 571),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(EXACT_BEYOND_THE_SUITE))
+def test_exact_connectivity_bound_prunes_larger_searches(seed):
+    inst = random_instance("coupled", 14, 22, seed, demand_family="freeform",
+                           demand_pairs="random", num_demands=8, integer_lengths=True)
+    result = exact_optimum(inst)
+    weight, edges, most = EXACT_BEYOND_THE_SUITE[seed]
+    assert (result.weight, result.edge_tuple()) == (Fraction(weight), edges)
+    assert result.nodes_explored <= most
+    assert 0 < result.bound_prunes < result.nodes_explored
+
+
+def test_exact_search_counts_repeat():
+    inst = random_instance("coupled", 8, 16, 1, demand_family="freeform", demand_pairs="random",
+                           num_demands=8)
+    counts = [
+        (r.nodes_explored, r.bound_prunes, r.witness_skips)
+        for r in (exact_optimum(inst), exact_optimum(inst),
+                  exact_optimum(pickle.loads(pickle.dumps(inst))))
+    ]
+    assert counts[0] == counts[1] == counts[2]
+    assert counts[0] == (169, 44, 297)
+
+
+def test_exact_searches_run_on_the_envelope_view_in_edge_order(monkeypatch):
+    # Every search must see the lists a fresh view of the envelope would have, arc order included.
+    inst = random_instance("unit-length", 8, 16, 1, demand_family="freeform",
+                           demand_pairs="random", num_demands=8)
+    scaled = inst.scaled
+    envelopes = []
+
+    def checked(view, source, **kwargs):
+        envelope = {e for arcs in view.out for _, _, e in arcs}
+        assert view.out == graph_view(scaled, edge_subset=envelope).out
+        envelopes.append(len(envelope))
+        return shortest_distances(view, source, **kwargs)
+
+    monkeypatch.setattr(oracles, "shortest_distances", checked)
+    exact_optimum(inst)
+    assert min(envelopes) < inst.m - 1  # searches ran with several edges excluded
 
 
 # ---------------------------------------------------------------------------
