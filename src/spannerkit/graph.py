@@ -23,11 +23,11 @@ Every instance's full graph search is made once: the scaled view keeps the
 full forward view (``scaled.view``) and, per demand source, the search on
 it bounded at the source's largest bound and stopped at its targets
 (``scaled.reach``, from :func:`check_distances`, the one producer of such
-lists).  Validation, the threshold search's top probe and greedy's pair
-order on the full graph read them.  It also keeps the full reversed view
-(``scaled.reverse``, the forward view itself when undirected), which the
-flow LP's and the restricted gamma's budget windows read.  Nothing may
-change them.  The demands checked are always the instance's own; a check
+lists).  Validation, the threshold search's check at the largest weight
+and its guard at the second-largest, and greedy's pair order on the full
+graph read them.  It also keeps the full reversed view (``scaled.reverse``,
+the forward view itself when undirected), which the flow LP's and the
+restricted gamma's budget windows read.  Nothing may change them.  The demands checked are always the instance's own; a check
 of other pairs is a check of a copy of the instance that holds them.
 Tie-break contract: the path greedy adds for a pair is the one
 :func:`lex_shortest_path` returns, the shortest path whose node sequence is
@@ -351,12 +351,12 @@ class Verdict:
         return "infeasible:\n" + "\n".join(lines)
 
 
-def meets_bounds(view: GraphView, checks: list) -> bool:
-    """Whether every check holds in the view (scaled units); stops at the first miss.
+def meets_bounds(view: GraphView, checks: list) -> tuple[bool, int]:
+    """``(whether every check holds in the view, sources searched)``, in scaled units.
 
-    A failing source moves to the front of ``checks``: successive probes of
-    one search tend to fail on the same source, so the next probe tries it
-    first.
+    Stops at the first miss.  A failing source moves to the front of
+    ``checks``, where the caller finds it: successive probes of one search
+    tend to fail on the same source, so the next probe tries it first.
     """
     for k, (source, limit, targets, nodes) in enumerate(checks):
         dist = shortest_distances(view, source, limit=limit, targets=nodes)
@@ -364,8 +364,8 @@ def meets_bounds(view: GraphView, checks: list) -> bool:
             got = dist[v]
             if got is None or got > bound:
                 checks.insert(0, checks.pop(k))
-                return False
-    return True
+                return False, k + 1
+    return True, len(checks)
 
 
 def check_distances(view: GraphView, checks) -> tuple[list, ...]:

@@ -3,30 +3,34 @@
 ``greedy`` adds shortest paths for demand pairs, cheapest-distance first,
 until every bound holds; each added path is the lexicographically smallest
 shortest one (:func:`~spannerkit.graph.lex_shortest_path`).
-``augmented_greedy`` first binary-searches the smallest edge-weight
-threshold W* whose weight-restricted subgraph is feasible (a lower bound on
-the optimum), then runs ``greedy`` inside that restricted graph; the result
-weighs at most ``|E[W*]| * W*``, hence at most ``m * OPT``.
+``augmented_greedy`` first finds the smallest edge-weight threshold W* whose
+weight-restricted subgraph is feasible (a lower bound on the optimum), then
+runs ``greedy`` inside that restricted graph; the result weighs at most
+``|E[W*]| * W*``, hence at most ``m * OPT``.  The threshold search decides
+W* from the cached full-graph searches: a guard at the second-largest
+weight, whose tight-edge test on those searches leaves most sources
+unsearched and settles W* at the top weight when one fails, then a
+record-breaking pass over the sources below it (see
+:func:`weight_threshold_search`).
 
 Both run on the instance's scaled integer view (``instance.scaled``): lengths
 times the lcm ``L`` of their denominators, bounds floored to
 ``floor(delta * L)``.  Every search stops past a distance and once its
-targets are settled.  A threshold probe searches each source up to its
-largest bound and its targets, and stops at the first violated pair.  The
-greedy phase orders the pairs with one such search per source u, and caps
-its distances at u's farthest target distance T, which makes them
-min(d(u, x), T).  The spanner only grows inside the searched graph, so these
-bound every spanner distance from u from below: the spanner's arcs are kept
-reversed, and whether a pair already holds is asked by a search back from
-its target, bounded at the pair's bound, stopped at u and goal-directed by
-u's capped list.  For a pair that does not hold, the path is walked off the
-same list; no further search is needed.
+targets are settled.  A threshold probe searches a source up to its
+largest bound and its targets.  The greedy phase orders the pairs with one
+such search per source u, and caps its distances at u's farthest target
+distance T, which makes them min(d(u, x), T).  The spanner only grows inside
+the searched graph, so these bound every spanner distance from u from below:
+the spanner's arcs are kept reversed, and whether a pair already holds is
+asked by a search back from its target, bounded at the pair's bound, stopped
+at u and goal-directed by u's capped list.  For a pair that does not hold,
+the path is walked off the same list; no further search is needed.
 On the whole graph the searches are the instance's own: the threshold
-search's probe at the largest weight (which keeps every edge) and greedy's
-pair order, when ``edge_subset`` keeps every edge (plain ``greedy``, and
-``augmented_greedy`` whenever E[W*] = E), read the scaled view's cached
-``view``, ``reverse`` and ``reach``, which validation built or the first of
-them builds.
+search's check at the largest weight (which keeps every edge) and its guard,
+and greedy's pair order when ``edge_subset`` keeps every edge (plain
+``greedy``, and ``augmented_greedy`` whenever E[W*] = E), read the scaled
+view's cached ``view``, ``reverse`` and ``reach``, which validation built or
+the first of them builds.
 Greedy caps into new lists; the cached ones are shared and never changed.
 Distances go back to instance units, ``Fraction(d, L)``, only in
 :class:`GreedyStep` and :class:`~spannerkit.errors.UnsatisfiableDemand`; the
@@ -52,7 +56,7 @@ from .graph import (
     shortest_distances,
     violated_pairs,
 )
-from .instance import SpannerInstance, Subgraph
+from .instance import IntegerInstance, SpannerInstance, Subgraph
 
 
 @dataclass(frozen=True)
@@ -143,46 +147,97 @@ def greedy(
     return Subgraph(instance, frozenset(chosen))
 
 
+# The record pass visits the demand sources in one fixed scrambled order: by
+# their node id times this odd seed, modulo 2**32 (Fibonacci hashing), which
+# needs no generator.  W* is unique, so the order changes only the work done.
+_RECORD_ORDER_SEED = 0x9E3779B1
+
+
 @dataclass(frozen=True)
 class WeightThresholdResult:
     w_star: Fraction  # effective threshold (after an optional MST lift)
     restricted_edges: frozenset[int]  # E[W*] at the effective threshold
     mst_lifted: bool
-    w_star_search: Fraction  # raw binary-search result, before any lift
+    w_star_search: Fraction  # the searched threshold, before any lift
+    probes: int  # G[w] views built
+    searches: int  # source searches made; the cached full-graph ones are not counted
 
 
 def weight_threshold_search(instance: SpannerInstance, *, mst_lift: bool = False) -> WeightThresholdResult:
     """Smallest distinct edge weight whose weight-restricted graph is feasible.
 
-    Feasibility of ``G[w']`` is monotone in w', so plain binary search over
-    the sorted distinct weights applies.  With ``mst_lift`` (undirected
-    instances whose problem family guarantees connected spanning solutions),
-    the threshold is raised to the MST weight when larger, and the restricted
-    edge set is recomputed at the lifted value.
+    With no demand to meet (none between two distinct nodes), W* is 0 and
+    E[W*] the zero-weight edges: the empty subgraph is feasible, so the
+    optimum is 0.  Otherwise feasibility of ``G[w]`` is monotone in w, and
+    W* is the largest of the per-source thresholds, the smallest weight at
+    which all of one source's pairs hold.  The full graph, at the largest
+    weight, reads the scaled view's cached searches (``scaled.reach``); the
+    rest is decided in two steps.
+
+    * **Guard at the second-largest weight w2.**  An edge ``(a, b)`` of
+      length L is *tight* in a source's cached list when ``dist[a] + L ==
+      dist[b]`` (either way round when undirected).  Every node on a
+      shortest path to a target settles before that target, so its entry is
+      exact, and the path's edges are tight.  A source with no tight
+      top-weight edge into a node no farther than its farthest target
+      therefore keeps a shortest path to each target in G[w2], and holds
+      there without a search.  The other sources are searched on one view
+      of G[w2] (a tentative entry can only flag a source that did not need
+      it); if one fails, W* is the top weight and nothing else is built.
+    * **Record pass below w2**, Chan's record-breaking technique.  The
+      sources are visited in one fixed scrambled order, keeping a candidate
+      c that every visited source holds at.  A source that holds in G[c]
+      costs one search; one that fails raises c to its own threshold,
+      bisected for that source alone on the fixed midpoints of the weights
+      up to w2, probing only above c, so sources share the views they probe.
+      Each view is built once per call, filtered from a built view above it.
+      In the end c is the largest threshold, W*.  W* is unique, so the order
+      changes only how often c rises (in expectation, about the logarithm
+      of the number of sources), never the result.
+
+    The guard needs non-negative lengths; validation requires positive ones.
+    With ``mst_lift`` (undirected instances whose problem family guarantees
+    connected spanning solutions), the threshold is raised to the MST weight
+    when larger, and the restricted edge set is recomputed at the lifted
+    value.  ``probes`` and ``searches`` of the result count the views of
+    G[w] built and the source searches made; the cached full-graph searches
+    are not among them.
     """
     scaled = instance.scaled
-    weights = sorted(set(scaled.weights))  # in units of 1 / scaled.weight_scale
-    if not weights:
-        return WeightThresholdResult(Fraction(0), frozenset(), False, Fraction(0))
-    checks = list(scaled.by_source)
-
-    def edges_upto(w: int) -> frozenset[int]:
-        return frozenset(i for i, x in enumerate(scaled.weights) if x <= w)
-
-    def feasible_at(w: int) -> bool:
-        return meets_bounds(graph_view(scaled, edge_subset=edges_upto(w)), checks)
-
-    # the largest weight keeps every edge: that probe reads the scaled view's cached searches
-    if violated_pairs(scaled.view, scaled.by_source, scaled.reach, scaled.scale):
+    checks = scaled.by_source
+    # the largest weight keeps every edge: that check reads the scaled view's cached searches
+    if violated_pairs(scaled.view, checks, scaled.reach, scaled.scale):
         raise InfeasibleInstance("even the full graph violates some demand")
-    lo, hi = 0, len(weights) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible_at(weights[mid]):
-            hi = mid
+    weights = sorted(set(scaled.weights))  # in units of 1 / scaled.weight_scale
+    probes = searches = 0
+    if not checks:
+        found = 0
+    elif len(weights) == 1:
+        found = weights[0]
+    else:
+        held, below_top = True, scaled.view
+        top = weights[-1]
+        top_arcs = [
+            (e.u, e.v, ln) for e, ln, w in zip(scaled.edges, scaled.lengths, scaled.weights) if w == top
+        ]
+        if not scaled.directed:
+            top_arcs += [(b, a, ln) for a, b, ln in top_arcs]
+        flagged = _top_tight(scaled, top_arcs)
+        if flagged:
+            # G[w2] is the full view less its top-weight arcs; the other nodes share the cached lists
+            probes = 1
+            below_top = GraphView(scaled.n)
+            below_top.out = list(scaled.view.out)
+            for a in {a for a, _, _ in top_arcs}:
+                below_top.out[a] = [arc for arc in below_top.out[a] if scaled.weights[arc[2]] < top]
+            held, searches = meets_bounds(below_top, flagged)
+        if held:
+            found, more_probes, more_searches = _record_pass(scaled, weights[:-1], below_top)
+            probes += more_probes
+            searches += more_searches
         else:
-            lo = mid + 1
-    w_search = Fraction(weights[lo], scaled.weight_scale)
+            found = weights[-1]
+    w_search = Fraction(found, scaled.weight_scale)
     w_star = w_search
     lifted = False
     if mst_lift:
@@ -192,9 +247,77 @@ def weight_threshold_search(instance: SpannerInstance, *, mst_lift: bool = False
         if mst_weight > w_star:
             w_star = mst_weight
             lifted = True
-    # scaled weights are integers, so x <= w_star * unit iff x <= floor(w_star * unit)
-    restricted = edges_upto(math.floor(w_star * scaled.weight_scale))
-    return WeightThresholdResult(w_star, restricted, lifted, w_search)
+            # scaled weights are integers, so x <= w_star * unit iff x <= floor(w_star * unit)
+            found = math.floor(w_star * scaled.weight_scale)
+    restricted = frozenset(i for i, x in enumerate(scaled.weights) if x <= found)
+    return WeightThresholdResult(w_star, restricted, lifted, w_search, probes, searches)
+
+
+def _top_tight(scaled: IntegerInstance, top_arcs: list) -> list:
+    """The checks whose cached full-graph search has a top-weight arc ``(a, b, length)`` tight.
+
+    Only a tight arc whose head is no farther than the source's farthest
+    target counts: every node on a shortest path to a target is, and every
+    tentative entry is at least as far.
+    """
+    flagged = []
+    for check, dist in zip(scaled.by_source, scaled.reach):
+        nodes, far = check[3], None
+        for a, b, length in top_arcs:
+            da = dist[a]
+            if da is not None and dist[b] == da + length:
+                if far is None:
+                    far = max(map(dist.__getitem__, nodes))
+                if dist[b] <= far:
+                    flagged.append(check)
+                    break
+    return flagged
+
+
+def _record_pass(scaled: IntegerInstance, weights: list, base: GraphView) -> tuple[int, int, int]:
+    """``(W*, views built, sources searched)`` when every source holds at ``weights[-1]``.
+
+    ``base`` holds at least G[weights[-1]]; views are filtered from it and
+    from one another, and it is never searched.
+    """
+    top = len(weights) - 1
+    views = {top: base}
+    edge_weight = scaled.weights
+
+    def view_at(i: int, above: int) -> GraphView:  # G[weights[i]], filtered from the built G[weights[above]]
+        if i not in views:
+            w = weights[i]
+            views[i] = GraphView(scaled.n)
+            views[i].out = [[arc for arc in arcs if edge_weight[arc[2]] <= w] for arcs in views[above].out]
+        return views[i]
+
+    rest = sorted(scaled.by_source, key=lambda check: check[0] * _RECORD_ORDER_SEED & 0xFFFFFFFF)
+    c = -1  # every source visited and no longer in ``rest`` holds at weights[c]
+    searches = 0
+    while rest and c < top:
+        if c >= 0:
+            held, searched = meets_bounds(views[c], rest)  # moves a failing source to the front
+            searches += searched
+            if held:
+                break
+            del rest[1:searched]  # the sources searched before it hold at c
+        # rest[0] fails at and below c: bisect [0, top] for its own threshold, probing only above
+        # c, so every source probes the same midpoints and shares their views
+        check = rest[:1]
+        lo, hi = 0, top
+        while lo < hi:
+            mid = (lo + hi) // 2
+            held = False
+            if mid > c:
+                held, searched = meets_bounds(view_at(mid, hi), check)
+                searches += searched
+            if held:
+                hi = mid
+            else:
+                lo = mid + 1
+        c = lo
+        del rest[0]
+    return weights[c], len(views) - 1, searches
 
 
 @dataclass
@@ -209,6 +332,8 @@ class AugmentedGreedyReport:
     phase1_seconds: float = 0.0
     phase2_seconds: float = 0.0
     intermediate_bound: Fraction = field(default_factory=lambda: Fraction(0))  # |E[W*]| * W*
+    probes: int = 0  # the threshold search's G[w] views built
+    searches: int = 0  # the threshold search's source searches, past the cached ones
 
 
 def augmented_greedy(
@@ -247,5 +372,7 @@ def augmented_greedy(
         phase1_seconds=t1 - t0,
         phase2_seconds=t2 - t1,
         intermediate_bound=bound,
+        probes=threshold.probes,
+        searches=threshold.searches,
     )
     return spanner, report
