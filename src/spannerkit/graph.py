@@ -23,12 +23,23 @@ Every instance's full graph search is made once: the scaled view keeps the
 full forward view (``scaled.view``) and, per demand source, the search on
 it bounded at the source's largest bound and stopped at its targets
 (``scaled.reach``, from :func:`check_distances`, the one producer of such
-lists).  Validation, the threshold search's check at the largest weight
-and its guard at the second-largest, and greedy's pair order on the full
-graph read them.  It also keeps the full reversed view (``scaled.reverse``,
-the forward view itself when undirected), which the flow LP's and the
-restricted gamma's budget windows read.  Nothing may change them.  The demands checked are always the instance's own; a check
-of other pairs is a check of a copy of the instance that holds them.
+lists), capped at the source's farthest target distance T where all of its
+pairs hold (:func:`capped_distances`): min(d, T), a consistent lower bound
+on the source's distances in any subgraph.  Validation, the threshold
+search's check at the largest weight and its guard at the second-largest,
+and greedy on the full graph (its pair order, and the potential of its
+per-pair checks) read them.  It also keeps the full reversed view
+(``scaled.reverse``, the forward view itself when undirected), which the
+flow LP's and the restricted gamma's budget windows read.  Nothing may
+change them.
+Verification asks, as greedy's second phase does, whether each pair holds
+in a subgraph H: for a source with few targets, by H's arc from source to
+target or by a search back from the target, goal-directed by the source's
+capped list; for one with many, by one search from the source.  The cache
+only chooses the searches: every pair that fails one is searched again,
+and its exact distance decides it (:func:`verify_feasible`).
+The demands checked are always the instance's own; a check of other pairs
+is a check of a copy of the instance that holds them.
 Tie-break contract: the path greedy adds for a pair is the one
 :func:`lex_shortest_path` returns, the shortest path whose node sequence is
 lexicographically smallest (between parallel arcs, the first in adjacency
@@ -374,32 +385,85 @@ def check_distances(view: GraphView, checks) -> tuple[list, ...]:
     Each is the search from ``source`` bounded at ``limit`` (the source's
     largest bound) and stopped once ``nodes`` is settled, so it is exact at
     every target within its bound.  The one producer of these lists: the
-    scaled view's cache (:attr:`~spannerkit.instance.IntegerInstance.reach`),
-    greedy on a restricted graph and :func:`verify_feasible` all take them
-    from here.
+    scaled view's cache (:attr:`~spannerkit.instance.IntegerInstance.reach`)
+    and greedy on a restricted graph take them from here, capped by
+    :func:`capped_distances`.
     """
     return tuple(
         shortest_distances(view, source, limit=limit, targets=nodes) for source, limit, _, nodes in checks
     )
 
 
+def capped_distances(checks, dists) -> tuple[list, ...]:
+    """``dists`` (from :func:`check_distances`) with each list capped where its source holds.
+
+    Where every pair of a check holds, its targets are all settled, the
+    farthest at T: entries below T are exact and the rest at least T (or
+    None), so capping them at T gives min(d(source, x), T) at every node, a
+    consistent lower bound on the source's distances in any subgraph.  The
+    targets' entries do not change.  A check with a failing pair keeps its
+    list as it is.
+    """
+    capped = []
+    for (_, _, targets, nodes), dist in zip(checks, dists):
+        if any(dist[v] is None or dist[v] > bound for v, bound, _ in targets):
+            capped.append(dist)
+        else:
+            far = max(dist[v] for v in nodes)
+            capped.append([far if x is None or x > far else x for x in dist])
+    return tuple(capped)
+
+
+def _exact_violations(view: GraphView, suspects, scale: int) -> list[tuple[int, Fraction | None]]:
+    """``(demand index, exact distance in instance units)`` of each suspect that fails, by index.
+
+    ``suspects`` yields ``(source, [(target, bound, demand index), ...])``.
+    Each source with a suspect is searched without a bound, up to its
+    suspects' targets, so the reported distance is the true one, and only a
+    suspect past its bound is reported.
+    """
+    found = []
+    for source, pairs in suspects:
+        if pairs:
+            exact = shortest_distances(view, source, targets={v for v, _, _ in pairs})
+            for v, bound, i in pairs:
+                got = exact[v]
+                if got is None or got > bound:
+                    found.append((i, None if got is None else Fraction(got, scale)))
+    found.sort(key=lambda pair: pair[0])
+    return found
+
+
 def violated_pairs(view: GraphView, checks, dists, scale: int) -> list[tuple[int, Fraction | None]]:
     """``(demand index, exact distance in instance units)`` of every failed check, by index.
 
-    ``dists`` is :func:`check_distances` of ``view`` and ``checks``; these
-    bounded searches decide each pair.  A failing source is searched again
-    without the bound, up to its failed targets, so the reported distance is
-    the true one.
+    ``dists`` holds, per check, :func:`check_distances` of ``view`` and
+    ``checks`` (capped or not); these bounded searches decide each pair.  A
+    failing source is searched again without the bound, up to its failed
+    targets, so the reported distance is the true one.
     """
-    found = []
-    for (source, _, targets, _), dist in zip(checks, dists):
-        failed = [(v, i) for v, bound, i in targets if dist[v] is None or dist[v] > bound]
-        if failed:
-            exact = shortest_distances(view, source, targets={v for v, _ in failed})
-            for v, i in failed:
-                found.append((i, None if exact[v] is None else Fraction(exact[v], scale)))
-    found.sort(key=lambda pair: pair[0])
-    return found
+    return _exact_violations(
+        view,
+        (
+            (source, [(v, bound, i) for v, bound, i in targets if dist[v] is None or dist[v] > bound])
+            for (source, _, targets, _), dist in zip(checks, dists)
+        ),
+        scale,
+    )
+
+
+# A source with at most this many targets is verified pair by pair, each pair
+# goal-directed by the source's cached full-graph distances; one with more
+# gets one bounded search for all of them.  Timed on verification alone of
+# augmented greedy's outputs, at cutoffs 0, 2, 4, ..., 64 and none (one shared
+# 2-core host), 16 was the fastest or near it on every shape tried.  Decoupled
+# with freeform bounds on every edge: 0.34 / 5.0 / 16.6 ms at n = 60 / 1000 /
+# 3000, against 0.83 / 30 / 120 ms at 0.  All pairs at n = 60: 3.2 ms
+# decoupled (the fastest) and 3.4 ms geometric (2.7 at 4, 14.9 with no
+# cutoff).  Geometric n = 150, all pairs: 20.8 ms (20.0 at 0, 200 with no
+# cutoff).  Past it, pair searches on a graph where every search reaches most
+# nodes cost more than one search from the source.
+PAIR_SEARCH_MAX = 16
 
 
 def verify_feasible(subgraph: Subgraph) -> Verdict:
@@ -409,14 +473,54 @@ def verify_feasible(subgraph: Subgraph) -> Verdict:
     the instance that holds just those: ``dataclasses.replace(instance,
     demands=subset)``.  Runs on the scaled integer view; every violation is
     reported, in demand order, with its exact distance in instance units.
+
+    A source with at most :data:`PAIR_SEARCH_MAX` targets, all of whose
+    pairs hold in the full graph, is checked pair by pair, as greedy checks
+    its pairs.  A pair holds at once when the subgraph keeps an arc from the
+    source to the target no longer than its bound.  Otherwise a search goes
+    back from the target on the subgraph's reversed arcs, bounded at the
+    pair's bound, stopped at the source and goal-directed by the source's
+    cached list (``scaled.reach``, capped: a lower bound on the source's
+    distances in any subgraph).  A source with more targets gets one search
+    bounded at its largest bound and stopped at its targets.  A source that
+    fails in the full graph fails in the subgraph too, so each of its pairs
+    is a suspect.  Every suspect is searched again without a bound, and only
+    one past its bound is reported: each "holds" is a path in the subgraph
+    and each violation carries its true distance, whatever the cache holds.
     """
     instance = subgraph.instance
     demands = instance.demands
     scaled = instance.scaled
-    checks = scaled.by_source
-    view = graph_view(scaled, edge_subset=subgraph.edge_set)
+    edge_set = subgraph.edge_set
+    view = graph_view(scaled, edge_subset=edge_set)
+    out = view.out
+    reverse = None
+    suspects = []
+    for (source, limit, targets, nodes), full in zip(scaled.by_source, scaled.reach):
+        if len(targets) > PAIR_SEARCH_MAX:
+            dist = shortest_distances(view, source, limit=limit, targets=nodes)
+            failed = [(v, bound, i) for v, bound, i in targets if dist[v] is None or dist[v] > bound]
+        elif any(full[v] is None or full[v] > bound for v, bound, _ in targets):
+            failed = targets
+        else:
+            if reverse is None:  # the subgraph's reversed view, built once and only if a source needs it
+                reverse = view
+                if instance.directed:
+                    reverse = graph_view(scaled, edge_subset=edge_set, reverse=True)
+            failed = []
+            for v, bound, i in targets:
+                # the pair's own arc; scanning the source's arcs costs no more than the first
+                # step of a search, where a lookup table would cost a pass over the subgraph
+                for head, length, _ in out[source]:
+                    if head == v and length <= bound:
+                        break
+                else:
+                    back = shortest_distances(reverse, v, limit=bound, targets=(source,), potential=full)
+                    if back[source] is None:
+                        failed.append((v, bound, i))
+        suspects.append((source, failed))
     violations = [
         PairViolation(demands[i].u, demands[i].v, demands[i].delta, achieved)
-        for i, achieved in violated_pairs(view, checks, check_distances(view, checks), scaled.scale)
+        for i, achieved in _exact_violations(view, suspects, scaled.scale)
     ]
     return Verdict(not violations, violations)

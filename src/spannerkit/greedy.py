@@ -18,20 +18,21 @@ times the lcm ``L`` of their denominators, bounds floored to
 ``floor(delta * L)``.  Every search stops past a distance and once its
 targets are settled.  A threshold probe searches a source up to its
 largest bound and its targets.  The greedy phase orders the pairs with one
-such search per source u, and caps its distances at u's farthest target
-distance T, which makes them min(d(u, x), T).  The spanner only grows inside
-the searched graph, so these bound every spanner distance from u from below:
-the spanner's arcs are kept reversed, and whether a pair already holds is
-asked by a search back from its target, bounded at the pair's bound, stopped
-at u and goal-directed by u's capped list.  For a pair that does not hold,
+such search per source u, capped at u's farthest target distance T
+(:func:`~spannerkit.graph.capped_distances`), which makes them min(d(u, x),
+T).  The spanner only grows inside the searched graph, so these bound every
+spanner distance from u from below: the spanner's arcs are kept reversed,
+and whether a pair already holds is asked by a search back from its target,
+bounded at the pair's bound, stopped at u and goal-directed by u's capped
+list.  For a pair that does not hold,
 the path is walked off the same list; no further search is needed.
 On the whole graph the searches are the instance's own: the threshold
 search's check at the largest weight (which keeps every edge) and its guard,
 and greedy's pair order when ``edge_subset`` keeps every edge (plain
 ``greedy``, and ``augmented_greedy`` whenever E[W*] = E), read the scaled
 view's cached ``view``, ``reverse`` and ``reach``, which validation built or
-the first of them builds.
-Greedy caps into new lists; the cached ones are shared and never changed.
+the first of them builds.  The cached lists come capped, so greedy reads
+them as they are; they are shared and never changed.
 Distances go back to instance units, ``Fraction(d, L)``, only in
 :class:`GreedyStep` and :class:`~spannerkit.errors.UnsatisfiableDemand`; the
 threshold search compares the view's integer weights and reports W* as a
@@ -48,6 +49,7 @@ from fractions import Fraction
 from .errors import DirectedInstance, InfeasibleInstance, LemmaViolation, UnsatisfiableDemand
 from .graph import (
     GraphView,
+    capped_distances,
     check_distances,
     graph_view,
     lex_shortest_path,
@@ -91,8 +93,8 @@ def greedy(
     whole = edge_subset is None or all(i in edge_subset for i in range(instance.m))
     view = scaled.view if whole else graph_view(scaled, edge_subset=edge_subset)
     # one search per source, up to its largest bound and its targets, settles every pair's
-    # distance; on the whole graph those are the cached ones
-    reach = scaled.reach if whole else check_distances(view, checks)
+    # distance, capped at its farthest target's; on the whole graph those are the cached ones
+    reach = scaled.reach if whole else capped_distances(checks, check_distances(view, checks))
     unsatisfiable = violated_pairs(view, checks, reach, scaled.scale)
     if unsatisfiable:
         i, achieved = unsatisfiable[0]
@@ -102,12 +104,6 @@ def greedy(
         ((dists[d.u][d.v], d.u, d.v, b.delta, d) for d, b in zip(demands, bounds) if d.u != d.v),
         key=lambda t: (t[0], t[1], t[2]),
     )
-    # every target settled, the farthest at T: entries below T are exact and the
-    # rest at least T, so capping them at T gives min(d(u, x), T); new lists, as
-    # the cached ones are shared
-    for source, _, _, nodes in checks:
-        far = max(dists[source][v] for v in nodes)
-        dists[source] = [far if x is None or x > far else x for x in dists[source]]
 
     if whole:
         reverse = scaled.reverse
@@ -176,14 +172,14 @@ def weight_threshold_search(instance: SpannerInstance, *, mst_lift: bool = False
 
     * **Guard at the second-largest weight w2.**  An edge ``(a, b)`` of
       length L is *tight* in a source's cached list when ``dist[a] + L ==
-      dist[b]`` (either way round when undirected).  Every node on a
-      shortest path to a target settles before that target, so its entry is
-      exact, and the path's edges are tight.  A source with no tight
-      top-weight edge into a node no farther than its farthest target
+      dist[b]`` (either way round when undirected).  The list is capped at
+      the source's farthest target distance T, min(d, T), so every node on
+      a shortest path to a target has its exact distance there, and the
+      path's edges are tight.  A source with no tight top-weight edge
       therefore keeps a shortest path to each target in G[w2], and holds
       there without a search.  The other sources are searched on one view
-      of G[w2] (a tentative entry can only flag a source that did not need
-      it); if one fails, W* is the top weight and nothing else is built.
+      of G[w2]; if one fails, W* is the top weight and nothing else is
+      built.
     * **Record pass below w2**, Chan's record-breaking technique.  The
       sources are visited in one fixed scrambled order, keeping a candidate
       c that every visited source holds at.  A source that holds in G[c]
@@ -254,24 +250,20 @@ def weight_threshold_search(instance: SpannerInstance, *, mst_lift: bool = False
 
 
 def _top_tight(scaled: IntegerInstance, top_arcs: list) -> list:
-    """The checks whose cached full-graph search has a top-weight arc ``(a, b, length)`` tight.
+    """The checks whose cached full-graph list has a top-weight arc ``(a, b, length)`` tight.
 
-    Only a tight arc whose head is no farther than the source's farthest
-    target counts: every node on a shortest path to a target is, and every
-    tentative entry is at least as far.
+    Asked only when every source holds, so each list is capped at its
+    farthest target's distance T: min(d(a), T) + length == min(d(b), T).
+    With positive lengths that is the arc tight in the search itself with
+    its head no farther than T: the tail is then nearer than T, so settled
+    and exact, and it relaxed the arc, which leaves the head's entry at
+    most T and so exact or T.
     """
-    flagged = []
-    for check, dist in zip(scaled.by_source, scaled.reach):
-        nodes, far = check[3], None
-        for a, b, length in top_arcs:
-            da = dist[a]
-            if da is not None and dist[b] == da + length:
-                if far is None:
-                    far = max(map(dist.__getitem__, nodes))
-                if dist[b] <= far:
-                    flagged.append(check)
-                    break
-    return flagged
+    return [
+        check
+        for check, dist in zip(scaled.by_source, scaled.reach)
+        if any(dist[a] + length == dist[b] for a, b, length in top_arcs)
+    ]
 
 
 def _record_pass(scaled: IntegerInstance, weights: list, base: GraphView) -> tuple[int, int, int]:

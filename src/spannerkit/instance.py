@@ -38,12 +38,14 @@ first use and kept for the instance's life: :attr:`IntegerInstance.view`,
 the forward graph view of every edge, :attr:`IntegerInstance.reverse`, the
 same reversed (the forward view itself when undirected), and
 :attr:`IntegerInstance.reach`, each demand source's search on the forward
-view, bounded at its largest bound and stopped at its targets.
+view, bounded at its largest bound and stopped at its targets, and capped
+at its farthest target's distance where all of the source's pairs hold.
 Validation, the threshold search's probe at the largest weight (the full
 graph) and greedy's pair order on the full graph read them instead of
-searching again; the connectivity check and the exact search's root check
-read the forward view, and the flow LP and the restricted gamma read both
-views for their budget windows.  All are shared, so no reader may change
+searching again, and greedy's and the verifier's per-pair searches are
+goal-directed by the capped lists; the connectivity check and the exact
+search's root check read the forward view, and the flow LP and the
+restricted gamma read both views for their budget windows.  All are shared, so no reader may change
 them.  They travel with a pickled instance.
 
 An instance's demands are the only ones its solvers and checks answer for,
@@ -321,7 +323,7 @@ class IntegerInstance:
     :attr:`view`, :attr:`reverse` and :attr:`reach` (see the module
     docstring) are built on first use and kept, like :attr:`by_source`.
     They are shared by every reader and read-only: a reader that needs other
-    values (greedy caps the distances) builds new lists.
+    values builds new lists.
     """
 
     directed: bool
@@ -381,11 +383,15 @@ class IntegerInstance:
         Each is that source's search bounded at its largest bound and
         stopped once its targets are settled
         (:func:`~spannerkit.graph.check_distances`): exact at every target
-        within its bound, None past it.
+        within its bound, None past it.  Where every pair of the source
+        holds, the list is capped at the distance T of its farthest target
+        (:func:`~spannerkit.graph.capped_distances`): min(d(source, x), T)
+        at every node x, a consistent lower bound on the source's distances
+        in every subgraph, which greedy and the verifier search by.
         """
-        from .graph import check_distances
+        from .graph import capped_distances, check_distances
 
-        return check_distances(self.view, self.by_source)
+        return capped_distances(self.by_source, check_distances(self.view, self.by_source))
 
     def unscale(self, dist: int | None) -> Fraction | None:
         """A scaled distance in instance units; None (unreachable) stays None."""

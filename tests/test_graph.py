@@ -13,6 +13,8 @@ from spannerkit.errors import DirectedInstance, SpannerError
 from spannerkit.generators import example5, nonmetric_triangle, random_instance
 from spannerkit.graph import (
     GraphView,
+    PairViolation,
+    Verdict,
     graph_view,
     lex_shortest_path,
     minimum_spanning_tree,
@@ -20,8 +22,8 @@ from spannerkit.graph import (
     shortest_distances,
     verify_feasible,
 )
-from spannerkit.greedy import greedy
-from spannerkit.instance import Demand, Edge, SpannerInstance, Subgraph
+from spannerkit.greedy import augmented_greedy, greedy
+from spannerkit.instance import Demand, Edge, SpannerInstance, Subgraph, validate
 from test_int_core import PROFILE, instances, rationals
 
 
@@ -576,3 +578,139 @@ def test_verify_triangle_keeps_nonmetric_edge():
     verdict = verify_feasible(sub)
     assert verdict.feasible
     assert sub.weight == Fraction(3, 2)
+
+
+# ---------------------------------------------------------------------------
+# verify_feasible's two paths: pair by pair off the cached lists, or one search per source
+
+
+def per_source_verdict(sub):
+    """The verifier with one bounded search per source, each failing source searched again unbounded."""
+    inst, scaled = sub.instance, sub.instance.scaled
+    view = graph_view(scaled, edge_subset=sub.edge_set)
+    found = []
+    for source, limit, targets, nodes in scaled.by_source:
+        dist = shortest_distances(view, source, limit=limit, targets=nodes)
+        failed = [(v, i) for v, bound, i in targets if dist[v] is None or dist[v] > bound]
+        if failed:
+            exact = shortest_distances(view, source, targets={v for v, _ in failed})
+            found += [(i, None if exact[v] is None else Fraction(exact[v], scaled.scale)) for v, i in failed]
+    found.sort(key=lambda pair: pair[0])
+    demands = inst.demands
+    violations = [PairViolation(demands[i].u, demands[i].v, demands[i].delta, a) for i, a in found]
+    return Verdict(not violations, violations)
+
+
+def verdicts_at_each_cutoff(sub):
+    """verify_feasible with every source searched once, at the module's cutoff, and with every pair apart."""
+    every = 1 + max((len(targets) for _, _, targets, _ in sub.instance.scaled.by_source), default=0)
+    verdicts = []
+    for cutoff in (0, graph_module.PAIR_SEARCH_MAX, every):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "PAIR_SEARCH_MAX", cutoff)
+            verdicts.append(verify_feasible(sub))
+    return verdicts
+
+
+def _instance(directed, n, edges, demands):
+    return SpannerInstance(
+        directed,
+        n,
+        tuple(Edge(u, v, Fraction(1), Fraction(ln)) for u, v, ln in edges),
+        tuple(Demand(u, v, Fraction(delta)) for u, v, delta in demands),
+    )
+
+
+# never validated: each breaks a rule validation enforces, beside pairs that hold
+UNVALIDATED = (
+    # (0, 2) asks for less than the graph achieves; (0, 1) holds
+    _instance(False, 3, ((0, 1, 1), (1, 2, 1)), ((0, 1, 1), (0, 2, Fraction(3, 2)))),
+    # node 2 is unreachable from 0 in a directed path 0 -> 1 <- 2
+    _instance(True, 3, ((0, 1, 1), (2, 1, 1)), ((0, 1, 2), (0, 2, 5), (2, 1, 1))),
+    # scale 2, so the bound 1/3 floors to 0; (0, 1) holds at 1/2
+    _instance(False, 3, ((0, 1, Fraction(1, 2)), (1, 2, 1)), ((0, 1, 1), (1, 2, Fraction(1, 3)))),
+    # the same pair twice, once met and once not, and its reverse as a third demand
+    _instance(False, 4, ((0, 1, 2), (1, 2, 1), (0, 2, 1)), ((0, 1, 2), (0, 1, 1), (1, 0, 3), (2, 3, 1))),
+    # a source whose first pair fails in the graph and whose second holds by its own edge
+    _instance(True, 3, ((0, 1, 1), (0, 2, 1), (2, 1, 1)), ((0, 2, Fraction(1, 2)), (0, 1, 1), (2, 1, 1))),
+)
+
+
+@st.composite
+def generated_instances(draw):
+    """Valid generated instances up to n = 20, so that all-pairs sources pass the cutoff."""
+    # integers() favours the small: here that is n = 20, where all-pairs sources pass the cutoff
+    n = 20 - draw(st.integers(0, 18))
+    pairs = draw(st.sampled_from(("edges", "all", "random")))
+    return random_instance(
+        draw(st.sampled_from(("decoupled", "coupled", "unit-length", "geometric"))),
+        n,
+        draw(st.integers(n - 1, 3 * n)),
+        draw(st.integers(0, 2**16)),
+        demand_family=draw(st.sampled_from(("multiplicative", "additive", "freeform"))),
+        demand_pairs=pairs,
+        num_demands=draw(st.integers(1, n * (n - 1) // 2)) if pairs == "random" else None,
+        integer_lengths=draw(st.booleans()),
+        directed=draw(st.booleans()),
+    )
+
+
+@st.composite
+def verify_cases(draw):
+    """A random edge subset of a generated, randomly drawn or hand-built unvalidated instance."""
+    inst = draw(st.one_of(generated_instances(), instances(), st.sampled_from(UNVALIDATED)))
+    keep = draw(st.sampled_from((0.0, 0.5, 0.8, 1.0)))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    return Subgraph(inst, frozenset(i for i in range(inst.m) if rng.random() < keep))
+
+
+VERIFY_PATHS = settings(max_examples=500, derandomize=True, deadline=None, database=None)
+
+
+@VERIFY_PATHS
+@given(verify_cases())
+def test_verify_gives_one_verdict_whichever_path_checks_a_source(sub):
+    expected = per_source_verdict(sub)
+    assert verdicts_at_each_cutoff(sub) == [expected] * 3
+
+
+@VERIFY_PATHS
+@given(verify_cases(), st.integers(1, 2**21))
+def test_verify_verdict_does_not_depend_on_the_cached_lists(sub, extra):
+    # the cache only chooses the searches: inflated lists break the potential's lower
+    # bound and zeroed ones make every source look as if it held, with the same verdict
+    expected = per_source_verdict(sub)
+    reach = sub.instance.scaled.reach
+    for lists in (
+        tuple([None if x is None else x + extra for x in dist] for dist in reach),
+        tuple([0] * len(dist) for dist in reach),
+    ):
+        copy = replace(sub.instance)
+        copy.scaled.__dict__["reach"] = lists  # the cached property's slot
+        assert verdicts_at_each_cutoff(Subgraph(copy, sub.edge_set)) == [expected] * 3
+
+
+def test_verify_searches_only_the_pairs_not_met_by_their_own_edge(monkeypatch):
+    inst = random_instance("decoupled", 60, 180, 424200001, demand_family="freeform", demand_pairs="edges")
+    assert validate(inst).ok
+    sub, _ = augmented_greedy(inst)
+    scaled = inst.scaled
+    assert max(len(targets) for _, _, targets, _ in scaled.by_source) <= graph_module.PAIR_SEARCH_MAX
+    own = {
+        (e.u, e.v)
+        for i, e in enumerate(inst.edges)
+        if i in sub.edge_set and any({d.u, d.v} == {e.u, e.v} and e.length <= d.delta for d in inst.demands)
+    }
+    assert own
+    searches = []
+    search = graph_module.shortest_distances
+
+    def counting(view, source, **kwargs):
+        searches.append((source, tuple(kwargs.get("targets") or ())))
+        return search(view, source, **kwargs)
+
+    monkeypatch.setattr(graph_module, "shortest_distances", counting)
+    assert verify_feasible(sub).feasible
+    # each other pair is one search back from its target, stopped at its source
+    expected = sorted((d.v, (d.u,)) for d in inst.demands if (d.u, d.v) not in own and (d.v, d.u) not in own)
+    assert sorted(searches) == expected
