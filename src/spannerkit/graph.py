@@ -291,19 +291,20 @@ def minimum_spanning_tree(instance: SpannerInstance) -> tuple[Fraction, frozense
 # Metric terminal pairs
 
 
-def reduce_to_metric_pairs(instance: SpannerInstance) -> tuple[Demand, ...]:
-    """The demands not implied by a chain of other demands, in demand order.
+def metric_pairs(scaled: IntegerInstance) -> tuple[int, ...]:
+    """The indices of the demands not implied by a chain of other demands, in demand order.
 
-    Works in scaled units, on the floored bounds of ``instance.scaled``.  The
-    demand graph has one arc per demand ``j = (w, x)``, weighted ``delta_j``
-    (one each way when undirected), and is searched once per demand source,
+    Works in scaled units, on the floored bounds of the view.  The demand
+    graph has one arc per demand ``j = (w, x)``, weighted ``delta_j`` (one
+    each way when undirected), and is searched once per demand source,
     bounded at the source's largest bound, which keeps it exact wherever the
     rule reads it.  Demand ``i = (u, v)`` is dropped iff an in-arc ``j = (w,
     v)`` with ``w != u`` (so ``j != i``) has ``d(u, w) + delta_j <= delta_i``.
     Arcs are positive, so that walk avoids arc i and each of its demands has
     a smaller bound: a subgraph meets every demand iff it meets the kept
     ones.  The scaled view has the instance's feasible sets, so this holds
-    in instance units too.
+    in instance units too.  Read it as :attr:`IntegerInstance.metric`,
+    which computes it once per view.
 
     Flooring can make a chain fit in scaled units only (bounds 3/2, 3/2 and
     5/2 at scale 1 floor to 1, 1 and 2), so with fractional bounds the result
@@ -313,26 +314,30 @@ def reduce_to_metric_pairs(instance: SpannerInstance) -> tuple[Demand, ...]:
     no subgraph meets it, and it is never dropped.  Self-pairs always hold
     and are left out.
     """
-    scaled = instance.scaled
-    view = GraphView(instance.n)
-    into: list[list[tuple[int, int]]] = [[] for _ in range(instance.n)]  # (tail, bound) per in-arc
+    view = GraphView(scaled.n)
+    into: list[list[tuple[int, int]]] = [[] for _ in range(scaled.n)]  # (tail, bound) per in-arc
     for j, d in enumerate(scaled.demands):
         if d.delta < 1:
             continue
         view.out[d.u].append((d.v, d.delta, j))
         into[d.v].append((d.u, d.delta))
-        if not instance.directed:
+        if not scaled.directed:
             view.out[d.v].append((d.u, d.delta, j))
             into[d.u].append((d.v, d.delta))
-    kept = set()
+    kept = []
     for source, limit, targets, _ in scaled.by_source:
         dist = shortest_distances(view, source, limit=limit)
         for v, bound, i in targets:
             if not any(
                 w != source and dist[w] is not None and dist[w] + length <= bound for w, length in into[v]
             ):
-                kept.add(i)
-    return tuple(d for i, d in enumerate(instance.demands) if i in kept)
+                kept.append(i)
+    return tuple(sorted(kept))
+
+
+def reduce_to_metric_pairs(instance: SpannerInstance) -> tuple[Demand, ...]:
+    """The instance's demands at the indices :attr:`IntegerInstance.metric` keeps (:func:`metric_pairs`)."""
+    return tuple(instance.demands[i] for i in instance.scaled.metric)
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,10 @@ graph) and greedy's pair order on the full graph read them instead of
 searching again, and greedy's and the verifier's per-pair searches are
 goal-directed by the capped lists; the connectivity check and the exact
 search's root check read the forward view, and the flow LP and the
-restricted gamma read both views for their budget windows.  All are shared, so no reader may change
-them.  They travel with a pickled instance.
+restricted gamma read both views for their budget windows.  The flow LP
+also reads :attr:`IntegerInstance.metric`, the indices of the demands no
+chain of other demands implies, its commodities.  All are shared, so no
+reader may change them.  They travel with a pickled instance.
 
 An instance's demands are the only ones its solvers and checks answer for,
 through :attr:`IntegerInstance.by_source` and ``reach``.  To ask about a
@@ -320,8 +322,9 @@ class IntegerInstance:
     integer-length view the layered-extension LP requires.  A value cached on
     its instance with no reference back: ``n``, ``directed`` and ``edges`` are its own.
 
-    :attr:`view`, :attr:`reverse` and :attr:`reach` (see the module
-    docstring) are built on first use and kept, like :attr:`by_source`.
+    :attr:`view`, :attr:`reverse`, :attr:`reach` and :attr:`metric` (see
+    the module docstring) are built on first use and kept, like
+    :attr:`by_source`.
     They are shared by every reader and read-only: a reader that needs other
     values builds new lists.
     """
@@ -392,6 +395,19 @@ class IntegerInstance:
         from .graph import capped_distances, check_distances
 
         return capped_distances(self.by_source, check_distances(self.view, self.by_source))
+
+    @cached_property
+    def metric(self) -> tuple[int, ...]:
+        """The indices of the demands no chain of other demands implies, in demand order.
+
+        :func:`~spannerkit.graph.metric_pairs` of this view: a subgraph
+        meets every demand iff it meets these.  The flow LP ships one
+        commodity per kept pair; nothing else reads it, so it is built only
+        when an LP is.
+        """
+        from .graph import metric_pairs
+
+        return metric_pairs(self)
 
     def unscale(self, dist: int | None) -> Fraction | None:
         """A scaled distance in instance units; None (unreachable) stays None."""

@@ -1,6 +1,12 @@
 """Multicommodity-flow LP over the layered extension, solving, and export.
 
-One commodity per demand pair is shipped from ``u_0`` to ``v_delta(u,v)``.
+One commodity is shipped from ``u_0`` to ``v_delta(u,v)`` per metric pair:
+each demand that no chain of other demands implies
+(:attr:`IntegerInstance.metric`), in demand order, so commodity k is the
+k-th kept pair.  A subgraph meets every demand iff it meets the kept ones, so
+the spanner problem's optimum OPT is unchanged, and LP(metric) <= LP(all
+pairs) <= OPT: the rounding analysis holds on the smaller LP.  An instance
+with no implied pair gets the model of all its pairs.
 A pair gets a flow variable only for the arcs on some ``u_0 -> v_delta``
 path: the extension is acyclic, so every feasible flow decomposes into such
 paths and any other arc carries zero flow, which leaves the optimum unchanged.
@@ -47,11 +53,12 @@ if TYPE_CHECKING:
 # The most flow columns build_mcf builds; over it, it raises TooLarge before
 # allocating any.  Measured on a 2-core host: a model takes about 1.4 KB of
 # memory per column once HiGHS holds it, and HiGHS time grows faster than the
-# columns (300,003 columns: 13 s and 576 MB; coupled all-pairs n=40 at the
-# CLI's default alpha, 902,797 columns: over 9 minutes and 1.3 GB).  The cap
-# admits that instance and every pinned model, and rejects the triangle of
-# length-10^6 edges (3,000,003 columns), which used to run into HiGHS's
-# bad_alloc.
+# columns (300,003 columns: 13 s and 576 MB).  The cap admits every pinned
+# model and rejects the triangle of length-10^6 edges (3,000,003 columns),
+# which used to run into HiGHS's bad_alloc.  An admitted model can still be
+# slow: coupled all-pairs n=40 at the CLI's default alpha had 902,797 columns
+# on all 780 pairs and ran for over 9 minutes at 1.3 GB; on its 74 metric
+# pairs it has 5,778 and solves in well under a second.
 MAX_FLOW_COLUMNS = 1_000_000
 
 
@@ -81,15 +88,17 @@ class StandardLp:
 
 @dataclass(kw_only=True)
 class McfModel(StandardLp):
-    """The flow LP; columns are each pair's flow columns, then the edge variables.
+    """The flow LP; columns are each commodity's flow columns, then the edge variables.
 
-    ``a_ub`` holds the coupling rows ``sum_i f_(pair,arc_i) - x_e <= 0`` and
-    ``a_eq`` the conservation rows, one per (pair, touched extension node).
+    ``demands`` are the commodities: the scaled demands at the indices
+    :attr:`IntegerInstance.metric` keeps.  ``a_ub`` holds the coupling rows
+    ``sum_i f_(pair,arc_i) - x_e <= 0`` and ``a_eq`` the conservation rows,
+    one per (pair, touched extension node).
     """
 
     extension: DeltaExtension
-    demands: tuple[Demand, ...]
-    flow_arcs: tuple[tuple[int, ...], ...]  # per pair: the arc id of each flow column
+    demands: tuple[Demand, ...]  # one per commodity, in demand order
+    flow_arcs: tuple[tuple[int, ...], ...]  # per commodity: the arc id of each flow column
     num_edge_vars: int
 
     @property
@@ -103,10 +112,15 @@ class McfModel(StandardLp):
 
 
 def build_mcf(extension: DeltaExtension) -> McfModel:
-    """Assemble the flow LP for the extension's instance and its demand pairs.
+    """Assemble the flow LP for the extension's instance, one commodity per metric pair.
 
-    The extension is as deep as the instance's largest bound, so every
-    pair's sink layer ``v_delta`` exists.  Raises :class:`TooLarge` when the
+    The commodities are the demands no chain of other demands implies
+    (:attr:`IntegerInstance.metric`, computed once per instance): budget
+    windows, flow columns, coupling and conservation rows are built for them
+    only.  Every subgraph that meets them meets every demand, so the
+    spanner problem's optimum is unchanged and the LP still bounds it from
+    below.  The extension is as deep as the instance's largest bound, so
+    every pair's sink layer ``v_delta`` exists.  Raises :class:`TooLarge` when the
     kept runs hold more than :data:`MAX_FLOW_COLUMNS` columns, counted
     before any column is built.
     """
@@ -114,7 +128,7 @@ def build_mcf(extension: DeltaExtension) -> McfModel:
     import scipy.sparse as sp
 
     inst = extension.instance.scaled
-    demands = inst.demands
+    demands = tuple(inst.demands[i] for i in inst.metric)
     kept_runs = []  # per pair: (run, lo, hi) for each run whose arcs lo .. hi-1 are kept
     for d in demands:
         from_u, to_v = budget_window(inst, d)
@@ -196,8 +210,10 @@ def build_mcf(extension: DeltaExtension) -> McfModel:
 _HIGHS_STATUS = {1: "iteration_limit", 2: "infeasible", 3: "unbounded"}
 
 
-def solve_standard(lp: StandardLp) -> tuple[np.ndarray, float]:
-    """Solve ``lp`` with scipy's HiGHS; returns (x, objective).
+def solve_standard(lp: StandardLp) -> tuple[np.ndarray, float, int]:
+    """Solve ``lp`` with scipy's HiGHS; returns (x, objective, iterations).
+
+    ``iterations`` is HiGHS's iteration count (``res.nit``).
 
     Raises :class:`SolverFailure` carrying the solver's status on anything but
     an optimum, and wraps any exception the solver raises.  numpy and
@@ -222,7 +238,7 @@ def solve_standard(lp: StandardLp) -> tuple[np.ndarray, float]:
         raise SolverFailure("failed", f"{type(exc).__name__}: {exc}") from exc
     if res.status != 0 or res.x is None:
         raise SolverFailure(_HIGHS_STATUS.get(res.status, "failed"), res.message)
-    return res.x, float(res.fun)
+    return res.x, float(res.fun), int(res.nit)
 
 
 @dataclass
@@ -232,19 +248,22 @@ class FractionalSolution:
     x: np.ndarray  # per edge variable, clamped into [0,1]
     f: np.ndarray  # per flow column, in the model's column order
     primal_residual: float
+    iterations: int  # HiGHS's iteration count
 
 
 def solve_lp(model: McfModel) -> FractionalSolution:
     """Solve the model; raise :class:`SolverFailure` on any non-optimal status."""
     import numpy as np
 
-    values, _ = solve_standard(model)
+    values, _, iterations = solve_standard(model)
     num_flow = model.num_flow_vars
     x_edges = np.clip(values[num_flow:], 0.0, 1.0) + 0.0  # + 0.0 turns HiGHS's -0.0 into 0.0
     resid_eq = float(np.max(np.abs(model.a_eq @ values - model.b_eq), initial=0.0))
     resid_ub = float(np.max(model.a_ub @ values - model.b_ub, initial=0.0))
     objective = float(model.c[num_flow:] @ x_edges)
-    return FractionalSolution(model, objective, x_edges, values[:num_flow], max(resid_eq, resid_ub))
+    return FractionalSolution(
+        model, objective, x_edges, values[:num_flow], max(resid_eq, resid_ub), iterations
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,8 @@ def round_solution(solution: FractionalSolution, spec: GammaSpec, seed: int) -> 
 class RandomizedRoundingReport:
     gamma: GammaSpec
     lp_objective: float
+    commodities: int  # the LP's commodities: the instance's metric pairs
+    lp_iterations: int  # HiGHS's iteration count on the LP
     attempts: list[RoundingRun] = field(default_factory=list)
     accepted_attempt: int | None = None  # index into attempts, None if all failed
 
@@ -145,16 +147,21 @@ def solve_randomized(
 ) -> tuple[Subgraph, RandomizedRoundingReport]:
     """Full pipeline: one LP solve, then up to ``max_attempts`` roundings.
 
-    Attempts reuse the single fractional solution with independently derived
-    seeds; the first exactly-verified feasible one is returned.  If all fail,
-    the last attempt comes back flagged infeasible with the violated pairs in
-    its verdict.  Requires integer lengths.
+    The LP ships one commodity per metric pair (:func:`build_mcf`); the
+    report counts them (``commodities``) and HiGHS's iterations
+    (``lp_iterations``).  gamma keeps |K|, every demand of the instance: a
+    larger gamma still covers the union bound over the kept pairs.  Attempts
+    reuse the single fractional solution with independently derived seeds,
+    and each rounding is verified exactly against every demand of the
+    instance, implied ones included; the first feasible one is returned.  If
+    all fail, the last attempt comes back flagged infeasible with the
+    violated pairs in its verdict.  Requires integer lengths.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
     spec = gamma(instance, mode, confidence=confidence)
     if not instance.demands:
-        report = RandomizedRoundingReport(spec, 0.0)
+        report = RandomizedRoundingReport(spec, 0.0, 0, 0)
         empty = RoundingRun(seed, (), Fraction(0), Verdict(True, []))
         report.attempts.append(empty)
         report.accepted_attempt = 0
@@ -163,7 +170,7 @@ def solve_randomized(
     extension = build_extension(instance)
     model = build_mcf(extension)
     solution = solve_lp(model)
-    report = RandomizedRoundingReport(spec, solution.objective)
+    report = RandomizedRoundingReport(spec, solution.objective, len(model.demands), solution.iterations)
     for attempt in range(max_attempts):
         run = round_solution(solution, spec, derive_seed(seed, b"attempt", attempt))
         run.attempt = attempt

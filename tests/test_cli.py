@@ -15,7 +15,9 @@ from spannerkit import bench, cli
 from spannerkit.cli import main
 from spannerkit.errors import ParseError
 from spannerkit.generators import DEMAND_FAMILIES, DEMAND_PAIRS, WEIGHT_FAMILIES
+from spannerkit.instance import save
 from spannerkit.rounding import GAMMA_MODES
+from test_graph import dominated_triangle
 
 
 def run_cli(args):
@@ -339,12 +341,23 @@ def test_command_line_flags_never_exit_4(tmp_path, args):
     assert run_cli(args) in (0, 2, 3), args
 
 
-def test_export_lp(ex5, tmp_path):
+def test_export_lp(ex5, tmp_path, capsys):
     out = tmp_path / "model.lp"
     assert run_cli(["export-lp", str(ex5), "--out", str(out)]) == 0
     text = out.read_text()
     assert "Minimize" in text and "End" in text
     assert text.count("x_e") >= 3
+    assert capsys.readouterr().out == (
+        f"wrote {out}: 17 columns, 5 coupling + 13 conservation rows, 3 of 3 pairs\n"
+    )
+
+
+def test_export_lp_writes_the_metric_pairs_model(tmp_path, capsys):
+    save(dominated_triangle(), str(tmp_path / "inst.json"))
+    out = tmp_path / "model.lp"
+    assert run_cli(["export-lp", str(tmp_path / "inst.json"), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.endswith(", 2 of 3 pairs\n")
+    assert "f_k1_" in out.read_text() and "f_k2_" not in out.read_text()
 
 
 def test_oracle_exact(ex5, tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -410,6 +411,50 @@ def test_flooring_may_drop_a_pair_the_instance_bounds_keep():
     )
     assert reduce_to_metric_pairs(inst) == inst.demands[:2]
     assert metric_reference(inst, inst.demands) == inst.demands
+
+
+def dominated_triangle():
+    """(0, 2) within 3 is implied by (0, 1) and (1, 2) within 1 each."""
+    edges = tuple(Edge(u, v, Fraction(1), Fraction(1)) for u, v in ((0, 1), (0, 2), (1, 2)))
+    demands = (Demand(0, 1, Fraction(1)), Demand(0, 2, Fraction(3)), Demand(1, 2, Fraction(1)))
+    return SpannerInstance(False, 3, edges, demands)
+
+
+def test_metric_pairs_are_built_once_and_read_by_the_reduction(monkeypatch):
+    calls = []
+    compute = graph_module.metric_pairs
+
+    def counting(scaled):
+        calls.append(scaled)
+        return compute(scaled)
+
+    monkeypatch.setattr(graph_module, "metric_pairs", counting)
+    inst = dominated_triangle()
+    assert inst.scaled.metric == (0, 2)
+    assert reduce_to_metric_pairs(inst) == (inst.demands[0], inst.demands[2])
+    assert inst.scaled.metric == (0, 2)
+    assert calls == [inst.scaled]
+    inst.scaled.__dict__["metric"] = (1,)  # the cached property's slot
+    assert reduce_to_metric_pairs(inst) == (inst.demands[1],)
+    assert len(calls) == 1
+
+
+def test_metric_pairs_travel_with_a_pickled_instance(monkeypatch):
+    inst = dominated_triangle()
+    kept = inst.scaled.metric
+    monkeypatch.setattr(graph_module, "metric_pairs", None)  # a copy that searched again would fail
+    copy = pickle.loads(pickle.dumps(inst))
+    assert copy.scaled.metric == kept == (0, 2)
+
+
+def test_a_demand_subset_gets_its_own_metric_pairs():
+    inst = dominated_triangle()
+    assert inst.scaled.metric == (0, 2)
+    # without (0, 1) nothing implies (0, 2) any more
+    subset = replace(inst, demands=inst.demands[1:])
+    assert subset.scaled is not inst.scaled
+    assert subset.scaled.metric == (0, 1)
+    assert reduce_to_metric_pairs(subset) == subset.demands
 
 
 def test_shortest_distances_limit_cuts_off_farther_nodes():

@@ -1,21 +1,24 @@
 import math
+import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from spannerkit import graph, oracles
+from spannerkit import bench, graph, oracles
 from spannerkit.errors import NonIntegerLength
 from spannerkit.extension import build_extension
 from spannerkit.generators import example5, random_instance
-from spannerkit.graph import verify_feasible
+from spannerkit.graph import reduce_to_metric_pairs, verify_feasible
+from spannerkit.greedy import augmented_greedy, greedy
 from spannerkit.instance import (
     Demand,
     Edge,
     SpannerInstance,
     Subgraph,
     require_integer_lengths,
+    validate,
 )
 from spannerkit.mcf import build_mcf, solve_lp
 from spannerkit.rounding import (
@@ -185,6 +188,31 @@ def test_solve_randomized_deterministic_per_seed():
     sub2, rep2 = solve_randomized(inst, seed=17)
     assert sub1.edge_set == sub2.edge_set
     assert [r.chosen_edges for r in rep1.attempts] == [r.chosen_edges for r in rep2.attempts]
+
+
+def test_lp_counters_repeat_across_reruns_and_stay_out_of_the_solve_info():
+    # 4 of its 10 edge demands are implied by the others
+    inst = random_instance("coupled", 6, 10, 706, demand_family="multiplicative", integer_lengths=True)
+    _, report = solve_randomized(inst, seed=3)
+    assert report.commodities == len(reduce_to_metric_pairs(inst)) == 6
+    assert report.gamma.num_pairs == len(inst.demands) == 10  # gamma keeps |K|
+    for again in (inst, pickle.loads(pickle.dumps(inst)), replace(inst)):
+        _, rerun = solve_randomized(again, seed=3)
+        assert (rerun.commodities, rerun.lp_iterations) == (report.commodities, report.lp_iterations)
+    _, info = bench.run_algorithm(inst, "randomized-rounding", config=bench.ExperimentConfig(), seed=3)
+    assert set(info) == {"gamma", "attempts"}
+
+
+def test_only_the_lp_builds_the_metric_pairs():
+    inst = random_instance("coupled", 6, 10, 706, demand_family="multiplicative", integer_lengths=True)
+    assert validate(inst).ok
+    greedy(inst)
+    sub, _ = augmented_greedy(inst)
+    verify_feasible(sub)
+    oracles.exact_optimum(inst)
+    assert "metric" not in inst.scaled.__dict__
+    solve_randomized(inst)
+    assert "metric" in inst.scaled.__dict__
 
 
 def test_solve_randomized_output_verified_feasible():
