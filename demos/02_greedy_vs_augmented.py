@@ -3,10 +3,11 @@ fixes it.
 
 Greedy adds shortest paths cheapest-*distance*-first, so on the running
 example it grabs the short-but-expensive direct edge before ever looking at
-the cheap detour.  The augmented variant first binary-searches the smallest
+the cheap detour.  The augmented variant first finds the smallest
 edge-weight threshold W* whose weight-restricted subgraph is already
-feasible; W* lower-bounds the optimum, and greedy run inside that restricted
-graph can no longer touch overpriced edges.
+feasible (a guard at the second-largest weight, then a record-breaking pass
+over the sources); W* lower-bounds the optimum, and greedy run inside that
+restricted graph can no longer touch overpriced edges.
 """
 
 from spannerkit import (

@@ -3,9 +3,10 @@ with independent edge weights, lengths, and per-pair distance bounds.
 
 Two solvers:
 
-* :func:`augmented_greedy` -- binary-search the smallest feasible edge-weight
-  threshold, then greedily sparsify inside it (deterministic, any rational
-  lengths, weight at most m times the optimum);
+* :func:`augmented_greedy` -- find the smallest feasible edge-weight
+  threshold (a guard at the second-largest weight, then a record-breaking
+  pass over the sources), then greedily sparsify inside it (deterministic,
+  any rational lengths, weight at most m times the optimum);
 * :func:`solve_randomized` -- round an optimal multicommodity-flow solution
   over a layered length-encoding extension (integer lengths, feasible with
   high probability at an ln-factor expected weight).
@@ -29,7 +30,7 @@ from .errors import (
     TooManyCuts,
     UnsatisfiableDemand,
 )
-from .extension import DeltaExtension, build_extension, reachable_path
+from .extension import DeltaExtension, build_extension
 from .generators import (
     dk_edge,
     example5,
@@ -65,7 +66,7 @@ from .instance import (
     save,
     validate,
 )
-from .mcf import FractionalSolution, McfModel, build_mcf, export_lp, read_lp, solve_lp
+from .mcf import FractionalSolution, McfModel, build_mcf, export_lp, solve_lp
 from .oracles import (
     CutLabeling,
     ExactResult,
@@ -143,8 +144,6 @@ __all__ = [
     "parse_rational",
     "potential_monitor",
     "random_instance",
-    "reachable_path",
-    "read_lp",
     "reduce_to_metric_pairs",
     "require_integer_lengths",
     "restricted_subgraph",

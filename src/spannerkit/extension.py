@@ -21,7 +21,6 @@ instance with no reference back to it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,7 +53,14 @@ class DeltaExtension:
 
     @cached_property
     def arcs(self) -> tuple[ExtArc, ...]:
-        """Every arc, indexed by arc id."""
+        """Every arc, indexed by arc id.
+
+        No function of the library reads it: the flow LP, the cut-lemma
+        check and the subdivision demo all read :attr:`groups`.  It stays for
+        the benchmark tracer's arc count (``perfbench/tracer.py``), demo 03
+        and the tests, and goes with :class:`ExtArc` once the tracer counts
+        the runs instead.
+        """
         layers = self.delta_bar + 1
         return tuple(
             ExtArc(g.tail * layers + i, g.head * layers + i + g.length, g.edge)
@@ -104,36 +110,3 @@ def build_extension(instance: SpannerInstance) -> DeltaExtension:
             first += delta_bar - length + 1
     return DeltaExtension(instance, delta_bar, tuple(groups))
 
-
-def reachable_path(
-    extension: DeltaExtension,
-    edge_subset,
-    source_ext: int,
-    target_ext: int,
-) -> tuple[int, ...] | None:
-    """BFS path (as arc indices) from one extension node to another.
-
-    Only arcs whose originating edge lies in ``edge_subset`` are usable;
-    self-arcs are always available.  Returns None when unreachable.
-    """
-    out: list[list[int]] = [[] for _ in range(extension.node_count)]
-    for arc_id, arc in enumerate(extension.arcs):
-        if arc.edge is None or arc.edge in edge_subset:
-            out[arc.tail].append(arc_id)
-    parent: dict[int, int] = {source_ext: -1}
-    dq = deque([source_ext])
-    while dq:
-        q = dq.popleft()
-        if q == target_ext:
-            path = []
-            while parent[q] != -1:
-                arc_id = parent[q]
-                path.append(arc_id)
-                q = extension.arcs[arc_id].tail
-            return tuple(reversed(path))
-        for arc_id in out[q]:
-            head = extension.arcs[arc_id].head
-            if head not in parent:
-                parent[head] = arc_id
-                dq.append(head)
-    return None

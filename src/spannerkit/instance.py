@@ -108,10 +108,6 @@ class SpannerInstance:
     def lengths(self) -> tuple[Fraction, ...]:
         return tuple(e.length for e in self.edges)
 
-    @property
-    def weights(self) -> tuple[Fraction, ...]:
-        return tuple(e.weight for e in self.edges)
-
     def label(self, node: int) -> str:
         if self.labels is not None and 0 <= node < len(self.labels):
             return self.labels[node]

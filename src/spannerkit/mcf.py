@@ -24,12 +24,12 @@ node a pair's columns touch.  A pair with no route keeps its empty
 source and sink rows, so its model stays infeasible.  All variables live in
 [0,1]; edge variables of edges too long to ever help are fixed to 0.
 
-``solve_lp`` hands the sparse matrices to scipy's HiGHS.  ``export_lp`` writes
-the model in CPLEX LP text format; ``read_lp`` parses that subset back, so
-exported models can be re-solved with ``solve_standard`` and cross-checked.
+The flow LP is one concrete model, :class:`McfModel`, with one solve and one
+export: ``solve_lp`` hands its sparse matrices to scipy's HiGHS, and
+``export_lp`` writes it in CPLEX LP text format for external solvers.
 
-numpy and scipy are imported inside ``build_mcf``, ``solve_standard``,
-``solve_lp``, ``export_lp`` and ``read_lp``, not at module level: numpy and
+numpy and scipy are imported inside ``build_mcf``, ``solve_lp`` and
+``export_lp``, not at module level: numpy and
 scipy.sparse take about 0.4 s and 35 MB to import in a fresh interpreter, which
 the greedy solvers, the exact oracle and the verifier never need.  Importing
 this module loads neither.
@@ -37,11 +37,10 @@ this module loads neither.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ParseError, SolverFailure, TooLarge
+from .errors import SolverFailure, TooLarge
 from .extension import DeltaExtension
 from .graph import budget_window
 from .instance import Demand
@@ -63,10 +62,15 @@ MAX_FLOW_COLUMNS = 1_000_000
 
 
 @dataclass
-class StandardLp:
-    """min c'x  s.t.  a_ub x <= b_ub,  a_eq x = b_eq,  lower <= x <= upper.
+class McfModel:
+    """The flow LP ``min c'x  s.t.  a_ub x <= b_ub,  a_eq x = b_eq,  0 <= x <= upper``.
 
-    The row matrices are sparse; bounds may be infinite.
+    Columns are each commodity's flow columns, then the edge variables.
+    ``demands`` are the commodities: the scaled demands at the indices
+    :attr:`IntegerInstance.metric` keeps.  ``a_ub`` holds the coupling rows
+    ``sum_i f_(pair,arc_i) - x_e <= 0`` and ``a_eq`` the conservation rows,
+    one per (pair, touched extension node); both are sparse.  Every upper
+    bound is 1, or 0 for an edge too long to help.
     """
 
     c: np.ndarray
@@ -74,32 +78,15 @@ class StandardLp:
     b_ub: np.ndarray
     a_eq: sp.csr_matrix
     b_eq: np.ndarray
-    lower: np.ndarray
     upper: np.ndarray
-    names: list[str] | None = None
-
-    @property
-    def num_vars(self) -> int:
-        return self.c.shape[0]
-
-    def var_names(self) -> list[str]:
-        return self.names or [f"v{j}" for j in range(self.num_vars)]
-
-
-@dataclass(kw_only=True)
-class McfModel(StandardLp):
-    """The flow LP; columns are each commodity's flow columns, then the edge variables.
-
-    ``demands`` are the commodities: the scaled demands at the indices
-    :attr:`IntegerInstance.metric` keeps.  ``a_ub`` holds the coupling rows
-    ``sum_i f_(pair,arc_i) - x_e <= 0`` and ``a_eq`` the conservation rows,
-    one per (pair, touched extension node).
-    """
-
     extension: DeltaExtension
     demands: tuple[Demand, ...]  # one per commodity, in demand order
     flow_arcs: tuple[tuple[int, ...], ...]  # per commodity: the arc id of each flow column
     num_edge_vars: int
+
+    @property
+    def num_vars(self) -> int:
+        return self.c.shape[0]
 
     @property
     def num_flow_vars(self) -> int:
@@ -198,7 +185,6 @@ def build_mcf(extension: DeltaExtension) -> McfModel:
         b_ub=np.zeros(num_ub),
         a_eq=sp.csr_matrix((vals_eq, (rows_eq, cols_eq)), shape=(len(b_eq), num_vars)),
         b_eq=np.array(b_eq),
-        lower=np.zeros(num_vars),
         upper=upper,
         extension=extension,
         demands=demands,
@@ -210,10 +196,18 @@ def build_mcf(extension: DeltaExtension) -> McfModel:
 _HIGHS_STATUS = {1: "iteration_limit", 2: "infeasible", 3: "unbounded"}
 
 
-def solve_standard(lp: StandardLp) -> tuple[np.ndarray, float, int]:
-    """Solve ``lp`` with scipy's HiGHS; returns (x, objective, iterations).
+@dataclass
+class FractionalSolution:
+    model: McfModel
+    objective: float
+    x: np.ndarray  # per edge variable, clamped into [0,1]
+    f: np.ndarray  # per flow column, in the model's column order
+    primal_residual: float
+    iterations: int  # HiGHS's iteration count (``res.nit``)
 
-    ``iterations`` is HiGHS's iteration count (``res.nit``).
+
+def solve_lp(model: McfModel) -> FractionalSolution:
+    """Solve the model with scipy's HiGHS.
 
     Raises :class:`SolverFailure` carrying the solver's status on anything but
     an optimum, and wraps any exception the solver raises.  numpy and
@@ -226,48 +220,31 @@ def solve_standard(lp: StandardLp) -> tuple[np.ndarray, float, int]:
 
     try:
         res = linprog(
-            lp.c,
-            A_ub=lp.a_ub,
-            b_ub=lp.b_ub,
-            A_eq=lp.a_eq,
-            b_eq=lp.b_eq,
-            bounds=np.column_stack((lp.lower, lp.upper)),
+            model.c,
+            A_ub=model.a_ub,
+            b_ub=model.b_ub,
+            A_eq=model.a_eq,
+            b_eq=model.b_eq,
+            bounds=np.column_stack((np.zeros(model.num_vars), model.upper)),
             method="highs",
         )
     except Exception as exc:
         raise SolverFailure("failed", f"{type(exc).__name__}: {exc}") from exc
     if res.status != 0 or res.x is None:
         raise SolverFailure(_HIGHS_STATUS.get(res.status, "failed"), res.message)
-    return res.x, float(res.fun), int(res.nit)
-
-
-@dataclass
-class FractionalSolution:
-    model: McfModel
-    objective: float
-    x: np.ndarray  # per edge variable, clamped into [0,1]
-    f: np.ndarray  # per flow column, in the model's column order
-    primal_residual: float
-    iterations: int  # HiGHS's iteration count
-
-
-def solve_lp(model: McfModel) -> FractionalSolution:
-    """Solve the model; raise :class:`SolverFailure` on any non-optimal status."""
-    import numpy as np
-
-    values, _, iterations = solve_standard(model)
+    values = res.x
     num_flow = model.num_flow_vars
     x_edges = np.clip(values[num_flow:], 0.0, 1.0) + 0.0  # + 0.0 turns HiGHS's -0.0 into 0.0
     resid_eq = float(np.max(np.abs(model.a_eq @ values - model.b_eq), initial=0.0))
     resid_ub = float(np.max(model.a_ub @ values - model.b_ub, initial=0.0))
     objective = float(model.c[num_flow:] @ x_edges)
     return FractionalSolution(
-        model, objective, x_edges, values[:num_flow], max(resid_eq, resid_ub), iterations
+        model, objective, x_edges, values[:num_flow], max(resid_eq, resid_ub), int(res.nit)
     )
 
 
 # ---------------------------------------------------------------------------
-# LP text format (CPLEX-style) export and re-import
+# LP text format (CPLEX-style) export
 
 
 def _fmt_coef(value: float, name: str, first: bool) -> str:
@@ -278,22 +255,22 @@ def _fmt_coef(value: float, name: str, first: bool) -> str:
     return f"{sign}{sep}{coef}{name}".strip()
 
 
-def export_lp(lp: StandardLp, path: str) -> None:
-    """Write the LP in CPLEX LP text format (Minimize/Subject To/Bounds/End)."""
+def export_lp(model: McfModel, path: str) -> None:
+    """Write the model in CPLEX LP text format (Minimize/Subject To/Bounds/End)."""
     import numpy as np
 
-    names = lp.var_names()
+    names = model.var_names()
     lines = ["\\ spannerkit flow model", "Minimize"]
     terms = [
-        _fmt_coef(lp.c[j], names[j], first=(i == 0))
-        for i, j in enumerate(np.flatnonzero(lp.c != 0))
+        _fmt_coef(model.c[j], names[j], first=(i == 0))
+        for i, j in enumerate(np.flatnonzero(model.c != 0))
     ]
     if not terms and names:
         terms = [f"0 {names[0]}"]
     lines.append(" obj: " + " ".join(terms))
     lines.append("Subject To")
     row_id = 0
-    for a_mat, rhs, op in ((lp.a_ub, lp.b_ub, "<="), (lp.a_eq, lp.b_eq, "=")):
+    for a_mat, rhs, op in ((model.a_ub, model.b_ub, "<="), (model.a_eq, model.b_eq, "=")):
         for r in range(a_mat.shape[0]):
             row = slice(a_mat.indptr[r], a_mat.indptr[r + 1])
             terms = [
@@ -306,128 +283,7 @@ def export_lp(lp: StandardLp, path: str) -> None:
             row_id += 1
     lines.append("Bounds")
     for j, name in enumerate(names):
-        up = "+inf" if not np.isfinite(lp.upper[j]) else f"{lp.upper[j]:.12g}"
-        lines.append(f" {lp.lower[j]:.12g} <= {name} <= {up}")
+        lines.append(f" 0 <= {name} <= {model.upper[j]:.12g}")
     lines.append("End")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-_NUMBER = r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
-_NAME = r"[A-Za-z_][\w.]*"
-# One term of a linear expression; every term after the first needs its sign.
-_TERM_RE = re.compile(rf"\s*([+-]?)\s*({_NUMBER})?\s*({_NAME})")
-_ROW_RE = re.compile(rf"(<=|>=|=)\s*([+-]?{_NUMBER})\s*$")
-_BOUNDS_RE = re.compile(
-    rf"(-inf|[+-]?{_NUMBER})\s*<=\s*({_NAME})\s*<=\s*(\+?inf|[+-]?{_NUMBER})\s*$"
-)
-
-
-def _parse_terms(expr: str, line: str, path: str) -> list[tuple[str, float]]:
-    """The ``(name, coefficient)`` terms of ``expr``, which they must cover entirely."""
-    terms = []
-    pos, end = 0, len(expr.rstrip())
-    while pos < end:
-        match = _TERM_RE.match(expr, pos)
-        if not match or (terms and not match.group(1)):
-            raise ParseError(f"malformed expression in line {line!r}", path=path)
-        sign, coef, name = match.groups()
-        value = float(coef) if coef else 1.0
-        terms.append((name, -value if sign == "-" else value))
-        pos = match.end()
-    return terms
-
-
-def read_lp(path: str) -> StandardLp:
-    """Parse the LP subset written by :func:`export_lp`.
-
-    Anything else raises :class:`ParseError` naming the line: text outside
-    a section, a term or number that does not parse, a maximization.
-    """
-    import numpy as np
-    import scipy.sparse as sp
-
-    with open(path, encoding="utf-8") as fh:
-        raw_lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in raw_lines if ln and not ln.startswith("\\")]
-    section = None
-    objective: list[tuple[str, float]] = []
-    rows: list[tuple[list[tuple[str, float]], str, float]] = []
-    bounds: dict[str, tuple[float, float]] = {}
-    order: list[str] = []
-
-    def remember(name: str) -> None:
-        if name not in bounds:
-            bounds[name] = (0.0, np.inf)
-            order.append(name)
-
-    for ln in lines:
-        low = ln.lower()
-        if low == "minimize":
-            section = "obj"
-            continue
-        if low == "maximize":
-            raise ParseError(f"unsupported objective sense in line {ln!r}", path=path)
-        if low == "subject to":
-            section = "rows"
-            continue
-        if low == "bounds":
-            section = "bounds"
-            continue
-        if low == "end":
-            break
-        if section == "obj":
-            expr = ln.split(":", 1)[1] if ":" in ln else ln
-            objective.extend(_parse_terms(expr, ln, path))
-            for name, _ in objective:
-                remember(name)
-        elif section == "rows":
-            expr = ln.split(":", 1)[1] if ":" in ln else ln
-            match = _ROW_RE.search(expr)
-            if not match:
-                raise ParseError(f"malformed constraint line {ln!r}", path=path)
-            op, rhs = match.group(1), float(match.group(2))
-            terms = _parse_terms(expr[: match.start()], ln, path)
-            for name, _ in terms:
-                remember(name)
-            rows.append((terms, op, rhs))
-        elif section == "bounds":
-            match = _BOUNDS_RE.match(ln)
-            if not match:
-                raise ParseError(f"malformed bounds line {ln!r}", path=path)
-            lo = -np.inf if match.group(1) == "-inf" else float(match.group(1))
-            up = np.inf if match.group(3).lstrip("+") == "inf" else float(match.group(3))
-            remember(match.group(2))
-            bounds[match.group(2)] = (lo, up)
-        else:
-            raise ParseError(f"line {ln!r} comes before any section", path=path)
-    index = {name: j for j, name in enumerate(order)}
-    n = len(order)
-    c = np.zeros(n)
-    for name, value in objective:
-        c[index[name]] += value
-    # (row ids, column ids, values, right-hand sides) of the <= and = blocks
-    ub: tuple[list, list, list, list] = ([], [], [], [])
-    eq: tuple[list, list, list, list] = ([], [], [], [])
-    for terms, op, rhs in rows:
-        block = eq if op == "=" else ub
-        sign = -1.0 if op == ">=" else 1.0
-        for name, value in terms:
-            block[0].append(len(block[3]))
-            block[1].append(index[name])
-            block[2].append(sign * value)
-        block[3].append(sign * rhs)
-
-    def matrix(block) -> sp.csr_matrix:
-        return sp.csr_matrix((block[2], (block[0], block[1])), shape=(len(block[3]), n))
-
-    return StandardLp(
-        c=c,
-        a_ub=matrix(ub),
-        b_ub=np.array(ub[3]),
-        a_eq=matrix(eq),
-        b_eq=np.array(eq[3]),
-        lower=np.array([bounds[name][0] for name in order]),
-        upper=np.array([bounds[name][1] for name in order]),
-        names=order,
-    )

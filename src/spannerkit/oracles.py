@@ -35,7 +35,7 @@ from .errors import (
     TooLarge,
     TooManyCuts,
 )
-from .extension import ExtArc, build_extension, reachable_path
+from .extension import build_extension
 from .graph import GraphView, budget_window, graph_view, shortest_distances
 from .greedy import GreedyStep
 from .instance import Demand, Edge, SpannerInstance, Subgraph, require_integer_lengths
@@ -406,8 +406,9 @@ def check_cut_lemma(subgraph: Subgraph, *, cap: int = 10**6, seed: int = 0) -> C
             if not breaks:
                 continue  # ascending; covered exhaustively above
             q, i = breaks[0]
-            arc = ext.arcs[waiting[q].first + i] if q in waiting else None
-            if arc != ExtArc(ext.node_id(q, i), ext.node_id(q, i + 1), None):
+            run = waiting.get(q)  # q_i -> q_{i+1} is arc i of q's waiting run
+            crosses = run is not None and run.tail == run.head == q and run.length == 1
+            if not (crosses and i <= ext.delta_bar - run.length):
                 raise LemmaViolation("self-arc fails to cross a non-ascending cut")
             report.nonascending_sampled += 1
     return report
@@ -511,7 +512,9 @@ def dodis_khanna_demo(edge_length: int = 3, alpha: int = 2) -> DemoReport:
     ext = build_extension(transformed)
     source = ext.node_id(0, 0)
     sink = ext.node_id(edge_length, alpha)
-    path = reachable_path(ext, frozenset(range(transformed.m)), source, sink)
+    # The extension's lemma: s+_0 reaches t+_alpha iff d(s+, t+) = L <= alpha.
+    dist = shortest_distances(transformed.scaled.view, 0)[edge_length]
+    reachable = dist is not None and dist <= alpha
 
     model = build_mcf(ext)
     try:
@@ -527,19 +530,20 @@ def dodis_khanna_demo(edge_length: int = 3, alpha: int = 2) -> DemoReport:
         f"transform: unit-length path of {edge_length} arcs, weights "
         f"{[str(e.weight) for e in edges]}, demand {alpha} between endpoint copies",
         f"{alpha}-extension of the transformed graph: "
-        f"{ext.node_count} nodes, {len(ext.arcs)} arcs",
+        f"{ext.node_count} nodes, {sum(ext.delta_bar - g.length + 1 for g in ext.groups)} arcs",
     ]
-    if path is None:
+    if reachable:
+        # Along the path, node i at layer i, then t+'s waiting arcs up to layer alpha.
+        path = [ext.node_id(i, i) for i in range(edge_length)] + [
+            ext.node_id(edge_length, i) for i in range(edge_length, alpha + 1)
+        ]
+        narrative.append(f"feasible: path {' -> '.join(map(ext.node_name, path))}")
+    else:
         narrative.append(
             f"infeasible: no {ext.node_name(source)} -> {ext.node_name(sink)} path exists"
         )
-    else:
-        names = " -> ".join(
-            [ext.node_name(source)] + [ext.node_name(ext.arcs[a].head) for a in path]
-        )
-        narrative.append(f"feasible: path {names}")
     narrative.append(f"flow-model status: {lp_status}")
-    return DemoReport(edge_length, alpha, original_opt, path is not None, lp_status, narrative)
+    return DemoReport(edge_length, alpha, original_opt, reachable, lp_status, narrative)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_optimum
 from test_graph import dominated_triangle
-from spannerkit.errors import ParseError, SolverFailure
+from lp_text import read_exported_lp, solve_exported
+from spannerkit.errors import SolverFailure
 from spannerkit.extension import build_extension
 from spannerkit.generators import DEMAND_FAMILIES, DEMAND_PAIRS, WEIGHT_FAMILIES, example5, random_instance
 from spannerkit.graph import reduce_to_metric_pairs
@@ -23,14 +24,7 @@ from spannerkit.instance import (
     SpannerInstance,
     validate,
 )
-from spannerkit.mcf import (
-    StandardLp,
-    build_mcf,
-    export_lp,
-    read_lp,
-    solve_lp,
-    solve_standard,
-)
+from spannerkit.mcf import McfModel, build_mcf, export_lp, solve_lp
 from spannerkit.oracles import exact_optimum
 from spannerkit.rounding import gamma, round_solution
 
@@ -55,7 +49,7 @@ def test_example5_model_counts():
     assert model.num_vars == 17
     assert model.a_ub.shape[0] == 3 + 1 + 1
     assert model.a_eq.shape[0] == 7 + 2 + 4
-    assert np.all(model.lower == 0.0) and np.all(model.upper == 1.0)
+    assert np.all(model.upper == 1.0)
 
 
 def _closure(start, adjacency, endpoint):
@@ -252,27 +246,30 @@ def test_coupled_all_pairs_n40_model_is_small():
     assert len(model.demands) == len(inst.scaled.metric) < len(inst.demands)
 
 
-def test_unreachable_sink_is_infeasible():
+def _unreachable_sink() -> McfModel:
     # demand wants distance 1 but the only edge has length 2
     inst = SpannerInstance(
         True, 2, (Edge(0, 1, Fraction(1), Fraction(2)),), (Demand(0, 1, Fraction(1)),)
     )
-    model = build_mcf(build_extension(inst))
+    return build_mcf(build_extension(inst))
+
+
+def test_unreachable_sink_is_infeasible():
     with pytest.raises(SolverFailure) as info:
-        solve_lp(model)
+        solve_lp(_unreachable_sink())
     assert info.value.status == "infeasible"
 
 
 # ---------------------------------------------------------------------------
-# Export / import
+# Export, read back with the reference reader in lp_text.py
 
 
 def test_export_example5_column_count(tmp_path):
     model = _example5_model()
     path = tmp_path / "ex5.lp"
     export_lp(model, str(path))
-    parsed = read_lp(str(path))
-    assert parsed.num_vars == 17  # counts derived in test_example5_model_counts
+    parsed = read_exported_lp(path)
+    assert len(parsed.names) == 17  # counts derived in test_example5_model_counts
     assert parsed.a_ub.shape[0] == 5
     assert parsed.a_eq.shape[0] == 13
 
@@ -282,7 +279,7 @@ def test_export_reimport_external_solve_matches(tmp_path):
     direct = solve_lp(model)
     path = tmp_path / "ex5.lp"
     export_lp(model, str(path))
-    _, objective, _ = solve_standard(read_lp(str(path)))
+    objective = solve_exported(read_exported_lp(path))
     assert objective == pytest.approx(direct.objective, abs=1e-6)
     assert objective == pytest.approx(2.0, abs=1e-6)
 
@@ -307,7 +304,7 @@ def test_export_random_model_round_trip(tmp_path):
     direct = solve_lp(model)
     path = tmp_path / "model.lp"
     export_lp(model, str(path))
-    _, objective, _ = solve_standard(read_lp(str(path)))
+    objective = solve_exported(read_exported_lp(path))
     assert objective == pytest.approx(direct.objective, abs=1e-6)
 
 
@@ -388,116 +385,56 @@ def test_export_reads_back(tmp_path, key):
     model = build_mcf(build_extension(inst))
     path = tmp_path / "model.lp"
     export_lp(model, str(path))
-    parsed = read_lp(str(path))
-    # read_lp numbers the columns in order of first appearance
-    perm = [parsed.names.index(name) for name in model.var_names()]
-    assert len(perm) == parsed.num_vars
+    parsed = read_exported_lp(path)  # columns in Bounds order, every lower bound 0
+    assert parsed.names == model.var_names()
     close = dict(rtol=1e-11, atol=0)
-    assert np.allclose(parsed.c[perm], model.c, **close)
-    assert np.allclose(parsed.a_ub[:, perm].toarray(), model.a_ub.toarray(), **close)
-    assert np.allclose(parsed.a_eq[:, perm].toarray(), model.a_eq.toarray(), **close)
+    assert np.allclose(parsed.c, model.c, **close)
+    assert np.allclose(parsed.a_ub.toarray(), model.a_ub.toarray(), **close)
+    assert np.allclose(parsed.a_eq.toarray(), model.a_eq.toarray(), **close)
     assert np.allclose(parsed.b_ub, model.b_ub, **close)
     assert np.allclose(parsed.b_eq, model.b_eq, **close)
-    assert np.array_equal(parsed.lower[perm], model.lower)
-    assert np.array_equal(parsed.upper[perm], model.upper)
+    assert np.array_equal(parsed.upper, model.upper)
 
 
-_GOOD_LP = ["Minimize", " obj: x + y", "Subject To", " c0: x + y >= 1", "Bounds",
-            " 0 <= x <= 4", " 0 <= y <= 4", "End"]
-# (line of _GOOD_LP replaced, the malformed line put there)
-_MALFORMED_LP = {
-    "unread text in a row": (3, " c0: 1 x + 1 y zz! 7 >= 1"),
-    "terms without a sign": (3, " c0: 1 x 1 y >= 1"),
-    "unread text in the objective": (1, " obj: x + y ?"),
-    "number with two points": (5, " 1.2.3 <= x <= 4"),
-    "letter for a number": (5, " e <= x <= 4"),
-    "bad exponent": (5, " 0 <= x <= 4e"),
-    "text before any section": (0, "x + y"),
-    "maximization": (0, "Maximize"),
-}
+def _hand_built(c, upper) -> McfModel:
+    """A model with edge columns only and no rows, for statuses no spanner instance gives."""
+    empty = sp.csr_matrix((0, len(c)))
+    ext = build_extension(SpannerInstance(True, 1, (), ()))
+    return McfModel(np.array(c), empty, np.zeros(0), empty, np.zeros(0), np.array(upper),
+                    extension=ext, demands=(), flow_arcs=(), num_edge_vars=len(c))
 
 
-@pytest.mark.parametrize("where, bad", _MALFORMED_LP.values(), ids=list(_MALFORMED_LP))
-def test_read_lp_rejects_malformed_lines(tmp_path, where, bad):
-    lines = list(_GOOD_LP)
-    lines[where] = bad
-    path = tmp_path / "bad.lp"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ParseError) as info:
-        read_lp(str(path))
-    assert repr(bad.strip()) in str(info.value)
-
-
-_TEXTBOOK_LP = """Minimize
- obj: - 3 x - 5 y
-Subject To
- c0: x <= 4
- c1: 2 y <= 12
- c2: 3 x + 2 y <= 18
-Bounds
- 0 <= x <= +inf
- 0 <= y <= +inf
-End
-"""
-# Every point of x1 + x2 + x3 = 1 with x1 + x2 >= 0.5 is optimal, so two
-# solves agree only if the solver breaks the tie the same way each time.
-_TIED_LP = """Minimize
- obj: x1 + x2 + x3
-Subject To
- c0: x1 + x2 + x3 >= 1
- c1: x1 + x2 >= 0.5
-Bounds
- 0 <= x1 <= 1
- 0 <= x2 <= 1
- 0 <= x3 <= 1
-End
-"""
-_INFEASIBLE_LP = """Minimize
- obj: x + y
-Subject To
- c0: x + y = 3
-Bounds
- 0 <= x <= 1
- 0 <= y <= 1
-End
-"""
-_UNBOUNDED_LP = """Minimize
- obj: - x
-Subject To
-Bounds
- 0 <= x <= +inf
-End
-"""
+def _tied_square() -> McfModel:
+    # 0 -> 3 within 2 over 0->1->3 or 0->2->3, all weight 1: every split of the
+    # flow between the two paths is optimal, so two solves agree only if the
+    # solver breaks the tie the same way each time.
+    edges = tuple(Edge(u, v, Fraction(1), Fraction(1)) for u, v in ((0, 1), (1, 3), (0, 2), (2, 3)))
+    inst = SpannerInstance(True, 4, edges, (Demand(0, 3, Fraction(2)),))
+    return build_mcf(build_extension(inst))
 
 
 @pytest.mark.parametrize(
-    "text, expected",
-    [(_TEXTBOOK_LP, (-36.0, [2.0, 6.0])), (_TIED_LP, (1.0, None)),
-     (_INFEASIBLE_LP, "infeasible"), (_UNBOUNDED_LP, "unbounded")],
-    ids=["textbook", "reruns", "infeasible", "unbounded"],
+    "make, expected",
+    [(_tied_square, 2.0), (_unreachable_sink, "infeasible"),
+     (lambda: _hand_built([-1.0], [np.inf]), "unbounded")],
+    ids=["reruns", "infeasible", "unbounded"],
 )
-def test_solve_standard(tmp_path, text, expected):
-    path = tmp_path / "model.lp"
-    path.write_text(text)
+def test_solve_standard(make, expected):
+    # solve_lp's HiGHS call: its statuses, and identical reruns at a tied optimum
     if isinstance(expected, str):
         with pytest.raises(SolverFailure) as info:
-            solve_standard(read_lp(str(path)))
+            solve_lp(make())
         assert info.value.status == expected
         return
-    x, objective, iterations = solve_standard(read_lp(str(path)))
-    assert objective == pytest.approx(expected[0], abs=1e-9)
-    if expected[1] is not None:
-        assert x == pytest.approx(expected[1], abs=1e-9)
-    rerun_x, rerun_objective, rerun_iterations = solve_standard(read_lp(str(path)))
-    assert np.array_equal(x, rerun_x) and objective == rerun_objective
-    assert iterations == rerun_iterations
+    first = solve_lp(make())
+    assert first.objective == pytest.approx(expected, abs=1e-9)
+    for rerun in (solve_lp(first.model), solve_lp(make())):
+        assert np.array_equal(first.x, rerun.x) and np.array_equal(first.f, rerun.f)
+        assert (first.objective, first.iterations) == (rerun.objective, rerun.iterations)
 
 
 def test_solver_exception_becomes_solver_failure():
-    empty = sp.csr_matrix((0, 1))
-    lp = StandardLp(np.array([np.nan]), empty, np.zeros(0), empty, np.zeros(0),
-                    np.zeros(1), np.ones(1))
     with pytest.raises(SolverFailure) as info:
-        solve_standard(lp)
+        solve_lp(_hand_built([np.nan], [1.0]))
     assert info.value.status == "failed"
     assert "ValueError" in str(info.value)

@@ -383,6 +383,50 @@ def test_demo_unit_length_edge_feasible():
     assert report.transformed_reachable
 
 
+# (edge length L, alpha) -> (arcs of the alpha-extension, the printed s+_0 -> t+_alpha
+# path or None when unreachable), recorded while the demo found the path by a BFS
+# over the extension's arcs.
+DEMO_PINNED = {
+    (1, 1): (3, "s+_0 -> t+_1"),
+    (1, 2): (6, "s+_0 -> t+_1 -> t+_2"),
+    (1, 3): (9, "s+_0 -> t+_1 -> t+_2 -> t+_3"),
+    (1, 4): (12, "s+_0 -> t+_1 -> t+_2 -> t+_3 -> t+_4"),
+    (2, 1): (5, None),
+    (2, 2): (10, "s+_0 -> q1_1 -> t+_2"),
+    (2, 3): (15, "s+_0 -> q1_1 -> t+_2 -> t+_3"),
+    (2, 4): (20, "s+_0 -> q1_1 -> t+_2 -> t+_3 -> t+_4"),
+    (2, 5): (25, "s+_0 -> q1_1 -> t+_2 -> t+_3 -> t+_4 -> t+_5"),
+    (3, 2): (14, None),
+    (3, 3): (21, "s+_0 -> q1_1 -> q2_2 -> t+_3"),
+    (3, 4): (28, "s+_0 -> q1_1 -> q2_2 -> t+_3 -> t+_4"),
+    (3, 5): (35, "s+_0 -> q1_1 -> q2_2 -> t+_3 -> t+_4 -> t+_5"),
+    (3, 6): (42, "s+_0 -> q1_1 -> q2_2 -> t+_3 -> t+_4 -> t+_5 -> t+_6"),
+    (4, 3): (27, None),
+    (4, 4): (36, "s+_0 -> q1_1 -> q2_2 -> q3_3 -> t+_4"),
+    (4, 5): (45, "s+_0 -> q1_1 -> q2_2 -> q3_3 -> t+_4 -> t+_5"),
+    (4, 6): (54, "s+_0 -> q1_1 -> q2_2 -> q3_3 -> t+_4 -> t+_5 -> t+_6"),
+    (4, 7): (63, "s+_0 -> q1_1 -> q2_2 -> q3_3 -> t+_4 -> t+_5 -> t+_6 -> t+_7"),
+}
+
+
+@pytest.mark.parametrize("length, alpha", sorted(DEMO_PINNED))
+def test_demo_narrative_pinned(length, alpha):
+    arcs, path = DEMO_PINNED[(length, alpha)]
+    report = dodis_khanna_demo(length, alpha)
+    weights = ["0"] * (length - 1) + ["1"]
+    assert report.narrative == [
+        f"original: single edge s->t, weight 1, length {length}, "
+        f"stretch bound {alpha} x {length} = {alpha * length}",
+        "original optimum weight: 1 (the edge itself)",
+        f"transform: unit-length path of {length} arcs, weights {weights}, "
+        f"demand {alpha} between endpoint copies",
+        f"{alpha}-extension of the transformed graph: {(length + 1) * (alpha + 1)} nodes, {arcs} arcs",
+        f"feasible: path {path}" if path else f"infeasible: no s+_0 -> t+_{alpha} path exists",
+        f"flow-model status: {'optimal' if path else 'infeasible'}",
+    ]
+    assert report.transformed_reachable == (path is not None)
+
+
 def test_demo_json_round_trip():
     import json
 
