@@ -13,7 +13,8 @@ Two solvers:
 
 Plus the reference machinery that certifies both at desk scale:
 :func:`exact_optimum`, ascending-cut enumeration, and exact feasibility
-verification on rational arithmetic.
+verification on the instance's scaled integers (every length times the lcm
+of the length denominators, every bound floored to match).
 """
 
 from .errors import (

@@ -25,10 +25,12 @@ it bounded at the source's largest bound and stopped at its targets
 (``scaled.reach``, from :func:`check_distances`, the one producer of such
 lists), capped at the source's farthest target distance T where all of its
 pairs hold (:func:`capped_distances`): min(d, T), a consistent lower bound
-on the source's distances in any subgraph.  Validation, the threshold
-search's check at the largest weight and its guard at the second-largest,
-and greedy on the full graph (its pair order, and the potential of its
-per-pair checks) read them.  It also keeps the full reversed view
+on the source's distances in any subgraph.  Its verdict on them,
+:func:`violated_pairs` of the full graph, is made once too
+(``scaled.unmet``).  Validation, the threshold search's check at the
+largest weight and its guard at the second-largest, and greedy on the full
+graph (its verdict, its pair order, and the potential of its per-pair
+checks) read them.  It also keeps the full reversed view
 (``scaled.reverse``, the forward view itself when undirected), which the
 flow LP's and the restricted gamma's budget windows read.  Nothing may
 change them.
@@ -234,17 +236,19 @@ def lex_shortest_path(view: GraphView, reverse: GraphView, from_source: list, so
     return tuple(nodes), tuple(edges)
 
 
-def budget_window(scaled: IntegerInstance, demand: Demand) -> tuple[list, list]:
-    """``(d(u, .), d(., v))`` for one of the scaled view's demands ``(u, v, delta)``.
+def budget_window(scaled: IntegerInstance, index: int) -> tuple[list, list]:
+    """``(d(u, .), d(., v))`` for the scaled view's demand ``index``, ``(u, v)`` with scaled bound b.
 
-    Searches forward from u on ``scaled.view`` and back to v on
-    ``scaled.reverse``, both stopped at delta.  Every term of a
-    within-budget sum ``d(u,s) + ... + d(t,v) <= delta`` is at most delta,
-    so no such test changes.
+    b is ``scaled.bounds[index]``.  Searches forward from u on
+    ``scaled.view`` and back to v on ``scaled.reverse``, both stopped at b.
+    Every term of a within-budget sum ``d(u,s) + ... + d(t,v) <= b`` is at
+    most b, so no such test changes.
     """
+    u, v, _ = scaled.demands[index]
+    bound = scaled.bounds[index]
     return (
-        shortest_distances(scaled.view, demand.u, limit=demand.delta),
-        shortest_distances(scaled.reverse, demand.v, limit=demand.delta),
+        shortest_distances(scaled.view, u, limit=bound),
+        shortest_distances(scaled.reverse, v, limit=bound),
     )
 
 
@@ -294,12 +298,13 @@ def minimum_spanning_tree(instance: SpannerInstance) -> tuple[Fraction, frozense
 def metric_pairs(scaled: IntegerInstance) -> tuple[int, ...]:
     """The indices of the demands not implied by a chain of other demands, in demand order.
 
-    Works in scaled units, on the floored bounds of the view.  The demand
-    graph has one arc per demand ``j = (w, x)``, weighted ``delta_j`` (one
-    each way when undirected), and is searched once per demand source,
-    bounded at the source's largest bound, which keeps it exact wherever the
-    rule reads it.  Demand ``i = (u, v)`` is dropped iff an in-arc ``j = (w,
-    v)`` with ``w != u`` (so ``j != i``) has ``d(u, w) + delta_j <= delta_i``.
+    Works in scaled units, on the floored bounds of the view
+    (``scaled.bounds``, written ``delta_j`` here).  The demand graph has one
+    arc per demand ``j = (w, x)``, weighted ``delta_j`` (one each way when
+    undirected), and is searched once per demand source, bounded at the
+    source's largest bound, which keeps it exact wherever the rule reads it.
+    Demand ``i = (u, v)`` is dropped iff an in-arc ``j = (w, v)`` with ``w
+    != u`` (so ``j != i``) has ``d(u, w) + delta_j <= delta_i``.
     Arcs are positive, so that walk avoids arc i and each of its demands has
     a smaller bound: a subgraph meets every demand iff it meets the kept
     ones.  The scaled view has the instance's feasible sets, so this holds
@@ -316,14 +321,14 @@ def metric_pairs(scaled: IntegerInstance) -> tuple[int, ...]:
     """
     view = GraphView(scaled.n)
     into: list[list[tuple[int, int]]] = [[] for _ in range(scaled.n)]  # (tail, bound) per in-arc
-    for j, d in enumerate(scaled.demands):
-        if d.delta < 1:
+    for j, ((u, v, _), bound) in enumerate(zip(scaled.demands, scaled.bounds)):
+        if bound < 1:
             continue
-        view.out[d.u].append((d.v, d.delta, j))
-        into[d.v].append((d.u, d.delta))
+        view.out[u].append((v, bound, j))
+        into[v].append((u, bound))
         if not scaled.directed:
-            view.out[d.v].append((d.u, d.delta, j))
-            into[d.u].append((d.v, d.delta))
+            view.out[v].append((u, bound, j))
+            into[u].append((v, bound))
     kept = []
     for source, limit, targets, _ in scaled.by_source:
         dist = shortest_distances(view, source, limit=limit)

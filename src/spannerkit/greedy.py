@@ -30,9 +30,11 @@ On the whole graph the searches are the instance's own: the threshold
 search's check at the largest weight (which keeps every edge) and its guard,
 and greedy's pair order when ``edge_subset`` keeps every edge (plain
 ``greedy``, and ``augmented_greedy`` whenever E[W*] = E), read the scaled
-view's cached ``view``, ``reverse`` and ``reach``, which validation built or
-the first of them builds.  The cached lists come capped, so greedy reads
-them as they are; they are shared and never changed.
+view's cached ``view``, ``reverse`` and ``reach``, and its verdict on them,
+``unmet``, which validation built or the first of them builds.  The cached
+lists come capped, so greedy reads them as they are; they are shared and
+never changed.  Greedy's order and checks read the floored bounds,
+``scaled.bounds``.
 Distances go back to instance units, ``Fraction(d, L)``, only in
 :class:`GreedyStep` and :class:`~spannerkit.errors.UnsatisfiableDemand`; the
 threshold search compares the view's integer weights and reports W* as a
@@ -89,19 +91,23 @@ def greedy(
     order, that cannot meet its bound even there.
     """
     scaled = instance.scaled
-    demands, bounds, checks = instance.demands, scaled.demands, scaled.by_source
+    demands, bounds, checks = instance.demands, scaled.bounds, scaled.by_source
     whole = edge_subset is None or all(i in edge_subset for i in range(instance.m))
     view = scaled.view if whole else graph_view(scaled, edge_subset=edge_subset)
     # one search per source, up to its largest bound and its targets, settles every pair's
-    # distance, capped at its farthest target's; on the whole graph those are the cached ones
-    reach = scaled.reach if whole else capped_distances(checks, check_distances(view, checks))
-    unsatisfiable = violated_pairs(view, checks, reach, scaled.scale)
+    # distance, capped at its farthest target's; on the whole graph those, and their verdict,
+    # are the cached ones
+    if whole:
+        reach, unsatisfiable = scaled.reach, scaled.unmet
+    else:
+        reach = capped_distances(checks, check_distances(view, checks))
+        unsatisfiable = violated_pairs(view, checks, reach, scaled.scale)
     if unsatisfiable:
         i, achieved = unsatisfiable[0]
         raise UnsatisfiableDemand(demands[i].u, demands[i].v, demands[i].delta, achieved)
     dists = {check[0]: dist for check, dist in zip(checks, reach)}
     order = sorted(
-        ((dists[d.u][d.v], d.u, d.v, b.delta, d) for d, b in zip(demands, bounds) if d.u != d.v),
+        ((dists[d.u][d.v], d.u, d.v, b, d) for d, b in zip(demands, bounds) if d.u != d.v),
         key=lambda t: (t[0], t[1], t[2]),
     )
 
@@ -201,8 +207,8 @@ def weight_threshold_search(instance: SpannerInstance, *, mst_lift: bool = False
     """
     scaled = instance.scaled
     checks = scaled.by_source
-    # the largest weight keeps every edge: that check reads the scaled view's cached searches
-    if violated_pairs(scaled.view, checks, scaled.reach, scaled.scale):
+    # the largest weight keeps every edge: that check is the scaled view's cached verdict
+    if scaled.unmet:
         raise InfeasibleInstance("even the full graph violates some demand")
     weights = sorted(set(scaled.weights))  # in units of 1 / scaled.weight_scale
     probes = searches = 0

@@ -23,15 +23,17 @@ produce byte-identical files.
 Every instance also has one exact integer view, :attr:`SpannerInstance.scaled`
 (an :class:`IntegerInstance`), built on first use and kept: each length times
 ``scale``, the lcm ``L`` of the length denominators, and each bound floored to
-``floor(delta * L)``.  Scaled distances are integers, so a scaled distance
-meets its floored bound exactly when the true distance meets the true bound.
-Weights are scaled the same way by the lcm of their own denominators.
-Validation, verification, greedy, the threshold search and the exact search
-run on this view; fractions come back only in reports.  With ``L = 1`` it is
-the integer-length view that the layered extension requires
-(:func:`require_integer_lengths`).  The view is a plain value cached on the
-instance: it shares the edge tuple but holds no reference back, so a dropped
-instance is freed with its view at once.  Every solver takes the instance.
+``floor(delta * L)`` in :attr:`IntegerInstance.bounds`, one int per demand.
+Scaled distances are integers, so a scaled distance meets its floored bound
+exactly when the true distance meets the true bound.  Weights are scaled the
+same way by the lcm of their own denominators.  Validation, verification,
+greedy, the threshold search and the exact search run on this view;
+fractions come back only in reports.  With ``L = 1`` it is the integer-length
+view that the layered extension requires (:func:`require_integer_lengths`).
+The view is a plain value cached on the instance: it shares the edge and
+demand tuples, whose records keep their ``Fraction`` values, and builds no
+record of its own; it holds no reference back, so a dropped instance is
+freed with its view at once.  Every solver takes the instance.
 
 The scaled view also holds the instance's full graph search, built once on
 first use and kept for the instance's life: :attr:`IntegerInstance.view`,
@@ -40,9 +42,11 @@ same reversed (the forward view itself when undirected), and
 :attr:`IntegerInstance.reach`, each demand source's search on the forward
 view, bounded at its largest bound and stopped at its targets, and capped
 at its farthest target's distance where all of the source's pairs hold.
-Validation, the threshold search's probe at the largest weight (the full
-graph) and greedy's pair order on the full graph read them instead of
-searching again, and greedy's and the verifier's per-pair searches are
+:attr:`IntegerInstance.unmet` is the full graph's verdict on those lists,
+each demand it misses with its exact distance.  Validation, the threshold
+search's probe at the largest weight (the full graph) and greedy's pair
+order and verdict on the full graph read them instead of searching or
+deciding again, and greedy's and the verifier's per-pair searches are
 goal-directed by the capped lists; the connectivity check and the exact
 search's root check read the forward view, and the flow LP and the
 restricted gamma read both views for their budget windows.  The flow LP
@@ -64,24 +68,24 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import eq
+from typing import NamedTuple
 
 from .errors import InvalidInstance, NonIntegerLength, ParseError
 from .rational import as_fraction, format_rational, is_integer, parse_rational
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     u: int
     v: int
     weight: Fraction
     length: Fraction
 
 
-@dataclass(frozen=True)
-class Demand:
+class Demand(NamedTuple):
     u: int
     v: int
-    delta: Fraction  # an int in a scaled view's demands: floor(delta * scale)
+    delta: Fraction  # always in instance units; the scaled view floors it into ``scaled.bounds``
 
     def pair(self, directed: bool) -> tuple[int, int]:
         """The pair key; undirected demands are unordered."""
@@ -123,14 +127,20 @@ class SpannerInstance:
         """The exact integer view, built once per instance (see the module docstring)."""
         scale = math.lcm(*(e.length.denominator for e in self.edges))
         lengths = tuple(e.length.numerator * (scale // e.length.denominator) for e in self.edges)
-        demands = tuple(
-            Demand(d.u, d.v, d.delta.numerator * scale // d.delta.denominator) for d in self.demands
-        )
-        delta_bar = max((d.delta for d in demands), default=0)
+        bounds = tuple(d.delta.numerator * scale // d.delta.denominator for d in self.demands)
         weight_scale = math.lcm(*(e.weight.denominator for e in self.edges))
         weights = tuple(e.weight.numerator * (weight_scale // e.weight.denominator) for e in self.edges)
         return IntegerInstance(
-            self.directed, self.n, self.edges, lengths, demands, delta_bar, scale, weights, weight_scale
+            self.directed,
+            self.n,
+            self.edges,
+            lengths,
+            self.demands,
+            bounds,
+            max(bounds, default=0),
+            scale,
+            weights,
+            weight_scale,
         )
 
     def canonical(self) -> "SpannerInstance":
@@ -221,14 +231,85 @@ def validate(instance: SpannerInstance) -> ValidationReport:
     (rather than silently dropped), as are demands beyond ``n * max_length``
     (those are equivalent to plain reachability and would blow up the layered
     extension for no benefit).
+
+    The record checks run in bulk on the scaled view's integers; only a list
+    that fails one is walked record by record, to name each offender.
     """
     report = ValidationReport()
-    if instance.n <= 0:
-        report.add("bad-node-count", f"node count must be positive, got {instance.n}")
+    n = instance.n
+    if n <= 0:
+        report.add("bad-node-count", f"node count must be positive, got {n}")
         return report
-    if instance.labels is not None and len(instance.labels) != instance.n:
-        report.add("bad-labels", f"{len(instance.labels)} labels for {instance.n} nodes")
+    if instance.labels is not None and len(instance.labels) != n:
+        report.add("bad-labels", f"{len(instance.labels)} labels for {n} nodes")
 
+    scaled = instance.scaled  # the scale is positive: scaled weights, lengths and bounds keep their signs
+    ids_ok = True
+    signs_ok = min(scaled.weights, default=0) >= 0 and min(scaled.lengths, default=1) > 0
+    if not _records_ok(instance.edges, n, instance.directed, signs_ok):
+        ids_ok &= _walk_edges(instance, report)
+    if not _records_ok(instance.demands, n, instance.directed, min(scaled.bounds, default=1) >= 1):
+        ids_ok &= _walk_demands(instance, report)
+    if not ids_ok or report.codes() & {"nonpositive-length", "self-loop"}:
+        return report  # distance checks below would be meaningless
+
+    # Structural connectivity, then per-demand satisfiability (delta >= d_G),
+    # both on the scaled integer view.
+    if not instance.directed:
+        from .graph import shortest_distances
+
+        dist0 = shortest_distances(scaled.view, 0)
+        unreachable = [q for q in range(n) if dist0[q] is None]
+        if unreachable:
+            report.add("not-connected", f"nodes {unreachable} unreachable from node 0")
+
+    budget_cap = n * max(scaled.lengths, default=0)  # n * max_length, scaled
+    achieved = dict(scaled.unmet)
+    # delta * scale past the cap has its floor, the scaled bound, at or past it: no other is oversized
+    if not achieved and scaled.delta_bar < budget_cap:
+        return report
+    for i, (d, bound) in enumerate(zip(instance.demands, scaled.bounds)):
+        if d.u == d.v:
+            continue
+        if i in achieved:
+            dist = achieved[i]
+            got = "unreachable" if dist is None else format_rational(dist)
+            report.add(
+                "unsatisfiable-demand",
+                f"demand ({d.u},{d.v}) asks for {format_rational(d.delta)} "
+                f"but the graph only achieves {got}",
+            )
+        if bound >= budget_cap and d.delta.numerator * scaled.scale > budget_cap * d.delta.denominator:
+            report.add(
+                "oversized-demand",
+                f"demand ({d.u},{d.v}) bound {format_rational(d.delta)} exceeds "
+                f"n*max_length = {format_rational(scaled.unscale(budget_cap))}; "
+                "cap it there (same feasible set)",
+            )
+    return report
+
+
+def _records_ok(records, n: int, directed: bool, signs_ok: bool) -> bool:
+    """Whether edge or demand ``records`` pass every per-record check: ids, self-pairs, repeats, signs.
+
+    One bulk pass: endpoint ranges from min/max, self-pairs from one
+    comparison of the endpoint columns, repeats from the size of the set of
+    ordered pairs and, when undirected, from its meeting the reversed pairs.
+    ``signs_ok`` is the caller's sign check.
+    """
+    if not records:
+        return True
+    us, vs = list(zip(*records))[:2]
+    if not (signs_ok and 0 <= min(us) and 0 <= min(vs) and max(us) < n and max(vs) < n):
+        return False
+    if any(map(eq, us, vs)):
+        return False
+    pairs = set(zip(us, vs))
+    return len(pairs) == len(records) and (directed or pairs.isdisjoint(zip(vs, us)))
+
+
+def _walk_edges(instance: SpannerInstance, report: ValidationReport) -> bool:
+    """Report each edge that fails a record check, in edge order; whether every id is in range."""
     seen_pairs: set[tuple[int, int]] = set()
     ids_ok = True
     for i, e in enumerate(instance.edges):
@@ -246,8 +327,13 @@ def validate(instance: SpannerInstance) -> ValidationReport:
             report.add("negative-weight", f"edge {i} has weight {format_rational(e.weight)} < 0")
         if e.length.numerator <= 0:
             report.add("nonpositive-length", f"edge {i} has length {format_rational(e.length)} <= 0")
+    return ids_ok
 
+
+def _walk_demands(instance: SpannerInstance, report: ValidationReport) -> bool:
+    """Report each demand that fails a record check, in demand order; whether every id is in range."""
     seen_demands: set[tuple[int, int]] = set()
+    ids_ok = True
     for i, d in enumerate(instance.demands):
         if not (0 <= d.u < instance.n and 0 <= d.v < instance.n):
             report.add("bad-node-id", f"demand {i} endpoints ({d.u},{d.v}) outside [0,{instance.n})")
@@ -262,42 +348,7 @@ def validate(instance: SpannerInstance) -> ValidationReport:
         seen_demands.add(key)
         if d.delta.numerator <= 0:
             report.add("nonpositive-demand", f"demand {i} has bound {format_rational(d.delta)} <= 0")
-
-    if not ids_ok or report.codes() & {"nonpositive-length", "self-loop"}:
-        return report  # distance checks below would be meaningless
-
-    # Structural connectivity, then per-demand satisfiability (delta >= d_G),
-    # both on the scaled integer view.
-    from .graph import shortest_distances, violated_pairs
-
-    scaled = instance.scaled
-    if not instance.directed:
-        dist0 = shortest_distances(scaled.view, 0)
-        unreachable = [q for q in range(instance.n) if dist0[q] is None]
-        if unreachable:
-            report.add("not-connected", f"nodes {unreachable} unreachable from node 0")
-
-    budget_cap = instance.n * max(scaled.lengths, default=0)  # n * max_length, scaled
-    achieved = dict(violated_pairs(scaled.view, scaled.by_source, scaled.reach, scaled.scale))
-    for i, d in enumerate(instance.demands):
-        if d.u == d.v:
-            continue
-        if i in achieved:
-            dist = achieved[i]
-            got = "unreachable" if dist is None else format_rational(dist)
-            report.add(
-                "unsatisfiable-demand",
-                f"demand ({d.u},{d.v}) asks for {format_rational(d.delta)} "
-                f"but the graph only achieves {got}",
-            )
-        if d.delta.numerator * scaled.scale > budget_cap * d.delta.denominator:
-            report.add(
-                "oversized-demand",
-                f"demand ({d.u},{d.v}) bound {format_rational(d.delta)} exceeds "
-                f"n*max_length = {format_rational(scaled.unscale(budget_cap))}; "
-                "cap it there (same feasible set)",
-            )
-    return report
+    return ids_ok
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +367,14 @@ class IntegerInstance:
     sums and comparisons are integer too.  Built once per instance as
     :attr:`SpannerInstance.scaled`; with ``scale == 1`` it is the
     integer-length view the layered-extension LP requires.  A value cached on
-    its instance with no reference back: ``n``, ``directed`` and ``edges`` are its own.
+    its instance with no reference back: ``n`` and ``directed`` are its own,
+    and ``edges`` and ``demands`` are the instance's own tuples, shared.  The
+    demands keep their ``Fraction`` bounds; their scaled bounds are
+    :attr:`bounds`, ``floor(delta * scale)`` per demand, in demand order.
 
-    :attr:`view`, :attr:`reverse`, :attr:`reach` and :attr:`metric` (see
-    the module docstring) are built on first use and kept, like
-    :attr:`by_source`.
+    :attr:`view`, :attr:`reverse`, :attr:`reach`, :attr:`unmet` and
+    :attr:`metric` (see the module docstring) are built on first use and
+    kept, like :attr:`by_source`.
     They are shared by every reader and read-only: a reader that needs other
     values builds new lists.
     """
@@ -329,7 +383,8 @@ class IntegerInstance:
     n: int
     edges: tuple[Edge, ...]  # the instance's own tuple, shared
     lengths: tuple[int, ...]
-    demands: tuple[Demand, ...]  # int bounds
+    demands: tuple[Demand, ...]  # the instance's own tuple, shared
+    bounds: tuple[int, ...]  # floor(delta * scale), one per demand
     delta_bar: int
     scale: int
     weights: tuple[int, ...]
@@ -349,9 +404,9 @@ class IntegerInstance:
         settled, settles all of that source's pairs.
         """
         targets: dict[int, list[tuple[int, int, int]]] = {}
-        for i, d in enumerate(self.demands):
-            if d.u != d.v:
-                targets.setdefault(d.u, []).append((d.v, d.delta, i))
+        for i, ((u, v, _), bound) in enumerate(zip(self.demands, self.bounds)):
+            if u != v:
+                targets.setdefault(u, []).append((v, bound, i))
         return tuple(
             (u, max(b for _, b, _ in ts), tuple(ts), frozenset(v for v, _, _ in ts))
             for u, ts in targets.items()
@@ -391,6 +446,19 @@ class IntegerInstance:
         from .graph import capped_distances, check_distances
 
         return capped_distances(self.by_source, check_distances(self.view, self.by_source))
+
+    @cached_property
+    def unmet(self) -> tuple[tuple[int, Fraction | None], ...]:
+        """The full graph's verdict: ``(demand index, exact distance)`` of each demand it misses, by index.
+
+        :func:`~spannerkit.graph.violated_pairs` on :attr:`view` and
+        :attr:`reach`, the distance in instance units (None: unreachable).
+        Validation, the threshold search and greedy on the whole graph read
+        it; empty for every valid instance.
+        """
+        from .graph import violated_pairs
+
+        return tuple(violated_pairs(self.view, self.by_source, self.reach, self.scale))
 
     @cached_property
     def metric(self) -> tuple[int, ...]:
@@ -449,6 +517,11 @@ def to_json_dict(instance: SpannerInstance) -> dict:
     return doc
 
 
+_TOP_KEYS = ("directed", "n", "edges", "demands", "labels")
+_EDGE_KEYS = ("u", "v", "w", "len")
+_DEMAND_KEYS = ("u", "v", "delta")
+
+
 def _node_id(value, record: str, i: int, key: str, path: str | None) -> int:
     # bool is a subclass of int, but `true` is not a node id; floats are not truncated
     if isinstance(value, bool) or not isinstance(value, int):
@@ -456,12 +529,25 @@ def _node_id(value, record: str, i: int, key: str, path: str | None) -> int:
     return value
 
 
+def _unknown_key(record, keys: tuple[str, ...], where: str, path: str | None) -> ParseError | None:
+    """The error naming ``record``'s first key outside ``keys``, or None when it has none."""
+    if isinstance(record, dict):
+        for key in record:
+            if key not in keys:
+                return ParseError(
+                    f"unknown key; the keys are {', '.join(keys)}", path=path, field=f"{where}{key}"
+                )
+    return None
+
+
 def from_json_dict(doc: dict, *, path: str | None = None) -> SpannerInstance:
     """The canonical instance a document describes; a malformed one raises :class:`ParseError`.
 
-    Each record is built once: a document already in canonical form (every
-    saved file) is returned as parsed, any other is put in that form.  Each
-    distinct rational string is parsed once per document.
+    One pass builds each record once and tells whether the records are
+    already in canonical order and orientation: such a document (every saved
+    file) is returned as parsed, any other is put in canonical form.  Each
+    distinct rational string is parsed once per document.  A key outside the
+    format, in the document or in a record, is an error, never ignored.
     """
     try:
         directed = doc["directed"]
@@ -470,6 +556,8 @@ def from_json_dict(doc: dict, *, path: str | None = None) -> SpannerInstance:
         raw_demands = doc["demands"]
     except KeyError as exc:
         raise ParseError(f"missing required key {exc.args[0]!r}", path=path) from None
+    if len(doc) != 4 + ("labels" in doc):
+        raise _unknown_key(doc, _TOP_KEYS, "", path)
     if not isinstance(directed, bool):
         raise ParseError(f"must be true or false, got {directed!r}", path=path, field="directed")
     if isinstance(n, bool) or not isinstance(n, int):
@@ -480,47 +568,73 @@ def from_json_dict(doc: dict, *, path: str | None = None) -> SpannerInstance:
     parsed: dict[str, Fraction] = {}  # each distinct rational string, once it has parsed
 
     def rational(text, record: str, i: int, key: str) -> Fraction:
-        value = parsed.get(text) if type(text) is str else None
-        if value is None:
-            try:
-                value = parse_rational(text)
-            except ParseError as exc:
-                raise ParseError(exc.reason, path=path, field=f"{record}[{i}].{key}") from None
-            if type(text) is str:
-                parsed[text] = value
+        # a string not parsed yet, or any other value: parse_rational accepts or names it
+        try:
+            value = parse_rational(text)
+        except ParseError as exc:
+            raise ParseError(exc.reason, path=path, field=f"{record}[{i}].{key}") from None
+        if type(text) is str:
+            parsed[text] = value
         return value
 
+    def malformed(record, keys: tuple[str, ...], name: str, i: int) -> ParseError:
+        where = f"{name}[{i}]."
+        return _unknown_key(record, keys, where, path) or ParseError(
+            f"malformed {name[:-1]} record {i}", path=path
+        )
+
+    canonical = True  # every record so far in canonical order and orientation
     edges = []
+    prev: tuple = ()
     for i, e in enumerate(raw_edges):
         try:
-            edges.append(
-                Edge(
-                    _node_id(e["u"], "edges", i, "u", path),
-                    _node_id(e["v"], "edges", i, "v", path),
-                    rational(e["w"], "edges", i, "w"),
-                    rational(e["len"], "edges", i, "len"),
-                )
-            )
-        except (KeyError, TypeError, ValueError):
-            raise ParseError(f"malformed edge record {i}", path=path) from None
+            if len(e) != 4:
+                raise KeyError
+            u, v, w, ln = e["u"], e["v"], e["w"], e["len"]
+        except (KeyError, TypeError):
+            raise malformed(e, _EDGE_KEYS, "edges", i) from None
+        if type(u) is not int:
+            u = _node_id(u, "edges", i, "u", path)
+        if type(v) is not int:
+            v = _node_id(v, "edges", i, "v", path)
+        weight = parsed.get(w) if type(w) is str else None
+        if weight is None:
+            weight = rational(w, "edges", i, "w")
+        length = parsed.get(ln) if type(ln) is str else None
+        if length is None:
+            length = rational(ln, "edges", i, "len")
+        edges.append(Edge(u, v, weight, length))
+        key = (u, v)
+        if key < prev or u > v and not directed:
+            canonical = False
+        prev = key
     demands = []
+    prev = ()
     for i, d in enumerate(raw_demands):
         try:
-            demands.append(
-                Demand(
-                    _node_id(d["u"], "demands", i, "u", path),
-                    _node_id(d["v"], "demands", i, "v", path),
-                    rational(d["delta"], "demands", i, "delta"),
-                )
-            )
-        except (KeyError, TypeError, ValueError):
-            raise ParseError(f"malformed demand record {i}", path=path) from None
+            if len(d) != 3:
+                raise KeyError
+            u, v, text = d["u"], d["v"], d["delta"]
+        except (KeyError, TypeError):
+            raise malformed(d, _DEMAND_KEYS, "demands", i) from None
+        if type(u) is not int:
+            u = _node_id(u, "demands", i, "u", path)
+        if type(v) is not int:
+            v = _node_id(v, "demands", i, "v", path)
+        delta = parsed.get(text) if type(text) is str else None
+        if delta is None:
+            delta = rational(text, "demands", i, "delta")
+        demands.append(Demand(u, v, delta))
+        key = (u, v)
+        if key < prev or u > v and not directed:
+            canonical = False
+        prev = key
     labels = doc.get("labels")
     if not (labels is None or isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
         raise ParseError(f"must be null or a list of strings, got {labels!r}", path=path, field="labels")
     labels = None if labels is None else tuple(labels)
     instance = SpannerInstance(directed, n, tuple(edges), tuple(demands), labels)
-    return instance if instance.is_canonical() else instance.canonical()
+    return instance if canonical else instance.canonical()
 
 
 def save(instance: SpannerInstance, path: str) -> None:

@@ -66,11 +66,14 @@ class McfModel:
     """The flow LP ``min c'x  s.t.  a_ub x <= b_ub,  a_eq x = b_eq,  0 <= x <= upper``.
 
     Columns are each commodity's flow columns, then the edge variables.
-    ``demands`` are the commodities: the scaled demands at the indices
-    :attr:`IntegerInstance.metric` keeps.  ``a_ub`` holds the coupling rows
-    ``sum_i f_(pair,arc_i) - x_e <= 0`` and ``a_eq`` the conservation rows,
-    one per (pair, touched extension node); both are sparse.  Every upper
-    bound is 1, or 0 for an edge too long to help.
+    ``demands`` are the commodities: the instance's own demand records at
+    the indices :attr:`IntegerInstance.metric` keeps, with their bounds in
+    instance units; each commodity's sink layer is the demand's scaled
+    bound, ``floor(delta)`` at the extension's scale 1 (``scaled.bounds``).
+    ``a_ub`` holds the coupling rows ``sum_i f_(pair,arc_i) - x_e <= 0`` and
+    ``a_eq`` the conservation rows, one per (pair, touched extension node);
+    both are sparse.  Every upper bound is 1, or 0 for an edge too long to
+    help.
     """
 
     c: np.ndarray
@@ -116,13 +119,14 @@ def build_mcf(extension: DeltaExtension) -> McfModel:
 
     inst = extension.instance.scaled
     demands = tuple(inst.demands[i] for i in inst.metric)
+    bounds = tuple(inst.bounds[i] for i in inst.metric)
     kept_runs = []  # per pair: (run, lo, hi) for each run whose arcs lo .. hi-1 are kept
-    for d in demands:
-        from_u, to_v = budget_window(inst, d)
+    for i, bound in zip(inst.metric, bounds):
+        from_u, to_v = budget_window(inst, i)
         runs = []
         for g in extension.groups:
             if from_u[g.tail] is not None and to_v[g.head] is not None:
-                lo, hi = from_u[g.tail], d.delta - g.length - to_v[g.head] + 1
+                lo, hi = from_u[g.tail], bound - g.length - to_v[g.head] + 1
                 if lo < hi:
                     runs.append((g, lo, hi))
         kept_runs.append(runs)
@@ -145,9 +149,9 @@ def build_mcf(extension: DeltaExtension) -> McfModel:
     b_eq: list[float] = []
     num_ub = 0
     col = 0
-    for d, runs in zip(demands, kept_runs):
+    for d, bound, runs in zip(demands, bounds, kept_runs):
         source = extension.node_id(d.u, 0)
-        sink = extension.node_id(d.v, d.delta)
+        sink = extension.node_id(d.v, bound)
         rhs = {source: 1.0}
         rhs[sink] = rhs.get(sink, 0.0) - 1.0
         nodes = {q for q, value in rhs.items() if value}

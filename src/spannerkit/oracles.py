@@ -293,33 +293,38 @@ def crossing_arc(labels, view, delta: int):
     return None
 
 
-def _ascending_cuts(view, d: Demand, cap: int):
-    """Every ascending cut labeling for the scaled demand ``d`` on ``view``, with its satisfaction."""
+def _ascending_cuts(view, u: int, v: int, delta: int, cap: int):
+    """Every ascending cut labeling on ``view`` with its satisfaction.
+
+    For the pair ``(u, v)`` at its scaled bound ``delta``.
+    """
     n = view.n
-    total = ascending_cut_count(n, d.delta)
+    total = ascending_cut_count(n, delta)
     if total > cap:
         raise TooManyCuts(f"{total} ascending cuts exceeds the cap of {cap}")
-    free_nodes = [q for q in range(n) if q not in (d.u, d.v)]
+    free_nodes = [q for q in range(n) if q not in (u, v)]
     labels = [0] * n
-    labels[d.v] = d.delta + 1
-    for assignment in itertools.product(range(d.delta + 2), repeat=len(free_nodes)):
+    labels[v] = delta + 1
+    for assignment in itertools.product(range(delta + 2), repeat=len(free_nodes)):
         for q, val in zip(free_nodes, assignment):
             labels[q] = val
-        satisfied = crossing_arc(labels, view, d.delta) is not None
-        yield CutLabeling(d.u, d.v, d.delta, tuple(labels)), satisfied
+        satisfied = crossing_arc(labels, view, delta) is not None
+        yield CutLabeling(u, v, delta, tuple(labels)), satisfied
 
 
 def enumerate_ascending_cuts(subgraph: Subgraph, index: int, *, cap: int = 10**6):
     """Yield every ascending cut labeling for the instance's demand ``index``, with its satisfaction.
 
-    The demand is ``instance.scaled.demands[index]``, in the scaled view's
-    integer units.  Exactly ``(delta + 2)^(n-2)`` labelings are produced.  A
-    cut is satisfied when some arc of the subgraph's extension crosses from
-    the source side to the sink side; self-arcs never cross an ascending cut.
+    The demand is ``instance.demands[index]`` with its bound in the scaled
+    view's integer units, ``delta = instance.scaled.bounds[index]``.  Exactly
+    ``(delta + 2)^(n-2)`` labelings are produced.  A cut is satisfied when
+    some arc of the subgraph's extension crosses from the source side to the
+    sink side; self-arcs never cross an ascending cut.
     """
     instance = require_integer_lengths(subgraph.instance)
     view = graph_view(instance, edge_subset=subgraph.edge_set)
-    return _ascending_cuts(view, instance.demands[index], cap)
+    u, v, _ = instance.demands[index]
+    return _ascending_cuts(view, u, v, instance.bounds[index], cap)
 
 
 @dataclass
@@ -363,40 +368,38 @@ def check_cut_lemma(subgraph: Subgraph, *, cap: int = 10**6, seed: int = 0) -> C
     waiting = {g.tail: g for g in ext.groups if g.edge is None}
     rng = random.Random(seed)
     report = CutLemmaReport()
-    for d in instance.demands:
+    for (u, v, _), delta in zip(instance.demands, instance.bounds):
         total = 0
         satisfied = 0
-        for _, sat in _ascending_cuts(view, d, cap):
+        for _, sat in _ascending_cuts(view, u, v, delta, cap):
             total += 1
             satisfied += sat
-        dist = shortest_distances(view, d.u)[d.v]
-        within = dist is not None and dist <= d.delta
+        dist = shortest_distances(view, u)[v]
+        within = dist is not None and dist <= delta
         all_sat = satisfied == total
-        if total != ascending_cut_count(instance.n, d.delta):
+        if total != ascending_cut_count(instance.n, delta):
             raise LemmaViolation(
-                f"pair ({d.u},{d.v}): enumerated {total} cuts, "
-                f"expected {ascending_cut_count(instance.n, d.delta)}"
+                f"pair ({u},{v}): enumerated {total} cuts, "
+                f"expected {ascending_cut_count(instance.n, delta)}"
             )
         if all_sat != within:
             raise LemmaViolation(
-                f"pair ({d.u},{d.v}): all-cuts-satisfied={all_sat} but "
-                f"distance {dist} vs bound {d.delta}"
+                f"pair ({u},{v}): all-cuts-satisfied={all_sat} but "
+                f"distance {dist} vs bound {delta}"
             )
-        report.pairs.append(
-            PairCutReport(d.u, d.v, d.delta, total, satisfied, all_sat, dist, within)
-        )
+        report.pairs.append(PairCutReport(u, v, delta, total, satisfied, all_sat, dist, within))
 
         # Sampled non-ascending cuts: some node column has A below B, and the
         # extension's waiting arc on that column crosses regardless of the subgraph.
-        layers = d.delta + 1
+        layers = delta + 1
         for _ in range(NONASCENDING_SAMPLES):
             side = {
                 (q, i): rng.random() < 0.5
                 for q in range(instance.n)
                 for i in range(layers)
             }  # True = source side A
-            side[(d.u, 0)] = True
-            side[(d.v, d.delta)] = False
+            side[(u, 0)] = True
+            side[(v, delta)] = False
             breaks = [
                 (q, i)
                 for q in range(instance.n)
@@ -421,18 +424,19 @@ def check_cut_lemma(subgraph: Subgraph, *, cap: int = 10**6, seed: int = 0) -> C
 def restricted_subgraph(instance: SpannerInstance, index: int):
     """Nodes and edges that can lie on some within-budget path for the instance's demand ``index``.
 
-    For the scaled demand ``(u, v, delta) = instance.scaled.demands[index]``,
+    For the demand ``(u, v) = instance.demands[index]`` with scaled bound
+    ``delta = instance.scaled.bounds[index]``,
     ``V_uv = {z : d(u,z) + d(z,v) <= delta}`` and
     ``E_uv = {(s,t) : d(u,s) + len(s,t) + d(t,v) <= delta}``, from the
     pair's bounded forward and reverse searches (:func:`graph.budget_window`).
     """
     scaled = require_integer_lengths(instance)
-    d = scaled.demands[index]
-    from_u, to_v = budget_window(scaled, d)
+    delta = scaled.bounds[index]
+    from_u, to_v = budget_window(scaled, index)
 
     def fits(s: int, length: int, t: int) -> bool:
         ds, dt = from_u[s], to_v[t]
-        return ds is not None and dt is not None and ds + length + dt <= d.delta
+        return ds is not None and dt is not None and ds + length + dt <= delta
 
     nodes = frozenset(z for z in range(instance.n) if fits(z, 0, z))
     edges = frozenset(

@@ -52,20 +52,20 @@ def gamma(instance: SpannerInstance, mode: str = "global", *, confidence: float 
     if mode == "custom" and (confidence is None or not 1 < confidence < math.inf):
         raise ValueError("custom mode needs a finite confidence multiplier > 1")
     n = instance.n
-    pairs = require_integer_lengths(instance).demands
-    k = len(pairs)
+    bounds = require_integer_lengths(instance).bounds
+    k = len(bounds)
     if k == 0:
         return GammaSpec(mode, 0.0, n, 0, 0.0, confidence)
     if mode == "global":
-        log_c = max((n - 2) * math.log(d.delta + 2) for d in pairs)
+        log_c = max((n - 2) * math.log(b + 2) for b in bounds)
         lead = math.log(n)
     else:
         from .oracles import restricted_subgraph
 
         log_c = 0.0
-        for i, d in enumerate(pairs):
+        for i, b in enumerate(bounds):
             nodes, _ = restricted_subgraph(instance, i)
-            log_c = max(log_c, (len(nodes) - 2) * math.log(d.delta + 2))
+            log_c = max(log_c, (len(nodes) - 2) * math.log(b + 2))
         lead = math.log(n if mode == "restricted" else confidence)
     return GammaSpec(mode, lead + log_c + math.log(k), n, k, log_c, confidence)
 

@@ -339,9 +339,11 @@ def test_metric_pairs_match_the_per_demand_rule_on_floored_bounds(inst):
     # Distinct pairs, every floored bound positive: the in-arc rule keeps
     # what rebuilding the demand graph per demand keeps, in scaled units,
     # and in instance units too when every bound is an integer.
-    assume(all(d.delta > 0 for d in inst.scaled.demands))
+    scaled = inst.scaled
+    assume(all(b > 0 for b in scaled.bounds))
     kept = reduce_to_metric_pairs(inst)
-    assert kept == metric_reference(inst, inst.scaled.demands)
+    floored = [Demand(d.u, d.v, b) for d, b in zip(inst.demands, scaled.bounds)]
+    assert kept == metric_reference(inst, floored)
     if all(d.delta.denominator == 1 for d in inst.demands):
         assert kept == metric_reference(inst, inst.demands)
 

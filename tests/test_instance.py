@@ -1,6 +1,10 @@
 import gc
+import importlib
 import json
+import math
+import pickle
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -29,8 +33,8 @@ from spannerkit.instance import (
     to_json_dict,
     validate,
 )
-from spannerkit.oracles import exact_optimum
-from spannerkit.rounding import solve_randomized
+from spannerkit.oracles import check_cut_lemma, enumerate_ascending_cuts, exact_optimum, restricted_subgraph
+from spannerkit.rounding import gamma, solve_randomized
 from test_int_core import instances
 
 
@@ -243,7 +247,8 @@ def test_require_integer_lengths_floors_demands():
         (Demand(0, 1, Fraction(5, 2)),),
     )
     ii = require_integer_lengths(inst)
-    assert ii.demands[0].delta == 2
+    assert ii.bounds == (2,)
+    assert ii.demands is inst.demands  # the records keep the instance's bound, 5/2
 
 
 def test_scaled_view_scales_lengths_and_floors_bounds():
@@ -262,7 +267,8 @@ def test_scaled_view_scales_lengths_and_floors_bounds():
     assert scaled is inst.scaled  # built once per instance
     assert scaled.scale == 6
     assert scaled.lengths == (3, 4, 18)
-    assert [d.delta for d in scaled.demands] == [10, 4]
+    assert scaled.bounds == (10, 4)
+    assert scaled.demands is inst.demands  # shared, with the instance's own bounds
     assert scaled.delta_bar == 10
     assert scaled.unscale(7) == Fraction(7, 6) and scaled.unscale(None) is None
     # (0,2): 7 <= 10 via node 1, i.e. 7/6 <= 7/4 in instance units
@@ -411,6 +417,13 @@ def test_canonical_document_is_returned_as_parsed(monkeypatch):
         # i None: the bad value replaces the whole list
         ("edges", None, None, 5, "must be a list of records, got 5 (f.json, field 'edges')"),
         ("demands", None, None, None, "must be a list of records, got None (f.json, field 'demands')"),
+        # a key outside the format, in the document or in a record, is named, not ignored
+        ("labls", None, None, ["a", "b", "c"],
+         "unknown key; the keys are directed, n, edges, demands, labels (f.json, field 'labls')"),
+        ("edges", 1, "lenght", "2",
+         "unknown key; the keys are u, v, w, len (f.json, field 'edges[1].lenght')"),
+        ("demands", 0, "weight", "1",
+         "unknown key; the keys are u, v, delta (f.json, field 'demands[0].weight')"),
     ],
 )
 def test_parse_errors_name_the_record_and_field(record, i, key, bad, message):
@@ -427,3 +440,223 @@ def test_parse_errors_name_the_record_and_field(record, i, key, bad, message):
     with pytest.raises(ParseError) as info:
         from_json_dict(doc, path="f.json")
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "record, misspelled, key, message",
+    [
+        ("edges", "len", "lenght",
+         "unknown key; the keys are u, v, w, len (f.json, field 'edges[0].lenght')"),
+        ("demands", "delta", "detla",
+         "unknown key; the keys are u, v, delta (f.json, field 'demands[0].detla')"),
+        ("edges", "len", None, "malformed edge record 0 (f.json)"),
+    ],
+)
+def test_a_misspelled_record_key_is_named(record, misspelled, key, message):
+    # the record has its usual number of keys, one of them wrong; with none wrong it is just short
+    doc = {
+        "directed": False, "n": 2,
+        "edges": [{"u": 0, "v": 1, "w": "1", "len": "1"}],
+        "demands": [{"u": 0, "v": 1, "delta": "1"}],
+    }
+    value = doc[record][0].pop(misspelled)
+    if key is not None:
+        doc[record][0][key] = value
+    with pytest.raises(ParseError) as info:
+        from_json_dict(doc, path="f.json")
+    assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# Whole validation reports: every code, message and their order
+
+
+def _e(u, v, w, length):
+    return Edge(u, v, Fraction(w), Fraction(length))
+
+
+def _d(u, v, delta):
+    return Demand(u, v, Fraction(delta))
+
+
+REPORTS = {
+    "no-nodes": (
+        SpannerInstance(False, 0, (_e(0, 1, 1, 1),), (_d(0, 1, 1),), ("a",)),
+        [("bad-node-count", "node count must be positive, got 0")],
+    ),
+    # a bad id, a self-loop or a non-positive length stops validation before the distance checks
+    "undirected-records": (
+        SpannerInstance(
+            False, 3,
+            (_e(0, 3, 1, 1), _e(1, 1, 1, 1), _e(0, 1, -1, 1), _e(1, 0, 2, 1), _e(1, 2, 1, 0)),
+            (_d(0, 5, 1), _d(2, 2, 1), _d(0, 1, 0), _d(1, 0, 2)),
+            ("a", "b"),
+        ),
+        [
+            ("bad-labels", "2 labels for 3 nodes"),
+            ("bad-node-id", "edge 0 endpoints (0,3) outside [0,3)"),
+            ("self-loop", "edge 1 is a self-loop at node 1"),
+            ("negative-weight", "edge 2 has weight -1 < 0"),
+            ("duplicate-edge", "edge 3 duplicates pair (0, 1)"),
+            ("nonpositive-length", "edge 4 has length 0 <= 0"),
+            ("bad-node-id", "demand 0 endpoints (0,5) outside [0,3)"),
+            ("self-demand", "demand 1 pairs node 2 with itself"),
+            ("nonpositive-demand", "demand 2 has bound 0 <= 0"),
+            ("duplicate-demand", "demand 3 duplicates pair (0, 1)"),
+        ],
+    ),
+    "directed-records": (
+        SpannerInstance(
+            True, 3,
+            (_e(0, 1, 1, 1), _e(1, 0, 1, -2), _e(0, 1, 3, 1), _e(2, 2, 0, 1)),
+            (_d(-1, 2, 1), _d(0, 1, Fraction(-1, 2)), _d(1, 0, 1), _d(0, 1, 1)),
+        ),
+        [
+            ("nonpositive-length", "edge 1 has length -2 <= 0"),
+            ("duplicate-edge", "edge 2 duplicates pair (0, 1)"),
+            ("self-loop", "edge 3 is a self-loop at node 2"),
+            ("bad-node-id", "demand 0 endpoints (-1,2) outside [0,3)"),
+            ("nonpositive-demand", "demand 1 has bound -1/2 <= 0"),
+            ("duplicate-demand", "demand 3 duplicates pair (0, 1)"),
+        ],
+    ),
+    # the other record faults go on to the distance checks, each demand's two in demand order
+    "directed-distances": (
+        SpannerInstance(
+            True, 3,
+            (_e(0, 1, 1, 1), _e(1, 2, Fraction(1, 2), 1)),
+            (_d(0, 2, 1), _d(2, 0, 1), _d(0, 1, 100), _d(0, 1, 7), _d(1, 1, 3), _d(1, 2, 0)),
+            ("a", "b"),
+        ),
+        [
+            ("bad-labels", "2 labels for 3 nodes"),
+            ("duplicate-demand", "demand 3 duplicates pair (0, 1)"),
+            ("self-demand", "demand 4 pairs node 1 with itself"),
+            ("nonpositive-demand", "demand 5 has bound 0 <= 0"),
+            ("unsatisfiable-demand", "demand (0,2) asks for 1 but the graph only achieves 2"),
+            ("unsatisfiable-demand", "demand (2,0) asks for 1 but the graph only achieves unreachable"),
+            ("oversized-demand",
+             "demand (0,1) bound 100 exceeds n*max_length = 3; cap it there (same feasible set)"),
+            ("oversized-demand",
+             "demand (0,1) bound 7 exceeds n*max_length = 3; cap it there (same feasible set)"),
+            ("unsatisfiable-demand", "demand (1,2) asks for 0 but the graph only achieves 1"),
+        ],
+    ),
+    # scale 2, n * max_length = 4, scaled 8: 17/4 scales to 8 1/2, which floors to the cap and is
+    # still oversized; 4 is exactly at the cap and is not
+    "undirected-distances": (
+        SpannerInstance(
+            False, 4,
+            (_e(0, 1, 2, Fraction(1, 2)), _e(1, 2, -1, 1)),
+            (
+                _d(0, 2, Fraction(17, 4)), _d(2, 0, 4), _d(0, 3, 1),
+                _d(1, 2, Fraction(1, 2)), _d(0, 1, 4), _d(1, 0, Fraction(17, 4)),
+            ),
+        ),
+        [
+            ("negative-weight", "edge 1 has weight -1 < 0"),
+            ("duplicate-demand", "demand 1 duplicates pair (0, 2)"),
+            ("duplicate-demand", "demand 5 duplicates pair (0, 1)"),
+            ("not-connected", "nodes [3] unreachable from node 0"),
+            ("oversized-demand",
+             "demand (0,2) bound 17/4 exceeds n*max_length = 4; cap it there (same feasible set)"),
+            ("unsatisfiable-demand", "demand (0,3) asks for 1 but the graph only achieves unreachable"),
+            ("unsatisfiable-demand", "demand (1,2) asks for 1/2 but the graph only achieves 1"),
+            ("oversized-demand",
+             "demand (1,0) bound 17/4 exceeds n*max_length = 4; cap it there (same feasible set)"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_validation_reports_are_pinned_whole(name):
+    inst, expected = REPORTS[name]
+    assert [(v.code, v.message) for v in validate(inst).violations] == expected
+
+
+def test_every_validation_code_is_pinned():
+    codes = {code for _, expected in REPORTS.values() for code, _ in expected}
+    assert codes == {
+        "bad-node-count", "bad-labels", "bad-node-id", "self-loop", "duplicate-edge",
+        "negative-weight", "nonpositive-length", "self-demand", "duplicate-demand",
+        "nonpositive-demand", "not-connected", "unsatisfiable-demand", "oversized-demand",
+    }
+
+
+# ---------------------------------------------------------------------------
+# Records and the scaled view's layout
+
+
+def test_records_are_immutable_hashable_and_picklable_values():
+    edge, demand = Edge(0, 1, Fraction(2), Fraction(1, 2)), Demand(1, 0, Fraction(3))
+    assert repr(edge) == "Edge(u=0, v=1, weight=Fraction(2, 1), length=Fraction(1, 2))"
+    assert repr(demand) == "Demand(u=1, v=0, delta=Fraction(3, 1))"
+    assert (demand.pair(False), demand.pair(True)) == ((0, 1), (1, 0))
+    for record in (edge, demand):
+        with pytest.raises(AttributeError):
+            record.u = 5
+        again = pickle.loads(pickle.dumps(record))
+        assert again == record and hash(again) == hash(record) and type(again) is type(record)
+    assert {edge, Edge(0, 1, Fraction(2), Fraction(1, 2))} == {edge}
+    inst = example5()
+    assert pickle.loads(pickle.dumps(inst)) == inst
+
+
+def test_the_full_graph_verdict_is_computed_once_per_view(monkeypatch):
+    calls = []
+    graph_module = importlib.import_module("spannerkit.graph")
+    greedy_module = importlib.import_module("spannerkit.greedy")  # ``spannerkit.greedy`` is the function
+    original = graph_module.violated_pairs
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (graph_module, greedy_module):  # the verdict's home and greedy's binding
+        monkeypatch.setattr(module, "violated_pairs", counted)
+    base = random_instance("decoupled", 8, 14, 1, demand_family="freeform")
+    # one weight on every edge: W* is that weight and E[W*] = E, so greedy runs on the whole graph
+    inst = replace(base, edges=tuple(Edge(e.u, e.v, Fraction(1), e.length) for e in base.edges))
+    assert validate(inst).ok
+    _, report = augmented_greedy(inst)
+    assert report.restricted_edge_count == inst.m
+    assert len(calls) == 1 and inst.scaled.unmet == ()
+
+
+def test_floored_bound_readers_on_an_integer_length_instance():
+    # bounds 7/2, 11/2 and 9/2 floor to 3, 5 and 4, the layers every reader works in
+    inst = SpannerInstance(
+        False,
+        5,
+        (
+            Edge(0, 1, Fraction(1), Fraction(1)), Edge(0, 2, Fraction(5), Fraction(3)),
+            Edge(1, 2, Fraction(1), Fraction(2)), Edge(1, 4, Fraction(1), Fraction(4)),
+            Edge(2, 3, Fraction(1), Fraction(1)), Edge(3, 4, Fraction(2), Fraction(1)),
+        ),
+        (Demand(0, 2, Fraction(7, 2)), Demand(0, 3, Fraction(11, 2)), Demand(1, 4, Fraction(9, 2))),
+    )
+    assert inst.scaled.bounds == (3, 5, 4) and inst.scaled.demands is inst.demands
+    spec = gamma(inst)
+    assert spec.log_cut_bound == pytest.approx(3 * math.log(7))  # (n - 2) ln(5 + 2)
+    assert spec.value == pytest.approx(math.log(5) + 3 * math.log(7) + math.log(3))
+    # restricted: pair (0, 3) has four nodes within its budget, so 2 ln 7 is the largest term
+    assert gamma(inst, "restricted").log_cut_bound == pytest.approx(2 * math.log(7))
+    regions = [restricted_subgraph(inst, i) for i in range(3)]
+    assert [(sorted(nodes), sorted(edges)) for nodes, edges in regions] == [
+        ([0, 1, 2], [0, 1, 2]),
+        ([0, 1, 2, 3], [0, 1, 2, 4]),
+        ([1, 2, 3, 4], [2, 3, 4, 5]),
+    ]
+    sub = Subgraph(inst, frozenset({0, 1, 4, 5}))  # (1, 4) needs 1-0-2-3-4, of length 6 > 4
+    for i, (delta, total, satisfied) in enumerate([(3, 125, 125), (5, 343, 343), (4, 216, 212)]):
+        cuts = list(enumerate_ascending_cuts(sub, i))
+        assert (len(cuts), sum(sat for _, sat in cuts)) == (total, satisfied)
+        assert {cut.delta for cut, _ in cuts} == {delta}
+        assert max(max(cut.labels) for cut, _ in cuts) == delta + 1
+    report = check_cut_lemma(sub)
+    assert [(p.delta, p.cut_count, p.satisfied_count, p.distance, p.within_budget) for p in report.pairs] == [
+        (3, 125, 125, 3, True),
+        (5, 343, 343, 4, True),
+        (4, 216, 212, 6, False),
+    ]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -66,7 +67,8 @@ def _closure(start, adjacency, endpoint):
 @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
 def test_flow_columns_are_the_arcs_on_some_source_to_sink_path(directed):
     # Reference by brute force: an arc carries pair k's commodity exactly when
-    # u_0 reaches its tail and its head reaches v_delta in the extension.
+    # u_0 reaches its tail and its head reaches v_delta in the extension, at
+    # layer floor(delta): the commodity's record keeps the instance's bound.
     for seed in range(10):
         inst = random_instance(
             "decoupled", 7, 12, 600 + seed, demand_family="freeform", demand_pairs="random",
@@ -83,7 +85,7 @@ def test_flow_columns_are_the_arcs_on_some_source_to_sink_path(directed):
         model = build_mcf(ext)
         for d, kept in zip(model.demands, model.flow_arcs):
             forward = _closure(ext.node_id(d.u, 0), out, heads)
-            backward = _closure(ext.node_id(d.v, d.delta), into, tails)
+            backward = _closure(ext.node_id(d.v, math.floor(d.delta)), into, tails)
             expected = [a for a in range(len(ext.arcs)) if tails[a] in forward and heads[a] in backward]
             assert list(kept) == expected, (seed, d)
 
