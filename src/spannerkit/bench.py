@@ -20,7 +20,7 @@ from .errors import ParseError, SpannerError, TooLarge
 from .generators import DEMAND_FAMILIES, DEMAND_PAIRS, WEIGHT_FAMILIES, random_instance
 from .graph import minimum_spanning_tree, verify_feasible
 from .greedy import augmented_greedy, greedy
-from .instance import SpannerInstance, Subgraph, read_json_object, validate
+from .instance import SpannerInstance, Subgraph, _unknown_key, read_json_object, validate
 from .oracles import exact_optimum
 from .rational import format_rational
 from .rounding import GAMMA_MODES, solve_randomized
@@ -114,10 +114,9 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
         doc = read_json_object(path)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
-        if unknown:
-            raise SpannerError(f"unknown config keys: {sorted(unknown)}")
+        error = _unknown_key(doc, tuple(cls.__dataclass_fields__), "", path)
+        if error:
+            raise error
         try:
             return cls(**doc)
         except ParseError as exc:  # a check of __post_init__; name the file too

@@ -20,13 +20,14 @@ A potential is a consistent lower bound on each node's distance to the
 targets, 0 at them: the search keys its heap and compares ``limit`` by
 distance plus potential, and the targets' distances stay exact.
 Every instance's full graph search is made once: the scaled view keeps the
-full forward view (``scaled.view``) and, per demand source, the search on
-it bounded at the source's largest bound and stopped at its targets
-(``scaled.reach``, from :func:`check_distances`, the one producer of such
-lists), capped at the source's farthest target distance T where all of its
-pairs hold (:func:`capped_distances`): min(d, T), a consistent lower bound
-on the source's distances in any subgraph.  Its verdict on them,
-:func:`violated_pairs` of the full graph, is made once too
+full forward view (``scaled.view``) and one pass of :func:`source_searches`
+on it, the one producer of per-source lists.  Per demand source, the search
+is bounded at the source's largest bound and stopped at its targets, and
+its failing pairs are read off it by :func:`_search`, the one such test.
+Where all of the source's pairs hold, its list is capped at its farthest
+target distance T, min(d, T), a consistent lower bound on the source's
+distances in any subgraph (``scaled.reach``); the failing pairs are
+searched again without a bound for their exact distances, the verdict
 (``scaled.unmet``).  Validation, the threshold search's check at the
 largest weight and its guard at the second-largest, and greedy on the full
 graph (its verdict, its pair order, and the potential of its per-pair
@@ -256,6 +257,49 @@ def budget_window(scaled: IntegerInstance, index: int) -> tuple[list, list]:
 # Minimum spanning tree
 
 
+class _Components:
+    """Weak components under union by rank, undone in reverse order; no path compression.
+
+    Kruskal's tree and the exact search's connectivity bound both join by it.
+    """
+
+    __slots__ = ("parent", "rank", "count")
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.rank = [0] * n
+        self.count = n
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int):
+        """Join the components of a and b; returns what :meth:`undo` needs, None if already one."""
+        a, b = self.find(a), self.find(b)
+        if a == b:
+            return None
+        rank = self.rank
+        if rank[a] < rank[b]:
+            a, b = b, a
+        self.parent[b] = a
+        bumped = rank[a] == rank[b]
+        rank[a] += bumped
+        self.count -= 1
+        return b, bumped
+
+    def undo(self, joined) -> None:
+        """Reverse the latest :meth:`union` not yet undone, given what it returned."""
+        if joined is None:
+            return
+        b, bumped = joined
+        self.rank[self.parent[b]] -= bumped
+        self.parent[b] = b
+        self.count += 1
+
+
 def minimum_spanning_tree(instance: SpannerInstance) -> tuple[Fraction, frozenset[int]]:
     """Kruskal with (weight, edge index) tie-break; exact weight.
 
@@ -264,29 +308,20 @@ def minimum_spanning_tree(instance: SpannerInstance) -> tuple[Fraction, frozense
     """
     if instance.directed:
         raise DirectedInstance("minimum spanning tree requires an undirected instance")
-    parent = list(range(instance.n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    parts = _Components(instance.n)
     chosen: list[int] = []
     scaled = instance.scaled  # integer weights: the same order, summed exactly
     weights = scaled.weights
     total = 0
     for i in sorted(range(instance.m), key=lambda i: (weights[i], i)):
         e = instance.edges[i]
-        ru, rv = find(e.u), find(e.v)
-        if ru == rv:
+        if parts.union(e.u, e.v) is None:
             continue
-        parent[ru] = rv
         chosen.append(i)
         total += weights[i]
-        if len(chosen) == instance.n - 1:
+        if parts.count == 1:
             break
-    if len(chosen) != instance.n - 1:
+    if parts.count != 1:
         raise SpannerError("graph is disconnected; no spanning tree exists")
     return Fraction(total, scaled.weight_scale), frozenset(chosen)
 
@@ -372,6 +407,20 @@ class Verdict:
         return "infeasible:\n" + "\n".join(lines)
 
 
+def _search(view: GraphView, check) -> tuple[list, list]:
+    """``(dist, failed)`` of one check ``(source, limit, targets, nodes)`` on the view.
+
+    ``dist`` is the search from ``source`` bounded at ``limit`` (the
+    source's largest bound) and stopped once ``nodes`` is settled, exact at
+    every target within its bound; ``failed`` lists the ``(target, bound,
+    demand index)`` of each pair past its bound or unreachable there.  The
+    one test of a bounded source search.
+    """
+    source, limit, targets, nodes = check
+    dist = shortest_distances(view, source, limit=limit, targets=nodes)
+    return dist, [(v, bound, i) for v, bound, i in targets if dist[v] is None or dist[v] > bound]
+
+
 def meets_bounds(view: GraphView, checks: list) -> tuple[bool, int]:
     """``(whether every check holds in the view, sources searched)``, in scaled units.
 
@@ -379,49 +428,40 @@ def meets_bounds(view: GraphView, checks: list) -> tuple[bool, int]:
     ``checks``, where the caller finds it: successive probes of one search
     tend to fail on the same source, so the next probe tries it first.
     """
-    for k, (source, limit, targets, nodes) in enumerate(checks):
-        dist = shortest_distances(view, source, limit=limit, targets=nodes)
-        for v, bound, _ in targets:
-            got = dist[v]
-            if got is None or got > bound:
-                checks.insert(0, checks.pop(k))
-                return False, k + 1
+    for k, check in enumerate(checks):
+        if _search(view, check)[1]:
+            checks.insert(0, checks.pop(k))
+            return False, k + 1
     return True, len(checks)
 
 
-def check_distances(view: GraphView, checks) -> tuple[list, ...]:
-    """One distance list per check ``(source, limit, targets, nodes)``, in check order.
+def source_searches(view: GraphView, checks, scale: int) -> tuple[tuple[list, ...], tuple]:
+    """``(lists, unmet)``: one distance list per check, in check order, and the view's verdict.
 
-    Each is the search from ``source`` bounded at ``limit`` (the source's
-    largest bound) and stopped once ``nodes`` is settled, so it is exact at
-    every target within its bound.  The one producer of these lists: the
-    scaled view's cache (:attr:`~spannerkit.instance.IntegerInstance.reach`)
-    and greedy on a restricted graph take them from here, capped by
-    :func:`capped_distances`.
+    Each list is the check's bounded search (:func:`_search`).  Where every
+    pair of the source holds, its targets are all settled, the farthest at
+    T: entries below T are exact and the rest at least T (or None), so the
+    list is capped at T, min(d(source, x), T) at every node, a consistent
+    lower bound on the source's distances in any subgraph.  A source with a
+    failing pair keeps its list as it is, and its failing pairs are searched
+    again without the bound, after every check's search, so ``unmet`` holds
+    ``(demand index, exact distance in instance units)`` of every failed
+    pair, by index.  The one producer of such lists: the scaled view's
+    cache (:attr:`~spannerkit.instance.IntegerInstance.reach` and
+    :attr:`~spannerkit.instance.IntegerInstance.unmet`) and greedy on a
+    restricted graph take them from here.
     """
-    return tuple(
-        shortest_distances(view, source, limit=limit, targets=nodes) for source, limit, _, nodes in checks
-    )
-
-
-def capped_distances(checks, dists) -> tuple[list, ...]:
-    """``dists`` (from :func:`check_distances`) with each list capped where its source holds.
-
-    Where every pair of a check holds, its targets are all settled, the
-    farthest at T: entries below T are exact and the rest at least T (or
-    None), so capping them at T gives min(d(source, x), T) at every node, a
-    consistent lower bound on the source's distances in any subgraph.  The
-    targets' entries do not change.  A check with a failing pair keeps its
-    list as it is.
-    """
-    capped = []
-    for (_, _, targets, nodes), dist in zip(checks, dists):
-        if any(dist[v] is None or dist[v] > bound for v, bound, _ in targets):
-            capped.append(dist)
+    lists, suspects = [], []
+    for check in checks:
+        dist, failed = _search(view, check)
+        source, _, _, nodes = check
+        if failed:
+            suspects.append((source, failed))
         else:
             far = max(dist[v] for v in nodes)
-            capped.append([far if x is None or x > far else x for x in dist])
-    return tuple(capped)
+            dist = [far if x is None or x > far else x for x in dist]
+        lists.append(dist)
+    return tuple(lists), tuple(_exact_violations(view, suspects, scale))
 
 
 def _exact_violations(view: GraphView, suspects, scale: int) -> list[tuple[int, Fraction | None]]:
@@ -442,24 +482,6 @@ def _exact_violations(view: GraphView, suspects, scale: int) -> list[tuple[int, 
                     found.append((i, None if got is None else Fraction(got, scale)))
     found.sort(key=lambda pair: pair[0])
     return found
-
-
-def violated_pairs(view: GraphView, checks, dists, scale: int) -> list[tuple[int, Fraction | None]]:
-    """``(demand index, exact distance in instance units)`` of every failed check, by index.
-
-    ``dists`` holds, per check, :func:`check_distances` of ``view`` and
-    ``checks`` (capped or not); these bounded searches decide each pair.  A
-    failing source is searched again without the bound, up to its failed
-    targets, so the reported distance is the true one.
-    """
-    return _exact_violations(
-        view,
-        (
-            (source, [(v, bound, i) for v, bound, i in targets if dist[v] is None or dist[v] > bound])
-            for (source, _, targets, _), dist in zip(checks, dists)
-        ),
-        scale,
-    )
 
 
 # A source with at most this many targets is verified pair by pair, each pair
@@ -492,11 +514,12 @@ def verify_feasible(subgraph: Subgraph) -> Verdict:
     pair's bound, stopped at the source and goal-directed by the source's
     cached list (``scaled.reach``, capped: a lower bound on the source's
     distances in any subgraph).  A source with more targets gets one search
-    bounded at its largest bound and stopped at its targets.  A source that
-    fails in the full graph fails in the subgraph too, so each of its pairs
-    is a suspect.  Every suspect is searched again without a bound, and only
-    one past its bound is reported: each "holds" is a path in the subgraph
-    and each violation carries its true distance, whatever the cache holds.
+    bounded at its largest bound and stopped at its targets
+    (:func:`_search`).  A source that fails in the full graph fails in the
+    subgraph too, so each of its pairs is a suspect.  Every suspect is
+    searched again without a bound, and only one past its bound is
+    reported: each "holds" is a path in the subgraph and each violation
+    carries its true distance, whatever the cache holds.
     """
     instance = subgraph.instance
     demands = instance.demands
@@ -506,10 +529,10 @@ def verify_feasible(subgraph: Subgraph) -> Verdict:
     out = view.out
     reverse = None
     suspects = []
-    for (source, limit, targets, nodes), full in zip(scaled.by_source, scaled.reach):
+    for check, full in zip(scaled.by_source, scaled.reach):
+        source, _, targets, _ = check
         if len(targets) > PAIR_SEARCH_MAX:
-            dist = shortest_distances(view, source, limit=limit, targets=nodes)
-            failed = [(v, bound, i) for v, bound, i in targets if dist[v] is None or dist[v] > bound]
+            failed = _search(view, check)[1]
         elif any(full[v] is None or full[v] > bound for v, bound, _ in targets):
             failed = targets
         else:

@@ -18,14 +18,15 @@ times the lcm ``L`` of their denominators, bounds floored to
 ``floor(delta * L)``.  Every search stops past a distance and once its
 targets are settled.  A threshold probe searches a source up to its
 largest bound and its targets.  The greedy phase orders the pairs with one
-such search per source u, capped at u's farthest target distance T
-(:func:`~spannerkit.graph.capped_distances`), which makes them min(d(u, x),
-T).  The spanner only grows inside the searched graph, so these bound every
+such search per source u, made with the searched graph's verdict in one
+pass (:func:`~spannerkit.graph.source_searches`), which caps each list at
+u's farthest target distance T once all of u's pairs hold: min(d(u, x), T).
+The spanner only grows inside the searched graph, so these bound every
 spanner distance from u from below: the spanner's arcs are kept reversed,
 and whether a pair already holds is asked by a search back from its target,
 bounded at the pair's bound, stopped at u and goal-directed by u's capped
-list.  For a pair that does not hold,
-the path is walked off the same list; no further search is needed.
+list.  For a pair that does not hold, the path is walked off the same list;
+no further search is needed.
 On the whole graph the searches are the instance's own: the threshold
 search's check at the largest weight (which keeps every edge) and its guard,
 and greedy's pair order when ``edge_subset`` keeps every edge (plain
@@ -51,14 +52,12 @@ from fractions import Fraction
 from .errors import DirectedInstance, InfeasibleInstance, LemmaViolation, UnsatisfiableDemand
 from .graph import (
     GraphView,
-    capped_distances,
-    check_distances,
     graph_view,
     lex_shortest_path,
     meets_bounds,
     minimum_spanning_tree,
     shortest_distances,
-    violated_pairs,
+    source_searches,
 )
 from .instance import IntegerInstance, SpannerInstance, Subgraph
 
@@ -100,8 +99,7 @@ def greedy(
     if whole:
         reach, unsatisfiable = scaled.reach, scaled.unmet
     else:
-        reach = capped_distances(checks, check_distances(view, checks))
-        unsatisfiable = violated_pairs(view, checks, reach, scaled.scale)
+        reach, unsatisfiable = source_searches(view, checks, scaled.scale)
     if unsatisfiable:
         i, achieved = unsatisfiable[0]
         raise UnsatisfiableDemand(demands[i].u, demands[i].v, demands[i].delta, achieved)

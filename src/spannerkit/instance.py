@@ -38,11 +38,12 @@ freed with its view at once.  Every solver takes the instance.
 The scaled view also holds the instance's full graph search, built once on
 first use and kept for the instance's life: :attr:`IntegerInstance.view`,
 the forward graph view of every edge, :attr:`IntegerInstance.reverse`, the
-same reversed (the forward view itself when undirected), and
-:attr:`IntegerInstance.reach`, each demand source's search on the forward
-view, bounded at its largest bound and stopped at its targets, and capped
-at its farthest target's distance where all of the source's pairs hold.
-:attr:`IntegerInstance.unmet` is the full graph's verdict on those lists,
+same reversed (the forward view itself when undirected), and one pass of
+:func:`~spannerkit.graph.source_searches` on the forward view, read as two
+values: :attr:`IntegerInstance.reach`, each demand source's search, bounded
+at its largest bound and stopped at its targets, and capped at its
+farthest target's distance where all of the source's pairs hold, and
+:attr:`IntegerInstance.unmet`, the full graph's verdict on those searches,
 each demand it misses with its exact distance.  Validation, the threshold
 search's probe at the largest weight (the full graph) and greedy's pair
 order and verdict on the full graph read them instead of searching or
@@ -374,7 +375,8 @@ class IntegerInstance:
 
     :attr:`view`, :attr:`reverse`, :attr:`reach`, :attr:`unmet` and
     :attr:`metric` (see the module docstring) are built on first use and
-    kept, like :attr:`by_source`.
+    kept, like :attr:`by_source`; :attr:`reach` and :attr:`unmet` are the
+    two results of one search pass, made when either is first read.
     They are shared by every reader and read-only: a reader that needs other
     values builds new lists.
     """
@@ -431,34 +433,37 @@ class IntegerInstance:
         return graph_view(self, reverse=True) if self.directed else self.view
 
     @cached_property
+    def _searches(self) -> tuple:
+        """:func:`~spannerkit.graph.source_searches` of :attr:`view` and :attr:`by_source`, made once."""
+        from .graph import source_searches
+
+        return source_searches(self.view, self.by_source, self.scale)
+
+    @cached_property
     def reach(self) -> tuple[list, ...]:
         """One distance list per :attr:`by_source` check, in check order, searched on :attr:`view`.
 
         Each is that source's search bounded at its largest bound and
-        stopped once its targets are settled
-        (:func:`~spannerkit.graph.check_distances`): exact at every target
-        within its bound, None past it.  Where every pair of the source
-        holds, the list is capped at the distance T of its farthest target
-        (:func:`~spannerkit.graph.capped_distances`): min(d(source, x), T)
-        at every node x, a consistent lower bound on the source's distances
-        in every subgraph, which greedy and the verifier search by.
+        stopped once its targets are settled: exact at every target within
+        its bound, None past it.  Where every pair of the source holds, the
+        list is capped at the distance T of its farthest target:
+        min(d(source, x), T) at every node x, a consistent lower bound on the
+        source's distances in every subgraph, which greedy and the verifier
+        search by.  The lists of :func:`~spannerkit.graph.source_searches`.
         """
-        from .graph import capped_distances, check_distances
-
-        return capped_distances(self.by_source, check_distances(self.view, self.by_source))
+        return self._searches[0]
 
     @cached_property
     def unmet(self) -> tuple[tuple[int, Fraction | None], ...]:
         """The full graph's verdict: ``(demand index, exact distance)`` of each demand it misses, by index.
 
-        :func:`~spannerkit.graph.violated_pairs` on :attr:`view` and
-        :attr:`reach`, the distance in instance units (None: unreachable).
-        Validation, the threshold search and greedy on the whole graph read
-        it; empty for every valid instance.
+        The verdict of the same pass as :attr:`reach`
+        (:func:`~spannerkit.graph.source_searches`), the distance in
+        instance units (None: unreachable).  Validation, the threshold
+        search and greedy on the whole graph read it; empty for every valid
+        instance.
         """
-        from .graph import violated_pairs
-
-        return tuple(violated_pairs(self.view, self.by_source, self.reach, self.scale))
+        return self._searches[1]
 
     @cached_property
     def metric(self) -> tuple[int, ...]:

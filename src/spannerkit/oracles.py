@@ -36,7 +36,7 @@ from .errors import (
     TooManyCuts,
 )
 from .extension import build_extension
-from .graph import GraphView, budget_window, graph_view, shortest_distances
+from .graph import GraphView, _Components, budget_window, graph_view, shortest_distances
 from .greedy import GreedyStep
 from .instance import Demand, Edge, SpannerInstance, Subgraph, require_integer_lengths
 from .mcf import build_mcf, solve_lp
@@ -65,46 +65,6 @@ class ExactResult:
 
     def edge_tuple(self) -> tuple[int, ...]:
         return tuple(sorted(self.edge_set))
-
-
-class _Components:
-    """Weak components under union by rank, undone in reverse order; no path compression."""
-
-    __slots__ = ("parent", "rank", "count")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-        self.count = n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int):
-        """Join the components of a and b; returns what :meth:`undo` needs, None if already one."""
-        a, b = self.find(a), self.find(b)
-        if a == b:
-            return None
-        rank = self.rank
-        if rank[a] < rank[b]:
-            a, b = b, a
-        self.parent[b] = a
-        bumped = rank[a] == rank[b]
-        rank[a] += bumped
-        self.count -= 1
-        return b, bumped
-
-    def undo(self, joined) -> None:
-        """Reverse the latest :meth:`union` not yet undone, given what it returned."""
-        if joined is None:
-            return
-        b, bumped = joined
-        self.rank[self.parent[b]] -= bumped
-        self.parent[b] = b
-        self.count += 1
 
 
 def exact_optimum(instance: SpannerInstance, *, max_edges: int = 22) -> ExactResult:

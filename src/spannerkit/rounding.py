@@ -70,15 +70,11 @@ def gamma(instance: SpannerInstance, mode: str = "global", *, confidence: float 
     return GammaSpec(mode, lead + log_c + math.log(k), n, k, log_c, confidence)
 
 
-def _uniform(seed: int, counter: int) -> float:
-    """Deterministic uniform in [0, 1) from a keyed 64-bit hash."""
-    key = (seed & (2**64 - 1)).to_bytes(8, "little")
-    data = counter.to_bytes(8, "little", signed=False)
-    digest = hashlib.blake2b(data, digest_size=8, key=key).digest()
-    return int.from_bytes(digest, "little") / 2**64
-
-
 def derive_seed(master: int, stream: bytes, index: int) -> int:
+    """The keyed 64-bit hash of ``stream`` and ``index`` under ``master``.
+
+    It gives each attempt's seed and, with an empty stream, each edge's draw.
+    """
     key = (master & (2**64 - 1)).to_bytes(8, "little")
     digest = hashlib.blake2b(stream + index.to_bytes(8, "little"), digest_size=8, key=key).digest()
     return int.from_bytes(digest, "little")
@@ -103,7 +99,7 @@ def round_solution(solution: FractionalSolution, spec: GammaSpec, seed: int) -> 
     chosen = []
     for e in range(inst.m):
         p = min(1.0, spec.value * float(solution.x[e]))
-        if _uniform(seed, e) < p:
+        if derive_seed(seed, b"", e) / 2**64 < p:  # edge e's uniform draw in [0, 1)
             chosen.append(e)
     sub = Subgraph(inst, frozenset(chosen))
     return RoundingRun(seed, tuple(chosen), sub.weight, verify_feasible(sub))

@@ -538,10 +538,13 @@ def test_bench_zero_trials_empty_table(tmp_path):
     ]
 
 
-def test_bench_rejects_unknown_config_key(tmp_path):
+def test_bench_rejects_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"no_such_key": 1}))
-    assert run_cli(["bench", str(cfg)]) == 3
+    cfg.write_text(json.dumps({"n": 5, "no_such_key": 1, "other_key": 2}))
+    capsys.readouterr()
+    assert run_cli(["bench", str(cfg)]) == 2  # a malformed input file
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "field 'no_such_key'" in err and "other_key" not in err, err
 
 
 @pytest.mark.parametrize(

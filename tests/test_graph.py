@@ -21,6 +21,7 @@ from spannerkit.graph import (
     minimum_spanning_tree,
     reduce_to_metric_pairs,
     shortest_distances,
+    source_searches,
     verify_feasible,
 )
 from spannerkit.greedy import augmented_greedy, greedy
@@ -735,6 +736,54 @@ def test_verify_verdict_does_not_depend_on_the_cached_lists(sub, extra):
         copy = replace(sub.instance)
         copy.scaled.__dict__["reach"] = lists  # the cached property's slot
         assert verdicts_at_each_cutoff(Subgraph(copy, sub.edge_set)) == [expected] * 3
+
+
+def searches_reference(view, scaled):
+    """``(lists, unmet, searches)`` of :func:`source_searches` written out with plain searches.
+
+    Per check, in check order: the search bounded at the source's largest
+    bound and stopped at its targets, capped at its farthest target's
+    distance where every pair holds.  Then each failing source once more,
+    unbounded and stopped at its failing targets.  The verdict comes from
+    full unbounded searches, on their own.
+    """
+    lists, unmet, searches, failing = [], [], [], []
+    for source, limit, targets, nodes in scaled.by_source:
+        searches.append((source, limit, nodes))
+        dist = shortest_distances(view, source, limit=limit, targets=nodes)
+        failed = frozenset(v for v, bound, _ in targets if dist[v] is None or dist[v] > bound)
+        if failed:
+            failing.append((source, None, failed))
+        else:
+            far = max(dist[v] for v in nodes)
+            dist = [far if x is None else min(x, far) for x in dist]
+        lists.append(dist)
+        exact = shortest_distances(view, source)
+        unmet += [
+            (i, None if exact[v] is None else Fraction(exact[v], scaled.scale))
+            for v, bound, i in targets
+            if exact[v] is None or exact[v] > bound
+        ]
+    return tuple(lists), tuple(sorted(unmet, key=lambda pair: pair[0])), searches + failing
+
+
+@VERIFY_PATHS
+@given(verify_cases())
+def test_source_searches_match_plain_searches_on_restricted_views(sub):
+    scaled = sub.instance.scaled
+    view = graph_view(scaled, edge_subset=sub.edge_set)
+    lists, unmet, expected = searches_reference(view, scaled)
+    searches = []
+    search = graph_module.shortest_distances
+
+    def logged(view, source, *, limit=None, targets=None, **kwargs):
+        searches.append((source, limit, frozenset(targets)))
+        return search(view, source, limit=limit, targets=targets, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "shortest_distances", logged)
+        assert source_searches(view, scaled.by_source, scaled.scale) == (lists, unmet)
+    assert searches == expected  # the same searches, with the same limits and targets, in order
 
 
 def test_verify_searches_only_the_pairs_not_met_by_their_own_edge(monkeypatch):

@@ -20,7 +20,7 @@ from spannerkit.generators import (
     nonmetric_triangle,
     random_instance,
 )
-from spannerkit.graph import capped_distances, check_distances, graph_view, verify_feasible
+from spannerkit.graph import graph_view, source_searches, verify_feasible
 from spannerkit.greedy import augmented_greedy, greedy, weight_threshold_search
 from spannerkit.instance import Demand, Edge, SpannerInstance, Subgraph, validate
 from spannerkit.oracles import exact_optimum
@@ -428,7 +428,7 @@ def assert_cache_as_built(inst):
     scaled = inst.scaled
     fresh = graph_view(scaled)
     assert scaled.view.out == fresh.out
-    assert scaled.reach == capped_distances(scaled.by_source, check_distances(fresh, scaled.by_source))
+    assert scaled.reach == source_searches(fresh, scaled.by_source, scaled.scale)[0]
 
 
 # (family, seed, |E[W*]|) of undirected integer-length instances with n = 8, m = 14

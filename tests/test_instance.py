@@ -607,14 +607,14 @@ def test_the_full_graph_verdict_is_computed_once_per_view(monkeypatch):
     calls = []
     graph_module = importlib.import_module("spannerkit.graph")
     greedy_module = importlib.import_module("spannerkit.greedy")  # ``spannerkit.greedy`` is the function
-    original = graph_module.violated_pairs
+    original = graph_module.source_searches
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    for module in (graph_module, greedy_module):  # the verdict's home and greedy's binding
-        monkeypatch.setattr(module, "violated_pairs", counted)
+    for module in (graph_module, greedy_module):  # the pass's home and greedy's binding
+        monkeypatch.setattr(module, "source_searches", counted)
     base = random_instance("decoupled", 8, 14, 1, demand_family="freeform")
     # one weight on every edge: W* is that weight and E[W*] = E, so greedy runs on the whole graph
     inst = replace(base, edges=tuple(Edge(e.u, e.v, Fraction(1), e.length) for e in base.edges))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import pickle
 import random
@@ -292,6 +293,32 @@ def test_derive_seed_stable():
     assert derive_seed(42, b"attempt", 0) == derive_seed(42, b"attempt", 0)
     assert derive_seed(42, b"attempt", 0) != derive_seed(42, b"attempt", 1)
     assert derive_seed(42, b"attempt", 0) != derive_seed(43, b"attempt", 0)
+
+
+def keyed_draw(seed, e):
+    """Edge e's draw under a seed, written out: blake2b of e keyed by the seed's low 64 bits, over 2**64."""
+    key = (seed & (2**64 - 1)).to_bytes(8, "little")
+    digest = hashlib.blake2b(e.to_bytes(8, "little"), digest_size=8, key=key).digest()
+    return int.from_bytes(digest, "little") / 2**64
+
+
+def test_edge_draws_are_the_keyed_hash_of_their_counter():
+    rng = random.Random(5)
+    for _ in range(2000):  # negative seeds and seeds past 2**64 too
+        seed = rng.choice((rng.getrandbits(64), -rng.getrandbits(70), rng.getrandbits(80)))
+        e = rng.getrandbits(rng.choice((4, 16, 63)))
+        assert derive_seed(seed, b"", e) / 2**64 == keyed_draw(seed, e)
+    inst = random_instance(
+        "decoupled", 5, 8, 314, demand_family="freeform", demand_pairs="random",
+        num_demands=3, integer_lengths=True,
+    )
+    sol = solve_lp(build_mcf(build_extension(inst)))
+    spec = replace(gamma(inst), value=0.5)  # every edge the LP buys is a coin flip
+    p = [min(1.0, spec.value * float(x)) for x in sol.x]
+    assert 0.5 in p
+    for seed in [*range(20), -3, 2**64 + 9]:
+        run = round_solution(sol, spec, seed)
+        assert run.chosen_edges == tuple(e for e in range(inst.m) if keyed_draw(seed, e) < p[e])
 
 
 def test_max_attempts_validated():
