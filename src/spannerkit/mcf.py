@@ -25,8 +25,12 @@ source and sink rows, so its model stays infeasible.  All variables live in
 [0,1]; edge variables of edges too long to ever help are fixed to 0.
 
 The flow LP is one concrete model, :class:`McfModel`, with one solve and one
-export: ``solve_lp`` hands its sparse matrices to scipy's HiGHS, and
-``export_lp`` writes it in CPLEX LP text format for external solvers.
+export.  ``build_mcf`` assembles its rows as one column-wise matrix, the
+coupling rows over the conservation rows; ``solve_lp`` passes that matrix
+as it is to HiGHS through scipy's bundled bindings
+(``scipy.optimize._highspy``), with the options scipy's ``linprog`` would
+set, and ``export_lp`` writes the model in CPLEX LP text format for external
+solvers.
 
 numpy and scipy are imported inside ``build_mcf``, ``solve_lp`` and
 ``export_lp``, not at module level: numpy and
@@ -70,22 +74,40 @@ class McfModel:
     the indices :attr:`IntegerInstance.metric` keeps, with their bounds in
     instance units; each commodity's sink layer is the demand's scaled
     bound, ``floor(delta)`` at the extension's scale 1 (``scaled.bounds``).
-    ``a_ub`` holds the coupling rows ``sum_i f_(pair,arc_i) - x_e <= 0`` and
-    ``a_eq`` the conservation rows, one per (pair, touched extension node);
-    both are sparse.  Every upper bound is 1, or 0 for an edge too long to
-    help.
+    The rows are one column-wise matrix ``a`` (CSC, each column's row
+    indices sorted) with right-hand sides ``b``: first the ``num_ub``
+    coupling rows ``sum_i f_(pair,arc_i) - x_e <= 0`` (``b`` is 0 there),
+    then the conservation rows, one per (pair, touched extension node).
+    ``a_ub``/``b_ub`` and ``a_eq``/``b_eq`` read the two blocks off it
+    (``a_ub`` and ``a_eq`` as CSR copies).  Every upper bound is 1, or 0 for
+    an edge too long to help.
     """
 
     c: np.ndarray
-    a_ub: sp.csr_matrix
-    b_ub: np.ndarray
-    a_eq: sp.csr_matrix
-    b_eq: np.ndarray
+    a: sp.csc_array
+    b: np.ndarray
+    num_ub: int
     upper: np.ndarray
     extension: DeltaExtension
     demands: tuple[Demand, ...]  # one per commodity, in demand order
     flow_arcs: tuple[tuple[int, ...], ...]  # per commodity: the arc id of each flow column
     num_edge_vars: int
+
+    @property
+    def a_ub(self) -> sp.csr_array:
+        return self.a[: self.num_ub].tocsr()
+
+    @property
+    def b_ub(self) -> np.ndarray:
+        return self.b[: self.num_ub]
+
+    @property
+    def a_eq(self) -> sp.csr_array:
+        return self.a[self.num_ub :].tocsr()
+
+    @property
+    def b_eq(self) -> np.ndarray:
+        return self.b[self.num_ub :]
 
     @property
     def num_vars(self) -> int:
@@ -140,14 +162,12 @@ def build_mcf(extension: DeltaExtension) -> McfModel:
     num_vars = num_flow + inst.m
 
     layers = extension.delta_bar + 1
-    rows_ub: list[int] = []
-    cols_ub: list[int] = []
-    vals_ub: list[float] = []
-    rows_eq: list[int] = []
-    cols_eq: list[int] = []
-    vals_eq: list[float] = []
-    b_eq: list[float] = []
-    num_ub = 0
+    num_ub = sum(g.edge is not None for runs in kept_runs for g, _, _ in runs)
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    b = [0.0] * num_ub  # each conservation row k is row num_ub + k
+    coupling = 0
     col = 0
     for d, bound, runs in zip(demands, bounds, kept_runs):
         source = extension.node_id(d.u, 0)
@@ -160,22 +180,22 @@ def build_mcf(extension: DeltaExtension) -> McfModel:
             nodes.update(range(tail + lo, tail + hi), range(head + lo, head + hi))
         row_of = {}
         for q in sorted(nodes):
-            row_of[q] = len(b_eq)
-            b_eq.append(rhs.get(q, 0.0))
+            row_of[q] = len(b)
+            b.append(rhs.get(q, 0.0))
         for g, lo, hi in runs:
-            cols = range(col, col + hi - lo)
+            cols_run = range(col, col + hi - lo)
             col += hi - lo
             # Each kept edge run is one coupling row; waiting arcs couple to nothing.
             if g.edge is not None:
-                rows_ub += [num_ub] * (len(cols) + 1)
-                cols_ub += [*cols, num_flow + g.edge]
-                vals_ub += [1.0] * len(cols) + [-1.0]
-                num_ub += 1
+                rows += [coupling] * (len(cols_run) + 1)
+                cols += [*cols_run, num_flow + g.edge]
+                vals += [1.0] * len(cols_run) + [-1.0]
+                coupling += 1
             tail, head = g.tail * layers, g.head * layers + g.length
-            for i, j in zip(range(lo, hi), cols):
-                rows_eq += (row_of[tail + i], row_of[head + i])
-                cols_eq += (j, j)
-                vals_eq += (1.0, -1.0)
+            for i, j in zip(range(lo, hi), cols_run):
+                rows += (row_of[tail + i], row_of[head + i])
+                cols += (j, j)
+                vals += (1.0, -1.0)
 
     c = np.zeros(num_vars)
     upper = np.ones(num_vars)
@@ -185,10 +205,13 @@ def build_mcf(extension: DeltaExtension) -> McfModel:
             upper[num_flow + e] = 0.0  # cannot appear in any within-budget path
     return McfModel(
         c=c,
-        a_ub=sp.csr_matrix((vals_ub, (rows_ub, cols_ub)), shape=(num_ub, num_vars)),
-        b_ub=np.zeros(num_ub),
-        a_eq=sp.csr_matrix((vals_eq, (rows_eq, cols_eq)), shape=(len(b_eq), num_vars)),
-        b_eq=np.array(b_eq),
+        # int32 indices, HiGHS's own index type (csc_array picks int64 for lists)
+        a=sp.csc_array(
+            (vals, (np.array(rows, dtype=np.int32), np.array(cols, dtype=np.int32))),
+            shape=(len(b), num_vars),
+        ),
+        b=np.array(b),
+        num_ub=num_ub,
         upper=upper,
         extension=extension,
         demands=demands,
@@ -197,7 +220,19 @@ def build_mcf(extension: DeltaExtension) -> McfModel:
     )
 
 
-_HIGHS_STATUS = {1: "iteration_limit", 2: "infeasible", 3: "unbounded"}
+# HiGHS's model status -> SolverFailure.status, as scipy's linprog mapped it;
+# every other status but kOptimal is "failed".  HiGHS reports a model it
+# refuses to load (say, an upper bound of -inf) as kModelError.
+_FAILURE_STATUS = {
+    "kInfeasible": "infeasible",
+    "kModelError": "infeasible",
+    "kUnbounded": "unbounded",
+    "kTimeLimit": "iteration_limit",
+    "kIterationLimit": "iteration_limit",
+}
+# How far an optimum may miss a row or a bound before it counts as a failure:
+# linprog's check of HiGHS's answer, 10 * sqrt(1e-9).
+_FEASIBILITY_TOL = 10 * 1e-9**0.5
 
 
 @dataclass
@@ -207,44 +242,87 @@ class FractionalSolution:
     x: np.ndarray  # per edge variable, clamped into [0,1]
     f: np.ndarray  # per flow column, in the model's column order
     primal_residual: float
-    iterations: int  # HiGHS's iteration count (``res.nit``)
+    iterations: int  # HiGHS's simplex (or, failing that, IPM) iteration count
 
 
 def solve_lp(model: McfModel) -> FractionalSolution:
-    """Solve the model with scipy's HiGHS.
+    """Solve the model with HiGHS's dual simplex, through scipy's bundled bindings.
 
-    Raises :class:`SolverFailure` carrying the solver's status on anything but
-    an optimum, and wraps any exception the solver raises.  numpy and
-    scipy.optimize are imported here rather than at module level: with
-    scipy.sparse they take about 0.8 s and 60 MB to import in a fresh
-    interpreter, which callers that never solve an LP should not pay.
+    HiGHS gets the model's one column-wise matrix as it is, the row bounds
+    ``-inf <= a_ub x <= b_ub`` and ``b_eq <= a_eq x <= b_eq``, the column
+    bounds ``0 <= x <= upper`` and the five options ``linprog(method="highs")``
+    sets: presolve on, dual simplex, no debug checks, no log, no output.
+
+    Raises :class:`SolverFailure` carrying the solver's status on anything
+    but an optimum within :data:`_FEASIBILITY_TOL` of every row and bound.
+    It also raises one on a non-finite cost (which linprog rejected and
+    HiGHS would solve) or a NaN upper bound, when scipy lacks the bindings,
+    and in place of any exception the solver raises.  numpy and the bindings
+    are imported here rather than at module level: the bindings load
+    scipy.optimize, and with scipy.sparse they take about 0.8 s and 60 MB to
+    import in a fresh interpreter, which callers that never solve an LP
+    should not pay.
     """
     import numpy as np
-    from scipy.optimize import linprog
 
     try:
-        res = linprog(
-            model.c,
-            A_ub=model.a_ub,
-            b_ub=model.b_ub,
-            A_eq=model.a_eq,
-            b_eq=model.b_eq,
-            bounds=np.column_stack((np.zeros(model.num_vars), model.upper)),
-            method="highs",
-        )
+        import scipy.optimize._highspy._core as highspy
+    except ImportError as exc:
+        raise SolverFailure("failed", f"{type(exc).__name__}: {exc}") from exc
+    if not np.isfinite(model.c).all() or np.isnan(model.upper).any():
+        raise SolverFailure("failed", "ValueError: a cost is not finite or an upper bound is NaN")
+    a = model.a
+    num_rows, num_vars = a.shape
+    row_lower = model.b.copy()
+    row_lower[: model.num_ub] = -highspy.kHighsInf  # the coupling rows: -inf <= a_ub x <= b_ub
+    try:
+        lp = highspy.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = num_vars
+        lp.num_row_ = lp.a_matrix_.num_row_ = num_rows
+        lp.a_matrix_.format_ = highspy.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = a.indptr
+        lp.a_matrix_.index_ = a.indices
+        lp.a_matrix_.value_ = a.data
+        lp.col_cost_ = model.c
+        lp.col_lower_ = np.zeros(num_vars)
+        lp.col_upper_ = model.upper
+        lp.row_lower_ = row_lower
+        lp.row_upper_ = model.b
+        options = highspy.HighsOptions()
+        options.presolve = "on"
+        options.highs_debug_level = highspy.HighsDebugLevel.kHighsDebugLevelNone
+        options.log_to_console = False
+        options.output_flag = False
+        options.simplex_strategy = highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        highs = highspy._Highs()
+        if highs.passOptions(options) == highspy.HighsStatus.kError:
+            status = highs.getModelStatus()
+        elif highs.passModel(lp) == highspy.HighsStatus.kError:
+            status = highspy.HighsModelStatus.kModelError
+        else:
+            highs.run()
+            status = highs.getModelStatus()
+        message = highs.modelStatusToString(status)
+        if status == highspy.HighsModelStatus.kOptimal:
+            values = np.array(highs.getSolution().col_value)
+            info = highs.getInfo()
+            iterations = info.simplex_iteration_count or info.ipm_iteration_count
     except Exception as exc:
         raise SolverFailure("failed", f"{type(exc).__name__}: {exc}") from exc
-    if res.status != 0 or res.x is None:
-        raise SolverFailure(_HIGHS_STATUS.get(res.status, "failed"), res.message)
-    values = res.x
+    if status != highspy.HighsModelStatus.kOptimal:
+        raise SolverFailure(_FAILURE_STATUS.get(status.name, "failed"), message)
     num_flow = model.num_flow_vars
     x_edges = np.clip(values[num_flow:], 0.0, 1.0) + 0.0  # + 0.0 turns HiGHS's -0.0 into 0.0
-    resid_eq = float(np.max(np.abs(model.a_eq @ values - model.b_eq), initial=0.0))
-    resid_ub = float(np.max(model.a_ub @ values - model.b_ub, initial=0.0))
-    objective = float(model.c[num_flow:] @ x_edges)
-    return FractionalSolution(
-        model, objective, x_edges, values[:num_flow], max(resid_eq, resid_ub), int(res.nit)
+    rows = a @ values - model.b
+    residual = max(
+        float(np.max(np.abs(rows[model.num_ub :]), initial=0.0)),
+        float(np.max(rows[: model.num_ub], initial=0.0)),
     )
+    tol = _FEASIBILITY_TOL
+    if not (residual <= tol and np.all((-tol <= values) & (values <= model.upper + tol))):
+        raise SolverFailure("failed", f"the optimum misses a row or a bound by more than {tol:.2e}")
+    objective = float(model.c[num_flow:] @ x_edges)
+    return FractionalSolution(model, objective, x_edges, values[:num_flow], residual, int(iterations))
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,14 @@ def test_unexpected_error_exits_4_on_one_line(ex5, monkeypatch, capsys):
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
 
+def test_missing_lp_bindings_exit_3_on_one_line(ex5, monkeypatch, capsys):
+    # a scipy without the HiGHS bindings solve_lp imports: a SolverFailure, no traceback
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    assert run_cli(["solve", str(ex5), "--algorithm", "randomized-rounding"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'failed'" in err and "ModuleNotFoundError" in err, err
+
+
 def test_missing_or_unreadable_input_exits_2_naming_the_path(ex5, tmp_path, capsys):
     missing = tmp_path / "nonexistent.json"
     cases = [

@@ -8,9 +8,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.optimize._highspy._core as highspy
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from conftest import brute_force_optimum
 from test_graph import dominated_triangle
@@ -400,9 +402,8 @@ def test_export_reads_back(tmp_path, key):
 
 def _hand_built(c, upper) -> McfModel:
     """A model with edge columns only and no rows, for statuses no spanner instance gives."""
-    empty = sp.csr_matrix((0, len(c)))
     ext = build_extension(SpannerInstance(True, 1, (), ()))
-    return McfModel(np.array(c), empty, np.zeros(0), empty, np.zeros(0), np.array(upper),
+    return McfModel(np.array(c), sp.csc_array((0, len(c))), np.zeros(0), 0, np.array(upper),
                     extension=ext, demands=(), flow_arcs=(), num_edge_vars=len(c))
 
 
@@ -440,3 +441,83 @@ def test_solver_exception_becomes_solver_failure():
         solve_lp(_hand_built([np.nan], [1.0]))
     assert info.value.status == "failed"
     assert "ValueError" in str(info.value)
+
+
+# The SolverFailure status of each HiGHS model status but kOptimal: the table
+# scipy's linprog(method="highs") applied, read through its status codes
+# 1 (iteration limit), 2 (infeasible) and 3 (unbounded).  Any other status,
+# kUnboundedOrInfeasible among them, is "failed".
+LINPROG_FAILURES = {
+    "kInfeasible": "infeasible",
+    "kModelError": "infeasible",
+    "kUnbounded": "unbounded",
+    "kTimeLimit": "iteration_limit",
+    "kIterationLimit": "iteration_limit",
+}
+
+
+@pytest.mark.parametrize("name", [name for name in highspy.HighsModelStatus.__members__ if name != "kOptimal"])
+def test_each_highs_status_gives_linprogs_failure_status(monkeypatch, name):
+    status = highspy.HighsModelStatus.__members__[name]
+
+    class Reports(highspy._Highs):
+        def run(self):
+            return highspy.HighsStatus.kOk
+
+        def getModelStatus(self):
+            return status
+
+    monkeypatch.setattr(highspy, "_Highs", Reports)
+    with pytest.raises(SolverFailure) as info:
+        solve_lp(_tied_square())
+    assert info.value.status == LINPROG_FAILURES.get(name, "failed")
+
+
+def test_a_model_highs_refuses_is_infeasible():
+    # an upper bound of -inf: HiGHS will not load the model (kModelError)
+    with pytest.raises(SolverFailure) as info:
+        solve_lp(_hand_built([1.0], [-np.inf]))
+    assert info.value.status == "infeasible"
+
+
+@st.composite
+def flow_instances(draw):
+    """Small unvalidated instances with fractional weights; a demand may have no route at all."""
+    directed = draw(st.booleans())
+    n = draw(st.integers(2, 6))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=12, unique=True))
+    edges = tuple(
+        Edge(u, v, Fraction(draw(st.integers(1, 40)), draw(st.integers(1, 7))), Fraction(draw(st.integers(1, 3))))
+        for u, v in chosen
+    )
+    wanted = draw(st.lists(st.sampled_from(chosen), min_size=1, max_size=4, unique=True))
+    demands = tuple(Demand(u, v, Fraction(draw(st.integers(1, 9)))) for u, v in wanted)
+    if draw(st.integers(0, 3)) == 0:  # node n has no edge, so this pair has no route
+        demands += (Demand(0, n, Fraction(3)),)
+        n += 1
+    return SpannerInstance(directed, n, edges, demands)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(flow_instances())
+def test_solve_lp_is_linprog_bit_for_bit(inst):
+    # The LP HiGHS is handed is the one linprog(method="highs") handed it from
+    # the model's two blocks, so the answers agree to the bit.
+    model = build_mcf(build_extension(inst))
+    bounds = np.column_stack((np.zeros(model.num_vars), model.upper))
+    res = linprog(model.c, A_ub=model.a_ub, b_ub=model.b_ub, A_eq=model.a_eq, b_eq=model.b_eq,
+                  bounds=bounds, method="highs")
+    expected = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbounded"}.get(res.status, "failed")
+    try:
+        solution = solve_lp(model)
+    except SolverFailure as exc:
+        assert exc.status == expected
+        return
+    assert expected == "optimal"
+    num_flow = model.num_flow_vars
+    x = np.clip(res.x[num_flow:], 0.0, 1.0) + 0.0
+    assert np.array_equal(solution.f, res.x[:num_flow])
+    assert np.array_equal(solution.x, x)
+    assert solution.objective == float(model.c[num_flow:] @ x)
+    assert solution.iterations == res.nit
