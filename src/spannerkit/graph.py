@@ -1,6 +1,7 @@
 """Deterministic shortest paths, spanning trees, and feasibility checks.
 
-All arithmetic is exact.  The search routines work in whatever units the
+All arithmetic is exact.  A view is plain data, its adjacency lists
+(:func:`graph_view`).  The search routines work in whatever units the
 view carries, but inside the package every view is a view of a scaled
 instance (``instance.scaled``): integer lengths, ``L`` times the instance's
 own, and floored integer bounds; the metric-pair reduction's demand graph
@@ -23,7 +24,7 @@ Every instance's full graph search is made once: the scaled view keeps the
 full forward view (``scaled.view``) and one pass of :func:`source_searches`
 on it, the one producer of per-source lists.  Per demand source, the search
 is bounded at the source's largest bound and stopped at its targets, and
-its failing pairs are read off it by :func:`_search`, the one such test.
+its failing pairs are read off it by :func:`_search`.
 Where all of the source's pairs hold, its list is capped at its farthest
 target distance T, min(d, T), a consistent lower bound on the source's
 distances in any subgraph (``scaled.reach``); the failing pairs are
@@ -35,12 +36,15 @@ checks) read them.  It also keeps the full reversed view
 (``scaled.reverse``, the forward view itself when undirected), which the
 flow LP's and the restricted gamma's budget windows read.  Nothing may
 change them.
-Verification asks, as greedy's second phase does, whether each pair holds
-in a subgraph H: for a source with few targets, by H's arc from source to
-target or by a search back from the target, goal-directed by the source's
-capped list; for one with many, by one search from the source.  The cache
-only chooses the searches: every pair that fails one is searched again,
-and its exact distance decides it (:func:`verify_feasible`).
+Two verdicts answer every "does it hold?" question.  :func:`_search` tests
+a source's pairs off one bounded search from it (validation, the threshold
+search, the exact oracle, which reads its witness off the search's tree,
+and the verifier for a source with many targets).  :func:`_pair_holds`
+tests one pair in a subgraph H, by H's arc from source to target or by a
+search back from the target goal-directed by the source's capped list
+(greedy's second phase, and the verifier for a source with few targets).
+The cache only chooses the verifier's searches: every pair that fails one
+is searched again, and its exact distance decides it (:func:`verify_feasible`).
 The demands checked are always the instance's own; a check of other pairs
 is a check of a copy of the instance that holds them.
 Tie-break contract: the path greedy adds for a pair is the one
@@ -63,23 +67,13 @@ from .errors import DirectedInstance, SpannerError
 from .instance import Demand, IntegerInstance, SpannerInstance, Subgraph
 
 
-class GraphView:
-    """Adjacency lists: ``out[tail]`` holds ``(head, length, edge_index)`` arcs.
-
-    Undirected instances are bi-directed: each edge contributes one arc per
-    direction, both carrying the original edge index.
-    """
-
-    __slots__ = ("n", "out")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.out: list[list[tuple[int, object, int]]] = [[] for _ in range(n)]
-
-
-def graph_view(inst, *, edge_subset=None, reverse: bool = False) -> GraphView:
+def graph_view(inst, *, edge_subset=None, reverse: bool = False) -> list:
     """View of an IntegerInstance (inside the package, always ``instance.scaled``) or a SpannerInstance.
 
+    The view is a list of n adjacency lists: ``view[tail]`` holds one
+    ``(head, length, edge_index)`` arc per kept edge out of ``tail``, in
+    edge-index order.  Undirected instances are bi-directed: each edge
+    contributes one arc per direction, both carrying the edge index.
     ``reverse=True`` flips every arc (used for distances *to* a target in
     directed graphs).  The full graph's views, forward and reversed, are
     cached on the scaled view (:attr:`~spannerkit.instance.IntegerInstance.view`
@@ -87,8 +81,7 @@ def graph_view(inst, *, edge_subset=None, reverse: bool = False) -> GraphView:
     """
     lengths = inst.lengths
     undirected = not inst.directed
-    view = GraphView(inst.n)
-    out = view.out
+    out: list = [[] for _ in range(inst.n)]
     for i, e in enumerate(inst.edges):
         if edge_subset is not None and i not in edge_subset:
             continue
@@ -98,13 +91,13 @@ def graph_view(inst, *, edge_subset=None, reverse: bool = False) -> GraphView:
         out[u].append((v, ln, i))
         if undirected:
             out[v].append((u, ln, i))
-    return view
+    return out
 
 
 def shortest_distances(
-    view: GraphView, source: int, *, limit=None, parent_edge=None, targets=None, potential=None
+    view: list, source: int, *, limit=None, parent_edge=None, targets=None, potential=None
 ) -> list:
-    """Exact Dijkstra distances from ``source``; None marks unreachable.
+    """Exact Dijkstra distances from ``source`` to each node of ``view``; None marks unreachable.
 
     With ``limit`` the search never goes past that distance: nodes farther
     than ``limit`` read None, like unreachable ones.  Exact, because lengths
@@ -132,10 +125,8 @@ def shortest_distances(
     node's entry is final, and so are those along its tree path to the
     source, since each of those nodes was settled before it.
     """
-    n = view.n
-    out = view.out
-    dist: list = [None] * n
-    done = [False] * n
+    dist: list = [None] * len(view)
+    done = [False] * len(view)
     dist[source] = 0
     targets = targets or ()
     left = len(targets)
@@ -152,7 +143,7 @@ def shortest_distances(
                 if not left:
                     break
             d = dist[q]
-            for head, length, edge_index in out[q]:
+            for head, length, edge_index in view[q]:
                 nd = d + length
                 key = nd + potential[head]
                 if done[head] or (limit is not None and key > limit):
@@ -174,7 +165,7 @@ def shortest_distances(
             left -= 1
             if not left:
                 break
-        for head, length, edge_index in out[q]:
+        for head, length, edge_index in view[q]:
             nd = d + length
             if done[head] or (limit is not None and nd > limit):
                 continue
@@ -187,13 +178,14 @@ def shortest_distances(
     return dist
 
 
-def lex_shortest_path(view: GraphView, reverse: GraphView, from_source: list, source: int, target: int):
+def lex_shortest_path(view: list, reverse: list, from_source: list, source: int, target: int):
     """``(nodes, edges)`` of the lexicographically smallest shortest source-target path.
 
-    ``from_source[x]`` is the distance from the source to x (``view``'s
-    arcs; ``reverse`` holds them reversed).  It need be exact only at the
-    target and the nodes nearer the source than it: every other entry may
-    be any value at least the target's distance, or None.  A search from the
+    ``from_source[x]`` is the distance from the source to x over the view's
+    arcs (``view[q]`` out of q; ``reverse[q]`` holds those into q,
+    reversed).  It need be exact only at the target and the nodes nearer
+    the source than it: every other entry may be any value at least the
+    target's distance, or None.  A search from the
     source stopped once the target is settled gives such a list, and still
     does with every None and every entry past a cap at least the target's
     distance set to that cap.
@@ -216,17 +208,16 @@ def lex_shortest_path(view: GraphView, reverse: GraphView, from_source: list, so
     while stack:
         y = stack.pop()
         at = from_source[y]
-        for x, length, _ in reverse.out[y]:
+        for x, length, _ in reverse[y]:
             dx = from_source[x]
             if dx is not None and x not in marked and dx + length == at:
                 marked.add(x)
                 stack.append(x)
-    out = view.out
     nodes, edges = [source], []
     q = source
     while q != target:
         at, best = from_source[q], None
-        for head, length, edge_index in out[q]:
+        for head, length, edge_index in view[q]:
             if head in marked and at + length == from_source[head] and (best is None or head < best[0]):
                 best = (head, length, edge_index)
         if best is None or not best[1]:
@@ -354,15 +345,15 @@ def metric_pairs(scaled: IntegerInstance) -> tuple[int, ...]:
     no subgraph meets it, and it is never dropped.  Self-pairs always hold
     and are left out.
     """
-    view = GraphView(scaled.n)
+    view: list = [[] for _ in range(scaled.n)]
     into: list[list[tuple[int, int]]] = [[] for _ in range(scaled.n)]  # (tail, bound) per in-arc
     for j, ((u, v, _), bound) in enumerate(zip(scaled.demands, scaled.bounds)):
         if bound < 1:
             continue
-        view.out[u].append((v, bound, j))
+        view[u].append((v, bound, j))
         into[v].append((u, bound))
         if not scaled.directed:
-            view.out[v].append((u, bound, j))
+            view[v].append((u, bound, j))
             into[u].append((v, bound))
     kept = []
     for source, limit, targets, _ in scaled.by_source:
@@ -407,21 +398,40 @@ class Verdict:
         return "infeasible:\n" + "\n".join(lines)
 
 
-def _search(view: GraphView, check) -> tuple[list, list]:
+def _search(view: list, check, parent_edge=None) -> tuple[list, list]:
     """``(dist, failed)`` of one check ``(source, limit, targets, nodes)`` on the view.
 
     ``dist`` is the search from ``source`` bounded at ``limit`` (the
     source's largest bound) and stopped once ``nodes`` is settled, exact at
     every target within its bound; ``failed`` lists the ``(target, bound,
     demand index)`` of each pair past its bound or unreachable there.  The
-    one test of a bounded source search.
+    one test of a bounded source search.  ``parent_edge``, a list of n
+    entries, receives the search's shortest-path tree
+    (:func:`shortest_distances`), final along every target's tree path.
     """
     source, limit, targets, nodes = check
-    dist = shortest_distances(view, source, limit=limit, targets=nodes)
+    dist = shortest_distances(view, source, limit=limit, parent_edge=parent_edge, targets=nodes)
     return dist, [(v, bound, i) for v, bound, i in targets if dist[v] is None or dist[v] > bound]
 
 
-def meets_bounds(view: GraphView, checks: list) -> tuple[bool, int]:
+def _pair_holds(reverse: list, source: int, target: int, bound, potential: list) -> bool:
+    """Whether ``target`` is within ``bound`` of ``source`` in the view ``reverse`` holds reversed.
+
+    The one test of a single pair: an arc from ``source`` into ``target`` no
+    longer than ``bound`` (a scan of ``reverse[target]`` costs no more than a
+    search's first step, where a lookup table would cost a pass over the
+    view), or a search back from ``target``, bounded at ``bound``, stopped at
+    ``source`` and goal-directed by ``potential``, a consistent lower bound
+    on each node's distance from ``source`` in the view.
+    """
+    for tail, length, _ in reverse[target]:
+        if tail == source and length <= bound:
+            return True
+    back = shortest_distances(reverse, target, limit=bound, targets=(source,), potential=potential)
+    return back[source] is not None
+
+
+def meets_bounds(view: list, checks: list) -> tuple[bool, int]:
     """``(whether every check holds in the view, sources searched)``, in scaled units.
 
     Stops at the first miss.  A failing source moves to the front of
@@ -435,7 +445,7 @@ def meets_bounds(view: GraphView, checks: list) -> tuple[bool, int]:
     return True, len(checks)
 
 
-def source_searches(view: GraphView, checks, scale: int) -> tuple[tuple[list, ...], tuple]:
+def source_searches(view: list, checks, scale: int) -> tuple[tuple[list, ...], tuple]:
     """``(lists, unmet)``: one distance list per check, in check order, and the view's verdict.
 
     Each list is the check's bounded search (:func:`_search`).  Where every
@@ -464,7 +474,7 @@ def source_searches(view: GraphView, checks, scale: int) -> tuple[tuple[list, ..
     return tuple(lists), tuple(_exact_violations(view, suspects, scale))
 
 
-def _exact_violations(view: GraphView, suspects, scale: int) -> list[tuple[int, Fraction | None]]:
+def _exact_violations(view: list, suspects, scale: int) -> list[tuple[int, Fraction | None]]:
     """``(demand index, exact distance in instance units)`` of each suspect that fails, by index.
 
     ``suspects`` yields ``(source, [(target, bound, demand index), ...])``.
@@ -508,13 +518,11 @@ def verify_feasible(subgraph: Subgraph) -> Verdict:
 
     A source with at most :data:`PAIR_SEARCH_MAX` targets, all of whose
     pairs hold in the full graph, is checked pair by pair, as greedy checks
-    its pairs.  A pair holds at once when the subgraph keeps an arc from the
-    source to the target no longer than its bound.  Otherwise a search goes
-    back from the target on the subgraph's reversed arcs, bounded at the
-    pair's bound, stopped at the source and goal-directed by the source's
-    cached list (``scaled.reach``, capped: a lower bound on the source's
-    distances in any subgraph).  A source with more targets gets one search
-    bounded at its largest bound and stopped at its targets
+    its pairs (:func:`_pair_holds` on the subgraph's reversed arcs): by the
+    pair's own arc, or by a search back from the target goal-directed by the
+    source's cached list (``scaled.reach``, capped: a lower bound on the
+    source's distances in any subgraph).  A source with more targets gets
+    one search bounded at its largest bound and stopped at its targets
     (:func:`_search`).  A source that fails in the full graph fails in the
     subgraph too, so each of its pairs is a suspect.  Every suspect is
     searched again without a bound, and only one past its bound is
@@ -526,7 +534,6 @@ def verify_feasible(subgraph: Subgraph) -> Verdict:
     scaled = instance.scaled
     edge_set = subgraph.edge_set
     view = graph_view(scaled, edge_subset=edge_set)
-    out = view.out
     reverse = None
     suspects = []
     for check, full in zip(scaled.by_source, scaled.reach):
@@ -540,17 +547,7 @@ def verify_feasible(subgraph: Subgraph) -> Verdict:
                 reverse = view
                 if instance.directed:
                     reverse = graph_view(scaled, edge_subset=edge_set, reverse=True)
-            failed = []
-            for v, bound, i in targets:
-                # the pair's own arc; scanning the source's arcs costs no more than the first
-                # step of a search, where a lookup table would cost a pass over the subgraph
-                for head, length, _ in out[source]:
-                    if head == v and length <= bound:
-                        break
-                else:
-                    back = shortest_distances(reverse, v, limit=bound, targets=(source,), potential=full)
-                    if back[source] is None:
-                        failed.append((v, bound, i))
+            failed = [(v, b, i) for v, b, i in targets if not _pair_holds(reverse, source, v, b, full)]
         suspects.append((source, failed))
     violations = [
         PairViolation(demands[i].u, demands[i].v, demands[i].delta, achieved)

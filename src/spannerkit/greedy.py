@@ -23,10 +23,11 @@ pass (:func:`~spannerkit.graph.source_searches`), which caps each list at
 u's farthest target distance T once all of u's pairs hold: min(d(u, x), T).
 The spanner only grows inside the searched graph, so these bound every
 spanner distance from u from below: the spanner's arcs are kept reversed,
-and whether a pair already holds is asked by a search back from its target,
-bounded at the pair's bound, stopped at u and goal-directed by u's capped
-list.  For a pair that does not hold, the path is walked off the same list;
-no further search is needed.
+and whether a pair already holds is asked as the verifier asks it
+(:func:`~spannerkit.graph._pair_holds`): by the spanner's arc from u to the
+target, or by a search back from the target, bounded at the pair's bound,
+stopped at u and goal-directed by u's capped list.  For a pair that does
+not hold, the path is walked off the same list; no further search is needed.
 On the whole graph the searches are the instance's own: the threshold
 search's check at the largest weight (which keeps every edge) and its guard,
 and greedy's pair order when ``edge_subset`` keeps every edge (plain
@@ -51,12 +52,11 @@ from fractions import Fraction
 
 from .errors import DirectedInstance, InfeasibleInstance, LemmaViolation, UnsatisfiableDemand
 from .graph import (
-    GraphView,
+    _pair_holds,
     graph_view,
     lex_shortest_path,
     meets_bounds,
     minimum_spanning_tree,
-    shortest_distances,
     source_searches,
 )
 from .instance import IntegerInstance, SpannerInstance, Subgraph
@@ -116,7 +116,7 @@ def greedy(
     else:
         reverse = view
     chosen: set[int] = set()
-    spanner = GraphView(instance.n)  # grows with ``chosen``, arcs reversed
+    spanner: list = [[] for _ in range(instance.n)]  # grows with ``chosen``, arcs reversed
     prev = None
     for dist, _, _, bound, d in order:
         if prev is not None and dist < prev:
@@ -124,8 +124,7 @@ def greedy(
         prev = dist
         # the spanner only grows inside ``view``, so min(d(u, x), T) bounds its distances from u
         from_source = dists[d.u]
-        back = shortest_distances(spanner, d.v, limit=bound, targets=(d.u,), potential=from_source)
-        executed = back[d.u] is None
+        executed = not _pair_holds(spanner, d.u, d.v, bound, from_source)
         path_nodes: tuple[int, ...] = ()
         path_edges: tuple[int, ...] = ()
         new_edges: tuple[int, ...] = ()
@@ -135,9 +134,9 @@ def greedy(
             chosen.update(new_edges)
             for e in new_edges:
                 edge, length = instance.edges[e], scaled.lengths[e]
-                spanner.out[edge.v].append((edge.u, length, e))
+                spanner[edge.v].append((edge.u, length, e))
                 if not instance.directed:
-                    spanner.out[edge.u].append((edge.v, length, e))
+                    spanner[edge.u].append((edge.v, length, e))
         if trace is not None:
             trace.append(
                 GreedyStep(
@@ -226,10 +225,11 @@ def weight_threshold_search(instance: SpannerInstance, *, mst_lift: bool = False
         if flagged:
             # G[w2] is the full view less its top-weight arcs; the other nodes share the cached lists
             probes = 1
-            below_top = GraphView(scaled.n)
-            below_top.out = list(scaled.view.out)
-            for a in {a for a, _, _ in top_arcs}:
-                below_top.out[a] = [arc for arc in below_top.out[a] if scaled.weights[arc[2]] < top]
+            tails = {a for a, _, _ in top_arcs}
+            below_top = [
+                [arc for arc in arcs if scaled.weights[arc[2]] < top] if a in tails else arcs
+                for a, arcs in enumerate(scaled.view)
+            ]
             held, searches = meets_bounds(below_top, flagged)
         if held:
             found, more_probes, more_searches = _record_pass(scaled, weights[:-1], below_top)
@@ -270,7 +270,7 @@ def _top_tight(scaled: IntegerInstance, top_arcs: list) -> list:
     ]
 
 
-def _record_pass(scaled: IntegerInstance, weights: list, base: GraphView) -> tuple[int, int, int]:
+def _record_pass(scaled: IntegerInstance, weights: list, base: list) -> tuple[int, int, int]:
     """``(W*, views built, sources searched)`` when every source holds at ``weights[-1]``.
 
     ``base`` holds at least G[weights[-1]]; views are filtered from it and
@@ -280,11 +280,10 @@ def _record_pass(scaled: IntegerInstance, weights: list, base: GraphView) -> tup
     views = {top: base}
     edge_weight = scaled.weights
 
-    def view_at(i: int, above: int) -> GraphView:  # G[weights[i]], filtered from the built G[weights[above]]
+    def view_at(i: int, above: int) -> list:  # G[weights[i]], filtered from the built G[weights[above]]
         if i not in views:
             w = weights[i]
-            views[i] = GraphView(scaled.n)
-            views[i].out = [[arc for arc in arcs if edge_weight[arc[2]] <= w] for arcs in views[above].out]
+            views[i] = [[arc for arc in arcs if edge_weight[arc[2]] <= w] for arcs in views[above]]
         return views[i]
 
     rest = sorted(scaled.by_source, key=lambda check: check[0] * _RECORD_ORDER_SEED & 0xFFFFFFFF)

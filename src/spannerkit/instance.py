@@ -654,11 +654,11 @@ def save(instance: SpannerInstance, path: str) -> None:
 
 def read_json_object(path: str) -> dict:
     """Parse a JSON file whose top-level value must be an object."""
-    try:
-        with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
+        try:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {exc}", path=path) from None
+        except (ValueError, RecursionError) as exc:  # bad syntax or UTF-8, too many digits, too deep
+            raise ParseError(f"not valid JSON: {exc}", path=path) from None
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object", path=path)
     return doc

@@ -10,12 +10,14 @@ additive-spanner size bound.
 
 The branch and bound prunes on the included weight plus a connectivity
 lower bound: the lightest edges that could still join the components every
-demand pair must share.  Its feasibility searches run on one private view of
-the envelope (the edges not yet excluded), edited in place as edges are
+demand pair must share.  Its feasibility searches are the graph layer's
+bounded source test (``graph._search``), run on one private view of the
+envelope (the edges not yet excluded), edited in place as edges are
 excluded and restored, never on a rebuilt view and never on the shared
-``scaled.view``.  Each demand source's witness, the edges of the paths that
-last met its bounds, stays a subset of the envelope, so an exclusion
-re-searches only the sources whose witness holds the excluded edge.
+``scaled.view``.  Each demand source's witness, the edges of the search
+tree's paths that last met its bounds, stays a subset of the envelope, so
+an exclusion re-searches only the sources whose witness holds the excluded
+edge.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import (
     TooManyCuts,
 )
 from .extension import build_extension
-from .graph import GraphView, _Components, budget_window, graph_view, shortest_distances
+from .graph import _Components, _search, budget_window, graph_view, shortest_distances
 from .greedy import GreedyStep
 from .instance import Demand, Edge, SpannerInstance, Subgraph, require_integer_lengths
 from .mcf import build_mcf, solve_lp
@@ -92,7 +94,8 @@ def exact_optimum(instance: SpannerInstance, *, max_edges: int = 22) -> ExactRes
     visited and the tie-break holds.  It holds on directed instances too,
     since a directed path joins its endpoints' weak components.
 
-    The searches run on one private view of the envelope, a copy of
+    The searches (``graph._search``, which also gives the tree the witness
+    is read from) run on one private view of the envelope, a copy of each of
     ``scaled.view``'s adjacency lists made once per call.  Excluding an edge
     deletes its arcs from their lists, and the backtrack puts each back at
     its old index.  So every search sees the lists ``graph_view(scaled,
@@ -118,25 +121,24 @@ def exact_optimum(instance: SpannerInstance, *, max_edges: int = 22) -> ExactRes
     checks = list(scaled.by_source)
     weights = scaled.weights
     witness: dict[int, set[int]] = {}
-    view = GraphView(scaled.n)
-    view.out = [list(arcs) for arcs in scaled.view.out]
+    view = [list(arcs) for arcs in scaled.view]
     # Each edge's arcs, with the private list that holds each, in the order graph_view appends them.
     arcs_of = []
     for i, (e, length) in enumerate(zip(edges, scaled.lengths)):
-        arcs = [(view.out[e.u], (e.v, length, i))]
+        arcs = [(view[e.u], (e.v, length, i))]
         if not scaled.directed:
-            arcs.append((view.out[e.v], (e.u, length, i)))
+            arcs.append((view[e.v], (e.u, length, i)))
         arcs_of.append(arcs)
     skips = 0
 
-    def meets(source: int, limit: int, targets, nodes) -> bool:
-        """One source's bounded search; on success its witness is replaced."""
+    def meets(check) -> bool:
+        """One source's bounded search (:func:`_search`); on success its witness is replaced."""
         parent = [None] * scaled.n
-        dist = shortest_distances(view, source, limit=limit, parent_edge=parent, targets=nodes)
+        if _search(view, check, parent)[1]:
+            return False
+        source = check[0]
         found: set[int] = set()
-        for v, bound, _ in targets:
-            if dist[v] is None or dist[v] > bound:
-                return False
+        for v in check[3]:
             while v != source and parent[v] not in found:
                 e = edges[parent[v]]
                 found.add(parent[v])
@@ -147,11 +149,11 @@ def exact_optimum(instance: SpannerInstance, *, max_edges: int = 22) -> ExactRes
     def feasible(removed: int | None = None) -> bool:
         """Whether the envelope meets every bound; a failing source moves to the front."""
         nonlocal skips
-        for k, (source, limit, targets, nodes) in enumerate(checks):
-            if removed is not None and removed not in witness[source]:
+        for k, check in enumerate(checks):
+            if removed is not None and removed not in witness[check[0]]:
                 skips += 1
                 continue
-            if not meets(source, limit, targets, nodes):
+            if not meets(check):
                 checks.insert(0, checks.pop(k))
                 return False
         return True
@@ -245,7 +247,7 @@ def crossing_arc(labels, view, delta: int):
     An arc copy (s_i, t_{i+L}) crosses iff i >= labels[s] and i+L < labels[t];
     such an i exists iff labels[s] <= min(delta - L, labels[t] - L - 1).
     """
-    for s, out in enumerate(view.out):
+    for s, out in enumerate(view):
         i = labels[s]
         for t, length, e in out:
             if i <= delta - length and i <= labels[t] - length - 1:
@@ -258,7 +260,7 @@ def _ascending_cuts(view, u: int, v: int, delta: int, cap: int):
 
     For the pair ``(u, v)`` at its scaled bound ``delta``.
     """
-    n = view.n
+    n = len(view)
     total = ascending_cut_count(n, delta)
     if total > cap:
         raise TooManyCuts(f"{total} ascending cuts exceeds the cap of {cap}")
@@ -400,7 +402,7 @@ def restricted_subgraph(instance: SpannerInstance, index: int):
 
     nodes = frozenset(z for z in range(instance.n) if fits(z, 0, z))
     edges = frozenset(
-        e for s, out in enumerate(scaled.view.out) for t, length, e in out if fits(s, length, t)
+        e for s, out in enumerate(scaled.view) for t, length, e in out if fits(s, length, t)
     )
     return nodes, edges
 

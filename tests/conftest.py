@@ -10,19 +10,17 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
-from spannerkit.graph import GraphView
 
-
-def bellman_ford(view: GraphView, source: int) -> list:
+def bellman_ford(view: list, source: int) -> list:
     """Textbook relaxation loop; exact arithmetic; None = unreachable."""
-    dist: list = [None] * view.n
+    dist: list = [None] * len(view)
     dist[source] = 0
     arcs = [
         (tail, head, length)
-        for tail in range(view.n)
-        for head, length, _ in view.out[tail]
+        for tail in range(len(view))
+        for head, length, _ in view[tail]
     ]
-    for _ in range(view.n - 1):
+    for _ in range(len(view) - 1):
         changed = False
         for tail, head, length in arcs:
             if dist[tail] is None:
@@ -49,13 +47,13 @@ def reference_greedy(instance, edge_subset=None) -> list[tuple]:
     lengths = instance.lengths
 
     def view_of(ids, reverse=False):
-        view = GraphView(instance.n)
+        view = [[] for _ in range(instance.n)]
         for i in sorted(ids):
             e, length = instance.edges[i], lengths[i]
             tail, head = (e.v, e.u) if reverse else (e.u, e.v)
-            view.out[tail].append((head, length, i))
+            view[tail].append((head, length, i))
             if not instance.directed:
-                view.out[head].append((tail, length, i))
+                view[head].append((tail, length, i))
         return view
 
     ids = range(instance.m) if edge_subset is None else edge_subset
@@ -82,7 +80,7 @@ def reference_greedy(instance, edge_subset=None) -> list[tuple]:
             while q != v:
                 steps = [
                     (head, i)
-                    for head, length, i in graph.out[q]
+                    for head, length, i in graph[q]
                     if to_v[head] is not None and length + to_v[head] == to_v[q]
                 ]
                 q, i = min(steps, key=lambda step: step[0])
@@ -96,7 +94,7 @@ def reference_greedy(instance, edge_subset=None) -> list[tuple]:
     return trace
 
 
-def all_simple_paths(view: GraphView, source: int, target: int, limit: int = 10**6):
+def all_simple_paths(view: list, source: int, target: int, limit: int = 10**6):
     """Every simple path as (length, node tuple); exponential, tiny graphs only."""
     results = []
     stack = [(source, (source,), 0)]
@@ -107,13 +105,13 @@ def all_simple_paths(view: GraphView, source: int, target: int, limit: int = 10*
             continue
         if len(results) > limit:
             raise RuntimeError("too many paths")
-        for head, arc_len, _ in view.out[node]:
+        for head, arc_len, _ in view[node]:
             if head not in path:
                 stack.append((head, path + (head,), length + arc_len))
     return results
 
 
-def brute_force_lex_shortest(view: GraphView, source: int, target: int):
+def brute_force_lex_shortest(view: list, source: int, target: int):
     """(distance, lexicographically smallest shortest node sequence) or None."""
     paths = all_simple_paths(view, source, target)
     if not paths:

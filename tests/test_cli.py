@@ -159,6 +159,31 @@ def test_missing_or_unreadable_input_exits_2_naming_the_path(ex5, tmp_path, caps
         assert (str(missing) if str(missing) in args else str(tmp_path)) in err
 
 
+MALFORMED_FILES = {
+    "not-utf8": b'{"n": \xff}',
+    "integer-past-digit-limit": b"1" * 5000,
+    "nested-past-recursion-limit": b"[" * 200_000,
+}
+
+
+@pytest.mark.parametrize("role", ["instance", "solution", "bench-config"])
+@pytest.mark.parametrize("content", sorted(MALFORMED_FILES))
+def test_malformed_json_exits_2_naming_the_path(ex5, tmp_path, capsys, content, role):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(MALFORMED_FILES[content])
+    sol = tmp_path / "sol.json"
+    sol.write_text('{"edge_indices": []}')
+    args = {
+        "instance": ["verify", str(bad), "--solution", str(sol)],
+        "solution": ["verify", str(ex5), "--solution", str(bad)],
+        "bench-config": ["bench", str(bad)],
+    }[role]
+    capsys.readouterr()
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "internal error" not in err and str(bad) in err, err
+
+
 @pytest.mark.parametrize("labels", [5, [1, 2, 3]], ids=["not-a-list", "not-strings"])
 def test_labels_that_are_not_a_list_of_strings_exit_2(ex5, tmp_path, capsys, labels):
     doc = json.loads(ex5.read_text())

@@ -13,9 +13,9 @@ from spannerkit import graph as graph_module
 from spannerkit.errors import DirectedInstance, SpannerError
 from spannerkit.generators import example5, nonmetric_triangle, random_instance
 from spannerkit.graph import (
-    GraphView,
     PairViolation,
     Verdict,
+    _pair_holds,
     graph_view,
     lex_shortest_path,
     minimum_spanning_tree,
@@ -289,12 +289,12 @@ def metric_reference(instance, demands) -> tuple:
     """
     kept = []
     for i, d in enumerate(demands):
-        view = GraphView(instance.n)
+        view = [[] for _ in range(instance.n)]
         for j, other in enumerate(demands):
             if j != i:
-                view.out[other.u].append((other.v, other.delta, j))
+                view[other.u].append((other.v, other.delta, j))
                 if not instance.directed:
-                    view.out[other.v].append((other.u, other.delta, j))
+                    view[other.v].append((other.u, other.delta, j))
         dist = shortest_distances(view, d.u, targets=(d.v,))[d.v]
         if dist is None or dist > d.delta:
             kept.append(instance.demands[i])
@@ -355,7 +355,7 @@ def test_metric_pairs_make_one_integer_search_per_demand_source(monkeypatch):
     searched = []
 
     def counting(view, source, **options):
-        searched.append(all(type(length) is int for arcs in view.out for _, length, _ in arcs))
+        searched.append(all(type(length) is int for arcs in view for _, length, _ in arcs))
         return shortest_distances(view, source, **options)
 
     monkeypatch.setattr(graph_module, "shortest_distances", counting)
@@ -548,12 +548,36 @@ def test_potential_keeps_the_target_distance(inst, data):
 
 
 @PROFILE
+@given(instances(), st.data())
+def test_pair_holds_is_a_plain_search_within_the_bound(inst, data):
+    # the pair's own arc kept or dropped, and the bound below, at or above the distance
+    scaled = inst.scaled
+    e = data.draw(st.integers(0, inst.m - 1))
+    source, target = inst.edges[e].u, inst.edges[e].v
+    if not inst.directed and data.draw(st.booleans()):
+        source, target = target, source
+    subset = data.draw(st.sets(st.integers(0, inst.m - 1))) | {e}
+    if data.draw(st.booleans()):
+        subset.discard(e)
+    view = graph_view(scaled, edge_subset=subset)
+    distance = shortest_distances(view, source)[target]
+    bound = (scaled.lengths[e] if distance is None else distance) + data.draw(st.integers(-1, 1))
+    expected = distance is not None and distance <= bound
+    # the full graph's distances from the source, capped, bound the subgraph's from below, as zeros do
+    cap = data.draw(st.integers(0, sum(scaled.lengths)))
+    capped = [cap if x is None or x > cap else x for x in shortest_distances(scaled.view, source)]
+    reverse = graph_view(scaled, edge_subset=subset, reverse=True)
+    for potential in (capped, [0] * inst.n):
+        assert _pair_holds(reverse, source, target, bound, potential) == expected
+
+
+@PROFILE
 @given(instances())
 def test_scaled_view_caches_the_full_view_and_each_sources_search(inst):
     scaled = inst.scaled
     assert scaled.view is scaled.view and scaled.reach is scaled.reach  # built once, then kept
     fresh = graph_view(scaled)
-    assert scaled.view.out == fresh.out
+    assert scaled.view == fresh
     assert len(scaled.reach) == len(scaled.by_source)
     for (source, limit, targets, nodes), dist in zip(scaled.by_source, scaled.reach):
         searched = shortest_distances(fresh, source, limit=limit, targets=nodes)
@@ -570,7 +594,7 @@ def test_scaled_view_caches_the_reversed_view(inst):
     scaled = inst.scaled
     assert scaled.reverse is scaled.reverse  # built once, then kept
     if inst.directed:
-        assert scaled.reverse.out == graph_view(scaled, reverse=True).out
+        assert scaled.reverse == graph_view(scaled, reverse=True)
     else:
         assert scaled.reverse is scaled.view
 

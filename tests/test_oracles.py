@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import brute_force_optimum
+from spannerkit import graph as graph_module
 from spannerkit import oracles
 from spannerkit.errors import (
     InfeasibleInstance,
@@ -144,6 +145,43 @@ def test_exact_search_tree_pinned(family, directed, seed):
         Fraction(weight), edges, nodes)
 
 
+# (bound_prunes, witness_skips) of exact_optimum on the EXACT_PINNED instances.
+# The skips pin each source's witness, the edges of its search tree's paths
+# to its targets.
+EXACT_COUNTERS_PINNED = {
+    ("decoupled", False, 0): (3, 137),
+    ("decoupled", False, 1): (1, 176),
+    ("coupled", False, 0): (39, 217),
+    ("coupled", False, 1): (44, 297),
+    ("unit-length", False, 0): (4, 82),
+    ("unit-length", False, 1): (6, 411),
+    ("basic", False, 0): (131, 884),
+    ("basic", False, 1): (74, 972),
+    ("anti-correlated", False, 0): (2, 173),
+    ("anti-correlated", False, 1): (26, 327),
+    ("geometric", False, 0): (30, 94),
+    ("geometric", False, 1): (4, 24),
+    ("decoupled", True, 0): (1, 44),
+    ("decoupled", True, 1): (13, 102),
+    ("coupled", True, 0): (28, 308),
+    ("coupled", True, 1): (19, 350),
+    ("unit-length", True, 0): (4, 255),
+    ("unit-length", True, 1): (23, 497),
+    ("anti-correlated", True, 0): (4, 82),
+    ("anti-correlated", True, 1): (1, 61),
+}
+
+
+@pytest.mark.parametrize("family,directed,seed", sorted(EXACT_COUNTERS_PINNED))
+def test_exact_search_counters_pinned(family, directed, seed):
+    assert EXACT_COUNTERS_PINNED.keys() == EXACT_PINNED.keys()
+    n, m = (6, 10) if directed else (6, 0) if family == "geometric" else (8, 16)
+    inst = random_instance(family, n, m, seed, demand_family="freeform", demand_pairs="random",
+                           num_demands=8, directed=directed)
+    result = exact_optimum(inst)
+    assert (result.bound_prunes, result.witness_skips) == EXACT_COUNTERS_PINNED[family, directed, seed]
+
+
 # (weight, sorted edge set, most nodes) of exact_optimum on the coupled
 # integer-length instance random_instance("coupled", 14, 22, seed,
 # demand_family="freeform", demand_pairs="random", num_demands=8,
@@ -187,12 +225,12 @@ def test_exact_searches_run_on_the_envelope_view_in_edge_order(monkeypatch):
     envelopes = []
 
     def checked(view, source, **kwargs):
-        envelope = {e for arcs in view.out for _, _, e in arcs}
-        assert view.out == graph_view(scaled, edge_subset=envelope).out
+        envelope = {e for arcs in view for _, _, e in arcs}
+        assert view == graph_view(scaled, edge_subset=envelope)
         envelopes.append(len(envelope))
         return shortest_distances(view, source, **kwargs)
 
-    monkeypatch.setattr(oracles, "shortest_distances", checked)
+    monkeypatch.setattr(graph_module, "shortest_distances", checked)
     exact_optimum(inst)
     assert min(envelopes) < inst.m - 1  # searches ran with several edges excluded
 
