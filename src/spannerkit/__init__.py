@@ -44,7 +44,6 @@ from .graph import (
     graph_view,
     lex_shortest_path,
     minimum_spanning_tree,
-    reduce_to_metric_pairs,
     shortest_distances,
     verify_feasible,
 )
@@ -145,7 +144,6 @@ __all__ = [
     "parse_rational",
     "potential_monitor",
     "random_instance",
-    "reduce_to_metric_pairs",
     "require_integer_lengths",
     "restricted_subgraph",
     "round_solution",

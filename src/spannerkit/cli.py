@@ -91,14 +91,17 @@ def _load_validated(path: str):
 
 
 def _load_edge_ids(path: str, m: int) -> frozenset[int]:
-    """The ``edge_indices`` of a solution file, each an integer in [0, m)."""
+    """The ``edge_indices`` of a solution file, each an integer in [0, m), none repeated."""
     ids = read_json_object(path).get("edge_indices")
     if not isinstance(ids, list):
         raise ParseError("solution needs an 'edge_indices' list", path=path)
     # bool is a subclass of int, but `true` is not an edge index
     if any(isinstance(e, bool) or not isinstance(e, int) or not 0 <= e < m for e in ids):
         raise ParseError(f"edge indices must be integers in [0,{m})", path=path)
-    return frozenset(ids)
+    edge_set = frozenset(ids)
+    if len(edge_set) != len(ids):
+        raise ParseError("edge indices must not repeat", path=path)
+    return edge_set
 
 
 def cmd_gen(args) -> int:

@@ -62,9 +62,8 @@ class InfeasibleInstance(SpannerError):
 class SolverFailure(SpannerError):
     """The LP solver did not return an optimal solution."""
 
-    def __init__(self, status: str, message: str = "", report=None):
+    def __init__(self, status: str, message: str = ""):
         self.status = status
-        self.report = report
         super().__init__(f"LP solve failed with status {status!r}" + (f": {message}" if message else ""))
 
 

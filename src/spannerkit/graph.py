@@ -64,7 +64,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DirectedInstance, SpannerError
-from .instance import Demand, IntegerInstance, SpannerInstance, Subgraph
+from .instance import IntegerInstance, SpannerInstance, Subgraph
 
 
 def graph_view(inst, *, edge_subset=None, reverse: bool = False) -> list:
@@ -364,11 +364,6 @@ def metric_pairs(scaled: IntegerInstance) -> tuple[int, ...]:
             ):
                 kept.append(i)
     return tuple(sorted(kept))
-
-
-def reduce_to_metric_pairs(instance: SpannerInstance) -> tuple[Demand, ...]:
-    """The instance's demands at the indices :attr:`IntegerInstance.metric` keeps (:func:`metric_pairs`)."""
-    return tuple(instance.demands[i] for i in instance.scaled.metric)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ fraction.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -324,8 +323,6 @@ class AugmentedGreedyReport:
     high_weight_edge_count: int  # |E^>| = m - |E[W*]|
     weight: Fraction
     size: int
-    phase1_seconds: float = 0.0
-    phase2_seconds: float = 0.0
     intermediate_bound: Fraction = field(default_factory=lambda: Fraction(0))  # |E[W*]| * W*
     probes: int = 0  # the threshold search's G[w] views built
     searches: int = 0  # the threshold search's source searches, past the cached ones
@@ -343,11 +340,8 @@ def augmented_greedy(
     the available edge set shrinks.  Checks the per-run weight bound
     ``w(H) <= |E[W*]| * W*``.
     """
-    t0 = time.perf_counter()
     threshold = weight_threshold_search(instance, mst_lift=mst_lift)
-    t1 = time.perf_counter()
     spanner = greedy(instance, edge_subset=threshold.restricted_edges, trace=trace)
-    t2 = time.perf_counter()
 
     bound = len(threshold.restricted_edges) * threshold.w_star
     weight = spanner.weight
@@ -364,8 +358,6 @@ def augmented_greedy(
         high_weight_edge_count=instance.m - len(threshold.restricted_edges),
         weight=weight,
         size=spanner.size,
-        phase1_seconds=t1 - t0,
-        phase2_seconds=t2 - t1,
         intermediate_bound=bound,
         probes=threshold.probes,
         searches=threshold.searches,

@@ -69,7 +69,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import eq
 from typing import NamedTuple
 
 from .errors import InvalidInstance, NonIntegerLength, ParseError
@@ -233,8 +232,9 @@ def validate(instance: SpannerInstance) -> ValidationReport:
     (those are equivalent to plain reachability and would blow up the layered
     extension for no benefit).
 
-    The record checks run in bulk on the scaled view's integers; only a list
-    that fails one is walked record by record, to name each offender.
+    The record checks walk each edge, then each demand, once, naming every
+    offender in record order.  Only an instance whose records all pass builds
+    its scaled view for the distance checks.
     """
     report = ValidationReport()
     n = instance.n
@@ -244,18 +244,13 @@ def validate(instance: SpannerInstance) -> ValidationReport:
     if instance.labels is not None and len(instance.labels) != n:
         report.add("bad-labels", f"{len(instance.labels)} labels for {n} nodes")
 
-    scaled = instance.scaled  # the scale is positive: scaled weights, lengths and bounds keep their signs
-    ids_ok = True
-    signs_ok = min(scaled.weights, default=0) >= 0 and min(scaled.lengths, default=1) > 0
-    if not _records_ok(instance.edges, n, instance.directed, signs_ok):
-        ids_ok &= _walk_edges(instance, report)
-    if not _records_ok(instance.demands, n, instance.directed, min(scaled.bounds, default=1) >= 1):
-        ids_ok &= _walk_demands(instance, report)
+    ids_ok = _walk_edges(instance, report) & _walk_demands(instance, report)
     if not ids_ok or report.codes() & {"nonpositive-length", "self-loop"}:
         return report  # distance checks below would be meaningless
 
     # Structural connectivity, then per-demand satisfiability (delta >= d_G),
     # both on the scaled integer view.
+    scaled = instance.scaled
     if not instance.directed:
         from .graph import shortest_distances
 
@@ -290,65 +285,51 @@ def validate(instance: SpannerInstance) -> ValidationReport:
     return report
 
 
-def _records_ok(records, n: int, directed: bool, signs_ok: bool) -> bool:
-    """Whether edge or demand ``records`` pass every per-record check: ids, self-pairs, repeats, signs.
-
-    One bulk pass: endpoint ranges from min/max, self-pairs from one
-    comparison of the endpoint columns, repeats from the size of the set of
-    ordered pairs and, when undirected, from its meeting the reversed pairs.
-    ``signs_ok`` is the caller's sign check.
-    """
-    if not records:
-        return True
-    us, vs = list(zip(*records))[:2]
-    if not (signs_ok and 0 <= min(us) and 0 <= min(vs) and max(us) < n and max(vs) < n):
-        return False
-    if any(map(eq, us, vs)):
-        return False
-    pairs = set(zip(us, vs))
-    return len(pairs) == len(records) and (directed or pairs.isdisjoint(zip(vs, us)))
-
-
 def _walk_edges(instance: SpannerInstance, report: ValidationReport) -> bool:
     """Report each edge that fails a record check, in edge order; whether every id is in range."""
+    n, directed = instance.n, instance.directed
     seen_pairs: set[tuple[int, int]] = set()
     ids_ok = True
-    for i, e in enumerate(instance.edges):
-        if not (0 <= e.u < instance.n and 0 <= e.v < instance.n):
-            report.add("bad-node-id", f"edge {i} endpoints ({e.u},{e.v}) outside [0,{instance.n})")
+    for i, (u, v, weight, length) in enumerate(instance.edges):
+        if not (0 <= u < n and 0 <= v < n):
+            report.add("bad-node-id", f"edge {i} endpoints ({u},{v}) outside [0,{n})")
             ids_ok = False
             continue
-        if e.u == e.v:
-            report.add("self-loop", f"edge {i} is a self-loop at node {e.u}")
-        key = (e.u, e.v) if instance.directed or e.u <= e.v else (e.v, e.u)
-        if key in seen_pairs:
-            report.add("duplicate-edge", f"edge {i} duplicates pair {key}")
+        if u == v:
+            report.add("self-loop", f"edge {i} is a self-loop at node {u}")
+        key = (u, v) if directed or u <= v else (v, u)
+        size = len(seen_pairs)
         seen_pairs.add(key)
-        if e.weight.numerator < 0:  # a Fraction's sign is its numerator's
-            report.add("negative-weight", f"edge {i} has weight {format_rational(e.weight)} < 0")
-        if e.length.numerator <= 0:
-            report.add("nonpositive-length", f"edge {i} has length {format_rational(e.length)} <= 0")
+        if len(seen_pairs) == size:
+            report.add("duplicate-edge", f"edge {i} duplicates pair {key}")
+        if weight.numerator < 0 or length.numerator <= 0:  # a Fraction's sign is its numerator's
+            if weight.numerator < 0:
+                report.add("negative-weight", f"edge {i} has weight {format_rational(weight)} < 0")
+            if length.numerator <= 0:
+                report.add("nonpositive-length", f"edge {i} has length {format_rational(length)} <= 0")
     return ids_ok
 
 
 def _walk_demands(instance: SpannerInstance, report: ValidationReport) -> bool:
     """Report each demand that fails a record check, in demand order; whether every id is in range."""
+    n, directed = instance.n, instance.directed
     seen_demands: set[tuple[int, int]] = set()
     ids_ok = True
-    for i, d in enumerate(instance.demands):
-        if not (0 <= d.u < instance.n and 0 <= d.v < instance.n):
-            report.add("bad-node-id", f"demand {i} endpoints ({d.u},{d.v}) outside [0,{instance.n})")
+    for i, (u, v, delta) in enumerate(instance.demands):
+        if not (0 <= u < n and 0 <= v < n):
+            report.add("bad-node-id", f"demand {i} endpoints ({u},{v}) outside [0,{n})")
             ids_ok = False
             continue
-        if d.u == d.v:
-            report.add("self-demand", f"demand {i} pairs node {d.u} with itself")
+        if u == v:
+            report.add("self-demand", f"demand {i} pairs node {u} with itself")
             continue
-        key = d.pair(instance.directed)
-        if key in seen_demands:
-            report.add("duplicate-demand", f"demand {i} duplicates pair {key}")
+        key = (u, v) if directed or u <= v else (v, u)
+        size = len(seen_demands)
         seen_demands.add(key)
-        if d.delta.numerator <= 0:
-            report.add("nonpositive-demand", f"demand {i} has bound {format_rational(d.delta)} <= 0")
+        if len(seen_demands) == size:
+            report.add("duplicate-demand", f"demand {i} duplicates pair {key}")
+        if delta.numerator <= 0:
+            report.add("nonpositive-demand", f"demand {i} has bound {format_rational(delta)} <= 0")
     return ids_ok
 
 

@@ -12,6 +12,10 @@ arithmetic can never overflow or wrap.  Floating point only appears inside
 the LP layer.
 
 Text form used by instance files: ``"p/q"``, or ``"p"`` alone for denominator 1.
+The grammar is exactly ``-?[0-9]+(/[0-9]+)?`` in ASCII, with a nonzero
+denominator: no whitespace, no ``+``, no ``_`` between digits, no sign on
+the denominator and no non-ASCII digit.  :func:`format_rational` writes a
+string of this grammar.
 """
 
 from __future__ import annotations
@@ -24,11 +28,11 @@ Rational = Fraction
 
 
 def parse_rational(text: str, *, field: str | None = None) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"`` into an exact fraction.
+    """Parse ``"p/q"`` or ``"p"`` (the module docstring's grammar) into an exact fraction.
 
-    A zero denominator, a non-integer part, or a fractional denominator are
-    parse errors, never silent coercions.  JSON ``true``/``false`` are not
-    numbers here, although Python's bool is an int.
+    Text outside the grammar and a zero denominator are parse errors, never
+    silent coercions.  JSON ``true``/``false`` are not numbers here, although
+    Python's bool is an int.
     """
     if isinstance(text, bool):
         raise ParseError(f"expected rational string, got {text!r}", field=field)
@@ -36,12 +40,12 @@ def parse_rational(text: str, *, field: str | None = None) -> Fraction:
         return Fraction(text)
     if not isinstance(text, str):
         raise ParseError(f"expected rational string, got {type(text).__name__}", field=field)
-    parts = text.strip().split("/")
-    if len(parts) not in (1, 2):
+    head, slash, tail = text.partition("/")
+    if not (text.isascii() and head.removeprefix("-").isdigit() and (tail.isdigit() or not slash)):
         raise ParseError(f"malformed rational {text!r}", field=field)
-    try:
-        num = int(parts[0])
-        den = int(parts[1]) if len(parts) == 2 else 1
+    try:  # int() still refuses a part past Python's digit limit
+        num = int(head)
+        den = int(tail) if slash else 1
     except ValueError:
         raise ParseError(f"malformed rational {text!r}", field=field) from None
     if den == 0:

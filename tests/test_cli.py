@@ -184,6 +184,17 @@ def test_malformed_json_exits_2_naming_the_path(ex5, tmp_path, capsys, content, 
     assert err.count("\n") == 1 and "internal error" not in err and str(bad) in err, err
 
 
+@pytest.mark.parametrize("command", ["verify", "oracle cuts"])
+def test_a_repeated_solution_index_exits_2_naming_the_path(ex5, tmp_path, capsys, command):
+    # a set of edges lists each once: [0, 0] is a malformed file, not the solution {0}
+    sol = tmp_path / "sol.json"
+    sol.write_text('{"edge_indices": [0, 0]}')
+    capsys.readouterr()
+    assert run_cli([*command.split(), str(ex5), "--solution", str(sol)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"edge indices must not repeat ({sol})\n", err
+
+
 @pytest.mark.parametrize("labels", [5, [1, 2, 3]], ids=["not-a-list", "not-strings"])
 def test_labels_that_are_not_a_list_of_strings_exit_2(ex5, tmp_path, capsys, labels):
     doc = json.loads(ex5.read_text())

@@ -19,7 +19,6 @@ from spannerkit.graph import (
     graph_view,
     lex_shortest_path,
     minimum_spanning_tree,
-    reduce_to_metric_pairs,
     shortest_distances,
     source_searches,
     verify_feasible,
@@ -237,7 +236,7 @@ def test_single_pair_is_metric():
     inst = SpannerInstance(
         False, 2, (Edge(0, 1, Fraction(1), Fraction(1)),), (Demand(0, 1, Fraction(2)),)
     )
-    assert reduce_to_metric_pairs(inst) == inst.demands
+    assert tuple(inst.demands[i] for i in inst.scaled.metric) == inst.demands
 
 
 def test_dominated_pair_removed():
@@ -252,13 +251,13 @@ def test_dominated_pair_removed():
         ),
         (Demand(0, 1, Fraction(1)), Demand(1, 2, Fraction(1)), Demand(0, 2, Fraction(3))),
     )
-    kept = reduce_to_metric_pairs(inst)
+    kept = tuple(inst.demands[i] for i in inst.scaled.metric)
     assert {(d.u, d.v) for d in kept} == {(0, 1), (1, 2)}
 
 
 def test_example5_all_pairs_metric():
     inst = example5()
-    assert len(reduce_to_metric_pairs(inst)) == 3
+    assert len(inst.scaled.metric) == 3
 
 
 def test_metric_reduction_preserves_feasibility():
@@ -274,7 +273,7 @@ def test_metric_reduction_preserves_feasibility():
             demand_pairs="random",
             num_demands=4,
         )
-        metric = replace(inst, demands=reduce_to_metric_pairs(inst))
+        metric = replace(inst, demands=tuple(inst.demands[i] for i in inst.scaled.metric))
         for _ in range(50):
             subset = frozenset(i for i in range(inst.m) if rng.random() < 0.5)
             feasible = verify_feasible(Subgraph(inst, subset)).feasible
@@ -326,7 +325,7 @@ EXHAUSTIVE = settings(max_examples=100, derandomize=True, deadline=None, databas
 @EXHAUSTIVE
 @given(demand_chains(unique=False))
 def test_every_edge_subset_meets_all_demands_iff_it_meets_the_metric_ones(inst):
-    metric = replace(inst, demands=reduce_to_metric_pairs(inst))
+    metric = replace(inst, demands=tuple(inst.demands[i] for i in inst.scaled.metric))
     for size in range(inst.m + 1):
         for subset in itertools.combinations(range(inst.m), size):
             subset = frozenset(subset)
@@ -342,7 +341,7 @@ def test_metric_pairs_match_the_per_demand_rule_on_floored_bounds(inst):
     # and in instance units too when every bound is an integer.
     scaled = inst.scaled
     assume(all(b > 0 for b in scaled.bounds))
-    kept = reduce_to_metric_pairs(inst)
+    kept = tuple(inst.demands[i] for i in inst.scaled.metric)
     floored = [Demand(d.u, d.v, b) for d, b in zip(inst.demands, scaled.bounds)]
     assert kept == metric_reference(inst, floored)
     if all(d.delta.denominator == 1 for d in inst.demands):
@@ -359,7 +358,7 @@ def test_metric_pairs_make_one_integer_search_per_demand_source(monkeypatch):
         return shortest_distances(view, source, **options)
 
     monkeypatch.setattr(graph_module, "shortest_distances", counting)
-    kept = reduce_to_metric_pairs(inst)
+    kept = tuple(inst.demands[i] for i in inst.scaled.metric)
     assert len(searched) == len(sources) < len(inst.demands)
     assert all(searched)  # scaled bounds, never Fraction lengths
     assert kept == metric_reference(inst, inst.demands)
@@ -374,7 +373,7 @@ def test_duplicated_demand_does_not_drop_its_twin():
         (Edge(0, 1, Fraction(1), Fraction(1)),),
         (Demand(0, 1, Fraction(2)), Demand(0, 1, Fraction(2))),
     )
-    metric = replace(inst, demands=reduce_to_metric_pairs(inst))
+    metric = replace(inst, demands=tuple(inst.demands[i] for i in inst.scaled.metric))
     assert metric.demands
     for subset in (frozenset(), frozenset({0})):
         feasible = verify_feasible(Subgraph(inst, subset)).feasible
@@ -387,7 +386,7 @@ def test_bound_floored_to_zero_neither_is_dropped_nor_chains():
     # subgraph meets such a bound: dropping them all would be unsound.
     edges = tuple(Edge(u, v, Fraction(1), Fraction(1)) for u in range(3) for v in range(3) if u != v)
     inst = SpannerInstance(True, 3, edges, tuple(Demand(e.u, e.v, Fraction(1, 2)) for e in edges))
-    assert reduce_to_metric_pairs(inst) == inst.demands
+    assert tuple(inst.demands[i] for i in inst.scaled.metric) == inst.demands
     # A self-pair's bound 1/2 floors to 0 too, but it always holds: it must
     # not extend the walk through demand (0, 1) itself into a chain for it.
     inst = SpannerInstance(
@@ -396,7 +395,7 @@ def test_bound_floored_to_zero_neither_is_dropped_nor_chains():
         (Edge(0, 1, Fraction(1), Fraction(1)),),
         (Demand(0, 1, Fraction(2)), Demand(1, 1, Fraction(1, 2))),
     )
-    assert reduce_to_metric_pairs(inst) == inst.demands[:1]
+    assert tuple(inst.demands[i] for i in inst.scaled.metric) == inst.demands[:1]
 
 
 def test_flooring_may_drop_a_pair_the_instance_bounds_keep():
@@ -412,7 +411,7 @@ def test_flooring_may_drop_a_pair_the_instance_bounds_keep():
         ),
         (Demand(0, 1, Fraction(3, 2)), Demand(1, 2, Fraction(3, 2)), Demand(0, 2, Fraction(5, 2))),
     )
-    assert reduce_to_metric_pairs(inst) == inst.demands[:2]
+    assert tuple(inst.demands[i] for i in inst.scaled.metric) == inst.demands[:2]
     assert metric_reference(inst, inst.demands) == inst.demands
 
 
@@ -434,11 +433,11 @@ def test_metric_pairs_are_built_once_and_read_by_the_reduction(monkeypatch):
     monkeypatch.setattr(graph_module, "metric_pairs", counting)
     inst = dominated_triangle()
     assert inst.scaled.metric == (0, 2)
-    assert reduce_to_metric_pairs(inst) == (inst.demands[0], inst.demands[2])
+    assert tuple(inst.demands[i] for i in inst.scaled.metric) == (inst.demands[0], inst.demands[2])
     assert inst.scaled.metric == (0, 2)
     assert calls == [inst.scaled]
     inst.scaled.__dict__["metric"] = (1,)  # the cached property's slot
-    assert reduce_to_metric_pairs(inst) == (inst.demands[1],)
+    assert tuple(inst.demands[i] for i in inst.scaled.metric) == (inst.demands[1],)
     assert len(calls) == 1
 
 
@@ -457,7 +456,7 @@ def test_a_demand_subset_gets_its_own_metric_pairs():
     subset = replace(inst, demands=inst.demands[1:])
     assert subset.scaled is not inst.scaled
     assert subset.scaled.metric == (0, 1)
-    assert reduce_to_metric_pairs(subset) == subset.demands
+    assert tuple(subset.demands[i] for i in subset.scaled.metric) == subset.demands
 
 
 def test_shortest_distances_limit_cuts_off_farther_nodes():

@@ -442,6 +442,18 @@ def test_parse_errors_name_the_record_and_field(record, i, key, bad, message):
     assert str(info.value) == message
 
 
+def test_a_length_outside_the_rational_grammar_is_named():
+    # int("1_0") is 10, but "1_0" is no rational string of the format
+    doc = {
+        "directed": False, "n": 2,
+        "edges": [{"u": 0, "v": 1, "w": "1", "len": "1_0"}],
+        "demands": [{"u": 0, "v": 1, "delta": "10"}],
+    }
+    with pytest.raises(ParseError) as info:
+        from_json_dict(doc, path="f.json")
+    assert str(info.value) == "malformed rational '1_0' (f.json, field 'edges[0].len')"
+
+
 @pytest.mark.parametrize(
     "record, misspelled, key, message",
     [
@@ -582,6 +594,148 @@ def test_every_validation_code_is_pinned():
         "negative-weight", "nonpositive-length", "self-demand", "duplicate-demand",
         "nonpositive-demand", "not-connected", "unsatisfiable-demand", "oversized-demand",
     }
+
+
+# ---------------------------------------------------------------------------
+# Validation against an independent walk
+
+FAULTS = settings(max_examples=300, derandomize=True, deadline=None, database=None)
+STOP_CODES = {"bad-node-id", "self-loop", "nonpositive-length"}  # each ends validation before distances
+positive = st.builds(Fraction, st.integers(1, 12), st.integers(1, 4))
+bounds = st.builds(Fraction, st.integers(1, 80), st.integers(1, 4))  # some past n * max_length
+nonpositive = st.sampled_from([Fraction(0), Fraction(-1), Fraction(-1, 2)])
+
+
+def _faulted(draw, u, v, n, faults):
+    """Endpoints ``(u, v)`` after the drawn id faults: flipped, self-paired, out of range at either end."""
+    if "flip" in faults:
+        u, v = v, u
+    if "self" in faults:
+        v = u
+    if "bad-id" in faults:
+        ends = draw(st.sampled_from(["u", "v", "uv"]))
+        out_of_range = st.sampled_from([-2, -1, n, n + 1])
+        u = draw(out_of_range) if "u" in ends else u
+        v = draw(out_of_range) if "v" in ends else v
+    return u, v
+
+
+@st.composite
+def faulty_instances(draw):
+    """A small instance with record faults: several per record, and repeats in either orientation."""
+    n = draw(st.integers(2, 5))
+    directed = draw(st.booleans())
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+    faulty = st.integers(0, 2).map(lambda k: k == 0)  # one record in three
+    id_faults = ["bad-id", "self", "flip"]
+    edge_faults = st.sets(st.sampled_from([*id_faults, "negative", "nonpositive"]), min_size=1, max_size=3)
+    demand_faults = st.sets(st.sampled_from([*id_faults, "nonpositive"]), min_size=1, max_size=3)
+    edges = []
+    for u, v in draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=7, unique=True)):
+        faults = draw(edge_faults) if draw(faulty) else ()
+        weight = -draw(positive) if "negative" in faults else Fraction(draw(st.integers(0, 3)))
+        length = draw(nonpositive) if "nonpositive" in faults else draw(positive)
+        edges.append(Edge(*_faulted(draw, u, v, n, faults), weight, length))
+    demands = []
+    for u, v in draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=6, unique=True)):
+        faults = draw(demand_faults) if draw(faulty) else ()
+        delta = draw(nonpositive) if "nonpositive" in faults else draw(bounds)
+        demands.append(Demand(*_faulted(draw, u, v, n, faults), delta))
+    for records in (edges, demands):
+        for _ in range(draw(st.integers(0, 3))):  # a repeat of a record's pair, maybe reversed
+            repeat = draw(st.sampled_from(records))
+            u, v = (repeat[1], repeat[0]) if draw(st.booleans()) else repeat[:2]
+            values = (draw(positive), draw(positive)) if records is edges else (draw(bounds),)
+            records.insert(draw(st.integers(0, len(records))), type(repeat)(u, v, *values))
+    return SpannerInstance(directed, n, tuple(edges), tuple(demands))
+
+
+def reference_violations(inst):
+    """What ``validate`` reports: a plain loop over the records, then Floyd-Warshall on the lengths."""
+    n, directed = inst.n, inst.directed
+    out = []
+    seen = []
+    for i, (u, v, weight, length) in enumerate(inst.edges):
+        if u < 0 or v < 0 or u >= n or v >= n:
+            out.append(("bad-node-id", f"edge {i} endpoints ({u},{v}) outside [0,{n})"))
+            continue
+        if u == v:
+            out.append(("self-loop", f"edge {i} is a self-loop at node {u}"))
+        key = (u, v) if directed else (min(u, v), max(u, v))
+        if key in seen:
+            out.append(("duplicate-edge", f"edge {i} duplicates pair {key}"))
+        seen.append(key)
+        if weight < 0:
+            out.append(("negative-weight", f"edge {i} has weight {weight} < 0"))
+        if length <= 0:
+            out.append(("nonpositive-length", f"edge {i} has length {length} <= 0"))
+    seen = []
+    for i, (u, v, delta) in enumerate(inst.demands):
+        if u < 0 or v < 0 or u >= n or v >= n:
+            out.append(("bad-node-id", f"demand {i} endpoints ({u},{v}) outside [0,{n})"))
+            continue
+        if u == v:
+            out.append(("self-demand", f"demand {i} pairs node {u} with itself"))
+            continue
+        key = (u, v) if directed else (min(u, v), max(u, v))
+        if key in seen:
+            out.append(("duplicate-demand", f"demand {i} duplicates pair {key}"))
+        seen.append(key)
+        if delta <= 0:
+            out.append(("nonpositive-demand", f"demand {i} has bound {delta} <= 0"))
+    if any(code in STOP_CODES for code, _ in out):
+        return out
+    dist = [[Fraction(0) if a == b else None for b in range(n)] for a in range(n)]
+    for u, v, _, length in inst.edges:
+        for a, b in [(u, v)] if directed else [(u, v), (v, u)]:
+            if dist[a][b] is None or length < dist[a][b]:
+                dist[a][b] = length
+    for k in range(n):
+        for a in range(n):
+            for b in range(n):
+                if dist[a][k] is not None and dist[k][b] is not None:
+                    if dist[a][b] is None or dist[a][k] + dist[k][b] < dist[a][b]:
+                        dist[a][b] = dist[a][k] + dist[k][b]
+    unreachable = [q for q in range(n) if dist[0][q] is None]
+    if not directed and unreachable:
+        out.append(("not-connected", f"nodes {unreachable} unreachable from node 0"))
+    cap = n * max(e.length for e in inst.edges)
+    for u, v, delta in inst.demands:
+        if u == v:
+            continue
+        achieved = dist[u][v]
+        if achieved is None or delta < achieved:
+            got = "unreachable" if achieved is None else achieved
+            out.append((
+                "unsatisfiable-demand", f"demand ({u},{v}) asks for {delta} but the graph only achieves {got}",
+            ))
+        if delta > cap:
+            out.append((
+                "oversized-demand",
+                f"demand ({u},{v}) bound {delta} exceeds n*max_length = {cap}; cap it there (same feasible set)",
+            ))
+    return out
+
+
+@FAULTS
+@given(faulty_instances())
+def test_validation_matches_an_independent_walk(inst):
+    assert [(v.code, v.message) for v in validate(inst).violations] == reference_violations(inst)
+
+
+@pytest.mark.parametrize(
+    "edges, demands",
+    [
+        ((_e(0, 3, 1, 1), _e(1, 2, 1, 1)), (_d(0, 2, 2),)),  # an edge id out of range
+        ((_e(0, 1, 1, 1), _e(1, 1, 1, 1)), (_d(0, 1, 2),)),  # a self-loop
+        ((_e(0, 1, 1, 1), _e(1, 2, 1, 0)), (_d(0, 2, 2),)),  # a zero length
+        ((_e(0, 1, 1, 1), _e(1, 2, 1, 1)), (_d(-1, 2, 2),)),  # a demand id out of range
+    ],
+)
+def test_a_failing_record_check_builds_no_scaled_view(edges, demands):
+    inst = SpannerInstance(False, 3, edges, demands)
+    assert not validate(inst).ok
+    assert "scaled" not in vars(inst)
 
 
 # ---------------------------------------------------------------------------

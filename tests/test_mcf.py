@@ -20,7 +20,6 @@ from lp_text import read_exported_lp, solve_exported
 from spannerkit.errors import SolverFailure
 from spannerkit.extension import build_extension
 from spannerkit.generators import DEMAND_FAMILIES, DEMAND_PAIRS, WEIGHT_FAMILIES, example5, random_instance
-from spannerkit.graph import reduce_to_metric_pairs
 from spannerkit.instance import (
     Demand,
     Edge,
@@ -376,7 +375,7 @@ def test_export_pins_ship_one_commodity_per_metric_pair(key):
         integer_lengths=True, directed=directed,
     )
     model = build_mcf(build_extension(inst))
-    assert len(model.flow_arcs) == len(model.demands) == len(reduce_to_metric_pairs(inst))
+    assert len(model.flow_arcs) == len(model.demands) == len(inst.scaled.metric)
 
 
 @pytest.mark.parametrize("key", sorted(EXPORT_PINNED))

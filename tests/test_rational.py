@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,10 +21,29 @@ def test_parse_zero_denominator_is_error():
         parse_rational("1/0")
 
 
-@pytest.mark.parametrize("bad", ["", "1/2/3", "a/b", "1.5", "1/ ", None, 2.5])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "", "1/2/3", "a/b", "1.5", "1/ ", None, 2.5,
+        # int() accepts each of these; the grammar -?[0-9]+(/[0-9]+)? does not
+        "1_0", " 5 ", "+2", "3/ 4", "\u0663", "1/-2",
+    ],
+)
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ParseError):
         parse_rational(bad)
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "1/" + "1" * 5000])
+def test_parse_a_part_past_the_int_digit_limit(text):
+    # Python caps int() on text at sys.get_int_max_str_digits() digits (4300 by default)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and limit < 5000:
+        with pytest.raises(ParseError):
+            parse_rational(text)
+    else:
+        num, _, den = text.partition("/")
+        assert parse_rational(text) == Fraction(int(num), int(den or 1))
 
 
 @pytest.mark.parametrize("flag", [True, False])

@@ -11,7 +11,7 @@ from spannerkit import bench, graph, oracles
 from spannerkit.errors import NonIntegerLength
 from spannerkit.extension import build_extension
 from spannerkit.generators import example5, random_instance
-from spannerkit.graph import reduce_to_metric_pairs, verify_feasible
+from spannerkit.graph import verify_feasible
 from spannerkit.greedy import augmented_greedy, greedy
 from spannerkit.instance import (
     Demand,
@@ -195,7 +195,7 @@ def test_lp_counters_repeat_across_reruns_and_stay_out_of_the_solve_info():
     # 4 of its 10 edge demands are implied by the others
     inst = random_instance("coupled", 6, 10, 706, demand_family="multiplicative", integer_lengths=True)
     _, report = solve_randomized(inst, seed=3)
-    assert report.commodities == len(reduce_to_metric_pairs(inst)) == 6
+    assert report.commodities == len(inst.scaled.metric) == 6
     assert report.gamma.num_pairs == len(inst.demands) == 10  # gamma keeps |K|
     for again in (inst, pickle.loads(pickle.dumps(inst)), replace(inst)):
         _, rerun = solve_randomized(again, seed=3)
