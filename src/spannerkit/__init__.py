@@ -57,7 +57,6 @@ from .greedy import (
 from .instance import (
     Demand,
     Edge,
-    IntegerInstance,
     SpannerInstance,
     Subgraph,
     ValidationReport,
@@ -101,7 +100,6 @@ __all__ = [
     "FractionalSolution",
     "GammaSpec",
     "InfeasibleInstance",
-    "IntegerInstance",
     "InvalidInstance",
     "LemmaViolation",
     "McfModel",

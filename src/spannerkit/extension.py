@@ -14,9 +14,8 @@ start layer.  Undirected instances are bi-directed first, so an undirected
 edge gives two runs with the same edge index.  Edges longer than
 ``delta_bar`` can satisfy no bound and give no run.  The per-arc objects of
 :attr:`DeltaExtension.arcs` are built from the runs on first use.  An
-extension holds the instance it was built from; its integer lengths and
-bounds are the instance's scaled view (scale 1), a value cached on the
-instance with no reference back to it.
+extension holds the instance it was built from and reads its integer
+lengths and floored bounds off it (scale 1: the instance's own lengths).
 """
 
 from __future__ import annotations
@@ -91,16 +90,16 @@ def build_extension(instance: SpannerInstance) -> DeltaExtension:
     """Construct the layered extension of an integer-length instance.
 
     Its depth ``delta_bar`` is the instance's largest (floored) demand,
-    ``instance.scaled.delta_bar``, so every demand's sink layer exists.
+    ``instance.delta_bar``, so every demand's sink layer exists.
     Raises :class:`~spannerkit.errors.NonIntegerLength` on a fractional length.
     """
-    scaled = require_integer_lengths(instance)
-    delta_bar = scaled.delta_bar
+    require_integer_lengths(instance)
+    delta_bar = instance.delta_bar
     runs = []  # (edge, tail, head, length)
-    for idx, e in enumerate(instance.edges):
-        runs.append((idx, e.u, e.v, scaled.lengths[idx]))
+    for idx, (e, length) in enumerate(zip(instance.edges, instance.lengths)):
+        runs.append((idx, e.u, e.v, length))
         if not instance.directed:
-            runs.append((idx, e.v, e.u, scaled.lengths[idx]))
+            runs.append((idx, e.v, e.u, length))
     runs += [(None, q, q, 1) for q in range(instance.n)]
     groups = []
     first = 0

@@ -3,8 +3,8 @@ the fixed hand-built instances used throughout the docs and tests.
 
 All randomness flows through one ``random.Random(seed)``, so a (family,
 params, seed) triple always produces the same instance, byte for byte after
-canonical serialization.  Demand bounds are built in the units of the
-integer scaled view (``instance.scaled``): from a scaled distance ``d``,
+canonical serialization.  Demand bounds are built in the instance's scaled
+integer units (``instance.lengths``): from a scaled distance ``d``,
 which is ``d / L`` in instance units, each bound's formula, the
 ``n * max_length`` cap and the floor are integer arithmetic on one
 numerator/denominator pair, made a ``Fraction`` once.  That is the value
@@ -235,15 +235,14 @@ def random_instance(
     else:
         raise ValueError(f"unknown demand_pairs {demand_pairs!r}; have {DEMAND_PAIRS}")
 
-    scaled = instance.scaled
-    view, L = scaled.view, scaled.scale
+    view, L = instance.view, instance.scale
     partners: dict[int, set[int]] = {}
     for u, v in pair_list:
         partners.setdefault(u, set()).add(v)
     dist_cache: dict[int, list] = {}
     alpha = Fraction(alpha)
     p, q = Fraction(freeform_factor).as_integer_ratio()
-    cap = instance.n * max(scaled.lengths, default=0)  # n * max_length is cap / L; n = 1 has no edges
+    cap = instance.n * max(instance.lengths, default=0)  # n * max_length is cap / L; n = 1 has no edges
     # Flooring keeps integer-length instances in the LP's domain; with any
     # fractional length (the geometric family) it would zero most bounds.
     floor_bounds = integer_lengths and L == 1

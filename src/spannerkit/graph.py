@@ -1,15 +1,13 @@
 """Deterministic shortest paths, spanning trees, and feasibility checks.
 
 All arithmetic is exact.  A view is plain data, its adjacency lists
-(:func:`graph_view`).  The search routines work in whatever units the
-view carries, but inside the package every view is a view of a scaled
-instance (``instance.scaled``): integer lengths, ``L`` times the instance's
-own, and floored integer bounds; the metric-pair reduction's demand graph
-is weighted by those bounds too.  :func:`graph_view` also builds a view of
-a :class:`SpannerInstance` itself, on its fractional lengths, for
-independent reference checks.  Feasibility checks report distances back in
-instance units, ``Fraction(d, L)``.  Unreachable is represented by
-``None``, never by a large number.
+(:func:`graph_view`), built on an instance's scaled integer lengths, ``L``
+times its own (:attr:`SpannerInstance.lengths`), and searched against its
+floored integer bounds; the metric-pair reduction's demand graph is
+weighted by those bounds too.  The search routines work in whatever units
+a view carries.  Feasibility checks report distances back in instance
+units, ``Fraction(d, L)``.  Unreachable is represented by ``None``, never
+by a large number.
 
 One search routine, :func:`shortest_distances`, answers every distance
 question.  It stops past a distance (``limit``) and once its targets are
@@ -20,20 +18,20 @@ never below the last settled distance, so a caller reads only the targets.
 A potential is a consistent lower bound on each node's distance to the
 targets, 0 at them: the search keys its heap and compares ``limit`` by
 distance plus potential, and the targets' distances stay exact.
-Every instance's full graph search is made once: the scaled view keeps the
-full forward view (``scaled.view``) and one pass of :func:`source_searches`
+Every instance's full graph search is made once: the instance keeps its
+full forward view (``instance.view``) and one pass of :func:`source_searches`
 on it, the one producer of per-source lists.  Per demand source, the search
 is bounded at the source's largest bound and stopped at its targets, and
 its failing pairs are read off it by :func:`_search`.
 Where all of the source's pairs hold, its list is capped at its farthest
 target distance T, min(d, T), a consistent lower bound on the source's
-distances in any subgraph (``scaled.reach``); the failing pairs are
+distances in any subgraph (``instance.reach``); the failing pairs are
 searched again without a bound for their exact distances, the verdict
-(``scaled.unmet``).  Validation, the threshold search's check at the
+(``instance.unmet``).  Validation, the threshold search's check at the
 largest weight and its guard at the second-largest, and greedy on the full
 graph (its verdict, its pair order, and the potential of its per-pair
 checks) read them.  It also keeps the full reversed view
-(``scaled.reverse``, the forward view itself when undirected), which the
+(``instance.reverse``, the forward view itself when undirected), which the
 flow LP's and the restricted gamma's budget windows read.  Nothing may
 change them.
 Two verdicts answer every "does it hold?" question.  :func:`_search` tests
@@ -64,11 +62,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DirectedInstance, SpannerError
-from .instance import IntegerInstance, SpannerInstance, Subgraph
+from .instance import SpannerInstance, Subgraph
 
 
-def graph_view(inst, *, edge_subset=None, reverse: bool = False) -> list:
-    """View of an IntegerInstance (inside the package, always ``instance.scaled``) or a SpannerInstance.
+def graph_view(inst: SpannerInstance, *, edge_subset=None, reverse: bool = False) -> list:
+    """View of an instance on its scaled integer lengths (:attr:`SpannerInstance.lengths`).
 
     The view is a list of n adjacency lists: ``view[tail]`` holds one
     ``(head, length, edge_index)`` arc per kept edge out of ``tail``, in
@@ -76,8 +74,8 @@ def graph_view(inst, *, edge_subset=None, reverse: bool = False) -> list:
     contributes one arc per direction, both carrying the edge index.
     ``reverse=True`` flips every arc (used for distances *to* a target in
     directed graphs).  The full graph's views, forward and reversed, are
-    cached on the scaled view (:attr:`~spannerkit.instance.IntegerInstance.view`
-    and :attr:`~spannerkit.instance.IntegerInstance.reverse`).
+    cached on the instance (:attr:`SpannerInstance.view` and
+    :attr:`SpannerInstance.reverse`).
     """
     lengths = inst.lengths
     undirected = not inst.directed
@@ -228,19 +226,19 @@ def lex_shortest_path(view: list, reverse: list, from_source: list, source: int,
     return tuple(nodes), tuple(edges)
 
 
-def budget_window(scaled: IntegerInstance, index: int) -> tuple[list, list]:
-    """``(d(u, .), d(., v))`` for the scaled view's demand ``index``, ``(u, v)`` with scaled bound b.
+def budget_window(instance: SpannerInstance, index: int) -> tuple[list, list]:
+    """``(d(u, .), d(., v))`` for the instance's demand ``index``, ``(u, v)`` with scaled bound b.
 
-    b is ``scaled.bounds[index]``.  Searches forward from u on
-    ``scaled.view`` and back to v on ``scaled.reverse``, both stopped at b.
+    b is ``instance.bounds[index]``.  Searches forward from u on
+    ``instance.view`` and back to v on ``instance.reverse``, both stopped at b.
     Every term of a within-budget sum ``d(u,s) + ... + d(t,v) <= b`` is at
     most b, so no such test changes.
     """
-    u, v, _ = scaled.demands[index]
-    bound = scaled.bounds[index]
+    u, v, _ = instance.demands[index]
+    bound = instance.bounds[index]
     return (
-        shortest_distances(scaled.view, u, limit=bound),
-        shortest_distances(scaled.reverse, v, limit=bound),
+        shortest_distances(instance.view, u, limit=bound),
+        shortest_distances(instance.reverse, v, limit=bound),
     )
 
 
@@ -301,8 +299,7 @@ def minimum_spanning_tree(instance: SpannerInstance) -> tuple[Fraction, frozense
         raise DirectedInstance("minimum spanning tree requires an undirected instance")
     parts = _Components(instance.n)
     chosen: list[int] = []
-    scaled = instance.scaled  # integer weights: the same order, summed exactly
-    weights = scaled.weights
+    weights = instance.weights  # integers: the same order, summed exactly
     total = 0
     for i in sorted(range(instance.m), key=lambda i: (weights[i], i)):
         e = instance.edges[i]
@@ -314,18 +311,18 @@ def minimum_spanning_tree(instance: SpannerInstance) -> tuple[Fraction, frozense
             break
     if parts.count != 1:
         raise SpannerError("graph is disconnected; no spanning tree exists")
-    return Fraction(total, scaled.weight_scale), frozenset(chosen)
+    return Fraction(total, instance.weight_scale), frozenset(chosen)
 
 
 # ---------------------------------------------------------------------------
 # Metric terminal pairs
 
 
-def metric_pairs(scaled: IntegerInstance) -> tuple[int, ...]:
+def metric_pairs(instance: SpannerInstance) -> tuple[int, ...]:
     """The indices of the demands not implied by a chain of other demands, in demand order.
 
-    Works in scaled units, on the floored bounds of the view
-    (``scaled.bounds``, written ``delta_j`` here).  The demand graph has one
+    Works in scaled units, on the instance's floored bounds
+    (``instance.bounds``, written ``delta_j`` here).  The demand graph has one
     arc per demand ``j = (w, x)``, weighted ``delta_j`` (one each way when
     undirected), and is searched once per demand source, bounded at the
     source's largest bound, which keeps it exact wherever the rule reads it.
@@ -333,9 +330,9 @@ def metric_pairs(scaled: IntegerInstance) -> tuple[int, ...]:
     != u`` (so ``j != i``) has ``d(u, w) + delta_j <= delta_i``.
     Arcs are positive, so that walk avoids arc i and each of its demands has
     a smaller bound: a subgraph meets every demand iff it meets the kept
-    ones.  The scaled view has the instance's feasible sets, so this holds
-    in instance units too.  Read it as :attr:`IntegerInstance.metric`,
-    which computes it once per view.
+    ones.  The scaled integers have the instance's feasible sets, so this
+    holds in instance units too.  Read it as :attr:`SpannerInstance.metric`,
+    which computes it once per instance.
 
     Flooring can make a chain fit in scaled units only (bounds 3/2, 3/2 and
     5/2 at scale 1 floor to 1, 1 and 2), so with fractional bounds the result
@@ -345,18 +342,18 @@ def metric_pairs(scaled: IntegerInstance) -> tuple[int, ...]:
     no subgraph meets it, and it is never dropped.  Self-pairs always hold
     and are left out.
     """
-    view: list = [[] for _ in range(scaled.n)]
-    into: list[list[tuple[int, int]]] = [[] for _ in range(scaled.n)]  # (tail, bound) per in-arc
-    for j, ((u, v, _), bound) in enumerate(zip(scaled.demands, scaled.bounds)):
+    view: list = [[] for _ in range(instance.n)]
+    into: list[list[tuple[int, int]]] = [[] for _ in range(instance.n)]  # (tail, bound) per in-arc
+    for j, ((u, v, _), bound) in enumerate(zip(instance.demands, instance.bounds)):
         if bound < 1:
             continue
         view[u].append((v, bound, j))
         into[v].append((u, bound))
-        if not scaled.directed:
+        if not instance.directed:
             view[v].append((u, bound, j))
             into[u].append((v, bound))
     kept = []
-    for source, limit, targets, _ in scaled.by_source:
+    for source, limit, targets, _ in instance.by_source:
         dist = shortest_distances(view, source, limit=limit)
         for v, bound, i in targets:
             if not any(
@@ -451,10 +448,9 @@ def source_searches(view: list, checks, scale: int) -> tuple[tuple[list, ...], t
     failing pair keeps its list as it is, and its failing pairs are searched
     again without the bound, after every check's search, so ``unmet`` holds
     ``(demand index, exact distance in instance units)`` of every failed
-    pair, by index.  The one producer of such lists: the scaled view's
-    cache (:attr:`~spannerkit.instance.IntegerInstance.reach` and
-    :attr:`~spannerkit.instance.IntegerInstance.unmet`) and greedy on a
-    restricted graph take them from here.
+    pair, by index.  The one producer of such lists: the instance's cache
+    (:attr:`SpannerInstance.reach` and :attr:`SpannerInstance.unmet`) and
+    greedy on a restricted graph take them from here.
     """
     lists, suspects = [], []
     for check in checks:
@@ -508,14 +504,14 @@ def verify_feasible(subgraph: Subgraph) -> Verdict:
 
     To check a subset of the pairs (e.g. the metric pairs), check a copy of
     the instance that holds just those: ``dataclasses.replace(instance,
-    demands=subset)``.  Runs on the scaled integer view; every violation is
+    demands=subset)``.  Runs on the scaled integers; every violation is
     reported, in demand order, with its exact distance in instance units.
 
     A source with at most :data:`PAIR_SEARCH_MAX` targets, all of whose
     pairs hold in the full graph, is checked pair by pair, as greedy checks
     its pairs (:func:`_pair_holds` on the subgraph's reversed arcs): by the
     pair's own arc, or by a search back from the target goal-directed by the
-    source's cached list (``scaled.reach``, capped: a lower bound on the
+    source's cached list (``instance.reach``, capped: a lower bound on the
     source's distances in any subgraph).  A source with more targets gets
     one search bounded at its largest bound and stopped at its targets
     (:func:`_search`).  A source that fails in the full graph fails in the
@@ -526,12 +522,11 @@ def verify_feasible(subgraph: Subgraph) -> Verdict:
     """
     instance = subgraph.instance
     demands = instance.demands
-    scaled = instance.scaled
     edge_set = subgraph.edge_set
-    view = graph_view(scaled, edge_subset=edge_set)
+    view = graph_view(instance, edge_subset=edge_set)
     reverse = None
     suspects = []
-    for check, full in zip(scaled.by_source, scaled.reach):
+    for check, full in zip(instance.by_source, instance.reach):
         source, _, targets, _ = check
         if len(targets) > PAIR_SEARCH_MAX:
             failed = _search(view, check)[1]
@@ -541,11 +536,11 @@ def verify_feasible(subgraph: Subgraph) -> Verdict:
             if reverse is None:  # the subgraph's reversed view, built once and only if a source needs it
                 reverse = view
                 if instance.directed:
-                    reverse = graph_view(scaled, edge_subset=edge_set, reverse=True)
+                    reverse = graph_view(instance, edge_subset=edge_set, reverse=True)
             failed = [(v, b, i) for v, b, i in targets if not _pair_holds(reverse, source, v, b, full)]
         suspects.append((source, failed))
     violations = [
         PairViolation(demands[i].u, demands[i].v, demands[i].delta, achieved)
-        for i, achieved in _exact_violations(view, suspects, scaled.scale)
+        for i, achieved in _exact_violations(view, suspects, instance.scale)
     ]
     return Verdict(not violations, violations)

@@ -13,9 +13,9 @@ unsearched and settles W* at the top weight when one fails, then a
 record-breaking pass over the sources below it (see
 :func:`weight_threshold_search`).
 
-Both run on the instance's scaled integer view (``instance.scaled``): lengths
-times the lcm ``L`` of their denominators, bounds floored to
-``floor(delta * L)``.  Every search stops past a distance and once its
+Both run on the instance's scaled integers (``instance.lengths`` and
+``instance.bounds``): lengths times the lcm ``L`` of their denominators,
+bounds floored to ``floor(delta * L)``.  Every search stops past a distance and once its
 targets are settled.  A threshold probe searches a source up to its
 largest bound and its targets.  The greedy phase orders the pairs with one
 such search per source u, made with the searched graph's verdict in one
@@ -31,16 +31,16 @@ not hold, the path is walked off the same list; no further search is needed.
 On the whole graph the searches are the instance's own: the threshold
 search's check at the largest weight (which keeps every edge) and its guard,
 and greedy's pair order when ``edge_subset`` keeps every edge (plain
-``greedy``, and ``augmented_greedy`` whenever E[W*] = E), read the scaled
-view's cached ``view``, ``reverse`` and ``reach``, and its verdict on them,
-``unmet``, which validation built or the first of them builds.  The cached
-lists come capped, so greedy reads them as they are; they are shared and
-never changed.  Greedy's order and checks read the floored bounds,
-``scaled.bounds``.
+``greedy``, and ``augmented_greedy`` whenever E[W*] = E), read the
+instance's cached ``view``, ``reverse`` and ``reach``, and its verdict on
+them, ``unmet``, which validation built or the first of them builds.  The
+cached lists come capped, so greedy reads them as they are; they are shared
+and never changed.  Greedy's order and checks read the floored bounds,
+``instance.bounds``.
 Distances go back to instance units, ``Fraction(d, L)``, only in
 :class:`GreedyStep` and :class:`~spannerkit.errors.UnsatisfiableDemand`; the
-threshold search compares the view's integer weights and reports W* as a
-fraction.
+threshold search compares the instance's integer weights and reports W* as
+a fraction.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .graph import (
     minimum_spanning_tree,
     source_searches,
 )
-from .instance import IntegerInstance, SpannerInstance, Subgraph
+from .instance import SpannerInstance, Subgraph
 
 
 @dataclass(frozen=True)
@@ -88,17 +88,16 @@ def greedy(
     Raises :class:`UnsatisfiableDemand` for the first demand, in demand
     order, that cannot meet its bound even there.
     """
-    scaled = instance.scaled
-    demands, bounds, checks = instance.demands, scaled.bounds, scaled.by_source
+    demands, bounds, checks = instance.demands, instance.bounds, instance.by_source
     whole = edge_subset is None or all(i in edge_subset for i in range(instance.m))
-    view = scaled.view if whole else graph_view(scaled, edge_subset=edge_subset)
+    view = instance.view if whole else graph_view(instance, edge_subset=edge_subset)
     # one search per source, up to its largest bound and its targets, settles every pair's
     # distance, capped at its farthest target's; on the whole graph those, and their verdict,
     # are the cached ones
     if whole:
-        reach, unsatisfiable = scaled.reach, scaled.unmet
+        reach, unsatisfiable = instance.reach, instance.unmet
     else:
-        reach, unsatisfiable = source_searches(view, checks, scaled.scale)
+        reach, unsatisfiable = source_searches(view, checks, instance.scale)
     if unsatisfiable:
         i, achieved = unsatisfiable[0]
         raise UnsatisfiableDemand(demands[i].u, demands[i].v, demands[i].delta, achieved)
@@ -109,9 +108,9 @@ def greedy(
     )
 
     if whole:
-        reverse = scaled.reverse
+        reverse = instance.reverse
     elif instance.directed:
-        reverse = graph_view(scaled, edge_subset=edge_subset, reverse=True)
+        reverse = graph_view(instance, edge_subset=edge_subset, reverse=True)
     else:
         reverse = view
     chosen: set[int] = set()
@@ -132,14 +131,14 @@ def greedy(
             new_edges = tuple(e for e in path_edges if e not in chosen)
             chosen.update(new_edges)
             for e in new_edges:
-                edge, length = instance.edges[e], scaled.lengths[e]
+                edge, length = instance.edges[e], instance.lengths[e]
                 spanner[edge.v].append((edge.u, length, e))
                 if not instance.directed:
                     spanner[edge.u].append((edge.v, length, e))
         if trace is not None:
             trace.append(
                 GreedyStep(
-                    d.u, d.v, d.delta, scaled.unscale(dist), executed, path_nodes, path_edges, new_edges
+                    d.u, d.v, d.delta, instance.unscale(dist), executed, path_nodes, path_edges, new_edges
                 )
             )
     return Subgraph(instance, frozenset(chosen))
@@ -169,7 +168,7 @@ def weight_threshold_search(instance: SpannerInstance, *, mst_lift: bool = False
     optimum is 0.  Otherwise feasibility of ``G[w]`` is monotone in w, and
     W* is the largest of the per-source thresholds, the smallest weight at
     which all of one source's pairs hold.  The full graph, at the largest
-    weight, reads the scaled view's cached searches (``scaled.reach``); the
+    weight, reads the instance's cached searches (``instance.reach``); the
     rest is decided in two steps.
 
     * **Guard at the second-largest weight w2.**  An edge ``(a, b)`` of
@@ -201,42 +200,41 @@ def weight_threshold_search(instance: SpannerInstance, *, mst_lift: bool = False
     G[w] built and the source searches made; the cached full-graph searches
     are not among them.
     """
-    scaled = instance.scaled
-    checks = scaled.by_source
-    # the largest weight keeps every edge: that check is the scaled view's cached verdict
-    if scaled.unmet:
+    checks = instance.by_source
+    # the largest weight keeps every edge: that check is the instance's cached verdict
+    if instance.unmet:
         raise InfeasibleInstance("even the full graph violates some demand")
-    weights = sorted(set(scaled.weights))  # in units of 1 / scaled.weight_scale
+    weights = sorted(set(instance.weights))  # in units of 1 / instance.weight_scale
     probes = searches = 0
     if not checks:
         found = 0
     elif len(weights) == 1:
         found = weights[0]
     else:
-        held, below_top = True, scaled.view
+        held, below_top = True, instance.view
         top = weights[-1]
         top_arcs = [
-            (e.u, e.v, ln) for e, ln, w in zip(scaled.edges, scaled.lengths, scaled.weights) if w == top
+            (e.u, e.v, ln) for e, ln, w in zip(instance.edges, instance.lengths, instance.weights) if w == top
         ]
-        if not scaled.directed:
+        if not instance.directed:
             top_arcs += [(b, a, ln) for a, b, ln in top_arcs]
-        flagged = _top_tight(scaled, top_arcs)
+        flagged = _top_tight(instance, top_arcs)
         if flagged:
             # G[w2] is the full view less its top-weight arcs; the other nodes share the cached lists
             probes = 1
             tails = {a for a, _, _ in top_arcs}
             below_top = [
-                [arc for arc in arcs if scaled.weights[arc[2]] < top] if a in tails else arcs
-                for a, arcs in enumerate(scaled.view)
+                [arc for arc in arcs if instance.weights[arc[2]] < top] if a in tails else arcs
+                for a, arcs in enumerate(instance.view)
             ]
             held, searches = meets_bounds(below_top, flagged)
         if held:
-            found, more_probes, more_searches = _record_pass(scaled, weights[:-1], below_top)
+            found, more_probes, more_searches = _record_pass(instance, weights[:-1], below_top)
             probes += more_probes
             searches += more_searches
         else:
             found = weights[-1]
-    w_search = Fraction(found, scaled.weight_scale)
+    w_search = Fraction(found, instance.weight_scale)
     w_star = w_search
     lifted = False
     if mst_lift:
@@ -247,12 +245,12 @@ def weight_threshold_search(instance: SpannerInstance, *, mst_lift: bool = False
             w_star = mst_weight
             lifted = True
             # scaled weights are integers, so x <= w_star * unit iff x <= floor(w_star * unit)
-            found = math.floor(w_star * scaled.weight_scale)
-    restricted = frozenset(i for i, x in enumerate(scaled.weights) if x <= found)
+            found = math.floor(w_star * instance.weight_scale)
+    restricted = frozenset(i for i, x in enumerate(instance.weights) if x <= found)
     return WeightThresholdResult(w_star, restricted, lifted, w_search, probes, searches)
 
 
-def _top_tight(scaled: IntegerInstance, top_arcs: list) -> list:
+def _top_tight(instance: SpannerInstance, top_arcs: list) -> list:
     """The checks whose cached full-graph list has a top-weight arc ``(a, b, length)`` tight.
 
     Asked only when every source holds, so each list is capped at its
@@ -264,12 +262,12 @@ def _top_tight(scaled: IntegerInstance, top_arcs: list) -> list:
     """
     return [
         check
-        for check, dist in zip(scaled.by_source, scaled.reach)
+        for check, dist in zip(instance.by_source, instance.reach)
         if any(dist[a] + length == dist[b] for a, b, length in top_arcs)
     ]
 
 
-def _record_pass(scaled: IntegerInstance, weights: list, base: list) -> tuple[int, int, int]:
+def _record_pass(instance: SpannerInstance, weights: list, base: list) -> tuple[int, int, int]:
     """``(W*, views built, sources searched)`` when every source holds at ``weights[-1]``.
 
     ``base`` holds at least G[weights[-1]]; views are filtered from it and
@@ -277,7 +275,7 @@ def _record_pass(scaled: IntegerInstance, weights: list, base: list) -> tuple[in
     """
     top = len(weights) - 1
     views = {top: base}
-    edge_weight = scaled.weights
+    edge_weight = instance.weights
 
     def view_at(i: int, above: int) -> list:  # G[weights[i]], filtered from the built G[weights[above]]
         if i not in views:
@@ -285,7 +283,7 @@ def _record_pass(scaled: IntegerInstance, weights: list, base: list) -> tuple[in
             views[i] = [[arc for arc in arcs if edge_weight[arc[2]] <= w] for arcs in views[above]]
         return views[i]
 
-    rest = sorted(scaled.by_source, key=lambda check: check[0] * _RECORD_ORDER_SEED & 0xFFFFFFFF)
+    rest = sorted(instance.by_source, key=lambda check: check[0] * _RECORD_ORDER_SEED & 0xFFFFFFFF)
     c = -1  # every source visited and no longer in ``rest`` holds at weights[c]
     searches = 0
     while rest and c < top:

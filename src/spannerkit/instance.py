@@ -20,30 +20,28 @@ denominator 1).  Canonical form sorts edges and demands by ``(u, v)`` with
 undirected endpoints normalized to ``u < v``; two equal instances therefore
 produce byte-identical files.
 
-Every instance also has one exact integer view, :attr:`SpannerInstance.scaled`
-(an :class:`IntegerInstance`), built on first use and kept: each length times
-``scale``, the lcm ``L`` of the length denominators, and each bound floored to
-``floor(delta * L)`` in :attr:`IntegerInstance.bounds`, one int per demand.
-Scaled distances are integers, so a scaled distance meets its floored bound
-exactly when the true distance meets the true bound.  Weights are scaled the
-same way by the lcm of their own denominators.  Validation, verification,
-greedy, the threshold search and the exact search run on this view;
-fractions come back only in reports.  With ``L = 1`` it is the integer-length
-view that the layered extension requires (:func:`require_integer_lengths`).
-The view is a plain value cached on the instance: it shares the edge and
-demand tuples, whose records keep their ``Fraction`` values, and builds no
-record of its own; it holds no reference back, so a dropped instance is
-freed with its view at once.  Every solver takes the instance.
+Every instance also carries its exact integer form, each field built on
+first read and kept: :attr:`SpannerInstance.lengths`, each length times
+:attr:`~SpannerInstance.scale`, the lcm ``L`` of the length denominators, and
+:attr:`~SpannerInstance.bounds`, each bound floored to ``floor(delta * L)``,
+one int per demand.  Scaled distances are integers, so a scaled distance
+meets its floored bound exactly when the true distance meets the true bound.
+Weights are scaled the same way by the lcm of their own denominators
+(:attr:`~SpannerInstance.weights`).  Validation, verification, greedy, the
+threshold search and the exact search run on these integers; fractions come
+back only in reports.  With ``L = 1`` they are the integer lengths that the
+layered extension requires (:func:`require_integer_lengths`).  The records
+keep their ``Fraction`` values.
 
-The scaled view also holds the instance's full graph search, built once on
-first use and kept for the instance's life: :attr:`IntegerInstance.view`,
-the forward graph view of every edge, :attr:`IntegerInstance.reverse`, the
-same reversed (the forward view itself when undirected), and one pass of
+The instance also holds its full graph search, built on first read and kept
+for the instance's life: :attr:`~SpannerInstance.view`, the forward graph
+view of every edge, :attr:`~SpannerInstance.reverse`, the same reversed (the
+forward view itself when undirected), and one pass of
 :func:`~spannerkit.graph.source_searches` on the forward view, read as two
-values: :attr:`IntegerInstance.reach`, each demand source's search, bounded
+values: :attr:`~SpannerInstance.reach`, each demand source's search, bounded
 at its largest bound and stopped at its targets, and capped at its
 farthest target's distance where all of the source's pairs hold, and
-:attr:`IntegerInstance.unmet`, the full graph's verdict on those searches,
+:attr:`~SpannerInstance.unmet`, the full graph's verdict on those searches,
 each demand it misses with its exact distance.  Validation, the threshold
 search's probe at the largest weight (the full graph) and greedy's pair
 order and verdict on the full graph read them instead of searching or
@@ -51,15 +49,16 @@ deciding again, and greedy's and the verifier's per-pair searches are
 goal-directed by the capped lists; the connectivity check and the exact
 search's root check read the forward view, and the flow LP and the
 restricted gamma read both views for their budget windows.  The flow LP
-also reads :attr:`IntegerInstance.metric`, the indices of the demands no
+also reads :attr:`~SpannerInstance.metric`, the indices of the demands no
 chain of other demands implies, its commodities.  All are shared, so no
 reader may change them.  They travel with a pickled instance.
 
 An instance's demands are the only ones its solvers and checks answer for,
-through :attr:`IntegerInstance.by_source` and ``reach``.  To ask about a
+through :attr:`~SpannerInstance.by_source` and ``reach``.  To ask about a
 subset of them, make a copy that holds just those,
-``dataclasses.replace(instance, demands=subset)``: the copy has its own
-scaled view and its own cached checks.
+``dataclasses.replace(instance, demands=subset)``: the copy builds its own
+integer fields and its own cached checks, as :meth:`~SpannerInstance.canonical`'s
+result does.
 """
 
 from __future__ import annotations
@@ -85,7 +84,7 @@ class Edge(NamedTuple):
 class Demand(NamedTuple):
     u: int
     v: int
-    delta: Fraction  # always in instance units; the scaled view floors it into ``scaled.bounds``
+    delta: Fraction  # always in instance units; ``SpannerInstance.bounds`` holds it floored in scaled units
 
     def pair(self, directed: bool) -> tuple[int, int]:
         """The pair key; undirected demands are unordered."""
@@ -108,10 +107,6 @@ class SpannerInstance:
     def m(self) -> int:
         return len(self.edges)
 
-    @property
-    def lengths(self) -> tuple[Fraction, ...]:
-        return tuple(e.length for e in self.edges)
-
     def label(self, node: int) -> str:
         if self.labels is not None and 0 <= node < len(self.labels):
             return self.labels[node]
@@ -122,260 +117,40 @@ class SpannerInstance:
             raise KeyError(label)
         return self.labels.index(label)
 
+    # The exact integer form (see the module docstring), each field built on first read and kept.
+
     @cached_property
-    def scaled(self) -> "IntegerInstance":
-        """The exact integer view, built once per instance (see the module docstring)."""
-        scale = math.lcm(*(e.length.denominator for e in self.edges))
-        lengths = tuple(e.length.numerator * (scale // e.length.denominator) for e in self.edges)
-        bounds = tuple(d.delta.numerator * scale // d.delta.denominator for d in self.demands)
-        weight_scale = math.lcm(*(e.weight.denominator for e in self.edges))
-        weights = tuple(e.weight.numerator * (weight_scale // e.weight.denominator) for e in self.edges)
-        return IntegerInstance(
-            self.directed,
-            self.n,
-            self.edges,
-            lengths,
-            self.demands,
-            bounds,
-            max(bounds, default=0),
-            scale,
-            weights,
-            weight_scale,
-        )
+    def scale(self) -> int:
+        """The lcm ``L`` of the length denominators: every scaled length and distance is an integer."""
+        return math.lcm(*(e.length.denominator for e in self.edges))
 
-    def canonical(self) -> "SpannerInstance":
-        """Sorted edges/demands with undirected endpoints normalized u < v."""
-        edges = []
-        for e in self.edges:
-            u, v = e.u, e.v
-            if not self.directed and u > v:
-                u, v = v, u
-            edges.append(Edge(u, v, as_fraction(e.weight), as_fraction(e.length)))
-        edges.sort(key=lambda e: (e.u, e.v))
-        demands = []
-        for d in self.demands:
-            u, v = d.pair(self.directed)
-            demands.append(Demand(u, v, as_fraction(d.delta)))
-        demands.sort(key=lambda d: (d.u, d.v))
-        return SpannerInstance(self.directed, self.n, tuple(edges), tuple(demands), self.labels)
+    @cached_property
+    def lengths(self) -> tuple[int, ...]:
+        """Each edge's length times :attr:`scale`, in edge order."""
+        scale = self.scale
+        return tuple(e.length.numerator * (scale // e.length.denominator) for e in self.edges)
 
-    def is_canonical(self) -> bool:
-        """Whether :meth:`canonical` leaves every edge and demand in its place and orientation."""
-        for records in (self.edges, self.demands):
-            keys = [(r.u, r.v) for r in records]
-            oriented = self.directed or all(u <= v for u, v in keys)
-            if not oriented or any(a > b for a, b in zip(keys, keys[1:])):
-                return False
-        return True
+    @cached_property
+    def bounds(self) -> tuple[int, ...]:
+        """Each demand's bound floored in scaled units, ``floor(delta * scale)``, in demand order."""
+        scale = self.scale
+        return tuple(d.delta.numerator * scale // d.delta.denominator for d in self.demands)
 
+    @cached_property
+    def delta_bar(self) -> int:
+        """The largest scaled bound, 0 with no demand."""
+        return max(self.bounds, default=0)
 
-@dataclass(frozen=True)
-class Subgraph:
-    """An edge subset of an instance: a candidate spanner."""
+    @cached_property
+    def weight_scale(self) -> int:
+        """The lcm of the weight denominators, so weight sums and comparisons are integer."""
+        return math.lcm(*(e.weight.denominator for e in self.edges))
 
-    instance: SpannerInstance
-    edge_set: frozenset[int]
-
-    @property
-    def weight(self) -> Fraction:
-        scaled = self.instance.scaled
-        return Fraction(sum(scaled.weights[i] for i in self.edge_set), scaled.weight_scale)
-
-    @property
-    def size(self) -> int:
-        return len(self.edge_set)
-
-    def edge_pairs(self) -> list[tuple[int, int]]:
-        return sorted((self.instance.edges[i].u, self.instance.edges[i].v) for i in self.edge_set)
-
-
-# ---------------------------------------------------------------------------
-# Validation
-
-
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    message: str
-
-
-@dataclass
-class ValidationReport:
-    violations: list[Violation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def add(self, code: str, message: str) -> None:
-        self.violations.append(Violation(code, message))
-
-    def codes(self) -> set[str]:
-        return {v.code for v in self.violations}
-
-    def describe(self) -> str:
-        if self.ok:
-            return "valid"
-        return "\n".join(f"  [{v.code}] {v.message}" for v in self.violations)
-
-    def raise_if_invalid(self) -> None:
-        if not self.ok:
-            raise InvalidInstance(self)
-
-
-def validate(instance: SpannerInstance) -> ValidationReport:
-    """Check every instance invariant and report all violations found.
-
-    An instance with an empty report is accepted by every solver.  Demands
-    whose bound is below the shortest achievable distance are rejected here
-    (rather than silently dropped), as are demands beyond ``n * max_length``
-    (those are equivalent to plain reachability and would blow up the layered
-    extension for no benefit).
-
-    The record checks walk each edge, then each demand, once, naming every
-    offender in record order.  Only an instance whose records all pass builds
-    its scaled view for the distance checks.
-    """
-    report = ValidationReport()
-    n = instance.n
-    if n <= 0:
-        report.add("bad-node-count", f"node count must be positive, got {n}")
-        return report
-    if instance.labels is not None and len(instance.labels) != n:
-        report.add("bad-labels", f"{len(instance.labels)} labels for {n} nodes")
-
-    ids_ok = _walk_edges(instance, report) & _walk_demands(instance, report)
-    if not ids_ok or report.codes() & {"nonpositive-length", "self-loop"}:
-        return report  # distance checks below would be meaningless
-
-    # Structural connectivity, then per-demand satisfiability (delta >= d_G),
-    # both on the scaled integer view.
-    scaled = instance.scaled
-    if not instance.directed:
-        from .graph import shortest_distances
-
-        dist0 = shortest_distances(scaled.view, 0)
-        unreachable = [q for q in range(n) if dist0[q] is None]
-        if unreachable:
-            report.add("not-connected", f"nodes {unreachable} unreachable from node 0")
-
-    budget_cap = n * max(scaled.lengths, default=0)  # n * max_length, scaled
-    achieved = dict(scaled.unmet)
-    # delta * scale past the cap has its floor, the scaled bound, at or past it: no other is oversized
-    if not achieved and scaled.delta_bar < budget_cap:
-        return report
-    for i, (d, bound) in enumerate(zip(instance.demands, scaled.bounds)):
-        if d.u == d.v:
-            continue
-        if i in achieved:
-            dist = achieved[i]
-            got = "unreachable" if dist is None else format_rational(dist)
-            report.add(
-                "unsatisfiable-demand",
-                f"demand ({d.u},{d.v}) asks for {format_rational(d.delta)} "
-                f"but the graph only achieves {got}",
-            )
-        if bound >= budget_cap and d.delta.numerator * scaled.scale > budget_cap * d.delta.denominator:
-            report.add(
-                "oversized-demand",
-                f"demand ({d.u},{d.v}) bound {format_rational(d.delta)} exceeds "
-                f"n*max_length = {format_rational(scaled.unscale(budget_cap))}; "
-                "cap it there (same feasible set)",
-            )
-    return report
-
-
-def _walk_edges(instance: SpannerInstance, report: ValidationReport) -> bool:
-    """Report each edge that fails a record check, in edge order; whether every id is in range."""
-    n, directed = instance.n, instance.directed
-    seen_pairs: set[tuple[int, int]] = set()
-    ids_ok = True
-    for i, (u, v, weight, length) in enumerate(instance.edges):
-        if not (0 <= u < n and 0 <= v < n):
-            report.add("bad-node-id", f"edge {i} endpoints ({u},{v}) outside [0,{n})")
-            ids_ok = False
-            continue
-        if u == v:
-            report.add("self-loop", f"edge {i} is a self-loop at node {u}")
-        key = (u, v) if directed or u <= v else (v, u)
-        size = len(seen_pairs)
-        seen_pairs.add(key)
-        if len(seen_pairs) == size:
-            report.add("duplicate-edge", f"edge {i} duplicates pair {key}")
-        if weight.numerator < 0 or length.numerator <= 0:  # a Fraction's sign is its numerator's
-            if weight.numerator < 0:
-                report.add("negative-weight", f"edge {i} has weight {format_rational(weight)} < 0")
-            if length.numerator <= 0:
-                report.add("nonpositive-length", f"edge {i} has length {format_rational(length)} <= 0")
-    return ids_ok
-
-
-def _walk_demands(instance: SpannerInstance, report: ValidationReport) -> bool:
-    """Report each demand that fails a record check, in demand order; whether every id is in range."""
-    n, directed = instance.n, instance.directed
-    seen_demands: set[tuple[int, int]] = set()
-    ids_ok = True
-    for i, (u, v, delta) in enumerate(instance.demands):
-        if not (0 <= u < n and 0 <= v < n):
-            report.add("bad-node-id", f"demand {i} endpoints ({u},{v}) outside [0,{n})")
-            ids_ok = False
-            continue
-        if u == v:
-            report.add("self-demand", f"demand {i} pairs node {u} with itself")
-            continue
-        key = (u, v) if directed or u <= v else (v, u)
-        size = len(seen_demands)
-        seen_demands.add(key)
-        if len(seen_demands) == size:
-            report.add("duplicate-demand", f"demand {i} duplicates pair {key}")
-        if delta.numerator <= 0:
-            report.add("nonpositive-demand", f"demand {i} has bound {format_rational(delta)} <= 0")
-    return ids_ok
-
-
-# ---------------------------------------------------------------------------
-# The scaled integer view
-
-
-@dataclass(frozen=True)
-class IntegerInstance:
-    """An instance in exact integer units: lengths times ``scale``, bounds floored.
-
-    ``scale`` is the lcm of the length denominators, so every scaled length,
-    and therefore every scaled distance, is an integer; flooring a scaled
-    bound then loses nothing.  A scaled distance ``d`` is ``Fraction(d,
-    scale)`` in instance units (:meth:`unscale`).  Weights are scaled on
-    their own, by the lcm ``weight_scale`` of their denominators, so weight
-    sums and comparisons are integer too.  Built once per instance as
-    :attr:`SpannerInstance.scaled`; with ``scale == 1`` it is the
-    integer-length view the layered-extension LP requires.  A value cached on
-    its instance with no reference back: ``n`` and ``directed`` are its own,
-    and ``edges`` and ``demands`` are the instance's own tuples, shared.  The
-    demands keep their ``Fraction`` bounds; their scaled bounds are
-    :attr:`bounds`, ``floor(delta * scale)`` per demand, in demand order.
-
-    :attr:`view`, :attr:`reverse`, :attr:`reach`, :attr:`unmet` and
-    :attr:`metric` (see the module docstring) are built on first use and
-    kept, like :attr:`by_source`; :attr:`reach` and :attr:`unmet` are the
-    two results of one search pass, made when either is first read.
-    They are shared by every reader and read-only: a reader that needs other
-    values builds new lists.
-    """
-
-    directed: bool
-    n: int
-    edges: tuple[Edge, ...]  # the instance's own tuple, shared
-    lengths: tuple[int, ...]
-    demands: tuple[Demand, ...]  # the instance's own tuple, shared
-    bounds: tuple[int, ...]  # floor(delta * scale), one per demand
-    delta_bar: int
-    scale: int
-    weights: tuple[int, ...]
-    weight_scale: int
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
+    @cached_property
+    def weights(self) -> tuple[int, ...]:
+        """Each edge's weight times :attr:`weight_scale`, in edge order."""
+        scale = self.weight_scale
+        return tuple(e.weight.numerator * (scale // e.weight.denominator) for e in self.edges)
 
     @cached_property
     def by_source(self) -> tuple:
@@ -450,7 +225,7 @@ class IntegerInstance:
     def metric(self) -> tuple[int, ...]:
         """The indices of the demands no chain of other demands implies, in demand order.
 
-        :func:`~spannerkit.graph.metric_pairs` of this view: a subgraph
+        :func:`~spannerkit.graph.metric_pairs` of this instance: a subgraph
         meets every demand iff it meets these.  The flow LP ships one
         commodity per kept pair; nothing else reads it, so it is built only
         when an LP is.
@@ -463,17 +238,217 @@ class IntegerInstance:
         """A scaled distance in instance units; None (unreachable) stays None."""
         return None if dist is None else Fraction(dist, self.scale)
 
+    def canonical(self) -> "SpannerInstance":
+        """Sorted edges/demands with undirected endpoints normalized u < v."""
+        edges = []
+        for e in self.edges:
+            u, v = e.u, e.v
+            if not self.directed and u > v:
+                u, v = v, u
+            edges.append(Edge(u, v, as_fraction(e.weight), as_fraction(e.length)))
+        edges.sort(key=lambda e: (e.u, e.v))
+        demands = []
+        for d in self.demands:
+            u, v = d.pair(self.directed)
+            demands.append(Demand(u, v, as_fraction(d.delta)))
+        demands.sort(key=lambda d: (d.u, d.v))
+        return SpannerInstance(self.directed, self.n, tuple(edges), tuple(demands), self.labels)
 
-def require_integer_lengths(instance: SpannerInstance) -> IntegerInstance:
-    """The scaled view of an instance whose lengths are all integers (scale 1).
+    def is_canonical(self) -> bool:
+        """Whether :meth:`canonical` leaves every edge and demand in its place and orientation."""
+        for records in (self.edges, self.demands):
+            keys = [(r.u, r.v) for r in records]
+            oriented = self.directed or all(u <= v for u, v in keys)
+            if not oriented or any(a > b for a, b in zip(keys, keys[1:])):
+                return False
+        return True
+
+
+@dataclass(frozen=True)
+class Subgraph:
+    """An edge subset of an instance: a candidate spanner."""
+
+    instance: SpannerInstance
+    edge_set: frozenset[int]
+
+    @property
+    def weight(self) -> Fraction:
+        instance = self.instance
+        return Fraction(sum(instance.weights[i] for i in self.edge_set), instance.weight_scale)
+
+    @property
+    def size(self) -> int:
+        return len(self.edge_set)
+
+    def edge_pairs(self) -> list[tuple[int, int]]:
+        return sorted((self.instance.edges[i].u, self.instance.edges[i].v) for i in self.edge_set)
+
+
+# ---------------------------------------------------------------------------
+# Validation
+
+
+@dataclass(frozen=True)
+class Violation:
+    code: str
+    message: str
+
+
+@dataclass
+class ValidationReport:
+    violations: list[Violation] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def add(self, code: str, message: str) -> None:
+        self.violations.append(Violation(code, message))
+
+    def codes(self) -> set[str]:
+        return {v.code for v in self.violations}
+
+    def describe(self) -> str:
+        if self.ok:
+            return "valid"
+        return "\n".join(f"  [{v.code}] {v.message}" for v in self.violations)
+
+    def raise_if_invalid(self) -> None:
+        if not self.ok:
+            raise InvalidInstance(self)
+
+
+# The most nodes an instance may have.  The view holds n adjacency lists and
+# every search two n-long lists, so memory grows with n whatever the edges:
+# ``n`` over the cap is reported before any record walk or integer field.
+# Measured at the cap on a 2-core host, ``spannerkit verify`` of one edge and
+# one demand: undirected, 0.7 s and 158 MB to report every other node
+# unreachable; directed (accepted), 1.9 s and 234 MB.
+MAX_NODES = 1_000_000
+
+
+def validate(instance: SpannerInstance) -> ValidationReport:
+    """Check every instance invariant and report all violations found.
+
+    An instance with an empty report is accepted by every solver.  Demands
+    whose bound is below the shortest achievable distance are rejected here
+    (rather than silently dropped), as are demands beyond ``n * max_length``
+    (those are equivalent to plain reachability and would blow up the layered
+    extension for no benefit).
+
+    A node count past :data:`MAX_NODES` is reported before anything else.
+    The record checks walk each edge, then each demand, once, naming every
+    offender in record order.  Only an instance whose records all pass builds
+    its integer fields and searches for the distance checks.
+    """
+    report = ValidationReport()
+    n = instance.n
+    if n <= 0:
+        report.add("bad-node-count", f"node count must be positive, got {n}")
+        return report
+    if n > MAX_NODES:
+        report.add("bad-node-count", f"node count {n} is over the cap of {MAX_NODES}")
+        return report
+    if instance.labels is not None and len(instance.labels) != n:
+        report.add("bad-labels", f"{len(instance.labels)} labels for {n} nodes")
+
+    ids_ok = _walk_edges(instance, report) & _walk_demands(instance, report)
+    if not ids_ok or report.codes() & {"nonpositive-length", "self-loop"}:
+        return report  # distance checks below would be meaningless
+
+    # Structural connectivity, then per-demand satisfiability (delta >= d_G),
+    # both on the scaled integers.
+    if not instance.directed:
+        from .graph import shortest_distances
+
+        dist0 = shortest_distances(instance.view, 0)
+        unreachable = [q for q in range(n) if dist0[q] is None]
+        if unreachable:  # the first ten by name, then a count
+            more = f" and {len(unreachable) - 10} more" if len(unreachable) > 10 else ""
+            report.add("not-connected", f"nodes {unreachable[:10]}{more} unreachable from node 0")
+
+    budget_cap = n * max(instance.lengths, default=0)  # n * max_length, scaled
+    achieved = dict(instance.unmet)
+    # delta * scale past the cap has its floor, the scaled bound, at or past it: no other is oversized
+    if not achieved and instance.delta_bar < budget_cap:
+        return report
+    for i, (d, bound) in enumerate(zip(instance.demands, instance.bounds)):
+        if d.u == d.v:
+            continue
+        if i in achieved:
+            dist = achieved[i]
+            got = "unreachable" if dist is None else format_rational(dist)
+            report.add(
+                "unsatisfiable-demand",
+                f"demand ({d.u},{d.v}) asks for {format_rational(d.delta)} "
+                f"but the graph only achieves {got}",
+            )
+        if bound >= budget_cap and d.delta.numerator * instance.scale > budget_cap * d.delta.denominator:
+            report.add(
+                "oversized-demand",
+                f"demand ({d.u},{d.v}) bound {format_rational(d.delta)} exceeds "
+                f"n*max_length = {format_rational(instance.unscale(budget_cap))}; "
+                "cap it there (same feasible set)",
+            )
+    return report
+
+
+def _walk_edges(instance: SpannerInstance, report: ValidationReport) -> bool:
+    """Report each edge that fails a record check, in edge order; whether every id is in range."""
+    n, directed = instance.n, instance.directed
+    seen_pairs: set[tuple[int, int]] = set()
+    ids_ok = True
+    for i, (u, v, weight, length) in enumerate(instance.edges):
+        if not (0 <= u < n and 0 <= v < n):
+            report.add("bad-node-id", f"edge {i} endpoints ({u},{v}) outside [0,{n})")
+            ids_ok = False
+            continue
+        if u == v:
+            report.add("self-loop", f"edge {i} is a self-loop at node {u}")
+        key = (u, v) if directed or u <= v else (v, u)
+        size = len(seen_pairs)
+        seen_pairs.add(key)
+        if len(seen_pairs) == size:
+            report.add("duplicate-edge", f"edge {i} duplicates pair {key}")
+        if weight.numerator < 0 or length.numerator <= 0:  # a Fraction's sign is its numerator's
+            if weight.numerator < 0:
+                report.add("negative-weight", f"edge {i} has weight {format_rational(weight)} < 0")
+            if length.numerator <= 0:
+                report.add("nonpositive-length", f"edge {i} has length {format_rational(length)} <= 0")
+    return ids_ok
+
+
+def _walk_demands(instance: SpannerInstance, report: ValidationReport) -> bool:
+    """Report each demand that fails a record check, in demand order; whether every id is in range."""
+    n, directed = instance.n, instance.directed
+    seen_demands: set[tuple[int, int]] = set()
+    ids_ok = True
+    for i, (u, v, delta) in enumerate(instance.demands):
+        if not (0 <= u < n and 0 <= v < n):
+            report.add("bad-node-id", f"demand {i} endpoints ({u},{v}) outside [0,{n})")
+            ids_ok = False
+            continue
+        if u == v:
+            report.add("self-demand", f"demand {i} pairs node {u} with itself")
+            continue
+        key = (u, v) if directed or u <= v else (v, u)
+        size = len(seen_demands)
+        seen_demands.add(key)
+        if len(seen_demands) == size:
+            report.add("duplicate-demand", f"demand {i} duplicates pair {key}")
+        if delta.numerator <= 0:
+            report.add("nonpositive-demand", f"demand {i} has bound {format_rational(delta)} <= 0")
+    return ids_ok
+
+
+def require_integer_lengths(instance: SpannerInstance) -> None:
+    """Check that every length is an integer (scale 1), so the scaled integers are the instance's own.
 
     Raises :class:`NonIntegerLength` naming the first offending edge.
     """
-    scaled = instance.scaled
-    if scaled.scale != 1:  # the lcm of the length denominators
+    if instance.scale != 1:  # the lcm of the length denominators
         i = next(i for i, e in enumerate(instance.edges) if not is_integer(e.length))
         raise NonIntegerLength(i, format_rational(instance.edges[i].length))
-    return scaled
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 One commodity is shipped from ``u_0`` to ``v_delta(u,v)`` per metric pair:
 each demand that no chain of other demands implies
-(:attr:`IntegerInstance.metric`), in demand order, so commodity k is the
+(:attr:`SpannerInstance.metric`), in demand order, so commodity k is the
 k-th kept pair.  A subgraph meets every demand iff it meets the kept ones, so
 the spanner problem's optimum OPT is unchanged, and LP(metric) <= LP(all
 pairs) <= OPT: the rounding analysis holds on the smaller LP.  An instance
@@ -71,9 +71,9 @@ class McfModel:
 
     Columns are each commodity's flow columns, then the edge variables.
     ``demands`` are the commodities: the instance's own demand records at
-    the indices :attr:`IntegerInstance.metric` keeps, with their bounds in
+    the indices :attr:`SpannerInstance.metric` keeps, with their bounds in
     instance units; each commodity's sink layer is the demand's scaled
-    bound, ``floor(delta)`` at the extension's scale 1 (``scaled.bounds``).
+    bound, ``floor(delta)`` at the extension's scale 1 (``instance.bounds``).
     The rows are one column-wise matrix ``a`` (CSC, each column's row
     indices sorted) with right-hand sides ``b``: first the ``num_ub``
     coupling rows ``sum_i f_(pair,arc_i) - x_e <= 0`` (``b`` is 0 there),
@@ -127,7 +127,7 @@ def build_mcf(extension: DeltaExtension) -> McfModel:
     """Assemble the flow LP for the extension's instance, one commodity per metric pair.
 
     The commodities are the demands no chain of other demands implies
-    (:attr:`IntegerInstance.metric`, computed once per instance): budget
+    (:attr:`SpannerInstance.metric`, computed once per instance): budget
     windows, flow columns, coupling and conservation rows are built for them
     only.  Every subgraph that meets them meets every demand, so the
     spanner problem's optimum is unchanged and the LP still bounds it from
@@ -139,7 +139,7 @@ def build_mcf(extension: DeltaExtension) -> McfModel:
     import numpy as np
     import scipy.sparse as sp
 
-    inst = extension.instance.scaled
+    inst = extension.instance
     demands = tuple(inst.demands[i] for i in inst.metric)
     bounds = tuple(inst.bounds[i] for i in inst.metric)
     kept_runs = []  # per pair: (run, lo, hi) for each run whose arcs lo .. hi-1 are kept

@@ -14,7 +14,7 @@ demand pair must share.  Its feasibility searches are the graph layer's
 bounded source test (``graph._search``), run on one private view of the
 envelope (the edges not yet excluded), edited in place as edges are
 excluded and restored, never on a rebuilt view and never on the shared
-``scaled.view``.  Each demand source's witness, the edges of the search
+``instance.view``.  Each demand source's witness, the edges of the search
 tree's paths that last met its bounds, stays a subset of the envelope, so
 an exclusion re-searches only the sources whose witness holds the excluded
 edge.
@@ -78,8 +78,8 @@ def exact_optimum(instance: SpannerInstance, *, max_edges: int = 22) -> ExactRes
     the envelope still meets every bound.  Among equal-weight optima the
     lexicographically smallest sorted edge-index tuple wins, which makes the
     result deterministic.  Exact integer arithmetic throughout: feasibility
-    runs on the scaled view against floored bounds, and the search adds the
-    view's scaled weights.
+    runs on the scaled integer lengths against floored bounds, and the search
+    adds the instance's scaled weights.
 
     A node is pruned when its included weight plus a lower bound on what a
     completion adds exceeds the incumbent.  The bound counts weak
@@ -96,11 +96,11 @@ def exact_optimum(instance: SpannerInstance, *, max_edges: int = 22) -> ExactRes
 
     The searches (``graph._search``, which also gives the tree the witness
     is read from) run on one private view of the envelope, a copy of each of
-    ``scaled.view``'s adjacency lists made once per call.  Excluding an edge
-    deletes its arcs from their lists, and the backtrack puts each back at
-    its old index.  So every search sees the lists ``graph_view(scaled,
+    ``instance.view``'s adjacency lists made once per call.  Excluding an
+    edge deletes its arcs from their lists, and the backtrack puts each back
+    at its old index.  So every search sees the lists ``graph_view(instance,
     edge_subset=envelope)`` would build, in the same order.  The shared
-    ``scaled.view`` is never changed.
+    ``instance.view`` is never changed.
 
     Each demand source keeps a witness: the edges of the shortest-path tree
     paths that met its bounds when it was last searched.  Every stored
@@ -116,24 +116,23 @@ def exact_optimum(instance: SpannerInstance, *, max_edges: int = 22) -> ExactRes
     m = instance.m
     if m > max_edges:
         raise TooLarge(f"{m} edges exceeds the exact-search cap of {max_edges}")
-    scaled = instance.scaled
-    edges = scaled.edges
-    checks = list(scaled.by_source)
-    weights = scaled.weights
+    edges = instance.edges
+    checks = list(instance.by_source)
+    weights = instance.weights
     witness: dict[int, set[int]] = {}
-    view = [list(arcs) for arcs in scaled.view]
+    view = [list(arcs) for arcs in instance.view]
     # Each edge's arcs, with the private list that holds each, in the order graph_view appends them.
     arcs_of = []
-    for i, (e, length) in enumerate(zip(edges, scaled.lengths)):
+    for i, (e, length) in enumerate(zip(edges, instance.lengths)):
         arcs = [(view[e.u], (e.v, length, i))]
-        if not scaled.directed:
+        if not instance.directed:
             arcs.append((view[e.v], (e.u, length, i)))
         arcs_of.append(arcs)
     skips = 0
 
     def meets(check) -> bool:
         """One source's bounded search (:func:`_search`); on success its witness is replaced."""
-        parent = [None] * scaled.n
+        parent = [None] * instance.n
         if _search(view, check, parent)[1]:
             return False
         source = check[0]
@@ -165,9 +164,9 @@ def exact_optimum(instance: SpannerInstance, *, max_edges: int = 22) -> ExactRes
     cheapest = [0]  # cheapest[k]: the k lightest weights, the last k of order
     for e in reversed(order):
         cheapest.append(cheapest[-1] + weights[e])
-    included_parts = _Components(scaled.n)
-    joined_parts = _Components(scaled.n)  # the included edges and every demand pair
-    for d in scaled.demands:
+    included_parts = _Components(instance.n)
+    joined_parts = _Components(instance.n)  # the included edges and every demand pair
+    for d in instance.demands:
         joined_parts.union(d.u, d.v)
     best_weight = sum(weights)
     best_tuple = tuple(range(m))
@@ -214,7 +213,7 @@ def exact_optimum(instance: SpannerInstance, *, max_edges: int = 22) -> ExactRes
     dfs(0, [], 0)
     del dfs  # a recursive closure is a reference cycle; this frees it, and the private view, at once
     return ExactResult(
-        Fraction(best_weight, scaled.weight_scale), frozenset(best_tuple), explored, prunes, skips
+        Fraction(best_weight, instance.weight_scale), frozenset(best_tuple), explored, prunes, skips
     )
 
 
@@ -278,12 +277,13 @@ def enumerate_ascending_cuts(subgraph: Subgraph, index: int, *, cap: int = 10**6
     """Yield every ascending cut labeling for the instance's demand ``index``, with its satisfaction.
 
     The demand is ``instance.demands[index]`` with its bound in the scaled
-    view's integer units, ``delta = instance.scaled.bounds[index]``.  Exactly
+    integer units, ``delta = instance.bounds[index]``.  Exactly
     ``(delta + 2)^(n-2)`` labelings are produced.  A cut is satisfied when
     some arc of the subgraph's extension crosses from the source side to the
     sink side; self-arcs never cross an ascending cut.
     """
-    instance = require_integer_lengths(subgraph.instance)
+    instance = subgraph.instance
+    require_integer_lengths(instance)
     view = graph_view(instance, edge_subset=subgraph.edge_set)
     u, v, _ = instance.demands[index]
     return _ascending_cuts(view, u, v, instance.bounds[index], cap)
@@ -318,15 +318,16 @@ def check_cut_lemma(subgraph: Subgraph, *, cap: int = 10**6, seed: int = 0) -> C
     """Certify, for each demand pair: all ascending cuts satisfied <=> the pair meets its bound.
 
     One view of the subgraph serves every pair's cuts and distance, in the
-    scaled view's integer units.  Also spot-checks
+    scaled integer units.  Also spot-checks
     :data:`NONASCENDING_SAMPLES` random non-ascending cuts per pair, which
     must always be crossed by a waiting self-arc.  Any mismatch raises
     :class:`LemmaViolation` -- that would mean the extension or the cut
     machinery is wrong.
     """
-    instance = require_integer_lengths(subgraph.instance)
+    instance = subgraph.instance
+    require_integer_lengths(instance)
     view = graph_view(instance, edge_subset=subgraph.edge_set)
-    ext = build_extension(subgraph.instance)
+    ext = build_extension(instance)
     waiting = {g.tail: g for g in ext.groups if g.edge is None}
     rng = random.Random(seed)
     report = CutLemmaReport()
@@ -387,14 +388,14 @@ def restricted_subgraph(instance: SpannerInstance, index: int):
     """Nodes and edges that can lie on some within-budget path for the instance's demand ``index``.
 
     For the demand ``(u, v) = instance.demands[index]`` with scaled bound
-    ``delta = instance.scaled.bounds[index]``,
+    ``delta = instance.bounds[index]``,
     ``V_uv = {z : d(u,z) + d(z,v) <= delta}`` and
     ``E_uv = {(s,t) : d(u,s) + len(s,t) + d(t,v) <= delta}``, from the
     pair's bounded forward and reverse searches (:func:`graph.budget_window`).
     """
-    scaled = require_integer_lengths(instance)
-    delta = scaled.bounds[index]
-    from_u, to_v = budget_window(scaled, index)
+    require_integer_lengths(instance)
+    delta = instance.bounds[index]
+    from_u, to_v = budget_window(instance, index)
 
     def fits(s: int, length: int, t: int) -> bool:
         ds, dt = from_u[s], to_v[t]
@@ -402,7 +403,7 @@ def restricted_subgraph(instance: SpannerInstance, index: int):
 
     nodes = frozenset(z for z in range(instance.n) if fits(z, 0, z))
     edges = frozenset(
-        e for s, out in enumerate(scaled.view) for t, length, e in out if fits(s, length, t)
+        e for s, out in enumerate(instance.view) for t, length, e in out if fits(s, length, t)
     )
     return nodes, edges
 
@@ -479,7 +480,7 @@ def dodis_khanna_demo(edge_length: int = 3, alpha: int = 2) -> DemoReport:
     source = ext.node_id(0, 0)
     sink = ext.node_id(edge_length, alpha)
     # The extension's lemma: s+_0 reaches t+_alpha iff d(s+, t+) = L <= alpha.
-    dist = shortest_distances(transformed.scaled.view, 0)[edge_length]
+    dist = shortest_distances(transformed.view, 0)[edge_length]
     reachable = dist is not None and dist <= alpha
 
     model = build_mcf(ext)
@@ -603,10 +604,8 @@ def potential_monitor(
         raise SpannerError("potential monitor requires integer beta >= 2")
     if any(e.length != 1 for e in instance.edges):
         raise SpannerError("potential monitor requires unit lengths")
-    scaled = instance.scaled  # unit lengths: scale 1, integer distances
-
-    def all_pairs(edge_subset=None) -> list[list]:
-        view = graph_view(scaled, edge_subset=edge_subset)
+    def all_pairs(edge_subset=None) -> list[list]:  # unit lengths: scale 1, integer distances
+        view = graph_view(instance, edge_subset=edge_subset)
         return [shortest_distances(view, s) for s in range(instance.n)]
 
     d_base = all_pairs()

@@ -1,13 +1,13 @@
 """Exact rational values and their text form.
 
-Weights, lengths and distance demands are `fractions.Fraction` on every
-instance, in every file and in every report.  The shortest-path core does not
-add fractions: it runs on the instance's scaled view
-(:attr:`SpannerInstance.scaled`), where every length is multiplied by the
-lcm ``L`` of the length denominators and every bound is floored to
-``floor(delta * L)``.  Scaled distances are integers, so the floored
-comparisons are exact, and distances go back to ``Fraction(d, L)`` only where
-a report shows them.  Python fractions and ints are arbitrary-precision, so
+Weights, lengths and distance demands are `fractions.Fraction` in every
+edge and demand record, in every file and in every report.  The
+shortest-path core does not add fractions: it runs on the instance's scaled
+integers (:attr:`SpannerInstance.lengths` and :attr:`SpannerInstance.bounds`),
+where every length is multiplied by the lcm ``L`` of the length denominators
+and every bound is floored to ``floor(delta * L)``.  Scaled distances are
+integers, so the floored comparisons are exact, and distances go back to
+``Fraction(d, L)`` only where a report shows them.  Python fractions and ints are arbitrary-precision, so
 arithmetic can never overflow or wrap.  Floating point only appears inside
 the LP layer.
 

@@ -52,7 +52,8 @@ def gamma(instance: SpannerInstance, mode: str = "global", *, confidence: float 
     if mode == "custom" and (confidence is None or not 1 < confidence < math.inf):
         raise ValueError("custom mode needs a finite confidence multiplier > 1")
     n = instance.n
-    bounds = require_integer_lengths(instance).bounds
+    require_integer_lengths(instance)
+    bounds = instance.bounds
     k = len(bounds)
     if k == 0:
         return GammaSpec(mode, 0.0, n, 0, 0.0, confidence)

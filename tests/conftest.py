@@ -34,6 +34,24 @@ def bellman_ford(view: list, source: int) -> list:
     return dist
 
 
+def fraction_view(instance, edge_subset=None, reverse=False) -> list:
+    """Adjacency lists on the instance's own ``Fraction`` lengths, in edge-index order.
+
+    ``view[tail]`` holds one ``(head, length, edge index)`` arc per kept edge
+    out of ``tail``, one each way when undirected; ``reverse`` flips every
+    arc.  The layout of ``graph.graph_view``, built without it.
+    """
+    view = [[] for _ in range(instance.n)]
+    for i, (u, v, _, length) in enumerate(instance.edges):
+        if edge_subset is not None and i not in edge_subset:
+            continue
+        tail, head = (v, u) if reverse else (u, v)
+        view[tail].append((head, length, i))
+        if not instance.directed:
+            view[head].append((tail, length, i))
+    return view
+
+
 def reference_greedy(instance, edge_subset=None) -> list[tuple]:
     """Greedy's trace, on the instance's own lengths, by Bellman-Ford alone.
 
@@ -44,20 +62,8 @@ def reference_greedy(instance, edge_subset=None) -> list[tuple]:
     path_nodes, path_edges, new_edges)`` tuple per pair, as in
     ``GreedyStep``.
     """
-    lengths = instance.lengths
-
-    def view_of(ids, reverse=False):
-        view = [[] for _ in range(instance.n)]
-        for i in sorted(ids):
-            e, length = instance.edges[i], lengths[i]
-            tail, head = (e.v, e.u) if reverse else (e.u, e.v)
-            view[tail].append((head, length, i))
-            if not instance.directed:
-                view[head].append((tail, length, i))
-        return view
-
-    ids = range(instance.m) if edge_subset is None else edge_subset
-    graph, reverse = view_of(ids), view_of(ids, reverse=True)
+    graph = fraction_view(instance, edge_subset)
+    reverse = fraction_view(instance, edge_subset, reverse=True)
     from_source = {u: bellman_ford(graph, u) for u in {d.u for d in instance.demands}}
     to_target = {v: bellman_ford(reverse, v) for v in {d.v for d in instance.demands}}
     order = sorted(
@@ -70,7 +76,7 @@ def reference_greedy(instance, edge_subset=None) -> list[tuple]:
     for dist, u, v, d in order:
         assert dist is not None and dist <= d.delta, "unsatisfiable pair"
         if u not in spanner_from:
-            spanner_from[u] = bellman_ford(view_of(chosen), u)
+            spanner_from[u] = bellman_ford(fraction_view(instance, chosen), u)
         held = spanner_from[u][v]
         executed = held is None or held > d.delta
         nodes, path, new = (), (), ()

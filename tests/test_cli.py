@@ -754,13 +754,25 @@ UNDER_MEMORY_LIMIT = textwrap.dedent("""
 """)
 
 
-@pytest.mark.parametrize("args", [
-    ["solve", "big.json", "--algorithm", "randomized-rounding"],
-    ["export-lp", "big.json", "--out", "big.lp"],
-    ["gen", "geometric", "--n", "20000", "--out", "gen.json"],
-])
-def test_oversized_inputs_exit_3_before_allocating(tmp_path, args):
+# One edge and one demand on 10^12 nodes: without the node cap, the view's n lists exhaust memory.
+HUGE_N = {
+    "directed": False,
+    "n": 10**12,
+    "edges": [{"u": 0, "v": 1, "w": "1", "len": "1"}],
+    "demands": [{"u": 0, "v": 1, "delta": "1"}],
+}
+
+
+@pytest.mark.parametrize("args, code", [
+    (["solve", "big.json", "--algorithm", "randomized-rounding"], 3),
+    (["export-lp", "big.json", "--out", "big.lp"], 3),
+    (["gen", "geometric", "--n", "20000", "--out", "gen.json"], 3),
+    (["verify", "huge.json", "--solution", "sol.json"], 2),
+], ids=["args0", "args1", "args2", "args3"])
+def test_oversized_inputs_exit_3_before_allocating(tmp_path, args, code):
     (tmp_path / "big.json").write_text(json.dumps(OVERSIZED_TRIANGLE))
+    (tmp_path / "huge.json").write_text(json.dumps(HUGE_N))
+    (tmp_path / "sol.json").write_text(json.dumps({"edge_indices": [0]}))
     src = os.path.dirname(os.path.dirname(spannerkit.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -768,6 +780,6 @@ def test_oversized_inputs_exit_3_before_allocating(tmp_path, args):
     proc = subprocess.run([sys.executable, "-c", UNDER_MEMORY_LIMIT, *args], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     elapsed = time.perf_counter() - start
-    assert proc.returncode == 3, proc.stderr
+    assert proc.returncode == code, proc.stderr
     assert "over the cap" in proc.stderr
     assert elapsed < 5  # about 0.5 s here; without the caps, 12 s and more before failing

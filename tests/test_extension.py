@@ -72,7 +72,7 @@ def test_structure_counts_on_random_instances():
             integer_lengths=True,
             directed=directed,
         )
-        ii = require_integer_lengths(inst)
+        require_integer_lengths(inst)
         ext = build_extension(inst)
         n, db = inst.n, ext.delta_bar
         assert ext.node_count == n * (db + 1)
@@ -90,7 +90,7 @@ def test_structure_counts_on_random_instances():
             if arc.edge is None:
                 assert qt == qh and lj == li + 1
             else:
-                assert lj == li + ii.lengths[arc.edge]
+                assert lj == li + inst.lengths[arc.edge]
         # Runs tile the arc ids in order, one arc per start layer, and match
         # their edge (or node, for waiting arcs).
         next_id = 0
@@ -105,8 +105,8 @@ def test_structure_counts_on_random_instances():
             if g.edge is None:
                 assert g.tail == g.head and g.length == 1
             else:
-                e = ii.edges[g.edge]
-                assert g.length == ii.lengths[g.edge]
+                e = inst.edges[g.edge]
+                assert g.length == inst.lengths[g.edge]
                 assert (g.tail, g.head) in ([(e.u, e.v)] if directed else [(e.u, e.v), (e.v, e.u)])
         assert next_id == len(ext.arcs)
 
@@ -147,13 +147,13 @@ def test_reachability_matches_budgeted_distance():
             num_demands=2,
             integer_lengths=True,
         )
-        ii = require_integer_lengths(inst)
-        if ii.delta_bar == 0:
+        require_integer_lengths(inst)
+        if inst.delta_bar == 0:
             continue
         ext = build_extension(inst)
         subset = frozenset(i for i in range(inst.m) if rng.random() < 0.6)
-        view = graph_view(ii, edge_subset=subset)
-        for d in ii.demands:
+        view = graph_view(inst, edge_subset=subset)
+        for d in inst.demands:
             dist = shortest_distances(view, d.u)[d.v]
             reaches = _reaches(ext, subset, ext.node_id(d.u, 0), ext.node_id(d.v, d.delta))
             assert reaches == (dist is not None and dist <= d.delta)

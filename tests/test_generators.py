@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bellman_ford
+from conftest import bellman_ford, fraction_view
 from spannerkit import generators
 from spannerkit.generators import (
     DEMAND_FAMILIES,
@@ -22,7 +22,7 @@ from spannerkit.generators import (
     nonmetric_triangle,
     random_instance,
 )
-from spannerkit.graph import graph_view, shortest_distances
+from spannerkit.graph import shortest_distances
 from spannerkit.instance import Edge, SpannerInstance, load, save, to_json_dict, validate
 
 
@@ -45,7 +45,7 @@ def test_example5_fields():
 
 def test_triangle_demands_are_four_times_distance():
     tri = nonmetric_triangle()
-    view = graph_view(tri)
+    view = fraction_view(tri)
     for d in tri.demands:
         assert d.delta == 4 * shortest_distances(view, d.u)[d.v]
 
@@ -70,7 +70,7 @@ def test_generation_deterministic(tmp_path):
 def test_basic_family_all_unit():
     inst = random_instance("basic", 8, 14, 3, demand_family="multiplicative", alpha=3)
     assert all(e.weight == 1 and e.length == 1 for e in inst.edges)
-    view = graph_view(inst)
+    view = fraction_view(inst)
     for d in inst.demands:
         assert d.delta == 3 * shortest_distances(view, d.u)[d.v]
     # demands on adjacent pairs
@@ -123,7 +123,7 @@ def test_additive_all_pairs_demands():
     inst = random_instance("basic", 7, 12, 10, demand_family="additive",
                            demand_pairs="all", beta=2)
     assert len(inst.demands) == 7 * 6 // 2
-    view = graph_view(inst)
+    view = fraction_view(inst)
     for d in inst.demands:
         assert d.delta == shortest_distances(view, d.u)[d.v] + 2
 
@@ -131,7 +131,7 @@ def test_additive_all_pairs_demands():
 def test_freeform_demands_within_budget():
     inst = random_instance("decoupled", 8, 13, 11, demand_family="freeform",
                            demand_pairs="random", num_demands=5, freeform_factor=3)
-    view = graph_view(inst)
+    view = fraction_view(inst)
     max_len = max(e.length for e in inst.edges)
     for d in inst.demands:
         dist = shortest_distances(view, d.u)[d.v]
@@ -352,7 +352,7 @@ def test_bounds_match_fraction_arithmetic(call):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(generators, "random", types.SimpleNamespace(Random=Recorded))
         inst = random_instance(family, n, m, seed, **kw)
-    view = graph_view(inst)
+    view = fraction_view(inst)
     cap = inst.n * max((e.length for e in inst.edges), default=0)
     floor = kw["integer_lengths"] and all(e.length.denominator == 1 for e in inst.edges)
     # every pair is reachable, so each draws its stretch once, last and in pair order

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import bellman_ford, brute_force_lex_shortest
+from conftest import bellman_ford, brute_force_lex_shortest, fraction_view
 from spannerkit import graph as graph_module
 from spannerkit.errors import DirectedInstance, SpannerError
 from spannerkit.generators import example5, nonmetric_triangle, random_instance
@@ -105,17 +105,17 @@ def test_lexicographic_tie_break_matches_brute_force_on_random_graphs():
         for target in range(inst.n):
             if target == source:
                 continue
-            expected = brute_force_lex_shortest(view, source, target)
+            expected = brute_force_lex_shortest(fraction_view(inst), source, target)
             if expected is None:
                 assert dist[target] is None
                 continue
-            assert dist[target] == expected[0]
+            assert inst.unscale(dist[target]) == expected[0]
             nodes, edge_ids = lex_shortest_path(view, reverse, dist, source, target)
             assert nodes == expected[1]
             ends = [(inst.edges[e].u, inst.edges[e].v) for e in edge_ids]
             for (a, b), end in zip(zip(nodes, nodes[1:]), ends):
                 assert end == (a, b) or (not directed and end == (b, a))
-            assert sum(inst.lengths[e] for e in edge_ids) == expected[0]
+            assert sum(inst.edges[e].length for e in edge_ids) == expected[0]
 
 
 def test_lex_shortest_path_same_from_search_stopped_at_the_target():
@@ -154,9 +154,9 @@ def test_shortest_distances_matches_bellman_ford_on_random_instances():
         inst = random_instance(
             "decoupled", n, rng.randint(n - 1, 2 * n), rng.randint(0, 10**6)
         )
-        view = graph_view(inst)
         src = rng.randrange(n)
-        assert shortest_distances(view, src) == bellman_ford(view, src)
+        got = [inst.unscale(d) for d in shortest_distances(graph_view(inst), src)]
+        assert got == bellman_ford(fraction_view(inst), src)
 
 
 def test_shortest_distances_bellman_condition_and_determinism():
@@ -236,7 +236,7 @@ def test_single_pair_is_metric():
     inst = SpannerInstance(
         False, 2, (Edge(0, 1, Fraction(1), Fraction(1)),), (Demand(0, 1, Fraction(2)),)
     )
-    assert tuple(inst.demands[i] for i in inst.scaled.metric) == inst.demands
+    assert tuple(inst.demands[i] for i in inst.metric) == inst.demands
 
 
 def test_dominated_pair_removed():
@@ -251,13 +251,13 @@ def test_dominated_pair_removed():
         ),
         (Demand(0, 1, Fraction(1)), Demand(1, 2, Fraction(1)), Demand(0, 2, Fraction(3))),
     )
-    kept = tuple(inst.demands[i] for i in inst.scaled.metric)
+    kept = tuple(inst.demands[i] for i in inst.metric)
     assert {(d.u, d.v) for d in kept} == {(0, 1), (1, 2)}
 
 
 def test_example5_all_pairs_metric():
     inst = example5()
-    assert len(inst.scaled.metric) == 3
+    assert len(inst.metric) == 3
 
 
 def test_metric_reduction_preserves_feasibility():
@@ -273,7 +273,7 @@ def test_metric_reduction_preserves_feasibility():
             demand_pairs="random",
             num_demands=4,
         )
-        metric = replace(inst, demands=tuple(inst.demands[i] for i in inst.scaled.metric))
+        metric = replace(inst, demands=tuple(inst.demands[i] for i in inst.metric))
         for _ in range(50):
             subset = frozenset(i for i in range(inst.m) if rng.random() < 0.5)
             feasible = verify_feasible(Subgraph(inst, subset)).feasible
@@ -325,7 +325,7 @@ EXHAUSTIVE = settings(max_examples=100, derandomize=True, deadline=None, databas
 @EXHAUSTIVE
 @given(demand_chains(unique=False))
 def test_every_edge_subset_meets_all_demands_iff_it_meets_the_metric_ones(inst):
-    metric = replace(inst, demands=tuple(inst.demands[i] for i in inst.scaled.metric))
+    metric = replace(inst, demands=tuple(inst.demands[i] for i in inst.metric))
     for size in range(inst.m + 1):
         for subset in itertools.combinations(range(inst.m), size):
             subset = frozenset(subset)
@@ -339,10 +339,9 @@ def test_metric_pairs_match_the_per_demand_rule_on_floored_bounds(inst):
     # Distinct pairs, every floored bound positive: the in-arc rule keeps
     # what rebuilding the demand graph per demand keeps, in scaled units,
     # and in instance units too when every bound is an integer.
-    scaled = inst.scaled
-    assume(all(b > 0 for b in scaled.bounds))
-    kept = tuple(inst.demands[i] for i in inst.scaled.metric)
-    floored = [Demand(d.u, d.v, b) for d, b in zip(inst.demands, scaled.bounds)]
+    assume(all(b > 0 for b in inst.bounds))
+    kept = tuple(inst.demands[i] for i in inst.metric)
+    floored = [Demand(d.u, d.v, b) for d, b in zip(inst.demands, inst.bounds)]
     assert kept == metric_reference(inst, floored)
     if all(d.delta.denominator == 1 for d in inst.demands):
         assert kept == metric_reference(inst, inst.demands)
@@ -350,7 +349,7 @@ def test_metric_pairs_match_the_per_demand_rule_on_floored_bounds(inst):
 
 def test_metric_pairs_make_one_integer_search_per_demand_source(monkeypatch):
     inst = random_instance("coupled", 12, 24, 1, demand_pairs="all", integer_lengths=True)
-    sources = inst.scaled.by_source
+    sources = inst.by_source
     searched = []
 
     def counting(view, source, **options):
@@ -358,7 +357,7 @@ def test_metric_pairs_make_one_integer_search_per_demand_source(monkeypatch):
         return shortest_distances(view, source, **options)
 
     monkeypatch.setattr(graph_module, "shortest_distances", counting)
-    kept = tuple(inst.demands[i] for i in inst.scaled.metric)
+    kept = tuple(inst.demands[i] for i in inst.metric)
     assert len(searched) == len(sources) < len(inst.demands)
     assert all(searched)  # scaled bounds, never Fraction lengths
     assert kept == metric_reference(inst, inst.demands)
@@ -373,7 +372,7 @@ def test_duplicated_demand_does_not_drop_its_twin():
         (Edge(0, 1, Fraction(1), Fraction(1)),),
         (Demand(0, 1, Fraction(2)), Demand(0, 1, Fraction(2))),
     )
-    metric = replace(inst, demands=tuple(inst.demands[i] for i in inst.scaled.metric))
+    metric = replace(inst, demands=tuple(inst.demands[i] for i in inst.metric))
     assert metric.demands
     for subset in (frozenset(), frozenset({0})):
         feasible = verify_feasible(Subgraph(inst, subset)).feasible
@@ -386,7 +385,7 @@ def test_bound_floored_to_zero_neither_is_dropped_nor_chains():
     # subgraph meets such a bound: dropping them all would be unsound.
     edges = tuple(Edge(u, v, Fraction(1), Fraction(1)) for u in range(3) for v in range(3) if u != v)
     inst = SpannerInstance(True, 3, edges, tuple(Demand(e.u, e.v, Fraction(1, 2)) for e in edges))
-    assert tuple(inst.demands[i] for i in inst.scaled.metric) == inst.demands
+    assert tuple(inst.demands[i] for i in inst.metric) == inst.demands
     # A self-pair's bound 1/2 floors to 0 too, but it always holds: it must
     # not extend the walk through demand (0, 1) itself into a chain for it.
     inst = SpannerInstance(
@@ -395,7 +394,7 @@ def test_bound_floored_to_zero_neither_is_dropped_nor_chains():
         (Edge(0, 1, Fraction(1), Fraction(1)),),
         (Demand(0, 1, Fraction(2)), Demand(1, 1, Fraction(1, 2))),
     )
-    assert tuple(inst.demands[i] for i in inst.scaled.metric) == inst.demands[:1]
+    assert tuple(inst.demands[i] for i in inst.metric) == inst.demands[:1]
 
 
 def test_flooring_may_drop_a_pair_the_instance_bounds_keep():
@@ -411,7 +410,7 @@ def test_flooring_may_drop_a_pair_the_instance_bounds_keep():
         ),
         (Demand(0, 1, Fraction(3, 2)), Demand(1, 2, Fraction(3, 2)), Demand(0, 2, Fraction(5, 2))),
     )
-    assert tuple(inst.demands[i] for i in inst.scaled.metric) == inst.demands[:2]
+    assert tuple(inst.demands[i] for i in inst.metric) == inst.demands[:2]
     assert metric_reference(inst, inst.demands) == inst.demands
 
 
@@ -426,37 +425,37 @@ def test_metric_pairs_are_built_once_and_read_by_the_reduction(monkeypatch):
     calls = []
     compute = graph_module.metric_pairs
 
-    def counting(scaled):
-        calls.append(scaled)
-        return compute(scaled)
+    def counting(instance):
+        calls.append(instance)
+        return compute(instance)
 
     monkeypatch.setattr(graph_module, "metric_pairs", counting)
     inst = dominated_triangle()
-    assert inst.scaled.metric == (0, 2)
-    assert tuple(inst.demands[i] for i in inst.scaled.metric) == (inst.demands[0], inst.demands[2])
-    assert inst.scaled.metric == (0, 2)
-    assert calls == [inst.scaled]
-    inst.scaled.__dict__["metric"] = (1,)  # the cached property's slot
-    assert tuple(inst.demands[i] for i in inst.scaled.metric) == (inst.demands[1],)
+    assert inst.metric == (0, 2)
+    assert tuple(inst.demands[i] for i in inst.metric) == (inst.demands[0], inst.demands[2])
+    assert inst.metric == (0, 2)
+    assert len(calls) == 1 and calls[0] is inst
+    inst.__dict__["metric"] = (1,)  # the cached property's slot
+    assert tuple(inst.demands[i] for i in inst.metric) == (inst.demands[1],)
     assert len(calls) == 1
 
 
 def test_metric_pairs_travel_with_a_pickled_instance(monkeypatch):
     inst = dominated_triangle()
-    kept = inst.scaled.metric
+    kept = inst.metric
     monkeypatch.setattr(graph_module, "metric_pairs", None)  # a copy that searched again would fail
     copy = pickle.loads(pickle.dumps(inst))
-    assert copy.scaled.metric == kept == (0, 2)
+    assert copy.metric == kept == (0, 2)
 
 
 def test_a_demand_subset_gets_its_own_metric_pairs():
     inst = dominated_triangle()
-    assert inst.scaled.metric == (0, 2)
+    assert inst.metric == (0, 2)
     # without (0, 1) nothing implies (0, 2) any more
     subset = replace(inst, demands=inst.demands[1:])
-    assert subset.scaled is not inst.scaled
-    assert subset.scaled.metric == (0, 1)
-    assert tuple(subset.demands[i] for i in subset.scaled.metric) == subset.demands
+    assert "metric" not in vars(subset)  # the copy builds its own
+    assert subset.metric == (0, 1)
+    assert tuple(subset.demands[i] for i in subset.metric) == subset.demands
 
 
 def test_shortest_distances_limit_cuts_off_farther_nodes():
@@ -504,10 +503,9 @@ def tree_path(instance, parent_edge, source, node):
 @PROFILE
 @given(instances(), st.data())
 def test_targets_keep_target_distances_and_tree_paths(inst, data):
-    scaled = inst.scaled
-    view = graph_view(scaled, reverse=data.draw(st.booleans()))
+    view = graph_view(inst, reverse=data.draw(st.booleans()))
     source = data.draw(st.integers(0, inst.n - 1))
-    limit = data.draw(st.one_of(st.none(), st.integers(0, sum(scaled.lengths))))
+    limit = data.draw(st.one_of(st.none(), st.integers(0, sum(inst.lengths))))
     targets = data.draw(st.sets(st.integers(0, inst.n - 1), min_size=1))
     full_parent, early_parent = [None] * inst.n, [None] * inst.n
     full = shortest_distances(view, source, limit=limit, parent_edge=full_parent)
@@ -527,13 +525,12 @@ def test_targets_keep_target_distances_and_tree_paths(inst, data):
 @PROFILE
 @given(instances(), st.data())
 def test_potential_keeps_the_target_distance(inst, data):
-    scaled = inst.scaled
     reverse = data.draw(st.booleans())
-    view, back = graph_view(scaled, reverse=reverse), graph_view(scaled, reverse=not reverse)
+    view, back = graph_view(inst, reverse=reverse), graph_view(inst, reverse=not reverse)
     source = data.draw(st.integers(0, inst.n - 1))
     target = data.draw(st.integers(0, inst.n - 1))
-    limit = data.draw(st.one_of(st.none(), st.integers(0, sum(scaled.lengths))))
-    cap = data.draw(st.integers(0, sum(scaled.lengths)))
+    limit = data.draw(st.one_of(st.none(), st.integers(0, sum(inst.lengths))))
+    cap = data.draw(st.integers(0, sum(inst.lengths)))
     exact = bellman_ford(view, source)[target]
     expected = None if exact is None or (limit is not None and exact > limit) else exact
     assert shortest_distances(view, source, limit=limit)[target] == expected
@@ -550,7 +547,6 @@ def test_potential_keeps_the_target_distance(inst, data):
 @given(instances(), st.data())
 def test_pair_holds_is_a_plain_search_within_the_bound(inst, data):
     # the pair's own arc kept or dropped, and the bound below, at or above the distance
-    scaled = inst.scaled
     e = data.draw(st.integers(0, inst.m - 1))
     source, target = inst.edges[e].u, inst.edges[e].v
     if not inst.directed and data.draw(st.booleans()):
@@ -558,14 +554,14 @@ def test_pair_holds_is_a_plain_search_within_the_bound(inst, data):
     subset = data.draw(st.sets(st.integers(0, inst.m - 1))) | {e}
     if data.draw(st.booleans()):
         subset.discard(e)
-    view = graph_view(scaled, edge_subset=subset)
+    view = graph_view(inst, edge_subset=subset)
     distance = shortest_distances(view, source)[target]
-    bound = (scaled.lengths[e] if distance is None else distance) + data.draw(st.integers(-1, 1))
+    bound = (inst.lengths[e] if distance is None else distance) + data.draw(st.integers(-1, 1))
     expected = distance is not None and distance <= bound
     # the full graph's distances from the source, capped, bound the subgraph's from below, as zeros do
-    cap = data.draw(st.integers(0, sum(scaled.lengths)))
-    capped = [cap if x is None or x > cap else x for x in shortest_distances(scaled.view, source)]
-    reverse = graph_view(scaled, edge_subset=subset, reverse=True)
+    cap = data.draw(st.integers(0, sum(inst.lengths)))
+    capped = [cap if x is None or x > cap else x for x in shortest_distances(inst.view, source)]
+    reverse = graph_view(inst, edge_subset=subset, reverse=True)
     for potential in (capped, [0] * inst.n):
         assert _pair_holds(reverse, source, target, bound, potential) == expected
 
@@ -573,12 +569,11 @@ def test_pair_holds_is_a_plain_search_within_the_bound(inst, data):
 @PROFILE
 @given(instances())
 def test_scaled_view_caches_the_full_view_and_each_sources_search(inst):
-    scaled = inst.scaled
-    assert scaled.view is scaled.view and scaled.reach is scaled.reach  # built once, then kept
-    fresh = graph_view(scaled)
-    assert scaled.view == fresh
-    assert len(scaled.reach) == len(scaled.by_source)
-    for (source, limit, targets, nodes), dist in zip(scaled.by_source, scaled.reach):
+    assert inst.view is inst.view and inst.reach is inst.reach  # built once, then kept
+    fresh = graph_view(inst)
+    assert inst.view == fresh
+    assert len(inst.reach) == len(inst.by_source)
+    for (source, limit, targets, nodes), dist in zip(inst.by_source, inst.reach):
         searched = shortest_distances(fresh, source, limit=limit, targets=nodes)
         exact = bellman_ford(fresh, source)
         for v, _, _ in targets:
@@ -590,22 +585,20 @@ def test_scaled_view_caches_the_full_view_and_each_sources_search(inst):
 @given(instances())
 def test_scaled_view_caches_the_reversed_view(inst):
     # an undirected instance's reversed view is its forward view
-    scaled = inst.scaled
-    assert scaled.reverse is scaled.reverse  # built once, then kept
+    assert inst.reverse is inst.reverse  # built once, then kept
     if inst.directed:
-        assert scaled.reverse == graph_view(scaled, reverse=True)
+        assert inst.reverse == graph_view(inst, reverse=True)
     else:
-        assert scaled.reverse is scaled.view
+        assert inst.reverse is inst.view
 
 
 def test_shortest_distances_matches_bellman_ford_on_scaled_views():
     rng = random.Random(11)
     for seed in range(20):
         inst = random_instance("decoupled", 8, 14, seed, demand_family="freeform")
-        scaled = inst.scaled
         src = rng.randrange(inst.n)
-        got = [scaled.unscale(d) for d in shortest_distances(graph_view(scaled), src)]
-        assert got == bellman_ford(graph_view(inst), src)
+        got = [inst.unscale(d) for d in shortest_distances(graph_view(inst), src)]
+        assert got == bellman_ford(fraction_view(inst), src)
 
 
 # ---------------------------------------------------------------------------
@@ -657,15 +650,15 @@ def test_verify_triangle_keeps_nonmetric_edge():
 
 def per_source_verdict(sub):
     """The verifier with one bounded search per source, each failing source searched again unbounded."""
-    inst, scaled = sub.instance, sub.instance.scaled
-    view = graph_view(scaled, edge_subset=sub.edge_set)
+    inst = sub.instance
+    view = graph_view(inst, edge_subset=sub.edge_set)
     found = []
-    for source, limit, targets, nodes in scaled.by_source:
+    for source, limit, targets, nodes in inst.by_source:
         dist = shortest_distances(view, source, limit=limit, targets=nodes)
         failed = [(v, i) for v, bound, i in targets if dist[v] is None or dist[v] > bound]
         if failed:
             exact = shortest_distances(view, source, targets={v for v, _ in failed})
-            found += [(i, None if exact[v] is None else Fraction(exact[v], scaled.scale)) for v, i in failed]
+            found += [(i, None if exact[v] is None else Fraction(exact[v], inst.scale)) for v, i in failed]
     found.sort(key=lambda pair: pair[0])
     demands = inst.demands
     violations = [PairViolation(demands[i].u, demands[i].v, demands[i].delta, a) for i, a in found]
@@ -674,7 +667,7 @@ def per_source_verdict(sub):
 
 def verdicts_at_each_cutoff(sub):
     """verify_feasible with every source searched once, at the module's cutoff, and with every pair apart."""
-    every = 1 + max((len(targets) for _, _, targets, _ in sub.instance.scaled.by_source), default=0)
+    every = 1 + max((len(targets) for _, _, targets, _ in sub.instance.by_source), default=0)
     verdicts = []
     for cutoff in (0, graph_module.PAIR_SEARCH_MAX, every):
         with pytest.MonkeyPatch.context() as mp:
@@ -751,17 +744,17 @@ def test_verify_verdict_does_not_depend_on_the_cached_lists(sub, extra):
     # the cache only chooses the searches: inflated lists break the potential's lower
     # bound and zeroed ones make every source look as if it held, with the same verdict
     expected = per_source_verdict(sub)
-    reach = sub.instance.scaled.reach
+    reach = sub.instance.reach
     for lists in (
         tuple([None if x is None else x + extra for x in dist] for dist in reach),
         tuple([0] * len(dist) for dist in reach),
     ):
         copy = replace(sub.instance)
-        copy.scaled.__dict__["reach"] = lists  # the cached property's slot
+        copy.__dict__["reach"] = lists  # the cached property's slot
         assert verdicts_at_each_cutoff(Subgraph(copy, sub.edge_set)) == [expected] * 3
 
 
-def searches_reference(view, scaled):
+def searches_reference(view, instance):
     """``(lists, unmet, searches)`` of :func:`source_searches` written out with plain searches.
 
     Per check, in check order: the search bounded at the source's largest
@@ -771,7 +764,7 @@ def searches_reference(view, scaled):
     full unbounded searches, on their own.
     """
     lists, unmet, searches, failing = [], [], [], []
-    for source, limit, targets, nodes in scaled.by_source:
+    for source, limit, targets, nodes in instance.by_source:
         searches.append((source, limit, nodes))
         dist = shortest_distances(view, source, limit=limit, targets=nodes)
         failed = frozenset(v for v, bound, _ in targets if dist[v] is None or dist[v] > bound)
@@ -783,7 +776,7 @@ def searches_reference(view, scaled):
         lists.append(dist)
         exact = shortest_distances(view, source)
         unmet += [
-            (i, None if exact[v] is None else Fraction(exact[v], scaled.scale))
+            (i, None if exact[v] is None else Fraction(exact[v], instance.scale))
             for v, bound, i in targets
             if exact[v] is None or exact[v] > bound
         ]
@@ -793,9 +786,9 @@ def searches_reference(view, scaled):
 @VERIFY_PATHS
 @given(verify_cases())
 def test_source_searches_match_plain_searches_on_restricted_views(sub):
-    scaled = sub.instance.scaled
-    view = graph_view(scaled, edge_subset=sub.edge_set)
-    lists, unmet, expected = searches_reference(view, scaled)
+    inst = sub.instance
+    view = graph_view(inst, edge_subset=sub.edge_set)
+    lists, unmet, expected = searches_reference(view, inst)
     searches = []
     search = graph_module.shortest_distances
 
@@ -805,7 +798,7 @@ def test_source_searches_match_plain_searches_on_restricted_views(sub):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph_module, "shortest_distances", logged)
-        assert source_searches(view, scaled.by_source, scaled.scale) == (lists, unmet)
+        assert source_searches(view, inst.by_source, inst.scale) == (lists, unmet)
     assert searches == expected  # the same searches, with the same limits and targets, in order
 
 
@@ -813,8 +806,7 @@ def test_verify_searches_only_the_pairs_not_met_by_their_own_edge(monkeypatch):
     inst = random_instance("decoupled", 60, 180, 424200001, demand_family="freeform", demand_pairs="edges")
     assert validate(inst).ok
     sub, _ = augmented_greedy(inst)
-    scaled = inst.scaled
-    assert max(len(targets) for _, _, targets, _ in scaled.by_source) <= graph_module.PAIR_SEARCH_MAX
+    assert max(len(targets) for _, _, targets, _ in inst.by_source) <= graph_module.PAIR_SEARCH_MAX
     own = {
         (e.u, e.v)
         for i, e in enumerate(inst.edges)

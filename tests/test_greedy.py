@@ -400,7 +400,7 @@ def test_greedy_traces_match_reference_greedy(family, directed, demand_family, d
 
 
 # ---------------------------------------------------------------------------
-# The scaled view's shared searches (``scaled.view``, ``scaled.reach``)
+# The instance's shared searches (``instance.view``, ``instance.reach``)
 
 
 def solve_everything(inst) -> dict:
@@ -425,10 +425,9 @@ def solve_everything(inst) -> dict:
 
 
 def assert_cache_as_built(inst):
-    scaled = inst.scaled
-    fresh = graph_view(scaled)
-    assert scaled.view == fresh
-    assert scaled.reach == source_searches(fresh, scaled.by_source, scaled.scale)[0]
+    fresh = graph_view(inst)
+    assert inst.view == fresh
+    assert inst.reach == source_searches(fresh, inst.by_source, inst.scale)[0]
 
 
 # (family, seed, |E[W*]|) of undirected integer-length instances with n = 8, m = 14
@@ -456,7 +455,7 @@ def test_pickled_validated_instance_solves_the_same(family, seed, restricted):
     inst = random_instance(family, 8, 14, seed, demand_family="freeform", integer_lengths=True)
     assert validate(inst).ok
     again = pickle.loads(pickle.dumps(inst))
-    assert again.scaled.edges is again.edges and again.scaled.reach == inst.scaled.reach
+    assert {"view", "_searches"} <= set(vars(again)) and again.reach == inst.reach  # the caches travel
     assert greedy(again).edge_set == greedy(inst).edge_set
     assert augmented_greedy(again)[0].edge_set == augmented_greedy(inst)[0].edge_set
     assert_cache_as_built(again)
@@ -499,5 +498,5 @@ def test_augmented_greedy_searches_nothing_on_a_validated_instances_full_view(mo
         monkeypatch.setattr(module, name, spy(getattr(module, name)))
     sub, report = augmented_greedy(inst)
     assert report.restricted_edge_count == inst.m
-    assert views and not any(view is inst.scaled.view for view in views)
+    assert views and not any(view is inst.view for view in views)
     assert verify_feasible(sub).feasible

@@ -4,13 +4,14 @@ import json
 import math
 import pickle
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bellman_ford, fraction_view
 from spannerkit.errors import NonIntegerLength, ParseError
 from spannerkit.generators import (
     DEMAND_FAMILIES,
@@ -22,6 +23,7 @@ from spannerkit.generators import (
 from spannerkit.graph import graph_view, shortest_distances
 from spannerkit.greedy import augmented_greedy
 from spannerkit.instance import (
+    MAX_NODES,
     Demand,
     Edge,
     SpannerInstance,
@@ -234,9 +236,10 @@ def test_labels_round_trip(tmp_path):
 
 
 def test_require_integer_lengths_example5():
-    ii = require_integer_lengths(example5())
-    assert ii.delta_bar == 3
-    assert ii.lengths == (1, 2, 1)
+    inst = example5()
+    require_integer_lengths(inst)
+    assert inst.delta_bar == 3
+    assert inst.lengths == (1, 2, 1)
 
 
 def test_require_integer_lengths_floors_demands():
@@ -246,9 +249,9 @@ def test_require_integer_lengths_floors_demands():
         (Edge(0, 1, Fraction(1), Fraction(1)),),
         (Demand(0, 1, Fraction(5, 2)),),
     )
-    ii = require_integer_lengths(inst)
-    assert ii.bounds == (2,)
-    assert ii.demands is inst.demands  # the records keep the instance's bound, 5/2
+    require_integer_lengths(inst)
+    assert inst.bounds == (2,)
+    assert inst.demands[0].delta == Fraction(5, 2)  # the record keeps the instance's bound
 
 
 def test_scaled_view_scales_lengths_and_floors_bounds():
@@ -263,23 +266,24 @@ def test_scaled_view_scales_lengths_and_floors_bounds():
         ),
         (Demand(0, 2, Fraction(7, 4)), Demand(1, 2, Fraction(2, 3))),
     )
-    scaled = inst.scaled
-    assert scaled is inst.scaled  # built once per instance
-    assert scaled.scale == 6
-    assert scaled.lengths == (3, 4, 18)
-    assert scaled.bounds == (10, 4)
-    assert scaled.demands is inst.demands  # shared, with the instance's own bounds
-    assert scaled.delta_bar == 10
-    assert scaled.unscale(7) == Fraction(7, 6) and scaled.unscale(None) is None
+    lengths = inst.lengths
+    assert lengths is inst.lengths  # built once per instance
+    assert inst.scale == 6
+    assert lengths == (3, 4, 18)
+    assert inst.bounds == (10, 4)
+    assert inst.demands[0].delta == Fraction(7, 4)  # the records keep the instance's own bounds
+    assert inst.delta_bar == 10
+    assert inst.unscale(7) == Fraction(7, 6) and inst.unscale(None) is None
     # (0,2): 7 <= 10 via node 1, i.e. 7/6 <= 7/4 in instance units
-    assert shortest_distances(graph_view(scaled), 0)[2] == 7
-    assert shortest_distances(graph_view(inst), 0)[2] == Fraction(7, 6)
+    assert shortest_distances(graph_view(inst), 0)[2] == 7
+    assert bellman_ford(fraction_view(inst), 0)[2] == Fraction(7, 6)
 
 
 def test_require_integer_lengths_is_the_scale_one_view():
     inst = example5()
-    assert require_integer_lengths(inst) is inst.scaled
-    assert inst.scaled.scale == 1
+    assert require_integer_lengths(inst) is None
+    assert inst.scale == 1
+    assert inst.lengths == tuple(e.length for e in inst.edges)
 
 
 def test_require_integer_lengths_rejects_fractional_edge():
@@ -290,8 +294,8 @@ def test_require_integer_lengths_rejects_fractional_edge():
 
 
 def test_a_solved_instance_is_freed_without_the_cycle_collector():
-    # the scaled view holds no reference back to its instance: dropping the
-    # instance frees both, with their cached searches, by reference counting
+    # no cached field refers back to its instance: dropping the instance
+    # frees it, with its cached searches, by reference counting
     gc.collect()
     gc.disable()
     try:
@@ -300,9 +304,10 @@ def test_a_solved_instance_is_freed_without_the_cycle_collector():
         augmented_greedy(inst)
         solve_randomized(inst)
         exact_optimum(inst)
-        refs = weakref.ref(inst), weakref.ref(inst.scaled)
+        assert {"view", "reach", "metric"} <= set(vars(inst))
+        ref = weakref.ref(inst)
         del inst
-        assert [ref() for ref in refs] == [None, None]
+        assert ref() is None
     finally:
         gc.enable()
 
@@ -313,9 +318,9 @@ def test_validated_instances_have_satisfiable_demands():
             "decoupled", 7, 11, seed, demand_family="freeform", demand_pairs="random"
         )
         assert validate(inst).ok
-        view = graph_view(inst)
+        view = fraction_view(inst)
         for d in inst.demands:
-            assert shortest_distances(view, d.u)[d.v] <= d.delta
+            assert bellman_ford(view, d.u)[d.v] <= d.delta
 
 
 def test_subgraph_weight_and_size():
@@ -495,6 +500,16 @@ REPORTS = {
     "no-nodes": (
         SpannerInstance(False, 0, (_e(0, 1, 1, 1),), (_d(0, 1, 1),), ("a",)),
         [("bad-node-count", "node count must be positive, got 0")],
+    ),
+    # past the cap nothing else is checked or built, labels and records included
+    "too-many-nodes": (
+        SpannerInstance(False, MAX_NODES + 1, (_e(0, 0, 1, 0),), (_d(0, 1, 1),), ("a",)),
+        [("bad-node-count", "node count 1000001 is over the cap of 1000000")],
+    ),
+    # the first ten unreachable nodes by name, then a count of the rest
+    "many-unreachable": (
+        SpannerInstance(False, 14, (_e(0, 1, 1, 1),), (_d(0, 1, 1),)),
+        [("not-connected", "nodes [2, 3, 4, 5, 6, 7, 8, 9, 10, 11] and 2 more unreachable from node 0")],
     ),
     # a bad id, a self-loop or a non-positive length stops validation before the distance checks
     "undirected-records": (
@@ -735,11 +750,11 @@ def test_validation_matches_an_independent_walk(inst):
 def test_a_failing_record_check_builds_no_scaled_view(edges, demands):
     inst = SpannerInstance(False, 3, edges, demands)
     assert not validate(inst).ok
-    assert "scaled" not in vars(inst)
+    assert set(vars(inst)) == {f.name for f in fields(inst)}  # no integer field or cache
 
 
 # ---------------------------------------------------------------------------
-# Records and the scaled view's layout
+# Records and the integer fields' layout
 
 
 def test_records_are_immutable_hashable_and_picklable_values():
@@ -775,7 +790,7 @@ def test_the_full_graph_verdict_is_computed_once_per_view(monkeypatch):
     assert validate(inst).ok
     _, report = augmented_greedy(inst)
     assert report.restricted_edge_count == inst.m
-    assert len(calls) == 1 and inst.scaled.unmet == ()
+    assert len(calls) == 1 and inst.unmet == ()
 
 
 def test_floored_bound_readers_on_an_integer_length_instance():
@@ -790,7 +805,7 @@ def test_floored_bound_readers_on_an_integer_length_instance():
         ),
         (Demand(0, 2, Fraction(7, 2)), Demand(0, 3, Fraction(11, 2)), Demand(1, 4, Fraction(9, 2))),
     )
-    assert inst.scaled.bounds == (3, 5, 4) and inst.scaled.demands is inst.demands
+    assert inst.bounds == (3, 5, 4)
     spec = gamma(inst)
     assert spec.log_cut_bound == pytest.approx(3 * math.log(7))  # (n - 2) ln(5 + 2)
     assert spec.value == pytest.approx(math.log(5) + 3 * math.log(7) + math.log(3))

@@ -1,20 +1,22 @@
 """The exact integer core against independent Fraction arithmetic.
 
 Feasibility checks, greedy and the threshold search run on each instance's
-scaled view: lengths times the lcm ``L`` of their denominators, bounds
-floored to ``floor(delta * L)``.  These tests compare that core with
-``conftest.bellman_ford`` run on the instance's own fractional lengths, and
-pin greedy and augmented-greedy edge sets recorded before the core moved to
-integers.
+scaled integers: lengths times the lcm ``L`` of their denominators, bounds
+floored to ``floor(delta * L)``.  These tests check those integers against
+their ``Fraction`` definitions, compare the core with
+``conftest.bellman_ford`` run on the records' own fractional lengths
+(``conftest.fraction_view``), and pin greedy and augmented-greedy edge sets
+recorded before the core moved to integers.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bellman_ford
+from conftest import bellman_ford, fraction_view
 from spannerkit.errors import UnsatisfiableDemand
 from spannerkit.generators import GEO_DENOM, random_instance
 from spannerkit.graph import graph_view, shortest_distances, verify_feasible
@@ -41,8 +43,8 @@ def instances(draw):
 
 
 def oracle_distances(instance, edge_subset=None):
-    """Fraction distances per demand source, by Bellman-Ford on the instance's own lengths."""
-    view = graph_view(instance, edge_subset=edge_subset)
+    """Fraction distances per demand source, by Bellman-Ford on the records' own lengths."""
+    view = fraction_view(instance, edge_subset)
     return {d.u: bellman_ford(view, d.u) for d in instance.demands}
 
 
@@ -65,6 +67,29 @@ def oracle_feasible(sub) -> bool:
     return all(
         dist[d.u][d.v] is not None and dist[d.u][d.v] <= d.delta for d in sub.instance.demands
     )
+
+
+def smallest_clearing(values) -> int:
+    """The smallest positive integer whose product with every value is an integer."""
+    k = 1
+    while any((x * k).denominator != 1 for x in values):
+        k += 1
+    return k
+
+
+@PROFILE
+@given(instances())
+def test_integer_fields_match_their_fraction_definitions(instance):
+    edges, demands = instance.edges, instance.demands
+    scale, weight_scale = instance.scale, instance.weight_scale
+    assert scale == smallest_clearing([e.length for e in edges])
+    assert weight_scale == smallest_clearing([e.weight for e in edges])
+    assert instance.lengths == tuple(e.length * scale for e in edges)
+    assert instance.weights == tuple(e.weight * weight_scale for e in edges)
+    assert instance.bounds == tuple(math.floor(d.delta * scale) for d in demands)
+    assert instance.delta_bar == max(instance.bounds, default=0)
+    for value in (*instance.lengths, *instance.weights, *instance.bounds, instance.delta_bar):
+        assert type(value) is int
 
 
 @PROFILE
@@ -95,10 +120,10 @@ GEOMETRIC = random_instance("geometric", 6, 0, 3, demand_family="freeform", dema
 
 
 def test_geometric_instance_scales_by_the_grid():
-    assert GEOMETRIC.scaled.scale == GEO_DENOM == 2**20
-    view = graph_view(GEOMETRIC.scaled)
-    unscaled = [GEOMETRIC.scaled.unscale(d) for d in shortest_distances(view, 0)]
-    assert unscaled == bellman_ford(graph_view(GEOMETRIC), 0)
+    assert GEOMETRIC.scale == GEO_DENOM == 2**20
+    view = graph_view(GEOMETRIC)
+    unscaled = [GEOMETRIC.unscale(d) for d in shortest_distances(view, 0)]
+    assert unscaled == bellman_ford(fraction_view(GEOMETRIC), 0)
 
 
 @PROFILE

@@ -184,8 +184,8 @@ def test_dominated_pair_ships_no_commodity():
     # two commodities, and the LP does not buy the edge (0, 2)
     inst = dominated_triangle()
     model = build_mcf(build_extension(inst))
-    assert inst.scaled.metric == (0, 2)
-    assert model.demands == (inst.scaled.demands[0], inst.scaled.demands[2])
+    assert inst.metric == (0, 2)
+    assert model.demands == (inst.demands[0], inst.demands[2])
     assert len(model.flow_arcs) == 2
     assert solve_lp(model).objective == pytest.approx(2.0, abs=1e-9)
 
@@ -193,7 +193,7 @@ def test_dominated_pair_ships_no_commodity():
 def _with_every_commodity(inst):
     """A fresh copy of ``inst`` whose cached metric pairs are all of its demands."""
     copy = replace(inst)
-    copy.scaled.__dict__["metric"] = tuple(range(len(copy.demands)))  # the cached property's slot
+    copy.__dict__["metric"] = tuple(range(len(copy.demands)))  # the cached property's slot
     return copy
 
 
@@ -222,11 +222,10 @@ def lp_instances(draw):
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(lp_instances())
 def test_metric_lp_lower_bounds_the_full_lp_and_opt(inst):
-    scaled = inst.scaled
     solution = solve_lp(build_mcf(build_extension(inst)))
-    assert solution.model.demands == tuple(scaled.demands[i] for i in scaled.metric)
+    assert solution.model.demands == tuple(inst.demands[i] for i in inst.metric)
     full = solve_lp(build_mcf(build_extension(_with_every_commodity(inst))))
-    assert full.model.demands == scaled.demands
+    assert full.model.demands == inst.demands
     opt = float(exact_optimum(inst).weight)
     assert solution.objective <= full.objective + 1e-6
     assert full.objective <= opt + 1e-6
@@ -246,7 +245,7 @@ def test_coupled_all_pairs_n40_model_is_small():
     assert len(inst.demands) == 780
     model = build_mcf(build_extension(inst))
     assert model.num_flow_vars < 10**4
-    assert len(model.demands) == len(inst.scaled.metric) < len(inst.demands)
+    assert len(model.demands) == len(inst.metric) < len(inst.demands)
 
 
 def _unreachable_sink() -> McfModel:
@@ -375,7 +374,7 @@ def test_export_pins_ship_one_commodity_per_metric_pair(key):
         integer_lengths=True, directed=directed,
     )
     model = build_mcf(build_extension(inst))
-    assert len(model.flow_arcs) == len(model.demands) == len(inst.scaled.metric)
+    assert len(model.flow_arcs) == len(model.demands) == len(inst.metric)
 
 
 @pytest.mark.parametrize("key", sorted(EXPORT_PINNED))

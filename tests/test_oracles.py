@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_force_optimum
+from conftest import bellman_ford, brute_force_optimum, fraction_view
 from spannerkit import graph as graph_module
 from spannerkit import oracles
 from spannerkit.errors import (
@@ -221,12 +221,11 @@ def test_exact_searches_run_on_the_envelope_view_in_edge_order(monkeypatch):
     # Every search must see the lists a fresh view of the envelope would have, arc order included.
     inst = random_instance("unit-length", 8, 16, 1, demand_family="freeform",
                            demand_pairs="random", num_demands=8)
-    scaled = inst.scaled
     envelopes = []
 
     def checked(view, source, **kwargs):
         envelope = {e for arcs in view for _, _, e in arcs}
-        assert view == graph_view(scaled, edge_subset=envelope)
+        assert view == graph_view(inst, edge_subset=envelope)
         envelopes.append(len(envelope))
         return shortest_distances(view, source, **kwargs)
 
@@ -360,11 +359,10 @@ def test_restricted_example5_pair_ac():
 
 def test_restricted_tight_budget_is_union_of_shortest_paths():
     inst = random_instance("basic", 6, 10, 44)
-    view = graph_view(inst)
-    d02 = shortest_distances(view, 0)[2]
+    dist_from = bellman_ford(fraction_view(inst), 0)
+    d02 = dist_from[2]
     nodes, edge_ids = restricted_subgraph(replace(inst, demands=(Demand(0, 2, d02),)), 0)
-    dist_from = shortest_distances(view, 0)
-    dist_to = shortest_distances(graph_view(inst, reverse=True), 2)
+    dist_to = bellman_ford(fraction_view(inst, reverse=True), 2)
     expected = {z for z in range(inst.n) if dist_from[z] + dist_to[z] == d02}
     assert nodes == frozenset(expected)
 

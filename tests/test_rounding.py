@@ -195,7 +195,7 @@ def test_lp_counters_repeat_across_reruns_and_stay_out_of_the_solve_info():
     # 4 of its 10 edge demands are implied by the others
     inst = random_instance("coupled", 6, 10, 706, demand_family="multiplicative", integer_lengths=True)
     _, report = solve_randomized(inst, seed=3)
-    assert report.commodities == len(inst.scaled.metric) == 6
+    assert report.commodities == len(inst.metric) == 6
     assert report.gamma.num_pairs == len(inst.demands) == 10  # gamma keeps |K|
     for again in (inst, pickle.loads(pickle.dumps(inst)), replace(inst)):
         _, rerun = solve_randomized(again, seed=3)
@@ -211,9 +211,9 @@ def test_only_the_lp_builds_the_metric_pairs():
     sub, _ = augmented_greedy(inst)
     verify_feasible(sub)
     oracles.exact_optimum(inst)
-    assert "metric" not in inst.scaled.__dict__
+    assert "metric" not in inst.__dict__
     solve_randomized(inst)
-    assert "metric" in inst.scaled.__dict__
+    assert "metric" in inst.__dict__
 
 
 def test_solve_randomized_output_verified_feasible():
@@ -265,8 +265,8 @@ def test_restricted_mode_keeps_feasibility_frequency():
             demand_pairs="random", num_demands=3, integer_lengths=True,
             max_length=2,
         )
-        ii = require_integer_lengths(inst)
-        if ii.delta_bar > 6:
+        require_integer_lengths(inst)
+        if inst.delta_bar > 6:
             continue
         sol = solve_lp(build_mcf(build_extension(inst)))
         spec = gamma(inst, "restricted")

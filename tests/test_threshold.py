@@ -89,7 +89,7 @@ def threshold_instances(draw):
     if not inst.directed:
         flips = draw(st.lists(st.booleans(), min_size=inst.m, max_size=inst.m), label="flips")
         inst = flipped(inst, flips.__getitem__)
-    assume(inst.scaled.by_source)
+    assume(inst.by_source)
     return inst
 
 
@@ -224,7 +224,7 @@ def test_benchmark_sized_instance_builds_one_view():
     assert validate(inst).ok
     result = weight_threshold_search(inst)
     assert result.w_star == max(e.weight for e in inst.edges)
-    assert result.probes == 1 and 1 <= result.searches <= len(inst.scaled.by_source)
+    assert result.probes == 1 and 1 <= result.searches <= len(inst.by_source)
 
 
 def test_counters_stay_out_of_the_bench_info():
