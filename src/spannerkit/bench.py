@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+import os
 import time
 import types
 import typing
@@ -250,7 +251,7 @@ def _run_instance(args) -> list[MetricsRow]:
         instance = generate(config, config.seed * 10_000 + index)
     name = f"{config.family}-{config.n}x{config.m}-s{config.seed}-{index}"
     mst_weight = None if instance.directed else minimum_spanning_tree(instance)[0]
-    cells = [(a, t) for a in config.algorithms for t in range(max(1, config.trials))]
+    cells = [(a, t) for a in config.algorithms for t in range(config.trials)]
     rows: list = [None] * len(cells)
     unknown = object()
     optimum = unknown
@@ -279,9 +280,10 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
     """The metrics rows of every (instance, algorithm, trial) cell, instance by instance.
 
     With ``config.threads > 1`` and more than one instance, the instances run
-    in a pool of ``min(threads, instances)`` worker processes (a forked pool
-    starts every worker at once, even one that gets no task), and only then
-    is ``multiprocessing`` imported.
+    in a pool of ``min(threads, instances, os.cpu_count())`` worker processes
+    (a forked pool starts every worker at once, even one that gets no task),
+    and only then is ``multiprocessing`` imported.  Rows keep instance order
+    whatever the pool's size.
     """
     if config.trials == 0:
         return []
@@ -290,7 +292,7 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
     first = generate(config, config.seed * 10_000)  # index 0's generator seed
     validate(first).raise_if_invalid()
     tasks = [(config, index, first if index == 0 else None) for index in range(config.instances)]
-    workers = min(config.threads, len(tasks))
+    workers = min(config.threads, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

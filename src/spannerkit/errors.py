@@ -68,7 +68,7 @@ class SolverFailure(SpannerError):
 
 
 class TooLarge(SpannerError):
-    """Input exceeds a hard size cap: the exact search's, the flow LP's or the generator's."""
+    """Input exceeds a hard size cap: the exact search's, the flow LP's, the generator's or the demo's."""
 
 
 class TooManyCuts(SpannerError):

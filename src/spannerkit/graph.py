@@ -18,31 +18,25 @@ never below the last settled distance, so a caller reads only the targets.
 A potential is a consistent lower bound on each node's distance to the
 targets, 0 at them: the search keys its heap and compares ``limit`` by
 distance plus potential, and the targets' distances stay exact.
-Every instance's full graph search is made once: the instance keeps its
-full forward view (``instance.view``) and one pass of :func:`source_searches`
-on it, the one producer of per-source lists.  Per demand source, the search
-is bounded at the source's largest bound and stopped at its targets, and
-its failing pairs are read off it by :func:`_search`.
-Where all of the source's pairs hold, its list is capped at its farthest
-target distance T, min(d, T), a consistent lower bound on the source's
-distances in any subgraph (``instance.reach``); the failing pairs are
-searched again without a bound for their exact distances, the verdict
-(``instance.unmet``).  Validation, the threshold search's check at the
-largest weight and its guard at the second-largest, and greedy on the full
-graph (its verdict, its pair order, and the potential of its per-pair
-checks) read them.  It also keeps the full reversed view
-(``instance.reverse``, the forward view itself when undirected), which the
-flow LP's and the restricted gamma's budget windows read.  Nothing may
-change them.
+One rule gives a subgraph's views, :func:`subgraph_views`: a subgraph
+that keeps every edge is the full graph, searched on the instance's cached
+views (:attr:`SpannerInstance.view`, :attr:`SpannerInstance.reverse`),
+whose per-source lists and verdict are cached too
+(:attr:`SpannerInstance.reach`, :attr:`SpannerInstance.unmet`); any other
+gets views built from its edges by :func:`graph_view`.  Greedy, the
+verifier, and the cut and potential oracles take their views from it, and
+no caller changes a view it is given.  :func:`source_searches` is the one
+producer of per-source lists.
 Two verdicts answer every "does it hold?" question.  :func:`_search` tests
 a source's pairs off one bounded search from it (validation, the threshold
 search, the exact oracle, which reads its witness off the search's tree,
-and the verifier for a source with many targets).  :func:`_pair_holds`
-tests one pair in a subgraph H, by H's arc from source to target or by a
-search back from the target goal-directed by the source's capped list
-(greedy's second phase, and the verifier for a source with few targets).
-The cache only chooses the verifier's searches: every pair that fails one
-is searched again, and its exact distance decides it (:func:`verify_feasible`).
+and the verifier for a source with many targets or a pair that fails in
+the full graph).  :func:`_pair_holds` tests one pair in a subgraph H, by
+H's arc from source to target or by a search back from the target
+goal-directed by the source's capped list (greedy's second phase, and the
+verifier for every other source).  The cache only chooses the verifier's
+searches: every pair that fails one is searched again, and its exact
+distance decides it (:func:`verify_feasible`).
 The demands checked are always the instance's own; a check of other pairs
 is a check of a copy of the instance that holds them.
 Tie-break contract: the path greedy adds for a pair is the one
@@ -73,9 +67,8 @@ def graph_view(inst: SpannerInstance, *, edge_subset=None, reverse: bool = False
     edge-index order.  Undirected instances are bi-directed: each edge
     contributes one arc per direction, both carrying the edge index.
     ``reverse=True`` flips every arc (used for distances *to* a target in
-    directed graphs).  The full graph's views, forward and reversed, are
-    cached on the instance (:attr:`SpannerInstance.view` and
-    :attr:`SpannerInstance.reverse`).
+    directed graphs).  A subgraph's views come from :func:`subgraph_views`,
+    which reads the full graph's off the instance.
     """
     lengths = inst.lengths
     undirected = not inst.directed
@@ -90,6 +83,23 @@ def graph_view(inst: SpannerInstance, *, edge_subset=None, reverse: bool = False
         if undirected:
             out[v].append((u, ln, i))
     return out
+
+
+def subgraph_views(instance: SpannerInstance, edge_set=None) -> tuple[list, list]:
+    """``(view, reverse)``: the forward and reversed views of the instance's subgraph on ``edge_set``.
+
+    The one rule for a subgraph's views.  With ``edge_set`` None, or holding
+    every edge, they are the instance's cached ones, ``(instance.view,
+    instance.reverse)``, so a caller can tell the full graph by ``view is
+    instance.view``.  Otherwise both are built from the edges
+    (:func:`graph_view`); the reversed view only when the instance is
+    directed, and ``reverse is view`` when it is not.  Either way they are
+    shared or fresh lists that no caller may change.
+    """
+    if edge_set is None or all(i in edge_set for i in range(instance.m)):
+        return instance.view, instance.reverse
+    view = graph_view(instance, edge_subset=edge_set)
+    return view, graph_view(instance, edge_subset=edge_set, reverse=True) if instance.directed else view
 
 
 def shortest_distances(
@@ -485,11 +495,13 @@ def _exact_violations(view: list, suspects, scale: int) -> list[tuple[int, Fract
     return found
 
 
-# A source with at most this many targets is verified pair by pair, each pair
-# goal-directed by the source's cached full-graph distances; one with more
-# gets one bounded search for all of them.  Timed on verification alone of
-# augmented greedy's outputs, at cutoffs 0, 2, 4, ..., 64 and none (one shared
-# 2-core host), 16 was the fastest or near it on every shape tried.  Decoupled
+# A source with at most this many targets, all of whose pairs hold in the full
+# graph, is verified pair by pair, each pair goal-directed by the source's
+# cached full-graph distances; one with more gets one bounded search for all
+# of them, as does a source with a pair that fails in the full graph.  Timed
+# on verification alone of augmented greedy's outputs, at cutoffs 0, 2, 4,
+# ..., 64 and none (one shared 2-core host), 16 was the fastest or near it on
+# every shape tried.  Decoupled
 # with freeform bounds on every edge: 0.34 / 5.0 / 16.6 ms at n = 60 / 1000 /
 # 3000, against 0.83 / 30 / 120 ms at 0.  All pairs at n = 60: 3.2 ms
 # decoupled (the fastest) and 3.4 ms geometric (2.7 at 4, 14.9 with no
@@ -504,39 +516,31 @@ def verify_feasible(subgraph: Subgraph) -> Verdict:
 
     To check a subset of the pairs (e.g. the metric pairs), check a copy of
     the instance that holds just those: ``dataclasses.replace(instance,
-    demands=subset)``.  Runs on the scaled integers; every violation is
-    reported, in demand order, with its exact distance in instance units.
+    demands=subset)``.  Runs on the scaled integers, on the subgraph's views
+    (:func:`subgraph_views`); every violation is reported, in demand order,
+    with its exact distance in instance units.
 
-    A source with at most :data:`PAIR_SEARCH_MAX` targets, all of whose
-    pairs hold in the full graph, is checked pair by pair, as greedy checks
-    its pairs (:func:`_pair_holds` on the subgraph's reversed arcs): by the
-    pair's own arc, or by a search back from the target goal-directed by the
-    source's cached list (``instance.reach``, capped: a lower bound on the
-    source's distances in any subgraph).  A source with more targets gets
-    one search bounded at its largest bound and stopped at its targets
-    (:func:`_search`).  A source that fails in the full graph fails in the
-    subgraph too, so each of its pairs is a suspect.  Every suspect is
-    searched again without a bound, and only one past its bound is
-    reported: each "holds" is a path in the subgraph and each violation
-    carries its true distance, whatever the cache holds.
+    Each source takes one of two paths.  A source with more than
+    :data:`PAIR_SEARCH_MAX` targets, or with a pair that fails in the full
+    graph, gets one search bounded at its largest bound and stopped at its
+    targets (:func:`_search`).  Every other source is checked pair by pair,
+    as greedy checks its pairs (:func:`_pair_holds` on the subgraph's
+    reversed arcs): by the pair's own arc, or by a search back from the
+    target goal-directed by the source's cached list (``instance.reach``,
+    capped: a lower bound on the source's distances in any subgraph).
+    Every suspect is searched again without a bound, and only one past its
+    bound is reported: each "holds" is a path in the subgraph and each
+    violation carries its true distance, whatever the cache holds.
     """
     instance = subgraph.instance
     demands = instance.demands
-    edge_set = subgraph.edge_set
-    view = graph_view(instance, edge_subset=edge_set)
-    reverse = None
+    view, reverse = subgraph_views(instance, subgraph.edge_set)
     suspects = []
     for check, full in zip(instance.by_source, instance.reach):
         source, _, targets, _ = check
-        if len(targets) > PAIR_SEARCH_MAX:
+        if len(targets) > PAIR_SEARCH_MAX or any(full[v] is None or full[v] > b for v, b, _ in targets):
             failed = _search(view, check)[1]
-        elif any(full[v] is None or full[v] > bound for v, bound, _ in targets):
-            failed = targets
         else:
-            if reverse is None:  # the subgraph's reversed view, built once and only if a source needs it
-                reverse = view
-                if instance.directed:
-                    reverse = graph_view(instance, edge_subset=edge_set, reverse=True)
             failed = [(v, b, i) for v, b, i in targets if not _pair_holds(reverse, source, v, b, full)]
         suspects.append((source, failed))
     violations = [

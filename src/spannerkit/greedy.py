@@ -6,21 +6,15 @@ shortest one (:func:`~spannerkit.graph.lex_shortest_path`).
 ``augmented_greedy`` first finds the smallest edge-weight threshold W* whose
 weight-restricted subgraph is feasible (a lower bound on the optimum), then
 runs ``greedy`` inside that restricted graph; the result weighs at most
-``|E[W*]| * W*``, hence at most ``m * OPT``.  The threshold search decides
-W* from the cached full-graph searches: a guard at the second-largest
-weight, whose tight-edge test on those searches leaves most sources
-unsearched and settles W* at the top weight when one fails, then a
-record-breaking pass over the sources below it (see
-:func:`weight_threshold_search`).
+``|E[W*]| * W*``, hence at most ``m * OPT``.  The threshold search is
+described in :func:`weight_threshold_search`.
 
 Both run on the instance's scaled integers (``instance.lengths`` and
-``instance.bounds``): lengths times the lcm ``L`` of their denominators,
-bounds floored to ``floor(delta * L)``.  Every search stops past a distance and once its
-targets are settled.  A threshold probe searches a source up to its
-largest bound and its targets.  The greedy phase orders the pairs with one
-such search per source u, made with the searched graph's verdict in one
-pass (:func:`~spannerkit.graph.source_searches`), which caps each list at
-u's farthest target distance T once all of u's pairs hold: min(d(u, x), T).
+``instance.bounds``).  The greedy phase orders the pairs with one search
+per source u, bounded at its largest bound, stopped at its targets and made
+with the searched graph's verdict in one pass
+(:func:`~spannerkit.graph.source_searches`), which caps each list at u's
+farthest target distance T once all of u's pairs hold: min(d(u, x), T).
 The spanner only grows inside the searched graph, so these bound every
 spanner distance from u from below: the spanner's arcs are kept reversed,
 and whether a pair already holds is asked as the verifier asks it
@@ -28,15 +22,10 @@ and whether a pair already holds is asked as the verifier asks it
 target, or by a search back from the target, bounded at the pair's bound,
 stopped at u and goal-directed by u's capped list.  For a pair that does
 not hold, the path is walked off the same list; no further search is needed.
-On the whole graph the searches are the instance's own: the threshold
-search's check at the largest weight (which keeps every edge) and its guard,
-and greedy's pair order when ``edge_subset`` keeps every edge (plain
-``greedy``, and ``augmented_greedy`` whenever E[W*] = E), read the
-instance's cached ``view``, ``reverse`` and ``reach``, and its verdict on
-them, ``unmet``, which validation built or the first of them builds.  The
-cached lists come capped, so greedy reads them as they are; they are shared
-and never changed.  Greedy's order and checks read the floored bounds,
-``instance.bounds``.
+The searched graph's views come from :func:`~spannerkit.graph.subgraph_views`;
+on the whole graph its lists and verdict are the instance's cached ones
+(:attr:`~spannerkit.instance.SpannerInstance.reach` and ``unmet``), read as
+they are and never changed.
 Distances go back to instance units, ``Fraction(d, L)``, only in
 :class:`GreedyStep` and :class:`~spannerkit.errors.UnsatisfiableDemand`; the
 threshold search compares the instance's integer weights and reports W* as
@@ -52,11 +41,11 @@ from fractions import Fraction
 from .errors import DirectedInstance, InfeasibleInstance, LemmaViolation, UnsatisfiableDemand
 from .graph import (
     _pair_holds,
-    graph_view,
     lex_shortest_path,
     meets_bounds,
     minimum_spanning_tree,
     source_searches,
+    subgraph_views,
 )
 from .instance import SpannerInstance, Subgraph
 
@@ -89,12 +78,11 @@ def greedy(
     order, that cannot meet its bound even there.
     """
     demands, bounds, checks = instance.demands, instance.bounds, instance.by_source
-    whole = edge_subset is None or all(i in edge_subset for i in range(instance.m))
-    view = instance.view if whole else graph_view(instance, edge_subset=edge_subset)
+    view, reverse = subgraph_views(instance, edge_subset)
     # one search per source, up to its largest bound and its targets, settles every pair's
     # distance, capped at its farthest target's; on the whole graph those, and their verdict,
     # are the cached ones
-    if whole:
+    if view is instance.view:
         reach, unsatisfiable = instance.reach, instance.unmet
     else:
         reach, unsatisfiable = source_searches(view, checks, instance.scale)
@@ -106,13 +94,6 @@ def greedy(
         ((dists[d.u][d.v], d.u, d.v, b, d) for d, b in zip(demands, bounds) if d.u != d.v),
         key=lambda t: (t[0], t[1], t[2]),
     )
-
-    if whole:
-        reverse = instance.reverse
-    elif instance.directed:
-        reverse = graph_view(instance, edge_subset=edge_subset, reverse=True)
-    else:
-        reverse = view
     chosen: set[int] = set()
     spanner: list = [[] for _ in range(instance.n)]  # grows with ``chosen``, arcs reversed
     prev = None
@@ -171,16 +152,16 @@ def weight_threshold_search(instance: SpannerInstance, *, mst_lift: bool = False
     weight, reads the instance's cached searches (``instance.reach``); the
     rest is decided in two steps.
 
-    * **Guard at the second-largest weight w2.**  An edge ``(a, b)`` of
-      length L is *tight* in a source's cached list when ``dist[a] + L ==
-      dist[b]`` (either way round when undirected).  The list is capped at
-      the source's farthest target distance T, min(d, T), so every node on
-      a shortest path to a target has its exact distance there, and the
-      path's edges are tight.  A source with no tight top-weight edge
-      therefore keeps a shortest path to each target in G[w2], and holds
-      there without a search.  The other sources are searched on one view
-      of G[w2]; if one fails, W* is the top weight and nothing else is
-      built.
+    * **Guard at the second-largest weight w2.**  An arc ``a -> b`` of
+      length L, read off the full view (``instance.view``, both ways round
+      when undirected), is *tight* in a source's cached list when
+      ``dist[a] + L == dist[b]``.  The list is capped at the source's
+      farthest target distance T, min(d, T), so every node on a shortest
+      path to a target has its exact distance there, and the path's arcs
+      are tight.  A source with no tight top-weight arc therefore keeps a
+      shortest path to each target in G[w2], and holds there without a
+      search.  The other sources are searched on one view of G[w2]; if one
+      fails, W* is the top weight and nothing else is built.
     * **Record pass below w2**, Chan's record-breaking technique.  The
       sources are visited in one fixed scrambled order, keeping a candidate
       c that every visited source holds at.  A source that holds in G[c]
@@ -213,18 +194,17 @@ def weight_threshold_search(instance: SpannerInstance, *, mst_lift: bool = False
     else:
         held, below_top = True, instance.view
         top = weights[-1]
+        edge_weight = instance.weights
         top_arcs = [
-            (e.u, e.v, ln) for e, ln, w in zip(instance.edges, instance.lengths, instance.weights) if w == top
+            (a, b, ln) for a, arcs in enumerate(instance.view) for b, ln, i in arcs if edge_weight[i] == top
         ]
-        if not instance.directed:
-            top_arcs += [(b, a, ln) for a, b, ln in top_arcs]
         flagged = _top_tight(instance, top_arcs)
         if flagged:
             # G[w2] is the full view less its top-weight arcs; the other nodes share the cached lists
             probes = 1
             tails = {a for a, _, _ in top_arcs}
             below_top = [
-                [arc for arc in arcs if instance.weights[arc[2]] < top] if a in tails else arcs
+                [arc for arc in arcs if edge_weight[arc[2]] < top] if a in tails else arcs
                 for a, arcs in enumerate(instance.view)
             ]
             held, searches = meets_bounds(below_top, flagged)

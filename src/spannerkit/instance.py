@@ -33,25 +33,12 @@ back only in reports.  With ``L = 1`` they are the integer lengths that the
 layered extension requires (:func:`require_integer_lengths`).  The records
 keep their ``Fraction`` values.
 
-The instance also holds its full graph search, built on first read and kept
-for the instance's life: :attr:`~SpannerInstance.view`, the forward graph
-view of every edge, :attr:`~SpannerInstance.reverse`, the same reversed (the
-forward view itself when undirected), and one pass of
-:func:`~spannerkit.graph.source_searches` on the forward view, read as two
-values: :attr:`~SpannerInstance.reach`, each demand source's search, bounded
-at its largest bound and stopped at its targets, and capped at its
-farthest target's distance where all of the source's pairs hold, and
-:attr:`~SpannerInstance.unmet`, the full graph's verdict on those searches,
-each demand it misses with its exact distance.  Validation, the threshold
-search's probe at the largest weight (the full graph) and greedy's pair
-order and verdict on the full graph read them instead of searching or
-deciding again, and greedy's and the verifier's per-pair searches are
-goal-directed by the capped lists; the connectivity check and the exact
-search's root check read the forward view, and the flow LP and the
-restricted gamma read both views for their budget windows.  The flow LP
-also reads :attr:`~SpannerInstance.metric`, the indices of the demands no
-chain of other demands implies, its commodities.  All are shared, so no
-reader may change them.  They travel with a pickled instance.
+The instance also keeps its full graph's views and searches, each built on
+first read, shared by every reader, never changed and kept for the
+instance's life (they travel with a pickled instance): see
+:attr:`~SpannerInstance.view`, :attr:`~SpannerInstance.reverse`,
+:attr:`~SpannerInstance.reach`, :attr:`~SpannerInstance.unmet` and
+:attr:`~SpannerInstance.metric`.
 
 An instance's demands are the only ones its solvers and checks answer for,
 through :attr:`~SpannerInstance.by_source` and ``reach``.  To ask about a
@@ -172,7 +159,14 @@ class SpannerInstance:
 
     @cached_property
     def view(self):
-        """The full forward :func:`~spannerkit.graph.graph_view`: every edge, in edge-index order."""
+        """The full forward :func:`~spannerkit.graph.graph_view`: every edge, in edge-index order.
+
+        :func:`~spannerkit.graph.subgraph_views` hands it to every reader of
+        a subgraph that keeps every edge.  Validation's connectivity check,
+        the exact search's private copy, the threshold search's top-weight
+        arcs and the flow LP's and restricted gamma's budget windows read it
+        too.  Shared: no reader may change it.
+        """
         from .graph import graph_view
 
         return graph_view(self)
@@ -182,7 +176,9 @@ class SpannerInstance:
         """The full reversed view, for distances *to* a node: :attr:`view` itself when undirected.
 
         An undirected instance's reversed view has the same lists as its
-        forward view, both in edge-index order.
+        forward view, both in edge-index order.  Greedy's paths and the
+        verifier's per-pair checks read it on the full graph, and the budget
+        windows search back on it.  Shared: no reader may change it.
         """
         from .graph import graph_view
 
@@ -206,6 +202,10 @@ class SpannerInstance:
         min(d(source, x), T) at every node x, a consistent lower bound on the
         source's distances in every subgraph, which greedy and the verifier
         search by.  The lists of :func:`~spannerkit.graph.source_searches`.
+        Validation, the threshold search's check at the largest weight and
+        its guard at the second-largest, and greedy's pair order on the full
+        graph read them instead of searching again.  Shared: no reader may
+        change them.
         """
         return self._searches[0]
 

@@ -38,7 +38,7 @@ from .errors import (
     TooManyCuts,
 )
 from .extension import build_extension
-from .graph import _Components, _search, budget_window, graph_view, shortest_distances
+from .graph import _Components, _search, budget_window, shortest_distances, subgraph_views
 from .greedy import GreedyStep
 from .instance import Demand, Edge, SpannerInstance, Subgraph, require_integer_lengths
 from .mcf import build_mcf, solve_lp
@@ -69,12 +69,24 @@ class ExactResult:
         return tuple(sorted(self.edge_set))
 
 
+# The most edges exact_optimum searches, whatever its ``max_edges``: over it, it
+# raises TooLarge before any search.  The search recurses once per edge, and
+# its deepest search call adds four frames more, under Python's default limit
+# of 1,000 frames; the caller's own frames (four for the CLI, a few more in a
+# ``bench`` worker, 33 to 48 under pytest and Hypothesis) count too.  A path
+# of 995 edges raised RecursionError from a bare script; this cap leaves 200
+# frames over.
+MAX_EXACT_DEPTH = 800
+
+
 def exact_optimum(instance: SpannerInstance, *, max_edges: int = 22) -> ExactResult:
     """Global minimum-weight feasible subgraph by subset branch and bound.
 
-    Branches on edges in descending weight order, exclusion first.  The
-    envelope is the set of edges not yet excluded: the included ones and
-    the undecided ones, ``order[idx:]``.  An exclusion is followed only when
+    Branches on edges in descending weight order, exclusion first, one
+    recursion level per edge: past ``max_edges`` or :data:`MAX_EXACT_DEPTH`
+    edges it raises :class:`TooLarge` before any search.  The envelope is
+    the set of edges not yet excluded: the included ones and the undecided
+    ones, ``order[idx:]``.  An exclusion is followed only when
     the envelope still meets every bound.  Among equal-weight optima the
     lexicographically smallest sorted edge-index tuple wins, which makes the
     result deterministic.  Exact integer arithmetic throughout: feasibility
@@ -98,9 +110,9 @@ def exact_optimum(instance: SpannerInstance, *, max_edges: int = 22) -> ExactRes
     is read from) run on one private view of the envelope, a copy of each of
     ``instance.view``'s adjacency lists made once per call.  Excluding an
     edge deletes its arcs from their lists, and the backtrack puts each back
-    at its old index.  So every search sees the lists ``graph_view(instance,
-    edge_subset=envelope)`` would build, in the same order.  The shared
-    ``instance.view`` is never changed.
+    at its old index.  So every search sees the lists
+    ``subgraph_views(instance, envelope)`` would give, in the same order.
+    The shared ``instance.view`` is never changed.
 
     Each demand source keeps a witness: the edges of the shortest-path tree
     paths that met its bounds when it was last searched.  Every stored
@@ -116,18 +128,17 @@ def exact_optimum(instance: SpannerInstance, *, max_edges: int = 22) -> ExactRes
     m = instance.m
     if m > max_edges:
         raise TooLarge(f"{m} edges exceeds the exact-search cap of {max_edges}")
+    if m > MAX_EXACT_DEPTH:
+        raise TooLarge(f"{m} edges is over the cap of {MAX_EXACT_DEPTH}, the exact search's depth")
     edges = instance.edges
     checks = list(instance.by_source)
     weights = instance.weights
     witness: dict[int, set[int]] = {}
     view = [list(arcs) for arcs in instance.view]
-    # Each edge's arcs, with the private list that holds each, in the order graph_view appends them.
-    arcs_of = []
-    for i, (e, length) in enumerate(zip(edges, instance.lengths)):
-        arcs = [(view[e.u], (e.v, length, i))]
-        if not instance.directed:
-            arcs.append((view[e.v], (e.u, length, i)))
-        arcs_of.append(arcs)
+    arcs_of: list[list] = [[] for _ in range(m)]  # each edge's arcs, with the private list that holds each
+    for out in view:
+        for arc in out:
+            arcs_of[arc[2]].append((out, arc))
     skips = 0
 
     def meets(check) -> bool:
@@ -284,7 +295,7 @@ def enumerate_ascending_cuts(subgraph: Subgraph, index: int, *, cap: int = 10**6
     """
     instance = subgraph.instance
     require_integer_lengths(instance)
-    view = graph_view(instance, edge_subset=subgraph.edge_set)
+    view, _ = subgraph_views(instance, subgraph.edge_set)
     u, v, _ = instance.demands[index]
     return _ascending_cuts(view, u, v, instance.bounds[index], cap)
 
@@ -326,7 +337,7 @@ def check_cut_lemma(subgraph: Subgraph, *, cap: int = 10**6, seed: int = 0) -> C
     """
     instance = subgraph.instance
     require_integer_lengths(instance)
-    view = graph_view(instance, edge_subset=subgraph.edge_set)
+    view, _ = subgraph_views(instance, subgraph.edge_set)
     ext = build_extension(instance)
     waiting = {g.tail: g for g in ext.groups if g.edge is None}
     rng = random.Random(seed)
@@ -412,6 +423,13 @@ def restricted_subgraph(instance: SpannerInstance, index: int):
 # Length-encoded flow vs. edge subdivision: the fixed counterexample
 
 
+# The longest edge dodis_khanna_demo subdivides: over it, it raises TooLarge
+# before building anything.  The demo builds ``length`` edges and nodes, their
+# extension and its flow LP, and names every weight.  Measured at the cap on a
+# 2-core host: 1.8 s and 203 MB, numpy's and scipy's imports included.
+MAX_DEMO_LENGTH = 100_000
+
+
 @dataclass
 class DemoReport:
     edge_length: int
@@ -447,10 +465,13 @@ def dodis_khanna_demo(edge_length: int = 3, alpha: int = 2) -> DemoReport:
     the endpoint copies at alpha.  Whenever length > alpha, the endpoint
     copies are farther apart than the demand allows, so the alpha-extension
     has no source-to-sink path at all and the flow model is infeasible --
-    even though the untransformed instance is perfectly solvable.
+    even though the untransformed instance is perfectly solvable.  A length
+    over :data:`MAX_DEMO_LENGTH` raises :class:`TooLarge`.
     """
     if edge_length < 1 or alpha < 1:
         raise ValueError("edge_length and alpha must be positive")
+    if edge_length > MAX_DEMO_LENGTH:
+        raise TooLarge(f"length {edge_length} is over the cap of {MAX_DEMO_LENGTH}")
     original = SpannerInstance(
         directed=True,
         n=2,
@@ -604,8 +625,8 @@ def potential_monitor(
         raise SpannerError("potential monitor requires integer beta >= 2")
     if any(e.length != 1 for e in instance.edges):
         raise SpannerError("potential monitor requires unit lengths")
-    def all_pairs(edge_subset=None) -> list[list]:  # unit lengths: scale 1, integer distances
-        view = graph_view(instance, edge_subset=edge_subset)
+    def all_pairs(edge_set=None) -> list[list]:  # unit lengths: scale 1, integer distances
+        view, _ = subgraph_views(instance, edge_set)
         return [shortest_distances(view, s) for s in range(instance.n)]
 
     d_base = all_pairs()
@@ -625,10 +646,7 @@ def potential_monitor(
     chosen: set[int] = set()
     degree = [0] * instance.n
     degree_cost = 0
-    d_current = [[None] * instance.n for _ in range(instance.n)]
-    for q in range(instance.n):
-        d_current[q][q] = 0
-    slack = _slack_potential(instance, d_base, d_current, beta)
+    slack = 0  # the empty spanner joins no two nodes, so no pair adds slack
 
     steps: list[MonitorStep] = []
     for step in trace:
@@ -642,8 +660,7 @@ def potential_monitor(
                 new_cost += 2 * degree[q] + 1
                 degree[q] += 1
             chosen.add(e)
-        d_new = all_pairs(chosen)
-        new_slack = _slack_potential(instance, d_base, d_new, beta)
+        new_slack = _slack_potential(instance, d_base, all_pairs(chosen), beta)
         delta_pot = (new_cost - 12 * new_slack) - (degree_cost - 12 * slack)
         if delta_pot > 0:
             raise MonotonicityViolation(
@@ -659,7 +676,7 @@ def potential_monitor(
                 delta_pot,
             )
         )
-        degree_cost, slack, d_current = new_cost, new_slack, d_new
+        degree_cost, slack = new_cost, new_slack
     return MonitorReport(
         beta,
         steps,

@@ -23,6 +23,7 @@ from .extension import build_extension
 from .graph import Verdict, verify_feasible
 from .instance import SpannerInstance, Subgraph, require_integer_lengths
 from .mcf import FractionalSolution, build_mcf, solve_lp
+from .oracles import restricted_subgraph
 
 
 GAMMA_MODES = ("global", "restricted", "custom")
@@ -61,8 +62,6 @@ def gamma(instance: SpannerInstance, mode: str = "global", *, confidence: float 
         log_c = max((n - 2) * math.log(b + 2) for b in bounds)
         lead = math.log(n)
     else:
-        from .oracles import restricted_subgraph
-
         log_c = 0.0
         for i, b in enumerate(bounds):
             nodes, _ = restricted_subgraph(instance, i)

@@ -410,6 +410,29 @@ def test_oracle_exact(ex5, tmp_path):
     assert json.loads(out.read_text())["weight"] == "2"
 
 
+@pytest.mark.parametrize("args", [
+    ["oracle", "exact", "deep.json", "--exact-cap", "5000"],
+    ["solve", "deep.json", "--algorithm", "exact", "--exact-cap", "5000"],
+], ids=["oracle", "solve"])
+def test_exact_past_its_depth_cap_exits_3_whatever_the_edge_cap(tmp_path, monkeypatch, capsys, args):
+    # 1,100 edges: one recursion level each would pass Python's frame limit
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["gen", "decoupled", "--n", "400", "--m", "1100", "--seed", "3",
+                    "--demands", "freeform", "--out", "deep.json"]) == 0
+    capsys.readouterr()
+    assert run_cli(args) == 3
+    assert "over the cap" in capsys.readouterr().err
+
+
+def test_bench_reports_an_exact_cell_past_the_depth_cap_as_too_large():
+    config = bench.ExperimentConfig(n=400, m=1100, instances=1, seed=3, demand_pairs="edges",
+                                    algorithms=["exact", "greedy"], exact=True, exact_cap=5000)
+    rows = bench.run_experiment(config)
+    assert [(r.algorithm, r.feasible, r.attempts, r.ratio) for r in rows] == [
+        ("exact", False, "TooLarge", ""), ("greedy", True, "", "")
+    ]
+
+
 def test_oracle_cuts(ex5, tmp_path):
     out = tmp_path / "cuts.json"
     assert run_cli(["oracle", "cuts", str(ex5), "--out", str(out)]) == 0
@@ -545,12 +568,16 @@ def test_bench_worker_pool(tmp_path):
     assert strip_time(serial) == strip_time(parallel)
 
 
-@pytest.mark.parametrize("threads, instances, workers", [(1, 3, None), (4, 1, None), (3, 2, 2), (2, 3, 2)])
+@pytest.mark.parametrize(
+    "threads, instances, workers", [(1, 3, None), (4, 1, None), (3, 2, 2), (2, 3, 2), (8, 6, 4)]
+)
 def test_bench_pool_has_at_most_one_worker_per_instance(monkeypatch, threads, instances, workers):
-    # a forked pool starts all its workers at once, so none may be left without an instance
+    # a forked pool starts all its workers at once, so none may be left without an instance,
+    # and no more may start than the host has processors (4 here)
     import concurrent.futures
 
     made = []
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
 
     class RecordingPool:  # records max_workers and runs the tasks in this process
         def __init__(self, max_workers):
@@ -768,7 +795,8 @@ HUGE_N = {
     (["export-lp", "big.json", "--out", "big.lp"], 3),
     (["gen", "geometric", "--n", "20000", "--out", "gen.json"], 3),
     (["verify", "huge.json", "--solution", "sol.json"], 2),
-], ids=["args0", "args1", "args2", "args3"])
+    (["oracle", "demo", "--length", "100000000"], 3),
+], ids=["args0", "args1", "args2", "args3", "args4"])
 def test_oversized_inputs_exit_3_before_allocating(tmp_path, args, code):
     (tmp_path / "big.json").write_text(json.dumps(OVERSIZED_TRIANGLE))
     (tmp_path / "huge.json").write_text(json.dumps(HUGE_N))

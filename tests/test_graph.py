@@ -21,6 +21,7 @@ from spannerkit.graph import (
     minimum_spanning_tree,
     shortest_distances,
     source_searches,
+    subgraph_views,
     verify_feasible,
 )
 from spannerkit.greedy import augmented_greedy, greedy
@@ -590,6 +591,25 @@ def test_scaled_view_caches_the_reversed_view(inst):
         assert inst.reverse == graph_view(inst, reverse=True)
     else:
         assert inst.reverse is inst.view
+
+
+@PROFILE
+@given(instances(), st.data())
+def test_subgraph_views_are_the_cached_pair_on_every_edge_and_built_lists_otherwise(inst, data):
+    for edge_set in (None, frozenset(range(inst.m))):
+        view, reverse = subgraph_views(inst, edge_set)
+        assert view is inst.view and reverse is inst.reverse
+    every = frozenset(range(inst.m))
+    subsets = [every - {e} for e in every]  # each one edge short of the whole graph
+    if inst.m:
+        subsets.append(frozenset(data.draw(st.sets(st.integers(0, inst.m - 1), max_size=inst.m - 1))))
+    for subset in subsets:
+        view, reverse = subgraph_views(inst, subset)
+        assert view is not inst.view and view == graph_view(inst, edge_subset=subset)
+        if inst.directed:
+            assert reverse is not inst.reverse and reverse == graph_view(inst, edge_subset=subset, reverse=True)
+        else:
+            assert reverse is view
 
 
 def test_shortest_distances_matches_bellman_ford_on_scaled_views():

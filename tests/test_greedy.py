@@ -464,19 +464,20 @@ def test_pickled_validated_instance_solves_the_same(family, seed, restricted):
 def test_directed_greedy_reads_the_cached_reversed_view_on_the_whole_graph(monkeypatch):
     inst = random_instance("decoupled", 10, 20, 3, demand_family="freeform", directed=True)
     assert validate(inst).ok
-    # the package's ``greedy`` attribute is the function, which shadows its module
-    greedy_module = importlib.import_module("spannerkit.greedy")
+    assert inst.reverse is inst.reverse  # the cached reversed view, built here once
+    graph_module = importlib.import_module("spannerkit.graph")
     reversed_views = []
-    build = greedy_module.graph_view
+    build = graph_module.graph_view
 
     def counting(of, **kwargs):
         if kwargs.get("reverse"):
             reversed_views.append(of)
         return build(of, **kwargs)
 
-    monkeypatch.setattr(greedy_module, "graph_view", counting)
-    assert verify_feasible(greedy(inst)).feasible
+    monkeypatch.setattr(graph_module, "graph_view", counting)
+    sub = greedy(inst)
     assert reversed_views == []
+    assert verify_feasible(sub).feasible
 
 
 def test_augmented_greedy_searches_nothing_on_a_validated_instances_full_view(monkeypatch):

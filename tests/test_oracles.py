@@ -17,7 +17,7 @@ from spannerkit.errors import (
 from spannerkit.generators import example5, nonmetric_triangle, random_instance
 from spannerkit.graph import graph_view, shortest_distances, verify_feasible
 from spannerkit.greedy import augmented_greedy, greedy
-from spannerkit.instance import Demand, Edge, SpannerInstance, Subgraph
+from spannerkit.instance import Demand, Edge, SpannerInstance, Subgraph, validate
 from spannerkit.oracles import (
     ascending_cut_count,
     check_cut_lemma,
@@ -65,6 +65,25 @@ def test_exact_cap_enforced():
     inst = random_instance("basic", 8, 24, 0)
     with pytest.raises(TooLarge):
         exact_optimum(inst, max_edges=10)
+
+
+def test_exact_search_past_its_depth_cap_is_too_large_whatever_the_edge_cap():
+    inst = random_instance("decoupled", 400, 1100, 3, demand_family="freeform", demand_pairs="edges")
+    assert validate(inst).ok and inst.m > oracles.MAX_EXACT_DEPTH
+    with pytest.raises(TooLarge, match="over the cap"):  # no RecursionError
+        exact_optimum(inst, max_edges=5000)
+
+
+def test_exact_search_at_its_depth_cap_recurses_within_the_frame_limit():
+    # a path whose every edge is needed: one include level per edge, each exclusion infeasible
+    m = oracles.MAX_EXACT_DEPTH
+    inst = SpannerInstance(
+        False, m + 1,
+        tuple(Edge(i, i + 1, Fraction(1), Fraction(1)) for i in range(m)),
+        tuple(Demand(i, i + 1, Fraction(1)) for i in range(m)),
+    )
+    result = exact_optimum(inst, max_edges=m)
+    assert result.edge_set == frozenset(range(m)) and result.weight == m
 
 
 def test_exact_infeasible_full_graph():
@@ -293,18 +312,22 @@ def test_cut_lemma_complete_feasible_subgraph():
 
 
 def test_cut_lemma_builds_the_subgraphs_view_once(monkeypatch):
-    # one view serves every pair's cut enumeration and distance
+    # one view serves every pair's cut enumeration and distance; every edge's is the cached one
     views = []
-    build = oracles.graph_view
+    build = graph_module.graph_view
 
     def counting(of, **kwargs):
-        views.append(of)
+        if not kwargs.get("reverse"):
+            views.append(kwargs.get("edge_subset"))
         return build(of, **kwargs)
 
-    monkeypatch.setattr(oracles, "graph_view", counting)
+    monkeypatch.setattr(graph_module, "graph_view", counting)
     inst = example5()
-    assert check_cut_lemma(Subgraph(inst, frozenset(range(inst.m)))).ok
-    assert len(views) == 1
+    for _ in range(2):
+        assert check_cut_lemma(Subgraph(inst, frozenset(range(inst.m)))).ok
+    assert views == [None]  # the instance's own view, built on its first read
+    check_cut_lemma(Subgraph(inst, frozenset({1})))
+    assert views == [None, frozenset({1})]
 
 
 def test_cut_lemma_missing_edge():

@@ -85,8 +85,7 @@ def test_restricted_gamma_builds_the_reversed_view_once(monkeypatch):
             reversed_views.append(of)
         return build(of, **kwargs)
 
-    for module in (graph, oracles):
-        monkeypatch.setattr(module, "graph_view", counting)
+    monkeypatch.setattr(graph, "graph_view", counting)
     assert gamma(inst, "restricted").num_pairs > 1
     assert len(reversed_views) == 1
 
