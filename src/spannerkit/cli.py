@@ -271,7 +271,7 @@ def cmd_export_lp(args) -> int:
     export_lp(model, args.out)
     print(
         f"wrote {args.out}: {model.num_vars} columns, "
-        f"{model.num_ub} coupling + {model.a.shape[0] - model.num_ub} conservation rows, "
+        f"{model.num_ub} coupling + {model.b.shape[0] - model.num_ub} conservation rows, "
         f"{len(model.demands)} of {len(instance.demands)} pairs"
     )
     return EXIT_OK

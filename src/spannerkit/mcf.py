@@ -25,22 +25,27 @@ source and sink rows, so its model stays infeasible.  All variables live in
 [0,1]; edge variables of edges too long to ever help are fixed to 0.
 
 The flow LP is one concrete model, :class:`McfModel`, with one solve and one
-export.  ``build_mcf`` assembles its rows as one column-wise matrix, the
-coupling rows over the conservation rows; ``solve_lp`` passes that matrix
-as it is to HiGHS through scipy's bundled bindings
-(``scipy.optimize._highspy``), with the options scipy's ``linprog`` would
-set, and ``export_lp`` writes the model in CPLEX LP text format for external
-solvers.
+export.  ``build_mcf`` writes its rows, the coupling rows over the
+conservation rows, as the three column-wise arrays HiGHS reads (column
+starts, row indices, values); ``solve_lp`` passes them as they are to HiGHS
+through scipy's bundled bindings (``scipy.optimize._highspy._core``, loaded
+from its file), with the options scipy's ``linprog`` would set, and
+``export_lp`` writes the model in CPLEX LP text format for external solvers.
 
-numpy and scipy are imported inside ``build_mcf``, ``solve_lp`` and
-``export_lp``, not at module level: numpy and
-scipy.sparse take about 0.4 s and 35 MB to import in a fresh interpreter, which
-the greedy solvers, the exact oracle and the verifier never need.  Importing
-this module loads neither.
+numpy is imported inside ``build_mcf``, ``solve_lp`` and ``export_lp``, and
+the HiGHS extension inside ``solve_lp``, not at module level: numpy takes
+about 0.1 s and 11 MB to import in a fresh interpreter, which the greedy
+solvers, the exact oracle and the verifier never need.  Importing this
+module loads neither, and no function here loads ``scipy.optimize`` or
+``scipy.sparse`` (``McfModel.a_ub``/``a_eq`` load the latter when read).
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -74,17 +79,22 @@ class McfModel:
     the indices :attr:`SpannerInstance.metric` keeps, with their bounds in
     instance units; each commodity's sink layer is the demand's scaled
     bound, ``floor(delta)`` at the extension's scale 1 (``instance.bounds``).
-    The rows are one column-wise matrix ``a`` (CSC, each column's row
-    indices sorted) with right-hand sides ``b``: first the ``num_ub``
-    coupling rows ``sum_i f_(pair,arc_i) - x_e <= 0`` (``b`` is 0 there),
-    then the conservation rows, one per (pair, touched extension node).
-    ``a_ub``/``b_ub`` and ``a_eq``/``b_eq`` read the two blocks off it
-    (``a_ub`` and ``a_eq`` as CSR copies).  Every upper bound is 1, or 0 for
-    an edge too long to help.
+    The rows are one column-wise matrix with right-hand sides ``b``: first
+    the ``num_ub`` coupling rows ``sum_i f_(pair,arc_i) - x_e <= 0`` (``b``
+    is 0 there), then the conservation rows, one per (pair, touched
+    extension node).  The matrix is held as canonical CSC arrays: column j's
+    entries are ``index[start[j]:start[j+1]]`` (row indices, ascending) and
+    ``value[start[j]:start[j+1]]``, with ``int32`` starts and indices, HiGHS's
+    own index type.  ``a_ub``/``b_ub`` and ``a_eq``/``b_eq`` read the two
+    blocks off it (``a_ub`` and ``a_eq`` as scipy CSR arrays, importing
+    ``scipy.sparse`` when read).  Every upper bound is 1, or 0 for an edge
+    too long to help.
     """
 
     c: np.ndarray
-    a: sp.csc_array
+    start: np.ndarray  # int32, num_vars + 1 column starts
+    index: np.ndarray  # int32, the row of each entry
+    value: np.ndarray  # float64, each entry's coefficient
     b: np.ndarray
     num_ub: int
     upper: np.ndarray
@@ -93,9 +103,15 @@ class McfModel:
     flow_arcs: tuple[tuple[int, ...], ...]  # per commodity: the arc id of each flow column
     num_edge_vars: int
 
+    def _rows(self, rows: slice) -> sp.csr_array:
+        import scipy.sparse as sp
+
+        a = sp.csc_array((self.value, self.index, self.start), shape=(self.b.shape[0], self.num_vars))
+        return a[rows].tocsr()
+
     @property
     def a_ub(self) -> sp.csr_array:
-        return self.a[: self.num_ub].tocsr()
+        return self._rows(slice(None, self.num_ub))
 
     @property
     def b_ub(self) -> np.ndarray:
@@ -103,7 +119,7 @@ class McfModel:
 
     @property
     def a_eq(self) -> sp.csr_array:
-        return self.a[self.num_ub :].tocsr()
+        return self._rows(slice(self.num_ub, None))
 
     @property
     def b_eq(self) -> np.ndarray:
@@ -137,7 +153,6 @@ def build_mcf(extension: DeltaExtension) -> McfModel:
     before any column is built.
     """
     import numpy as np
-    import scipy.sparse as sp
 
     inst = extension.instance
     demands = tuple(inst.demands[i] for i in inst.metric)
@@ -163,18 +178,20 @@ def build_mcf(extension: DeltaExtension) -> McfModel:
 
     layers = extension.delta_bar + 1
     num_ub = sum(g.edge is not None for runs in kept_runs for g, _, _ in runs)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
+    # The matrix in canonical CSC form, written column by column in ascending
+    # row order: HiGHS's own arrays, which solve_lp passes on as they are.
+    start: list[int] = []
+    index: list[int] = []
+    value: list[float] = []
+    edge_rows: list[list[int]] = [[] for _ in range(inst.m)]  # each edge column's coupling rows
     b = [0.0] * num_ub  # each conservation row k is row num_ub + k
     coupling = 0
-    col = 0
     for d, bound, runs in zip(demands, bounds, kept_runs):
         source = extension.node_id(d.u, 0)
         sink = extension.node_id(d.v, bound)
         rhs = {source: 1.0}
         rhs[sink] = rhs.get(sink, 0.0) - 1.0
-        nodes = {q for q, value in rhs.items() if value}
+        nodes = {q for q, net in rhs.items() if net}
         for g, lo, hi in runs:
             tail, head = g.tail * layers, g.head * layers + g.length  # arc i: tail+i -> head+i
             nodes.update(range(tail + lo, tail + hi), range(head + lo, head + hi))
@@ -183,19 +200,29 @@ def build_mcf(extension: DeltaExtension) -> McfModel:
             row_of[q] = len(b)
             b.append(rhs.get(q, 0.0))
         for g, lo, hi in runs:
-            cols_run = range(col, col + hi - lo)
-            col += hi - lo
-            # Each kept edge run is one coupling row; waiting arcs couple to nothing.
-            if g.edge is not None:
-                rows += [coupling] * (len(cols_run) + 1)
-                cols += [*cols_run, num_flow + g.edge]
-                vals += [1.0] * len(cols_run) + [-1.0]
-                coupling += 1
             tail, head = g.tail * layers, g.head * layers + g.length
-            for i, j in zip(range(lo, hi), cols_run):
-                rows += (row_of[tail + i], row_of[head + i])
-                cols += (j, j)
-                vals += (1.0, -1.0)
+            out = [row_of[q] for q in range(tail + lo, tail + hi)]  # +1 in arc i's column
+            into = [row_of[q] for q in range(head + lo, head + hi)]  # -1 in arc i's column
+            # Rows follow node order, so one comparison orders a whole run's two conservation rows.
+            first, second, signs = (out, into, (1.0, -1.0)) if tail < head else (into, out, (-1.0, 1.0))
+            # Each kept edge run is one coupling row, above every conservation row; waiting
+            # arcs couple to nothing.
+            if g.edge is not None:
+                edge_rows[g.edge].append(coupling)
+                signs = (1.0, *signs)
+            width = len(signs)
+            entries = [coupling] * (width * (hi - lo))
+            entries[width - 2 :: width] = first
+            entries[width - 1 :: width] = second
+            start += range(len(index), len(index) + len(entries), width)
+            index += entries
+            value += signs * (hi - lo)
+            coupling += g.edge is not None
+    for rows in edge_rows:
+        start.append(len(index))
+        index += rows
+        value += [-1.0] * len(rows)
+    start.append(len(index))
 
     c = np.zeros(num_vars)
     upper = np.ones(num_vars)
@@ -205,11 +232,9 @@ def build_mcf(extension: DeltaExtension) -> McfModel:
             upper[num_flow + e] = 0.0  # cannot appear in any within-budget path
     return McfModel(
         c=c,
-        # int32 indices, HiGHS's own index type (csc_array picks int64 for lists)
-        a=sp.csc_array(
-            (vals, (np.array(rows, dtype=np.int32), np.array(cols, dtype=np.int32))),
-            shape=(len(b), num_vars),
-        ),
+        start=np.array(start, dtype=np.int32),
+        index=np.array(index, dtype=np.int32),
+        value=np.array(value),
         b=np.array(b),
         num_ub=num_ub,
         upper=upper,
@@ -245,10 +270,39 @@ class FractionalSolution:
     iterations: int  # HiGHS's simplex (or, failing that, IPM) iteration count
 
 
+_HIGHS = "scipy.optimize._highspy._core"  # the extension module solve_lp calls
+
+
+def _highs_bindings():
+    """scipy's HiGHS extension module, loaded without running ``scipy/optimize/__init__.py``.
+
+    The module already in ``sys.modules`` under its name, if any; otherwise
+    the extension file in scipy's ``optimize/_highspy`` directory, entered in
+    ``sys.modules`` so that a later ``import scipy.optimize._highspy._core``
+    (``linprog``'s among them) returns the same module.  Importing
+    ``scipy.optimize`` would also import every optimizer, ``scipy.sparse``
+    and ``scipy.linalg``: 0.37 s and 40 MB once numpy is loaded, against
+    0.02-0.03 s and 5 MB here, on a shared 2-core host.  Raises
+    :class:`ImportError` when scipy or the extension is missing.
+    """
+    if _HIGHS in sys.modules:
+        return importlib.import_module(_HIGHS)  # raises ModuleNotFoundError for a None entry
+    import scipy
+
+    folder = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+    spec = importlib.machinery.PathFinder.find_spec(_HIGHS, [folder])
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {_HIGHS!r} in {folder}", name=_HIGHS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_HIGHS] = module
+    return module
+
+
 def solve_lp(model: McfModel) -> FractionalSolution:
     """Solve the model with HiGHS's dual simplex, through scipy's bundled bindings.
 
-    HiGHS gets the model's one column-wise matrix as it is, the row bounds
+    HiGHS gets the model's column-wise arrays as they are, the row bounds
     ``-inf <= a_ub x <= b_ub`` and ``b_eq <= a_eq x <= b_eq``, the column
     bounds ``0 <= x <= upper`` and the five options ``linprog(method="highs")``
     sets: presolve on, dual simplex, no debug checks, no log, no output.
@@ -258,21 +312,19 @@ def solve_lp(model: McfModel) -> FractionalSolution:
     It also raises one on a non-finite cost (which linprog rejected and
     HiGHS would solve) or a NaN upper bound, when scipy lacks the bindings,
     and in place of any exception the solver raises.  numpy and the bindings
-    are imported here rather than at module level: the bindings load
-    scipy.optimize, and with scipy.sparse they take about 0.8 s and 60 MB to
-    import in a fresh interpreter, which callers that never solve an LP
-    should not pay.
+    (:func:`_highs_bindings`) are imported here rather than at module level:
+    about 0.1 s and 16 MB in a fresh interpreter, which callers that never
+    solve an LP should not pay.
     """
     import numpy as np
 
     try:
-        import scipy.optimize._highspy._core as highspy
+        highspy = _highs_bindings()
     except ImportError as exc:
         raise SolverFailure("failed", f"{type(exc).__name__}: {exc}") from exc
     if not np.isfinite(model.c).all() or np.isnan(model.upper).any():
         raise SolverFailure("failed", "ValueError: a cost is not finite or an upper bound is NaN")
-    a = model.a
-    num_rows, num_vars = a.shape
+    num_rows, num_vars = model.b.shape[0], model.num_vars
     row_lower = model.b.copy()
     row_lower[: model.num_ub] = -highspy.kHighsInf  # the coupling rows: -inf <= a_ub x <= b_ub
     try:
@@ -280,9 +332,9 @@ def solve_lp(model: McfModel) -> FractionalSolution:
         lp.num_col_ = lp.a_matrix_.num_col_ = num_vars
         lp.num_row_ = lp.a_matrix_.num_row_ = num_rows
         lp.a_matrix_.format_ = highspy.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = a.indptr
-        lp.a_matrix_.index_ = a.indices
-        lp.a_matrix_.value_ = a.data
+        lp.a_matrix_.start_ = model.start
+        lp.a_matrix_.index_ = model.index
+        lp.a_matrix_.value_ = model.value
         lp.col_cost_ = model.c
         lp.col_lower_ = np.zeros(num_vars)
         lp.col_upper_ = model.upper
@@ -313,7 +365,9 @@ def solve_lp(model: McfModel) -> FractionalSolution:
         raise SolverFailure(_FAILURE_STATUS.get(status.name, "failed"), message)
     num_flow = model.num_flow_vars
     x_edges = np.clip(values[num_flow:], 0.0, 1.0) + 0.0  # + 0.0 turns HiGHS's -0.0 into 0.0
-    rows = a @ values - model.b
+    # a @ values, adding each row's entries in column order as scipy's CSC product does
+    products = np.repeat(values, np.diff(model.start)) * model.value
+    rows = np.bincount(model.index, weights=products, minlength=num_rows) - model.b
     residual = max(
         float(np.max(np.abs(rows[model.num_ub :]), initial=0.0)),
         float(np.max(rows[: model.num_ub], initial=0.0)),
@@ -351,18 +405,23 @@ def export_lp(model: McfModel, path: str) -> None:
         terms = [f"0 {names[0]}"]
     lines.append(" obj: " + " ".join(terms))
     lines.append("Subject To")
-    row_id = 0
-    for a_mat, rhs, op in ((model.a_ub, model.b_ub, "<="), (model.a_eq, model.b_eq, "=")):
-        for r in range(a_mat.shape[0]):
-            row = slice(a_mat.indptr[r], a_mat.indptr[r + 1])
-            terms = [
-                _fmt_coef(value, names[j], first=(i == 0))
-                for i, (j, value) in enumerate(zip(a_mat.indices[row], a_mat.data[row]))
-            ]
-            if not terms:
-                terms = [f"0 {names[0]}"]
-            lines.append(f" c{row_id}: " + " ".join(terms) + f" {op} {rhs[r]:.12g}")
-            row_id += 1
+    # The rows off the column-wise arrays: a stable sort by row keeps each row's
+    # entries in column order, as a CSR copy of the matrix would hold them.
+    num_rows = model.b.shape[0]
+    order = np.argsort(model.index, kind="stable")
+    cols = np.repeat(np.arange(model.num_vars), np.diff(model.start))[order]
+    values = model.value[order]
+    ends = np.cumsum(np.bincount(model.index, minlength=num_rows))
+    for r in range(num_rows):
+        row = slice(ends[r - 1] if r else 0, ends[r])
+        terms = [
+            _fmt_coef(value, names[j], first=(i == 0))
+            for i, (j, value) in enumerate(zip(cols[row], values[row]))
+        ]
+        if not terms:
+            terms = [f"0 {names[0]}"]
+        op = "<=" if r < model.num_ub else "="
+        lines.append(f" c{r}: " + " ".join(terms) + f" {op} {model.b[r]:.12g}")
     lines.append("Bounds")
     for j, name in enumerate(names):
         lines.append(f" 0 <= {name} <= {model.upper[j]:.12g}")

@@ -426,8 +426,18 @@ def restricted_subgraph(instance: SpannerInstance, index: int):
 # The longest edge dodis_khanna_demo subdivides: over it, it raises TooLarge
 # before building anything.  The demo builds ``length`` edges and nodes, their
 # extension and its flow LP, and names every weight.  Measured at the cap on a
-# 2-core host: 1.8 s and 203 MB, numpy's and scipy's imports included.
+# 2-core host: 1.5 s and 164 MB, numpy's and the HiGHS extension's imports
+# included.
 MAX_DEMO_LENGTH = 100_000
+# The largest alpha dodis_khanna_demo takes: over it, it raises TooLarge
+# before building anything.  The subdivided path's flow LP has about
+# (2L + 1)(alpha - L + 1) columns when L <= alpha (none otherwise), at most
+# about alpha^2 / 2, and HiGHS's time grows faster than the columns.
+# Measured on a 2-core host: at the cap, every length took at most 1 s and
+# 164 MB (lengths 100 to 200: about 1 s and 100 MB); at length 3, alpha
+# 3,000 took 2 s and alpha 10,000 13 s, and length 300 at alpha 1,000 ran
+# past 100 s.
+MAX_DEMO_ALPHA = 300
 
 
 @dataclass
@@ -466,12 +476,15 @@ def dodis_khanna_demo(edge_length: int = 3, alpha: int = 2) -> DemoReport:
     copies are farther apart than the demand allows, so the alpha-extension
     has no source-to-sink path at all and the flow model is infeasible --
     even though the untransformed instance is perfectly solvable.  A length
-    over :data:`MAX_DEMO_LENGTH` raises :class:`TooLarge`.
+    over :data:`MAX_DEMO_LENGTH` or an alpha over :data:`MAX_DEMO_ALPHA`
+    raises :class:`TooLarge`.
     """
     if edge_length < 1 or alpha < 1:
         raise ValueError("edge_length and alpha must be positive")
     if edge_length > MAX_DEMO_LENGTH:
         raise TooLarge(f"length {edge_length} is over the cap of {MAX_DEMO_LENGTH}")
+    if alpha > MAX_DEMO_ALPHA:
+        raise TooLarge(f"alpha {alpha} is over the cap of {MAX_DEMO_ALPHA}")
     original = SpannerInstance(
         directed=True,
         n=2,

@@ -13,9 +13,10 @@ from fractions import Fraction
 import pytest
 
 # Criterion 1's clock times the solvers, not the LP stack's first import
-# (numpy, scipy.sparse and scipy.optimize load on the first LP solve), so the
-# stack is loaded here, before any timer starts.  That the import stays off
-# the non-LP paths is pinned by test_cli.py's cold-start test and by CI.
+# (numpy and scipy's HiGHS extension load on the first LP solve; importing
+# scipy.optimize loads that extension too), so the stack is loaded here,
+# before any timer starts.  That the import stays off the non-LP paths is
+# pinned by test_cli.py's cold-start test and by CI.
 import scipy.optimize  # noqa: F401
 
 from spannerkit.cli import main as cli_main

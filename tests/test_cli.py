@@ -763,6 +763,64 @@ def test_cold_start_loads_lp_stack_only_for_the_lp(tmp_path):
     assert {"numpy", "scipy"} <= set(seen["lp"])
 
 
+# The LP commands in a fresh interpreter, after "import scipy.optimize" when
+# argv[1] is "optimize": which of scipy's heavy packages they loaded, whether
+# solve_lp's bindings are the module "import scipy.optimize._highspy._core"
+# gives, and linprog's answer afterwards.
+LP_COLD_START = textwrap.dedent("""
+    import json, sys
+
+    if sys.argv[1] == "optimize":
+        import scipy.optimize
+    from spannerkit import mcf
+    from spannerkit.cli import main
+
+    def run(*args):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        if code:
+            sys.exit(f"{args} exited {code}")
+
+    run("solve", "inst.json", "--algorithm", "randomized-rounding", "--out", "rr.json")
+    run("export-lp", "inst.json", "--out", "model.lp")
+    run("oracle", "demo", "--alpha", "3", "--out", "demo.txt")
+    loaded = sorted({"scipy.optimize", "scipy.sparse"} & set(sys.modules))
+    bindings = mcf._highs_bindings()
+    import scipy.optimize._highspy._core as core
+    from scipy.optimize import linprog
+
+    res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method="highs")
+    with open("seen.json", "w") as fh:
+        json.dump({"loaded": loaded, "same": bindings is core is sys.modules[mcf._HIGHS],
+                   "linprog": [int(res.status), float(res.fun)]}, fh)
+""")
+
+
+def test_lp_commands_load_neither_scipy_optimize_nor_scipy_sparse(tmp_path):
+    src = os.path.dirname(os.path.dirname(spannerkit.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    seen = {}
+    for order in ("file", "optimize"):
+        (tmp_path / order).mkdir()
+        assert run_cli(["gen", "decoupled", "--n", "7", "--m", "12", "--seed", "3", "--demands", "freeform",
+                        "--demand-pairs", "random", "--integer-lengths",
+                        "--out", str(tmp_path / order / "inst.json")]) == 0
+        proc = subprocess.run([sys.executable, "-c", LP_COLD_START, order], cwd=tmp_path / order, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        seen[order] = json.loads((tmp_path / order / "seen.json").read_text())
+    assert seen["file"]["loaded"] == []
+    assert seen["optimize"]["loaded"] == ["scipy.optimize", "scipy.sparse"]  # so the check above can fail
+    for order in ("file", "optimize"):
+        assert seen[order]["same"] is True, order
+        assert seen[order]["linprog"] == [0, 1.0], order
+    for name in ("rr.json", "model.lp", "demo.txt"):
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "optimize" / name).read_bytes(), name
+
+
 # A valid triangle of length-10^6 edges whose one demand keeps 3,000,003 flow
 # columns; before the flow LP had a cap it ran into HiGHS's bad_alloc.
 OVERSIZED_TRIANGLE = {
@@ -796,7 +854,8 @@ HUGE_N = {
     (["gen", "geometric", "--n", "20000", "--out", "gen.json"], 3),
     (["verify", "huge.json", "--solution", "sol.json"], 2),
     (["oracle", "demo", "--length", "100000000"], 3),
-], ids=["args0", "args1", "args2", "args3", "args4"])
+    (["oracle", "demo", "--alpha", "100000"], 3),
+], ids=["args0", "args1", "args2", "args3", "args4", "args5"])
 def test_oversized_inputs_exit_3_before_allocating(tmp_path, args, code):
     (tmp_path / "big.json").write_text(json.dumps(OVERSIZED_TRIANGLE))
     (tmp_path / "huge.json").write_text(json.dumps(HUGE_N))

@@ -401,8 +401,9 @@ def test_export_reads_back(tmp_path, key):
 def _hand_built(c, upper) -> McfModel:
     """A model with edge columns only and no rows, for statuses no spanner instance gives."""
     ext = build_extension(SpannerInstance(True, 1, (), ()))
-    return McfModel(np.array(c), sp.csc_array((0, len(c))), np.zeros(0), 0, np.array(upper),
-                    extension=ext, demands=(), flow_arcs=(), num_edge_vars=len(c))
+    empty = np.zeros(0, dtype=np.int32)
+    return McfModel(np.array(c), np.zeros(len(c) + 1, dtype=np.int32), empty, np.zeros(0), np.zeros(0), 0,
+                    np.array(upper), extension=ext, demands=(), flow_arcs=(), num_edge_vars=len(c))
 
 
 def _tied_square() -> McfModel:
@@ -495,6 +496,26 @@ def flow_instances(draw):
         demands += (Demand(0, n, Fraction(3)),)
         n += 1
     return SpannerInstance(directed, n, edges, demands)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(flow_instances(), st.randoms(use_true_random=False))
+def test_the_matrix_is_canonical_csc(inst, rng):
+    # HiGHS reads the arrays as they are, so they are the one canonical form of
+    # the model's entries: what scipy's COO -> CSC conversion makes of them in any order.
+    model = build_mcf(build_extension(inst))
+    start, index, value = model.start, model.index, model.value
+    assert (start.dtype, index.dtype, value.dtype) == (np.int32, np.int32, np.float64)
+    assert start.shape == (model.num_vars + 1,) and index.shape == value.shape
+    assert start[0] == 0 and np.all(np.diff(start) >= 0) and start[-1] == len(index)
+    for j in range(model.num_vars):
+        assert np.all(np.diff(index[start[j] : start[j + 1]]) > 0), j
+    cols = np.repeat(np.arange(model.num_vars, dtype=np.int32), np.diff(start))
+    shuffled = list(range(len(index)))
+    rng.shuffle(shuffled)
+    a = sp.csc_array((value[shuffled], (index[shuffled], cols[shuffled])), shape=(len(model.b), model.num_vars))
+    assert np.array_equal(a.indptr, start) and np.array_equal(a.indices, index)
+    assert np.array_equal(a.data, value)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)

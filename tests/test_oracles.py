@@ -486,6 +486,15 @@ def test_demo_narrative_pinned(length, alpha):
     assert report.transformed_reachable == (path is not None)
 
 
+def test_demo_alpha_past_the_cap_is_too_large_before_any_build(monkeypatch):
+    monkeypatch.setattr(oracles, "build_extension", None)  # a build would raise TypeError
+    with pytest.raises(TooLarge, match="alpha 301 is over the cap of 300"):
+        dodis_khanna_demo(3, oracles.MAX_DEMO_ALPHA + 1)
+    monkeypatch.undo()
+    report = dodis_khanna_demo(3, oracles.MAX_DEMO_ALPHA)  # at the cap: solved
+    assert report.transformed_reachable and report.lp_status == "optimal"
+
+
 def test_demo_json_round_trip():
     import json
 
