@@ -15,6 +15,15 @@ Plus the reference machinery that certifies both at desk scale:
 :func:`exact_optimum`, ascending-cut enumeration, and exact feasibility
 verification on the instance's scaled integers (every length times the lcm
 of the length denominators, every bound floored to match).
+
+``import spannerkit`` loads the greedy core: ``errors``, ``rational``,
+``instance``, ``graph``, ``greedy`` and ``generators``.  The LP and
+exact-oracle modules (``extension``, ``mcf``, ``oracles`` and ``rounding``)
+and the names re-exported from them load on first access through the
+module's ``__getattr__`` (PEP 562), so a caller that only generates, solves
+greedily, verifies and saves never compiles or runs them.  A lazy name is
+read from its defining module on every access and never stored here, so it
+is always that module's current binding, also while one is patched.
 """
 
 from .errors import (
@@ -31,7 +40,6 @@ from .errors import (
     TooManyCuts,
     UnsatisfiableDemand,
 )
-from .extension import DeltaExtension, build_extension
 from .generators import (
     dk_edge,
     example5,
@@ -65,29 +73,55 @@ from .instance import (
     save,
     validate,
 )
-from .mcf import FractionalSolution, McfModel, build_mcf, export_lp, solve_lp
-from .oracles import (
-    CutLabeling,
-    ExactResult,
-    check_cut_lemma,
-    dodis_khanna_demo,
-    enumerate_ascending_cuts,
-    exact_optimum,
-    potential_monitor,
-    restricted_subgraph,
-)
 from .rational import Rational, format_rational, parse_rational
-from .rounding import (
-    GammaSpec,
-    RandomizedRoundingReport,
-    RoundingRun,
-    derive_seed,
-    gamma,
-    round_solution,
-    solve_randomized,
-)
 
 __version__ = "0.1.0"
+
+# The names loaded on first access, each -> its defining submodule; a
+# submodule's own name maps to itself.
+_LAZY = {
+    "extension": "extension",
+    "DeltaExtension": "extension",
+    "build_extension": "extension",
+    "mcf": "mcf",
+    "FractionalSolution": "mcf",
+    "McfModel": "mcf",
+    "build_mcf": "mcf",
+    "export_lp": "mcf",
+    "solve_lp": "mcf",
+    "oracles": "oracles",
+    "CutLabeling": "oracles",
+    "ExactResult": "oracles",
+    "check_cut_lemma": "oracles",
+    "dodis_khanna_demo": "oracles",
+    "enumerate_ascending_cuts": "oracles",
+    "exact_optimum": "oracles",
+    "potential_monitor": "oracles",
+    "restricted_subgraph": "oracles",
+    "rounding": "rounding",
+    "GammaSpec": "rounding",
+    "RandomizedRoundingReport": "rounding",
+    "RoundingRun": "rounding",
+    "derive_seed": "rounding",
+    "gamma": "rounding",
+    "round_solution": "rounding",
+    "solve_randomized": "rounding",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    home = import_module(f"{__name__}.{module}")
+    return home if name == module else getattr(home, name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()).union(_LAZY).difference(("_LAZY", "__getattr__", "__dir__")))
+
 
 __all__ = [
     "AugmentedGreedyReport",

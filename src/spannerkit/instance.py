@@ -394,12 +394,13 @@ def validate(instance: SpannerInstance) -> ValidationReport:
 
 
 def _walk_edges(instance: SpannerInstance, report: ValidationReport) -> bool:
-    """Report each edge that fails a record check, in edge order; whether every id is in range."""
+    """Report each edge that fails a record check, in edge order; whether every id is an int in range."""
     n, directed = instance.n, instance.directed
     seen_pairs: set[tuple[int, int]] = set()
     ids_ok = True
     for i, (u, v, weight, length) in enumerate(instance.edges):
-        if not (0 <= u < n and 0 <= v < n):
+        # an id that is not an int (a bool, a float, a string) is reported, never compared or indexed with
+        if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
             report.add("bad-node-id", f"edge {i} endpoints ({u},{v}) outside [0,{n})")
             ids_ok = False
             continue
@@ -419,12 +420,12 @@ def _walk_edges(instance: SpannerInstance, report: ValidationReport) -> bool:
 
 
 def _walk_demands(instance: SpannerInstance, report: ValidationReport) -> bool:
-    """Report each demand that fails a record check, in demand order; whether every id is in range."""
+    """Report each demand that fails a record check, in demand order; whether every id is an int in range."""
     n, directed = instance.n, instance.directed
     seen_demands: set[tuple[int, int]] = set()
     ids_ok = True
     for i, (u, v, delta) in enumerate(instance.demands):
-        if not (0 <= u < n and 0 <= v < n):
+        if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
             report.add("bad-node-id", f"demand {i} endpoints ({u},{v}) outside [0,{n})")
             ids_ok = False
             continue
@@ -460,6 +461,8 @@ def to_json_dict(instance: SpannerInstance) -> dict:
 
     A canonical instance (every loaded or generated one) is written as it is,
     with no second canonical pass; any other is put in canonical form first.
+    :func:`save` writes this document's text; ``json.dumps(doc, indent=2)``
+    is that text's reference.
     """
     inst = instance if instance.is_canonical() else instance.canonical()
     doc: dict = {
@@ -483,11 +486,12 @@ _EDGE_KEYS = ("u", "v", "w", "len")
 _DEMAND_KEYS = ("u", "v", "delta")
 
 
-def _node_id(value, record: str, i: int, key: str, path: str | None) -> int:
-    # bool is a subclass of int, but `true` is not a node id; floats are not truncated
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"node id must be an integer, got {value!r}", path=path, field=f"{record}[{i}].{key}")
-    return value
+def _bad_node_id(value, record: str, i: int, key: str, path: str | None) -> ParseError:
+    """The error naming a node id whose type is not ``int``.
+
+    bool is a subclass of int, but ``true`` is not a node id; floats are not truncated.
+    """
+    return ParseError(f"node id must be an integer, got {value!r}", path=path, field=f"{record}[{i}].{key}")
 
 
 def _unknown_key(record, keys: tuple[str, ...], where: str, path: str | None) -> ParseError | None:
@@ -555,9 +559,9 @@ def from_json_dict(doc: dict, *, path: str | None = None) -> SpannerInstance:
         except (KeyError, TypeError):
             raise malformed(e, _EDGE_KEYS, "edges", i) from None
         if type(u) is not int:
-            u = _node_id(u, "edges", i, "u", path)
+            raise _bad_node_id(u, "edges", i, "u", path)
         if type(v) is not int:
-            v = _node_id(v, "edges", i, "v", path)
+            raise _bad_node_id(v, "edges", i, "v", path)
         weight = parsed.get(w) if type(w) is str else None
         if weight is None:
             weight = rational(w, "edges", i, "w")
@@ -579,9 +583,9 @@ def from_json_dict(doc: dict, *, path: str | None = None) -> SpannerInstance:
         except (KeyError, TypeError):
             raise malformed(d, _DEMAND_KEYS, "demands", i) from None
         if type(u) is not int:
-            u = _node_id(u, "demands", i, "u", path)
+            raise _bad_node_id(u, "demands", i, "u", path)
         if type(v) is not int:
-            v = _node_id(v, "demands", i, "v", path)
+            raise _bad_node_id(v, "demands", i, "v", path)
         delta = parsed.get(text) if type(text) is str else None
         if delta is None:
             delta = rational(text, "demands", i, "delta")
@@ -598,12 +602,53 @@ def from_json_dict(doc: dict, *, path: str | None = None) -> SpannerInstance:
     return instance if canonical else instance.canonical()
 
 
-def save(instance: SpannerInstance, path: str) -> None:
-    """Write :func:`to_json_dict`'s document, indented by ``json``, in one write.
+# One record of a document's edge or demand list as ``json.dumps(doc, indent=2)`` writes it.
+_EDGE_TEXT = '    {\n      "u": %d,\n      "v": %d,\n      "w": "%s",\n      "len": "%s"\n    }'
+_DEMAND_TEXT = '    {\n      "u": %d,\n      "v": %d,\n      "delta": "%s"\n    }'
 
-    Deterministic byte-for-byte: equal instances give equal files.
+
+def _list_text(items: list[str]) -> str:
+    """A list value of the document's top level, from its items' indented text."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+def _document_text(doc: dict) -> str:
+    """The text of :func:`to_json_dict`'s document: ``json.dumps(doc, indent=2)``, byte for byte.
+
+    CPython's ``json`` uses its C encoder only when ``indent`` is None, so
+    its indented output runs a pure-Python encoder, most of ``save``'s time.
+    This writes the schema's fixed layout itself.  The header values and
+    the labels go through ``json.dumps``; the rational strings (digits, ``-``
+    and ``/``) and the ``int`` node ids are written as they are.
     """
-    text = json.dumps(to_json_dict(instance), indent=2) + "\n"
+    edges = [_EDGE_TEXT % (e["u"], e["v"], e["w"], e["len"]) for e in doc["edges"]]
+    demands = [_DEMAND_TEXT % (d["u"], d["v"], d["delta"]) for d in doc["demands"]]
+    parts = [
+        '{\n  "directed": ', json.dumps(doc["directed"]), ',\n  "n": ', json.dumps(doc["n"]),
+        ',\n  "edges": ', _list_text(edges), ',\n  "demands": ', _list_text(demands),
+    ]
+    if "labels" in doc:
+        parts += [',\n  "labels": ', _list_text(["    " + json.dumps(label) for label in doc["labels"]])]
+    parts.append("\n}")
+    return "".join(parts)
+
+
+def save(instance: SpannerInstance, path: str) -> None:
+    """Write :func:`to_json_dict`'s document, in ``json.dumps``'s indented layout, in one write.
+
+    The bytes are ``json.dumps(to_json_dict(instance), indent=2) + "\\n"``
+    (the tests' reference), formatted here without json's pure-Python
+    indenter.  A node id whose type is not ``int`` (a bool included), which
+    :func:`load` would refuse, raises :class:`ParseError` naming its record
+    before the file is opened.  Deterministic byte-for-byte: equal instances
+    give equal files.
+    """
+    for record, records in (("edges", instance.edges), ("demands", instance.demands)):
+        for i, r in enumerate(records):
+            if type(r[0]) is not int or type(r[1]) is not int:
+                key = "u" if type(r[0]) is not int else "v"
+                raise _bad_node_id(getattr(r, key), record, i, key, path)
+    text = _document_text(to_json_dict(instance)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

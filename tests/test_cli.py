@@ -763,6 +763,62 @@ def test_cold_start_loads_lp_stack_only_for_the_lp(tmp_path):
     assert {"numpy", "scipy"} <= set(seen["lp"])
 
 
+# "import spannerkit" in a fresh interpreter: which of the lazily loaded
+# modules (and the CLI, the batch layer and hashlib) it loaded, then what the
+# package hands out for its lazy names.
+IMPORT_CORE = textwrap.dedent("""
+    import importlib, json, sys
+
+    import spannerkit
+
+    LAZY = ("extension", "mcf", "oracles", "rounding")
+    watched = {*(f"spannerkit.{m}" for m in (*LAZY, "bench", "cli")), "hashlib"}
+    seen = {"loaded": sorted(watched & set(sys.modules))}
+    seen["not_in_dir"] = sorted(set(spannerkit.__all__) - set(dir(spannerkit)))
+    namespace = {}
+    exec("from spannerkit import *", namespace)
+    seen["not_starred"] = sorted(set(spannerkit.__all__) - set(namespace))
+    homes = [importlib.import_module(f"spannerkit.{m}") for m in LAZY]
+    seen["modules"] = [getattr(spannerkit, m) is home for m, home in zip(LAZY, homes)]
+    seen["mismatched"] = sorted(
+        name for name in spannerkit.__all__ for home in homes
+        if name in vars(home) and getattr(spannerkit, name) is not vars(home)[name]
+    )
+    seen["lazy_names"] = sorted(name for name in spannerkit.__all__ if name not in vars(spannerkit))
+    mcf = homes[1]
+    original, mcf.solve_lp = mcf.solve_lp, object()
+    seen["follows_binding"] = spannerkit.solve_lp is mcf.solve_lp
+    mcf.solve_lp = original
+    try:
+        spannerkit.no_such_name
+        seen["unknown"] = None
+    except AttributeError as exc:
+        seen["unknown"] = str(exc)
+    seen["greedy_is_the_function"] = spannerkit.greedy is sys.modules["spannerkit.greedy"].greedy
+    with open("seen.json", "w") as fh:
+        json.dump(seen, fh)
+""")
+
+
+def test_import_loads_only_the_greedy_core(tmp_path):
+    src = os.path.dirname(os.path.dirname(spannerkit.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_CORE], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads((tmp_path / "seen.json").read_text())
+    assert seen["loaded"] == []
+    assert seen["not_in_dir"] == [] and seen["not_starred"] == []
+    assert seen["modules"] == [True] * 4
+    assert seen["mismatched"] == []
+    # the 22 names defined in the four lazy modules are handed out, never stored
+    assert len(seen["lazy_names"]) == 22
+    assert seen["follows_binding"] is True
+    assert seen["unknown"] == "module 'spannerkit' has no attribute 'no_such_name'"
+    assert seen["greedy_is_the_function"] is True
+
+
 # The LP commands in a fresh interpreter, after "import scipy.optimize" when
 # argv[1] is "optimize": which of scipy's heavy packages they loaded, whether
 # solve_lp's bindings are the module "import scipy.optimize._highspy._core"

@@ -2,13 +2,15 @@ import gc
 import importlib
 import json
 import math
+import os
 import pickle
+import tempfile
 import weakref
 from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bellman_ford, fraction_view
@@ -195,6 +197,40 @@ def test_node_ids_must_be_integers(record, key, bad):
     with pytest.raises(ParseError) as info:
         from_json_dict(doc)
     assert info.value.field == f"{record}[0].{key}"
+
+
+def _with_node_id(record, key, bad):
+    """The valid path 0-1-2 with demand (0, 2), its first edge's or demand's ``key`` end set to ``bad``."""
+    edges = [_e(0, 1, 1, 1), _e(1, 2, 1, 1)]
+    demands = [_d(0, 2, 2)]
+    records = edges if record == "edges" else demands
+    records[0] = records[0]._replace(**{key: bad})
+    return SpannerInstance(False, 3, tuple(edges), tuple(demands))
+
+
+# Each in range by value, so only the id's type can reject it.
+NON_INT_IDS = [2.0, True, "1"]
+
+
+@pytest.mark.parametrize("bad", NON_INT_IDS)
+@pytest.mark.parametrize("record, key", [("edges", "v"), ("demands", "u")])
+def test_validate_reports_a_node_id_that_is_not_an_int(record, key, bad):
+    inst = _with_node_id(record, key, bad)
+    u, v = (0, bad) if key == "v" else (bad, 2)
+    noun = record[:-1]
+    assert [(x.code, x.message) for x in validate(inst).violations] == [
+        ("bad-node-id", f"{noun} 0 endpoints ({u},{v}) outside [0,3)"),
+    ]
+
+
+@pytest.mark.parametrize("bad", NON_INT_IDS)
+@pytest.mark.parametrize("record, key", [("edges", "u"), ("edges", "v"), ("demands", "u"), ("demands", "v")])
+def test_save_refuses_a_node_id_that_is_not_an_int(tmp_path, record, key, bad):
+    path = tmp_path / "inst.json"
+    with pytest.raises(ParseError) as info:
+        save(_with_node_id(record, key, bad), str(path))
+    assert info.value.field == f"{record}[0].{key}"
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("record,key", [("edges", "w"), ("edges", "len"), ("demands", "delta")])
@@ -406,6 +442,38 @@ def test_canonical_document_is_returned_as_parsed(monkeypatch):
     by_text = {}
     for record, e in zip(doc["edges"], inst.edges):
         assert by_text.setdefault(record["w"], e.weight) is e.weight
+
+
+# Pieces of labels: json escapes the first four, and ensure_ascii the non-ASCII ones.
+LABEL_PIECES = ['"', "\\", "\n", "\x07", "é", "☃", "a"]
+
+
+@st.composite
+def saved_instances(draw):
+    """Instances as a caller may hand them to ``save``: records in any order, maybe no demand, odd labels."""
+    n = draw(st.integers(1, 5))
+    directed = draw(st.booleans())
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    rational = st.builds(Fraction, st.integers(-3, 40), st.integers(1, 6))
+    ends = st.lists(st.sampled_from(pairs), max_size=8) if pairs else st.just([])  # n = 1 has no pair
+    edges = tuple(Edge(u, v, draw(rational), draw(rational)) for u, v in draw(ends))
+    demands = tuple(Demand(u, v, draw(rational)) for u, v in draw(ends))
+    label = st.lists(st.sampled_from(LABEL_PIECES), max_size=3).map("".join)
+    labels = draw(st.none() | st.lists(label, min_size=n, max_size=n).map(tuple))
+    return SpannerInstance(directed, n, edges, demands, labels)
+
+
+@ROUND_TRIP
+@given(saved_instances())
+@example(SpannerInstance(False, 1, (), ()))
+@example(SpannerInstance(True, 2, (Edge(1, 0, Fraction(3), Fraction(2)),), (), ("", '"\\\n\x01é☃')))
+def test_save_writes_jsons_indented_text_byte_for_byte(inst):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "inst.json")
+        save(inst, path)
+        with open(path, "rb") as fh:
+            written = fh.read()
+    assert written == (json.dumps(to_json_dict(inst), indent=2) + "\n").encode("utf-8")
 
 
 @pytest.mark.parametrize(
